@@ -10,9 +10,8 @@ must cope with that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
-from .corpus import Question
+from .corpus import Question, read_table
 from .treebank import ParseTree, dfs_nodes
 
 COARSE_CLASSES = frozenset({"ABBR", "DESC", "ENTY", "HUM", "LOC", "NUM"})
@@ -41,19 +40,8 @@ class Category:
 
 def load_hint_table(path=None) -> dict[str, Category]:
     """Head-noun hints, one "head_noun<TAB>coarse:fine" per line."""
-    if path is None:
-        text = resources.files("patternqa").joinpath("data/head_noun_hints.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    hints = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        noun, _, label = line.partition("\t")
-        hints[noun.strip().lower()] = Category.parse(label.strip())
-    return hints
+    return {noun.lower(): Category.parse(label.strip())
+            for noun, label in read_table("head_noun_hints.tsv", path)}
 
 
 def _tagged_leaves(tree: ParseTree) -> list[tuple[str, str]]:

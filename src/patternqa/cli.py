@@ -16,11 +16,11 @@ from pathlib import Path
 from .classify import classify
 from .corpus import CorpusError, Question, load_documents, load_qa_corpus
 from .evaluation import export_series, running_metrics
-from .extraction import extract_ner, load_gazetteer
+from .extraction import load_gazetteer
 from .knowledge import (MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase,
-                        load_kb, question_signature, save_kb)
+                        KnowledgeBaseError, load_kb, save_kb)
 from .pipeline import (PipelineState, RevisionSchedule, ScenarioConfig,
-                       apply_feedback, pattern_candidates, run_sequence)
+                       apply_feedback, extract_candidates, run_sequence)
 from .retrieval import build_index, content_words, retrieve, serialize_index
 from .treebank import TreeFormatError, leaves, parse_bracketed
 from .unification import default_config
@@ -152,6 +152,10 @@ def cmd_run(args) -> int:
     docs = load_documents(_require_file(args.docs, "docs"))
     if args.revise_interval is not None and args.revise_interval < 1:
         raise UsageError("--revise-interval must be >= 1")
+    if args.top_k < 1:
+        raise UsageError("--top-k must be >= 1")
+    if args.relax_threshold is not None and not 0.0 <= args.relax_threshold <= 1.0:
+        raise UsageError("--relax-threshold must be in [0, 1]")
 
     relax = default_config(
         measure=args.relax_measure,
@@ -242,20 +246,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _tutor_answer(state, question: Question, use_ner: bool):
-    category = classify(question, state.hints)
-    sentences = retrieve(state.index, content_words(question.parse), state.top_k)
-    state.sentence_cache[question.id] = sentences
-    signature_patterns = state.kb.lookup(question_signature(question, category))
-    candidates = []
-    if signature_patterns:
-        candidates.extend(pattern_candidates(signature_patterns, sentences, state.relax))
-    if use_ner:
-        candidates.extend(extract_ner(category, sentences, state.gazetteer, state.regex_rules))
-    return category, candidates
-
-
 def cmd_tutor(args) -> int:
+    if args.top_k < 1:
+        raise UsageError("--top-k must be >= 1")
     docs = load_documents(_require_file(args.docs, "docs"))
     kb = load_kb(args.kb_in) if args.kb_in else KnowledgeBase()
     state = PipelineState(
@@ -266,6 +259,7 @@ def cmd_tutor(args) -> int:
     )
     counter = 0
     last: Question | None = None
+    last_category = None
     last_answer: str | None = None
 
     def prompt():
@@ -289,9 +283,13 @@ def cmd_tutor(args) -> int:
                 prompt()
                 continue
             last = Question(id=f"tutor-{counter}", text=" ".join(leaves(tree)), parse=tree)
-            category, candidates = _tutor_answer(state, last, args.use_ner)
+            last_category = classify(last, state.hints)
+            sentences = retrieve(state.index, content_words(tree), state.top_k)
+            state.sentence_cache[last.id] = sentences
+            candidates = extract_candidates(state, last, last_category, sentences,
+                                            use_patterns=True, use_ner=args.use_ner)
             last_answer = candidates[0].text if candidates else None
-            print(f"category: {category}")
+            print(f"category: {last_category}")
             if last_answer is None:
                 print("no answer")
             else:
@@ -302,7 +300,7 @@ def cmd_tutor(args) -> int:
             if last is None or last_answer is None:
                 print("nothing to confirm")
             else:
-                added = apply_feedback(state, last, last_answer)
+                added = apply_feedback(state, last, last_answer, last_category)
                 print(f"learned {added} new patterns")
         elif line == "n":
             print("marked wrong (use 'answer <text>' to teach the correct one)")
@@ -311,7 +309,7 @@ def cmd_tutor(args) -> int:
                 print("ask a question first")
             else:
                 truth = line[len("answer "):].strip()
-                added = apply_feedback(state, last, truth)
+                added = apply_feedback(state, last, truth, last_category)
                 print(f"learned {added} new patterns")
         else:
             print("commands: ask <bracketed parse> | y | n | answer <text> | quit")
@@ -363,7 +361,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CorpusError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CorpusError, KnowledgeBaseError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
 
 from .treebank import ParseTree, TreeFormatError, leaves, parse_bracketed
 
@@ -68,8 +70,23 @@ def normalize_answer(text: str) -> str:
     return " ".join(tokens)
 
 
-def answers_match(candidate: str, reference: str) -> bool:
-    return normalize_answer(candidate) == normalize_answer(reference)
+def read_table(name: str, path=None) -> list[tuple[str, str]]:
+    """``(key, value)`` rows of a ``key<TAB>value`` table: the file ``path``,
+    or the table ``name`` shipped in ``patternqa/data``. Blank lines and
+    ``#`` comments are skipped. Keys are stripped; values are returned as
+    written, since a regular expression may begin or end with a space."""
+    if path is None:
+        text = resources.files("patternqa").joinpath("data", name).read_text("utf-8")
+    else:
+        text = Path(path).read_text("utf-8")
+    rows = []
+    for line in text.splitlines():
+        line = line.lstrip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("\t")
+        rows.append((key.rstrip(), value))
+    return rows
 
 
 def _parse_tree_field(raw, lineno) -> ParseTree:

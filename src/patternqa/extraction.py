@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
 
 from .classify import Category
-from .corpus import normalize_answer
+from .corpus import normalize_answer, read_table
 from .retrieval import RetrievedSentence, STOPWORDS
 from .treebank import leaves
 from .unification import RELAX_NONE, CandidateAnswer
@@ -42,35 +41,17 @@ class Gazetteer:
 
 def load_gazetteer(path=None) -> Gazetteer:
     """"coarse:fine<TAB>surface form" lines."""
-    if path is None:
-        text = resources.files("patternqa").joinpath("data/gazetteer.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
     table: dict[str, set[str]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        label, _, form = line.partition("\t")
-        table.setdefault(label.strip(), set()).add(normalize_answer(form))
+    for label, form in read_table("gazetteer.tsv", path):
+        table.setdefault(label, set()).add(normalize_answer(form))
     return Gazetteer(tuple((label, frozenset(forms)) for label, forms in sorted(table.items())))
 
 
 def load_regex_rules(path=None) -> dict[str, list[re.Pattern]]:
     """"coarse:fine<TAB>pattern" lines; several patterns per class allowed."""
-    if path is None:
-        text = resources.files("patternqa").joinpath("data/ner_regex.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
     rules: dict[str, list[re.Pattern]] = {}
-    for line in text.splitlines():
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        label, _, pattern = line.partition("\t")
-        rules.setdefault(label.strip(), []).append(re.compile(pattern))
+    for label, pattern in read_table("ner_regex.tsv", path):
+        rules.setdefault(label, []).append(re.compile(pattern))
     return rules
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .classify import Category, classify, wh_word
 from .corpus import Question, normalize_answer, tokenize
-from .retrieval import RetrievedSentence, STOPWORDS
+from .retrieval import RetrievedSentence, STOPWORDS, content_words
 from .stem import stem
 from .treebank import ParseTree, leaves, node_spans
 
@@ -38,6 +38,10 @@ SIGNATURE_DEPTH = 2
 LEXICAL = "lexical"
 SYNTACTIC = "syntactic"
 ANSWER_SLOT = "answer"
+
+
+class KnowledgeBaseError(ValueError):
+    """A knowledge-base file entry that does not validate."""
 
 
 @dataclass(frozen=True)
@@ -113,16 +117,6 @@ def question_signature(question: Question, category: Category) -> Signature:
 
     walk(question.parse, 0)
     return Signature(category=category, structure_key=f"{wh}|{' '.join(labels)}")
-
-
-def _content_tokens(question: Question) -> list[str]:
-    out = []
-    for tok in leaves(question.parse):
-        low = tok.lower()
-        if low in STOPWORDS or not any(c.isalnum() for c in low):
-            continue
-        out.append(low)
-    return out
 
 
 def _find_subsequence(haystack: list[str], needle: list[str], blocked: tuple[int, int] | None) -> tuple[int, int] | None:
@@ -222,7 +216,7 @@ def _pattern_from_sentence(question: Question, answer: str, sentence: RetrievedS
 
     start = min(ans[0], kept[0][0][0])
     end = max(ans[1], kept[-1][0][1])
-    content_stems = {stem(w) for w in _content_tokens(question)}
+    content_stems = {stem(w) for w in content_words(question.parse)}
     pos_tags = {s: nd.label for nd, s, e in spans if nd.is_preterminal}
 
     elements = []
@@ -316,14 +310,6 @@ class KnowledgeBase:
         self.qa_pairs.append((question_id, answer))
 
 
-def kb_insert(kb: KnowledgeBase, patterns: list[Pattern]) -> int:
-    return kb.insert(patterns)
-
-
-def kb_lookup(kb: KnowledgeBase, signature: Signature) -> list[Pattern]:
-    return kb.lookup(signature)
-
-
 def _element_to_json(element: PatternElement) -> dict:
     return {"kind": element.kind, "value": element.value}
 
@@ -352,15 +338,24 @@ def save_kb(kb: KnowledgeBase, path) -> None:
 
 
 def load_kb(path) -> KnowledgeBase:
+    """Inverse of :func:`save_kb`. Raises :class:`KnowledgeBaseError`
+    naming the first signature or pattern that does not validate."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     kb = KnowledgeBase()
-    for entry in payload.get("signatures", []):
-        signature = Signature(Category.parse(entry["category"]), entry["structure_key"])
-        for item in entry.get("patterns", []):
-            elements = tuple(PatternElement(e["kind"], e["value"]) for e in item["elements"])
-            provenances = tuple(tuple(pair) for pair in item["provenance"])
-            kb.insert([Pattern(elements, signature, provenances)])
-    for qid, answer in payload.get("qa_pairs", []):
-        kb.record_qa(qid, answer)
+    where = "top level"
+    try:
+        for entry in payload.get("signatures", []):
+            named = where = f"signature {entry.get('category')} | {entry.get('structure_key')}"
+            signature = Signature(Category.parse(entry["category"]), entry["structure_key"])
+            for item in entry.get("patterns", []):
+                where = f"pattern {json.dumps(item.get('elements'))} under {named}"
+                elements = tuple(PatternElement(e["kind"], e["value"]) for e in item["elements"])
+                provenances = tuple(tuple(pair) for pair in item["provenance"])
+                kb.insert([Pattern(elements, signature, provenances)])
+        where = "qa_pairs"
+        for qid, answer in payload.get("qa_pairs", []):
+            kb.record_qa(qid, answer)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise KnowledgeBaseError(f"{path}: {where}: {exc}") from exc
     return kb

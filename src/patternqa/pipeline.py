@@ -91,8 +91,14 @@ class PipelineState:
 
 def pattern_candidates(patterns: list[Pattern], sentences: list[RetrievedSentence],
                        config: RelaxConfig) -> list[CandidateAnswer]:
-    """Union of pattern extractions over the sentences: exact pass over all
-    patterns first, relaxed pass only when it found nothing."""
+    """Union of pattern extractions over the sentences, deduplicated on
+    (doc_id, position, span).
+
+    This is the one place that decides when to relax. The exact pass runs
+    first, over every (sentence, pattern) pair; relaxation (string-similarity
+    token matching, superclass-compatible tags) applies only when exact
+    unification produced nothing anywhere, which is precisely its trigger.
+    """
 
     def collect(cfg: RelaxConfig) -> list[CandidateAnswer]:
         found = []
@@ -111,6 +117,26 @@ def pattern_candidates(patterns: list[Pattern], sentences: list[RetrievedSentenc
     if exact or not (config.enable_lexical or config.enable_syntactic):
         return exact
     return collect(config)
+
+
+def extract_candidates(state: PipelineState, question: Question, category: Category,
+                       sentences: list[RetrievedSentence], use_patterns: bool, use_ner: bool,
+                       exclude_own: bool = False) -> list[CandidateAnswer]:
+    """The extraction step shared by batch runs, revision and the tutor:
+    pattern candidates first, then the NER candidates not already found at
+    the same (doc_id, position, span). With ``exclude_own``, patterns whose
+    provenance includes the question itself are skipped."""
+    candidates: list[CandidateAnswer] = []
+    if use_patterns:
+        applicable = state.kb.lookup(question_signature(question, category))
+        if exclude_own:
+            applicable = [p for p in applicable if question.id not in p.source_questions]
+        candidates = pattern_candidates(applicable, sentences, state.relax)
+    if use_ner:
+        seen = {(c.doc_id, c.position, c.span) for c in candidates}
+        ner = extract_ner(category, sentences, state.gazetteer, state.regex_rules)
+        candidates += [c for c in ner if (c.doc_id, c.position, c.span) not in seen]
+    return candidates
 
 
 def oracle_select(candidates: list[CandidateAnswer], references) -> CandidateAnswer | None:
@@ -150,23 +176,10 @@ def answer_question(state: PipelineState, question: Question,
     abort the sequence; they yield an unanswered outcome."""
     try:
         category = classify(question, state.hints)
-        query = content_words(question.parse)
-        sentences = retrieve(state.index, query, state.top_k)
+        sentences = retrieve(state.index, content_words(question.parse), state.top_k)
         state.sentence_cache[question.id] = sentences
-
-        candidates: list[CandidateAnswer] = []
-        if scenario.use_patterns:
-            signature = question_signature(question, category)
-            applicable = state.kb.lookup(signature)
-            if applicable:
-                candidates.extend(pattern_candidates(applicable, sentences, state.relax))
-        if scenario.use_ner:
-            seen = {(c.doc_id, c.position, c.span) for c in candidates}
-            for cand in extract_ner(category, sentences, state.gazetteer, state.regex_rules):
-                if (cand.doc_id, cand.position, cand.span) in seen:
-                    continue
-                candidates.append(cand)
-
+        candidates = extract_candidates(state, question, category, sentences,
+                                        scenario.use_patterns, scenario.use_ner)
         final = oracle_select(candidates, question.answers)
         correct = final is not None
         fallback_used = False
@@ -218,10 +231,6 @@ class RunResult:
     revision: list[CheckpointReport] | None = None
 
 
-def _excluding(patterns: list[Pattern], question_id: str) -> list[Pattern]:
-    return [p for p in patterns if question_id not in p.source_questions]
-
-
 def revise(state: PipelineState, questions: dict[str, Question], pending: list[str],
            checkpoint: int, learn_on_revision: bool = True) -> CheckpointReport:
     """Retry previously wrong or unsolved questions against the current KB,
@@ -231,12 +240,9 @@ def revise(state: PipelineState, questions: dict[str, Question], pending: list[s
     for qid in pending:
         question = questions[qid]
         category = classify(question, state.hints)
-        signature = question_signature(question, category)
-        applicable = _excluding(state.kb.lookup(signature), qid)
-        if not applicable:
-            continue
-        sentences = state.sentence_cache.get(qid, [])
-        candidates = pattern_candidates(applicable, sentences, state.relax)
+        candidates = extract_candidates(state, question, category,
+                                        state.sentence_cache.get(qid, []),
+                                        use_patterns=True, use_ner=False, exclude_own=True)
         final = oracle_select(candidates, question.answers)
         if final is None:
             continue

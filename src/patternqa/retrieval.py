@@ -67,10 +67,6 @@ class RetrievedSentence:
     position: int
 
 
-def index_terms(tree: ParseTree) -> list[str]:
-    return content_words(tree)
-
-
 def build_index(docs: list[Document]) -> Index:
     """Index lowercased, stopword-filtered sentence terms. Deterministic:
     the same documents always produce the same index."""
@@ -79,7 +75,7 @@ def build_index(docs: list[Document]) -> Index:
         for position, (text, tree) in enumerate(doc.sentences):
             sid = len(index.sentences)
             index.sentences.append(IndexedSentence(doc.doc_id, position, text, tree))
-            terms = index_terms(tree)
+            terms = content_words(tree)
             index.doc_lengths.append(len(terms))
             counts: dict[str, int] = {}
             for term in terms:

@@ -93,41 +93,38 @@ def parse_bracketed(text: str) -> ParseTree:
         pos = m.end()
         return m.group()
 
-    def read_tree():
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            fail("unexpected end of input")
-        if text[pos] != "(":
-            fail("expected '('")
-        pos += 1
-        skip_ws()
-        if pos >= n:
-            fail("unexpected end of input")
-        if text[pos] in "()":
-            fail("empty label")
-        label = strip_decorations(read_atom())
-        children = []
-        while True:
-            skip_ws()
-            if pos >= n:
-                fail("unexpected end of input")
-            ch = text[pos]
-            if ch == ")":
-                pos += 1
-                break
-            if ch == "(":
-                children.append(read_tree())
-            else:
-                children.append(leaf(read_atom()))
-        if not children:
-            fail("node without children")
-        return node(label, children)
-
     skip_ws()
     if pos >= n:
         fail("empty input")
-    tree = read_tree()
+    if text[pos] != "(":
+        fail("expected '('")
+    # An explicit stack of open nodes, so nesting depth is bounded by memory,
+    # not by the interpreter's recursion limit.
+    open_nodes: list[tuple[str, list[ParseTree]]] = []
+    while True:
+        ch = text[pos]
+        if ch == "(":
+            pos += 1
+            skip_ws()
+            if pos >= n:
+                fail("unexpected end of input")
+            if text[pos] in "()":
+                fail("empty label")
+            open_nodes.append((strip_decorations(read_atom()), []))
+        elif ch == ")":
+            pos += 1
+            label, children = open_nodes.pop()
+            if not children:
+                fail("node without children")
+            if not open_nodes:
+                tree = node(label, children)
+                break
+            open_nodes[-1][1].append(node(label, children))
+        else:
+            open_nodes[-1][1].append(leaf(read_atom()))
+        skip_ws()
+        if pos >= n:
+            fail("unexpected end of input")
     skip_ws()
     if pos < n:
         fail("trailing characters after tree")
@@ -173,24 +170,23 @@ def dfs_nodes(tree: ParseTree) -> list[ParseTree]:
 
 def node_spans(tree: ParseTree) -> list[tuple[ParseTree, int, int]]:
     """Preorder list of ``(node, start, end)`` half-open leaf spans."""
-    out = []
-
-    def walk(cur, start):
-        if cur.is_leaf:
-            out.append((cur, start, start + 1))
-            return start + 1
-        entry = len(out)
-        out.append(None)
-        end = start
-        for child in cur.children:
-            end = walk(child, end)
-        out[entry] = (cur, start, end)
-        return end
-
-    walk(tree, 0)
-    return out
-
-
-def preterminals(tree: ParseTree) -> list[ParseTree]:
-    """Preterminal nodes in leaf order; their tokens concatenate to leaves()."""
-    return [nd for nd in dfs_nodes(tree) if nd.is_preterminal]
+    out: list = []
+    count = 0  # leaves seen so far
+    open_nodes = []  # (node, its entry in out, start, iterator over the rest of its children)
+    cur = tree
+    while True:
+        if cur.token is not None:  # is_leaf, without a property call on this hot path
+            out.append((cur, count, count + 1))
+            count += 1
+        else:
+            open_nodes.append((cur, len(out), count, iter(cur.children)))
+            out.append(None)
+        while open_nodes:
+            nd, entry, start, rest = open_nodes[-1]
+            cur = next(rest, None)
+            if cur is not None:
+                break
+            open_nodes.pop()
+            out[entry] = (nd, start, count)
+        else:
+            return out

@@ -5,9 +5,9 @@ Lexical element consumes one leaf whose token matches it, a Syntactic or
 AnswerSlot element consumes a preterminal or constituent carrying a
 matching label. Candidate alignments are explored top-down, left-to-right,
 depth-first; every leaf offset at which the remaining sentence is long
-enough is tried. The exact pass runs first; relaxation (string-similarity
-token matching, superclass-compatible tags) only applies when exact
-unification produced nothing, which is precisely its trigger.
+enough is tried. Relaxation (string-similarity token matching,
+superclass-compatible tags) applies only as far as the given config
+enables it; when to relax is decided by the caller.
 
 All functions here are pure over immutable inputs; parallel evaluation
 across sentences is safe as long as result lists are merged in sentence
@@ -17,8 +17,8 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from importlib import resources
 
+from .corpus import read_table
 from .knowledge import ANSWER_SLOT, LEXICAL, Pattern
 from .treebank import ParseTree, leaves, node_spans
 
@@ -78,19 +78,7 @@ def lexical_similarity(a: str, b: str, measure: str = "levenshtein") -> float:
 
 def load_tag_hierarchy(path=None) -> dict[str, str]:
     """Tag -> superclass map, one "tag<TAB>superclass" per line."""
-    if path is None:
-        text = resources.files("patternqa").joinpath("data/tag_hierarchy.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    hierarchy = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tag, _, superclass = line.partition("\t")
-        hierarchy[tag.strip()] = superclass.strip()
-    return hierarchy
+    return {tag: superclass.strip() for tag, superclass in read_table("tag_hierarchy.tsv", path)}
 
 
 def tag_compatible(a: str, b: str, hierarchy: dict[str, str]) -> bool:
@@ -147,10 +135,19 @@ class CandidateAnswer:
     position: int | None = None
 
 
-def _alignments(pattern: Pattern, tokens, nodes_by_start, start, config, relax):
+_RELAXATION = {
+    (False, False): RELAX_NONE,
+    (True, False): RELAX_LEXICAL,
+    (False, True): RELAX_SYNTACTIC,
+    (True, True): RELAX_BOTH,
+}
+
+
+def _alignments(pattern: Pattern, tokens, nodes_by_start, start, config, hierarchy):
     """Yield (answer_span, lexical_used, syntactic_used) for alignments of
-    the full element sequence beginning at leaf offset ``start``."""
-    hierarchy = config.hierarchy if relax and config.enable_syntactic else None
+    the full element sequence beginning at leaf offset ``start``. Tokens
+    match by similarity only when ``config`` enables lexical relaxation;
+    tags match by superclass only when a ``hierarchy`` is given."""
     n = len(tokens)
 
     def match(idx, pos, captured, lex_used, syn_used):
@@ -165,7 +162,7 @@ def _alignments(pattern: Pattern, tokens, nodes_by_start, start, config, relax):
             token = tokens[pos]
             if token.lower() == element.value.lower():
                 yield from match(idx + 1, pos + 1, captured, lex_used, syn_used)
-            elif relax and config.enable_lexical and lexical_similarity(
+            elif config.enable_lexical and lexical_similarity(
                 token.lower(), element.value.lower(), config.lexical_measure
             ) >= config.lexical_threshold:
                 yield from match(idx + 1, pos + 1, captured, True, syn_used)
@@ -184,10 +181,10 @@ def _alignments(pattern: Pattern, tokens, nodes_by_start, start, config, relax):
 
 
 def unify(pattern: Pattern, sentence: ParseTree, config: RelaxConfig) -> list[CandidateAnswer]:
-    """Extract candidate answers for one pattern against one sentence tree.
-
-    Failure yields an empty list; that is what triggers the relaxed pass.
-    Results are deduplicated by span and ordered by sentence position.
+    """Extract candidate answers for one pattern against one sentence tree,
+    in one alignment pass under ``config`` (exact when it enables no
+    relaxation). A span keeps the relaxation of the first alignment that
+    reached it. Results are deduplicated by span and ordered by position.
     """
     tokens = leaves(sentence)
     nodes_by_start: dict[int, list[tuple[int, str]]] = {}
@@ -195,38 +192,22 @@ def unify(pattern: Pattern, sentence: ParseTree, config: RelaxConfig) -> list[Ca
         if nd.is_leaf:
             continue
         nodes_by_start.setdefault(s, []).append((e, nd.label))
+    hierarchy = config.hierarchy if config.enable_syntactic else None
 
-    def run(relax: bool) -> dict[tuple[int, int], str]:
-        found: dict[tuple[int, int], str] = {}
-        max_start = len(tokens) - len(pattern.elements)
-        for start in range(max_start + 1):
-            for span, lex_used, syn_used in _alignments(
-                pattern, tokens, nodes_by_start, start, config, relax
-            ):
-                if span is None or span in found:
-                    continue
-                if lex_used and syn_used:
-                    found[span] = RELAX_BOTH
-                elif lex_used:
-                    found[span] = RELAX_LEXICAL
-                elif syn_used:
-                    found[span] = RELAX_SYNTACTIC
-                else:
-                    found[span] = RELAX_NONE
-        return found
-
-    found = run(relax=False)
-    if not found and (config.enable_lexical or config.enable_syntactic):
-        found = run(relax=True)
-    out = []
-    for span in sorted(found):
-        out.append(
-            CandidateAnswer(
-                text=" ".join(tokens[span[0] : span[1]]),
-                span=span,
-                strategy="pattern",
-                pattern_provenance=pattern.render(),
-                relaxation_used=found[span],
-            )
+    found: dict[tuple[int, int], str] = {}
+    for start in range(len(tokens) - len(pattern.elements) + 1):
+        for span, lex_used, syn_used in _alignments(
+            pattern, tokens, nodes_by_start, start, config, hierarchy
+        ):
+            if span is not None and span not in found:
+                found[span] = _RELAXATION[lex_used, syn_used]
+    return [
+        CandidateAnswer(
+            text=" ".join(tokens[span[0] : span[1]]),
+            span=span,
+            strategy="pattern",
+            pattern_provenance=pattern.render(),
+            relaxation_used=found[span],
         )
-    return out
+        for span in sorted(found)
+    ]

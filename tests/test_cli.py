@@ -2,10 +2,13 @@ import io
 import json
 import sys
 
+import pytest
+
 from patternqa.cli import main
 from patternqa.knowledge import KnowledgeBase, save_kb
 
-from .conftest import FIXTURES
+from .conftest import (DANTE_QUESTION_PARSE, DANTE_SENTENCE_PARSE, FIXTURES,
+                       HAMLET_QUESTION_PARSE)
 
 CORPUS = str(FIXTURES / "qa30.jsonl")
 DOCS = str(FIXTURES / "docs.jsonl")
@@ -154,8 +157,6 @@ def test_tutor_quit_preserves_kb(tmp_path, monkeypatch, capsys, dante_question,
 
 
 def test_tutor_teaching_session(tmp_path, monkeypatch, capsys):
-    from .conftest import DANTE_QUESTION_PARSE, HAMLET_QUESTION_PARSE
-
     kb_out = tmp_path / "kb.json"
     transcript = (
         f"ask {DANTE_QUESTION_PARSE}\n"
@@ -181,8 +182,6 @@ def test_tutor_bad_parse_keeps_state(monkeypatch, capsys, tmp_path):
 
 
 def test_tutor_replay_is_deterministic(monkeypatch, capsys):
-    from .conftest import DANTE_QUESTION_PARSE, HAMLET_QUESTION_PARSE
-
     transcript = (
         f"ask {DANTE_QUESTION_PARSE}\n"
         "answer Dante\n"
@@ -205,3 +204,67 @@ def test_run_dump_index(tmp_path):
     payload = json.loads(index_path.read_text())
     assert payload["N"] == 33
     assert "postings" in payload
+
+
+def test_tutor_use_ner_lists_each_span_once(monkeypatch, capsys):
+    transcript = (
+        f"ask {DANTE_QUESTION_PARSE}\n"
+        "answer Dante\n"
+        f"ask {HAMLET_QUESTION_PARSE}\n"
+        "quit\n"
+    )
+    code, out = _run_tutor(monkeypatch, capsys, transcript, "--docs", DOCS, "--use-ner")
+    assert code == 0
+    assert "answer: Shakespeare" in out
+    assert out.count("candidate: Shakespeare [") == 1
+    assert "candidate: Shakespeare [pattern, none]" in out
+
+
+def test_deep_parse_ingests_and_runs(tmp_path):
+    deep = "(S " * 1200 + DANTE_SENTENCE_PARSE + ")" * 1200
+    record = {"doc_id": "deep",
+              "sentences": [{"text": "Dante has written The Divine Comedy", "parse": deep}]}
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text((FIXTURES / "docs.jsonl").read_text() + json.dumps(record) + "\n")
+    kb_path = tmp_path / "kb.json"
+    assert run_cli("ingest", "--docs", str(docs)) == 0
+    assert run_cli("run", "--scenario", "4", "--corpus", CORPUS, "--docs", str(docs),
+                   "--out-dir", str(tmp_path / "run"), "--kb-out", str(kb_path)) == 0
+    assert '"deep:0"' in kb_path.read_text()  # a pattern was learned from the deep tree
+
+
+BARE_SLOT = [{"kind": "answer", "value": "NP"}]
+UNKNOWN_KIND = [{"kind": "answer", "value": "NP"}, {"kind": "wildcard", "value": "x"}]
+
+
+@pytest.mark.parametrize("entry, named", [
+    ({"category": "BOGUS:x", "structure_key": "who|S", "patterns": []},
+     "signature BOGUS:x | who|S"),
+    ({"category": "HUM:ind", "structure_key": "who|S",
+      "patterns": [{"elements": BARE_SLOT, "provenance": [["q", "d:0"]]}]},
+     f"pattern {json.dumps(BARE_SLOT)} under signature HUM:ind | who|S"),
+    ({"category": "HUM:ind", "structure_key": "who|S",
+      "patterns": [{"elements": UNKNOWN_KIND, "provenance": [["q", "d:0"]]}]},
+     f"pattern {json.dumps(UNKNOWN_KIND)} under signature HUM:ind | who|S"),
+], ids=["unknown-category", "bare-answer-slot", "unknown-element-kind"])
+def test_stats_invalid_kb_entry_is_data_error(tmp_path, capsys, entry, named):
+    kb_path = tmp_path / "kb.json"
+    kb_path.write_text(json.dumps({"signatures": [entry], "qa_pairs": []}))
+    assert run_cli("stats", "--kb-in", str(kb_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--scenario", "2", "--relax-threshold", "1.5"), "--relax-threshold"),
+    (("run", "--scenario", "2", "--relax-threshold", "-0.1"), "--relax-threshold"),
+    (("run", "--scenario", "2", "--top-k", "0"), "--top-k"),
+    (("tutor", "--top-k", "-3"), "--top-k"),
+], ids=["threshold-above-1", "threshold-below-0", "run-top-k-0", "tutor-top-k-negative"])
+def test_out_of_range_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
+    extra = ("--corpus", CORPUS, "--out-dir", str(tmp_path)) if argv[0] == "run" else ()
+    assert run_cli(*argv, "--docs", DOCS, *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {message} ") and err.count("\n") == 1

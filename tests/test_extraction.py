@@ -141,3 +141,9 @@ def test_custom_gazetteer_and_regex_files(tmp_path):
     rx_path.write_text("NUM:other\t\\b[0-9]+\\b\n")
     rules = load_regex_rules(rx_path)
     assert "NUM:other" in rules and len(rules["NUM:other"]) == 1
+
+
+def test_regex_values_keep_their_spaces(tmp_path):
+    rx_path = tmp_path / "rx.tsv"
+    rx_path.write_text("# comment\n\n  NUM:count\t [0-9]+ \n")
+    assert [p.pattern for p in load_regex_rules(rx_path)["NUM:count"]] == [" [0-9]+ "]

@@ -5,9 +5,9 @@ import pytest
 from patternqa.classify import Category, classify
 from patternqa.corpus import Question, normalize_answer
 from patternqa.knowledge import (ANSWER_SLOT, KnowledgeBase, Pattern,
-                                 PatternElement, answer_slot, kb_insert,
-                                 kb_lookup, learn_patterns, lexical, load_kb,
-                                 question_signature, save_kb, syntactic)
+                                 PatternElement, answer_slot, learn_patterns,
+                                 lexical, load_kb, question_signature, save_kb,
+                                 syntactic)
 from patternqa.retrieval import RetrievedSentence
 from patternqa.treebank import parse_bracketed
 from patternqa.unification import default_config, unify
@@ -74,9 +74,9 @@ def make_pattern(*elements):
 def test_kb_insert_idempotent():
     kb = KnowledgeBase()
     pattern = make_pattern(answer_slot("NP"), lexical("has"))
-    assert kb_insert(kb, [pattern]) == 1
-    assert kb_insert(kb, [pattern]) == 0
-    assert len(kb_lookup(kb, TEST_SIGNATURE)) == 1
+    assert kb.insert([pattern]) == 1
+    assert kb.insert([pattern]) == 0
+    assert len(kb.lookup(TEST_SIGNATURE)) == 1
 
 
 def test_kb_insert_three_distinct():
@@ -86,40 +86,40 @@ def test_kb_insert_three_distinct():
         make_pattern(answer_slot("NP"), lexical("was")),
         make_pattern(answer_slot("NN"), syntactic("VBD")),
     ]
-    assert kb_insert(kb, patterns) == 3
-    assert kb_lookup(kb, TEST_SIGNATURE) == patterns
+    assert kb.insert(patterns) == 3
+    assert kb.lookup(TEST_SIGNATURE) == patterns
 
 
 def test_same_elements_merge_provenance():
     kb = KnowledgeBase()
     a = Pattern((answer_slot("NP"), lexical("has")), TEST_SIGNATURE, (("q1", "d:0"),))
     b = Pattern((answer_slot("NP"), lexical("has")), TEST_SIGNATURE, (("q2", "d:1"),))
-    assert kb_insert(kb, [a]) == 1
-    assert kb_insert(kb, [b]) == 0
-    stored = kb_lookup(kb, TEST_SIGNATURE)
+    assert kb.insert([a]) == 1
+    assert kb.insert([b]) == 0
+    stored = kb.lookup(TEST_SIGNATURE)
     assert len(stored) == 1
     assert stored[0].provenances == (("q1", "d:0"), ("q2", "d:1"))
     assert stored[0].source_questions == {"q1", "q2"}
 
 
 def test_lookup_unseen_signature():
-    assert kb_lookup(KnowledgeBase(), TEST_SIGNATURE) == []
+    assert KnowledgeBase().lookup(TEST_SIGNATURE) == []
 
 
 def test_lookup_does_not_cross_signatures(dante_question):
     kb = KnowledgeBase()
-    kb_insert(kb, [make_pattern(answer_slot("NP"), lexical("has"))])
+    kb.insert([make_pattern(answer_slot("NP"), lexical("has"))])
     other = question_signature(dante_question, Category("HUM", "ind"))
-    assert kb_lookup(kb, other) == []
+    assert kb.lookup(other) == []
 
 
 def test_dante_pattern_applies_to_hamlet_lookup(dante_question, dante_sentence, hamlet_question):
     kb = KnowledgeBase()
     learned = learn_patterns(dante_question, "Dante", [dante_sentence],
                              category=classify(dante_question))
-    kb_insert(kb, learned)
+    kb.insert(learned)
     sig = question_signature(hamlet_question, classify(hamlet_question))
-    assert kb_lookup(kb, sig) == learned
+    assert kb.lookup(sig) == learned
 
 
 def test_closure_learned_patterns_extract_their_answer(fixture_questions, fixture_docs):
@@ -192,15 +192,15 @@ def test_kb_monotone_lookup_never_shrinks():
     for i in range(20):
         tag = rng.choice(["NP", "NN", "VP"])
         token = rng.choice(["has", "was", "did"])
-        kb_insert(kb, [make_pattern(answer_slot(tag), lexical(token))])
-        size = len(kb_lookup(kb, TEST_SIGNATURE))
+        kb.insert([make_pattern(answer_slot(tag), lexical(token))])
+        size = len(kb.lookup(TEST_SIGNATURE))
         assert size >= seen
         seen = size
 
 
 def test_save_load_roundtrip(tmp_path, dante_question, dante_sentence):
     kb = KnowledgeBase()
-    kb_insert(kb, learn_patterns(dante_question, "Dante", [dante_sentence]))
+    kb.insert(learn_patterns(dante_question, "Dante", [dante_sentence]))
     kb.record_qa("dante", "Dante")
     path = tmp_path / "kb.json"
     save_kb(kb, path)
@@ -208,7 +208,7 @@ def test_save_load_roundtrip(tmp_path, dante_question, dante_sentence):
     assert loaded.qa_pairs == kb.qa_pairs
     assert loaded.signatures() == kb.signatures()
     for sig in kb.signatures():
-        assert kb_lookup(loaded, sig) == kb_lookup(kb, sig)
+        assert loaded.lookup(sig) == kb.lookup(sig)
     # canonical dump: save(load(f)) is byte-identical to f
     second = tmp_path / "kb2.json"
     save_kb(loaded, second)

@@ -3,7 +3,7 @@ import pytest
 from patternqa.classify import classify
 from patternqa.corpus import Document, Question
 from patternqa.extraction import load_gazetteer
-from patternqa.knowledge import KnowledgeBase, kb_lookup, question_signature
+from patternqa.knowledge import KnowledgeBase, question_signature
 from patternqa.pipeline import (PipelineState, RevisionSchedule,
                                 ScenarioConfig, answer_question,
                                 apply_feedback, pattern_candidates,
@@ -184,7 +184,7 @@ def test_self_taught_patterns_cannot_rescue(fixture_questions, make_state):
     # q01 fallback-learned a pattern under its own unique signature...
     malcolm = fixture_questions[0]
     signature = question_signature(malcolm, classify(malcolm, state.hints))
-    stored = kb_lookup(state.kb, signature)
+    stored = state.kb.lookup(signature)
     assert stored and all(p.source_questions == {"q01"} for p in stored)
     # ...so it is retried at every checkpoint but never rescued
     for report in result.revision:
@@ -212,6 +212,27 @@ def test_monotone_learning_candidates_grow_with_kb(dante_question, dante_sentenc
     assert {(c.span, c.doc_id, c.position) for c in small} <= \
         {(c.span, c.doc_id, c.position) for c in large}
 
+
+
+def test_pattern_candidates_relax_only_when_nothing_matches_exactly(dante_question,
+                                                                    dante_sentence):
+    from patternqa.knowledge import learn_patterns
+    from patternqa.unification import default_config
+
+    learned = learn_patterns(dante_question, "Dante", [dante_sentence],
+                             category=classify(dante_question))
+    flat_subject = dante_sentence.__class__(
+        text="poet has written The Divine Comedy",
+        tree=parse_bracketed("(S (NN poet) (VP (VBZ has) (VP (VBN written) "
+                             "(NP (DT The) (NNP Divine) (NNP Comedy)))))"),
+        score=1.0, doc_id="doc", position=1)
+    config = default_config()
+    # the exact pass covers every sentence before any relaxation is tried
+    both = pattern_candidates(learned, [flat_subject, dante_sentence], config)
+    assert [(c.text, c.position, c.relaxation_used) for c in both] == [("Dante", 0, "none")]
+    alone = pattern_candidates(learned, [flat_subject], config)
+    assert [(c.text, c.position, c.relaxation_used) for c in alone] == \
+        [("poet", 1, "syntactic")]
 
 def test_error_isolation(monkeypatch, fixture_questions, make_state):
     state = make_state()

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from patternqa.treebank import (ParseTree, TreeFormatError, dfs_nodes, leaf,
-                                leaves, node_spans, parse_bracketed,
-                                preterminals, serialize, strip_decorations)
+                                leaves, node_spans, parse_bracketed, serialize,
+                                strip_decorations)
 
 from .conftest import DANTE_SENTENCE_PARSE
 from .oracles import random_tree
@@ -94,13 +94,6 @@ def test_dfs_visits_every_node_once():
         for parent in nodes:
             for child in parent.children:
                 assert position[id(parent)] < position[id(child)]
-
-
-def test_preterminal_tokens_equal_leaves():
-    rng = random.Random(13)
-    for _ in range(30):
-        tree = random_tree(rng)
-        assert [p.children[0].token for p in preterminals(tree)] == leaves(tree)
 
 
 def test_node_spans_cover_leaves():
