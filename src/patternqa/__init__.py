@@ -7,8 +7,9 @@ from .corpus import Document, Question, load_documents, load_qa_corpus, normaliz
 from .evaluation import EvalPoint, f_measure, running_metrics
 from .knowledge import (KnowledgeBase, Pattern, PatternElement, Signature,
                         learn_patterns, question_signature)
-from .pipeline import (Outcome, PipelineState, RevisionSchedule, ScenarioConfig,
-                       answer_question, apply_feedback, run_sequence)
+from .pipeline import (Interpretation, Outcome, PipelineState, RevisionSchedule,
+                       ScenarioConfig, answer_question, apply_feedback, interpret,
+                       run_sequence)
 from .retrieval import Index, RetrievedSentence, build_index, retrieve
 from .treebank import ParseTree, dfs_nodes, leaves, parse_bracketed, serialize
 from .unification import (CandidateAnswer, RelaxConfig, default_config,
@@ -20,8 +21,8 @@ __all__ = [
     "EvalPoint", "f_measure", "running_metrics",
     "KnowledgeBase", "Pattern", "PatternElement", "Signature",
     "learn_patterns", "question_signature",
-    "Outcome", "PipelineState", "RevisionSchedule", "ScenarioConfig",
-    "answer_question", "apply_feedback", "run_sequence",
+    "Interpretation", "Outcome", "PipelineState", "RevisionSchedule", "ScenarioConfig",
+    "answer_question", "apply_feedback", "interpret", "run_sequence",
     "Index", "RetrievedSentence", "build_index", "retrieve",
     "ParseTree", "dfs_nodes", "leaves", "parse_bracketed", "serialize",
     "CandidateAnswer", "RelaxConfig", "default_config",

@@ -44,21 +44,21 @@ def load_hint_table(path=None) -> dict[str, Category]:
             for noun, label in read_table("head_noun_hints.tsv", path)}
 
 
-def _tagged_leaves(tree: ParseTree) -> list[tuple[str, str]]:
+def tagged_leaves(tree: ParseTree) -> list[tuple[str, str]]:
+    """``(token, POS tag)`` of each preterminal, left to right."""
     return [(nd.children[0].token, nd.label) for nd in dfs_nodes(tree) if nd.is_preterminal]
 
 
-def wh_word(tree: ParseTree) -> tuple[str, int]:
-    """First wh-word (lowercased) and its leaf position; ("", -1) if none."""
-    for i, (token, tag) in enumerate(_tagged_leaves(tree)):
+def wh_word(tagged: list[tuple[str, str]]) -> tuple[str, int]:
+    """First wh-word (lowercased) in ``tagged`` and its leaf position; ("", -1) if none."""
+    for i, (token, tag) in enumerate(tagged):
         low = token.lower()
         if tag in WH_TAGS or low in WH_WORDS:
             return low, i
     return "", -1
 
 
-def _head_noun(tree: ParseTree, wh_index: int) -> str | None:
-    tagged = _tagged_leaves(tree)
+def _head_noun(tagged: list[tuple[str, str]], wh_index: int) -> str | None:
     after = tagged[wh_index + 1 :] if wh_index >= 0 else tagged
     for token, tag in after:
         if tag in ("NN", "NNS"):
@@ -75,9 +75,9 @@ def classify(question: Question, hints: dict[str, Category] | None = None) -> Ca
         return Category.parse(question.category)
     if hints is None:
         hints = load_hint_table()
-    wh, wh_index = wh_word(question.parse)
-    tokens = [t for t, _ in _tagged_leaves(question.parse)]
-    follower = tokens[wh_index + 1].lower() if 0 <= wh_index + 1 < len(tokens) else ""
+    tagged = tagged_leaves(question.parse)
+    wh, wh_index = wh_word(tagged)
+    follower = tagged[wh_index + 1][0].lower() if 0 <= wh_index + 1 < len(tagged) else ""
     if wh in ("who", "whom"):
         return Category("HUM", "ind")
     if wh == "where":
@@ -91,7 +91,7 @@ def classify(question: Question, hints: dict[str, Category] | None = None) -> Ca
     if wh == "why":
         return Category("DESC", "reason")
     if wh in ("what", "which", "whose"):
-        noun = _head_noun(question.parse, wh_index)
+        noun = _head_noun(tagged, wh_index)
         if noun and noun in hints:
             return hints[noun]
     return Category("ENTY", "other")

@@ -13,20 +13,23 @@ import sys
 import time
 from pathlib import Path
 
-from .classify import classify
-from .corpus import CorpusError, Question, load_documents, load_qa_corpus
+from .corpus import CorpusError, Question, load_documents, load_qa_corpus, read_jsonl
 from .evaluation import export_series, running_metrics
 from .extraction import load_gazetteer
 from .knowledge import (MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase,
                         KnowledgeBaseError, load_kb, save_kb)
 from .pipeline import (PipelineState, RevisionSchedule, ScenarioConfig,
-                       apply_feedback, extract_candidates, run_sequence)
-from .retrieval import build_index, content_words, retrieve, serialize_index
+                       apply_feedback, extract_candidates, interpret, run_sequence)
+from .retrieval import build_index, serialize_index
 from .treebank import TreeFormatError, leaves, parse_bracketed
 from .unification import default_config
 
 
 class UsageError(Exception):
+    pass
+
+
+class DataError(Exception):
     pass
 
 
@@ -133,18 +136,15 @@ def _outcome_record(outcome) -> dict:
 def cmd_run(args) -> int:
     if args.from_metadata:
         meta = json.loads(_require_file(args.from_metadata, "from-metadata").read_text("utf-8"))
-        cfg = meta["config"]
-        args.scenario = cfg["scenario"]
-        args.corpus = cfg["corpus"]
-        args.docs = cfg["docs"]
-        args.top_k = cfg["top_k"]
-        args.relax_measure = cfg["relax_measure"]
-        args.relax_threshold = cfg["relax_threshold"]
-        args.no_lexical_relax = not cfg["lexical_relax"]
-        args.no_syntactic_relax = not cfg["syntactic_relax"]
-        args.revise_interval = cfg["revise_interval"]
-        args.no_learn_on_revision = not cfg["learn_on_revision"]
-        args.kb_in = cfg["kb_in"]
+        try:
+            cfg = meta["config"]
+            for key in ("scenario", "corpus", "docs", "top_k", "relax_measure",
+                        "relax_threshold", "revise_interval", "kb_in"):
+                setattr(args, key, cfg[key])
+            for switch in ("lexical_relax", "syntactic_relax", "learn_on_revision"):
+                setattr(args, f"no_{switch}", not cfg[switch])
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{args.from_metadata}: bad or missing config entry: {exc}") from exc
     if args.scenario is None:
         raise UsageError("--scenario is required")
     scenario = ScenarioConfig.from_id(args.scenario)
@@ -258,8 +258,7 @@ def cmd_tutor(args) -> int:
         top_k=args.top_k,
     )
     counter = 0
-    last: Question | None = None
-    last_category = None
+    last = None
     last_answer: str | None = None
 
     def prompt():
@@ -282,14 +281,11 @@ def cmd_tutor(args) -> int:
                 print(f"cannot parse question: {exc}")
                 prompt()
                 continue
-            last = Question(id=f"tutor-{counter}", text=" ".join(leaves(tree)), parse=tree)
-            last_category = classify(last, state.hints)
-            sentences = retrieve(state.index, content_words(tree), state.top_k)
-            state.sentence_cache[last.id] = sentences
-            candidates = extract_candidates(state, last, last_category, sentences,
-                                            use_patterns=True, use_ner=args.use_ner)
+            last = interpret(state, Question(id=f"tutor-{counter}",
+                                             text=" ".join(leaves(tree)), parse=tree))
+            candidates = extract_candidates(state, last, use_patterns=True, use_ner=args.use_ner)
             last_answer = candidates[0].text if candidates else None
-            print(f"category: {last_category}")
+            print(f"category: {last.category}")
             if last_answer is None:
                 print("no answer")
             else:
@@ -300,7 +296,7 @@ def cmd_tutor(args) -> int:
             if last is None or last_answer is None:
                 print("nothing to confirm")
             else:
-                added = apply_feedback(state, last, last_answer, last_category)
+                added = apply_feedback(state, last, last_answer)
                 print(f"learned {added} new patterns")
         elif line == "n":
             print("marked wrong (use 'answer <text>' to teach the correct one)")
@@ -309,7 +305,7 @@ def cmd_tutor(args) -> int:
                 print("ask a question first")
             else:
                 truth = line[len("answer "):].strip()
-                added = apply_feedback(state, last, truth, last_category)
+                added = apply_feedback(state, last, truth)
                 print(f"learned {added} new patterns")
         else:
             print("commands: ask <bracketed parse> | y | n | answer <text> | quit")
@@ -332,16 +328,12 @@ def cmd_stats(args) -> int:
     print(f"qa pairs: {len(kb.qa_pairs)}")
     if args.outcomes:
         exact = relaxed = 0
-        with open(_require_file(args.outcomes, "outcomes"), encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if record.get("correct") and record.get("final_strategy") == "pattern":
-                    if record.get("relaxation_used") == "none":
-                        exact += 1
-                    else:
-                        relaxed += 1
+        for _, record in read_jsonl(_require_file(args.outcomes, "outcomes")):
+            if record.get("correct") and record.get("final_strategy") == "pattern":
+                if record.get("relaxation_used") == "none":
+                    exact += 1
+                else:
+                    relaxed += 1
         print(f"pattern-extracted correct answers: {exact + relaxed} "
               f"(exact: {exact}, relaxed: {relaxed})")
     return 0
@@ -361,7 +353,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CorpusError, KnowledgeBaseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DataError, CorpusError, KnowledgeBaseError, FileNotFoundError,
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -89,16 +89,24 @@ def read_table(name: str, path=None) -> list[tuple[str, str]]:
     return rows
 
 
+def _require_fields(record: dict, lineno: int, **kinds) -> None:
+    for key, kind in kinds.items():
+        if key not in record:
+            raise CorpusError(f"missing field {key!r}", lineno)
+        if not isinstance(record[key], kind):
+            raise CorpusError(f"{key} must be a {'string' if kind is str else 'list'}", lineno)
+
+
 def _parse_tree_field(raw, lineno) -> ParseTree:
-    if not isinstance(raw, str):
-        raise CorpusError("parse must be a bracketed-tree string", lineno)
     try:
         return parse_bracketed(raw)
     except TreeFormatError as exc:
         raise CorpusError(f"bad parse: {exc}", lineno) from exc
 
 
-def _records(path):
+def read_jsonl(path):
+    """``(line number, record)`` for each non-blank line of a JSON Lines
+    file; raises :class:`CorpusError` on a line that is not a JSON object."""
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             if not raw.strip():
@@ -116,19 +124,16 @@ def load_qa_corpus(path) -> list[Question]:
     """Load questions in file order (order matters for running metrics)."""
     questions = []
     seen = set()
-    for lineno, record in _records(path):
-        for key in ("id", "question", "parse", "answers"):
-            if key not in record:
-                raise CorpusError(f"missing field {key!r}", lineno)
-        qid = record["id"]
+    for lineno, record in read_jsonl(path):
+        _require_fields(record, lineno, id=str, question=str, parse=str, answers=list)
+        qid, text = record["id"], record["question"]
         if qid in seen:
             raise CorpusError(f"duplicate id {qid!r}", lineno)
         seen.add(qid)
         answers = record["answers"]
-        if not isinstance(answers, list) or not answers:
+        if not answers:
             raise CorpusError("answers must be a non-empty list", lineno)
         tree = _parse_tree_field(record["parse"], lineno)
-        text = record["question"]
         if [t.lower() for t in leaves(tree)] != [t.lower() for t in tokenize(text)]:
             raise CorpusError("parse leaves do not match tokenized question", lineno)
         questions.append(
@@ -146,18 +151,17 @@ def load_qa_corpus(path) -> list[Question]:
 def load_documents(path) -> list[Document]:
     docs = []
     seen = set()
-    for lineno, record in _records(path):
-        for key in ("doc_id", "sentences"):
-            if key not in record:
-                raise CorpusError(f"missing field {key!r}", lineno)
+    for lineno, record in read_jsonl(path):
+        _require_fields(record, lineno, doc_id=str, sentences=list)
         doc_id = record["doc_id"]
         if doc_id in seen:
             raise CorpusError(f"duplicate doc_id {doc_id!r}", lineno)
         seen.add(doc_id)
         sentences = []
         for sent in record["sentences"]:
-            if "text" not in sent or "parse" not in sent:
-                raise CorpusError("sentence needs text and parse", lineno)
+            if not isinstance(sent, dict):
+                raise CorpusError("sentence must be a JSON object", lineno)
+            _require_fields(sent, lineno, text=str, parse=str)
             tree = _parse_tree_field(sent["parse"], lineno)
             text = sent["text"]
             if [t.lower() for t in leaves(tree)] != [t.lower() for t in tokenize(text)]:

@@ -24,9 +24,10 @@ only between questions, so extraction always sees a frozen snapshot.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .classify import Category, classify, wh_word
+from .classify import Category, tagged_leaves, wh_word
 from .corpus import Question, normalize_answer, tokenize
 from .retrieval import RetrievedSentence, STOPWORDS, content_words
 from .stem import stem
@@ -105,7 +106,7 @@ class Pattern:
 def question_signature(question: Question, category: Category) -> Signature:
     """Signature = category + wh-word lemma + preorder labels of internal
     nodes at depth <= 2. Insensitive to all leaf tokens except the wh-word."""
-    wh, _ = wh_word(question.parse)
+    wh, _ = wh_word(tagged_leaves(question.parse))
     labels = []
 
     def walk(nd: ParseTree, depth: int):
@@ -181,8 +182,9 @@ def _answer_span(sentence_tokens: list[str], answer: str) -> tuple[int, int] | N
     return _find_subsequence(normalized_sentence, normalized, None)
 
 
-def _pattern_from_sentence(question: Question, answer: str, sentence: RetrievedSentence,
-                           signature: Signature) -> Pattern | None:
+def _pattern_from_sentence(question_id: str, answer: str, sentence: RetrievedSentence,
+                           signature: Signature, phrases: list[list[str]],
+                           content_stems: set[str]) -> Pattern | None:
     tree = sentence.tree
     tokens = leaves(tree)
     lowered = [t.lower() for t in tokens]
@@ -195,7 +197,7 @@ def _pattern_from_sentence(question: Question, answer: str, sentence: RetrievedS
         return None
 
     matched = []
-    for phrase in _question_phrases(question):
+    for phrase in phrases:
         hit = _find_subsequence(lowered, phrase, ans)
         if hit is None:
             continue
@@ -216,7 +218,6 @@ def _pattern_from_sentence(question: Question, answer: str, sentence: RetrievedS
 
     start = min(ans[0], kept[0][0][0])
     end = max(ans[1], kept[-1][0][1])
-    content_stems = {stem(w) for w in content_words(question.parse)}
     pos_tags = {s: nd.label for nd, s, e in spans if nd.is_preterminal}
 
     elements = []
@@ -239,21 +240,21 @@ def _pattern_from_sentence(question: Question, answer: str, sentence: RetrievedS
     if len(elements) > MAX_PATTERN_ELEMENTS:
         return None
     sentence_id = f"{sentence.doc_id}:{sentence.position}"
-    return Pattern(tuple(elements), signature, ((question.id, sentence_id),))
+    return Pattern(tuple(elements), signature, ((question_id, sentence_id),))
 
 
-def learn_patterns(question: Question, answer: str, sentences: list[RetrievedSentence],
-                   category: Category | None = None) -> list[Pattern]:
-    """One pattern per learnable sentence, deduplicated by elements with
-    provenances merged; output is independent of sentence order."""
+def learn_patterns(question: Question, answer: str, sentences: Sequence[RetrievedSentence],
+                   signature: Signature) -> list[Pattern]:
+    """One pattern per learnable sentence, filed under ``signature`` and
+    deduplicated by elements, provenances merged; sentence order is irrelevant."""
     if not answer:
         return []
-    if category is None:
-        category = classify(question)
-    signature = question_signature(question, category)
+    phrases = _question_phrases(question)
+    content_stems = {stem(w) for w in content_words(question.parse)}
     by_elements: dict[tuple, list[tuple[str, str]]] = {}
     for sentence in sorted(sentences, key=lambda s: (s.doc_id, s.position)):
-        pattern = _pattern_from_sentence(question, answer, sentence, signature)
+        pattern = _pattern_from_sentence(question.id, answer, sentence, signature,
+                                         phrases, content_stems)
         if pattern is None:
             continue
         by_elements.setdefault(pattern.elements, []).extend(pattern.provenances)
@@ -267,38 +268,30 @@ class KnowledgeBase:
     """Signature-indexed pattern store plus the source Q/A pairs."""
 
     def __init__(self):
-        self._patterns: dict[Signature, list[Pattern]] = {}
-        self._by_elements: dict[tuple[Signature, tuple], int] = {}
+        self._patterns: dict[Signature, dict[tuple[PatternElement, ...], Pattern]] = {}
         self.qa_pairs: list[tuple[str, str]] = []
 
     def insert(self, patterns: list[Pattern]) -> int:
-        """Set-union insertion; returns the number of newly stored patterns.
-        Same-element patterns merge their provenance lists."""
-        added = 0
+        """Set-union insertion: same-element patterns merge their provenance.
+        Returns how many of ``patterns`` told the KB something new, either a
+        fresh element sequence or fresh provenance on a stored one."""
+        learned = 0
         for pattern in patterns:
-            key = (pattern.signature, pattern.elements)
-            slot = self._by_elements.get(key)
-            if slot is None:
-                bucket = self._patterns.setdefault(pattern.signature, [])
-                self._by_elements[key] = len(bucket)
-                bucket.append(pattern)
-                added += 1
-            else:
-                bucket = self._patterns[pattern.signature]
-                existing = bucket[slot]
-                merged = tuple(sorted(set(existing.provenances) | set(pattern.provenances)))
-                bucket[slot] = Pattern(existing.elements, existing.signature, merged)
-        return added
+            bucket = self._patterns.setdefault(pattern.signature, {})
+            stored = bucket.get(pattern.elements)
+            if stored is not None:
+                known = set(stored.provenances)
+                if known.issuperset(pattern.provenances):
+                    continue
+                merged = tuple(sorted(known.union(pattern.provenances)))
+                pattern = Pattern(stored.elements, stored.signature, merged)
+            bucket[pattern.elements] = pattern
+            learned += 1
+        return learned
 
     def lookup(self, signature: Signature) -> list[Pattern]:
         """Patterns under one signature, in insertion order; [] when unseen."""
-        return list(self._patterns.get(signature, ()))
-
-    def find(self, signature: Signature, elements: tuple) -> Pattern | None:
-        slot = self._by_elements.get((signature, elements))
-        if slot is None:
-            return None
-        return self._patterns[signature][slot]
+        return list(self._patterns.get(signature, {}).values())
 
     def signatures(self) -> list[Signature]:
         return list(self._patterns)

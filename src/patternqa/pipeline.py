@@ -2,20 +2,22 @@
 
 Questions are processed strictly sequentially; the knowledge base grows
 only between questions (and at revision checkpoints), so extraction for
-any one question sees a frozen snapshot. Retrieved sentences are cached
-per question and reused during revision, which keeps runs deterministic
-and makes the provenance-exclusion rule testable.
+any one question sees a frozen snapshot. Each question is interpreted
+once, into an :class:`Interpretation` (category, signature, retrieved
+sentences) that extraction, learning and revision share, which keeps runs
+deterministic and makes the provenance-exclusion rule testable.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from .classify import Category, classify, load_hint_table
 from .corpus import Question, normalize_answer
 from .evaluation import EvalPoint, make_point
 from .extraction import Gazetteer, extract_ner, load_regex_rules
-from .knowledge import KnowledgeBase, Pattern, learn_patterns, question_signature
+from .knowledge import KnowledgeBase, Pattern, Signature, learn_patterns, question_signature
 from .retrieval import Index, RetrievedSentence, content_words, retrieve
 from .unification import RELAX_NONE, CandidateAnswer, RelaxConfig, default_config, unify
 
@@ -86,10 +88,28 @@ class PipelineState:
     regex_rules: dict = field(default_factory=load_regex_rules)
     relax: RelaxConfig = field(default_factory=default_config)
     top_k: int = 20
-    sentence_cache: dict[str, list[RetrievedSentence]] = field(default_factory=dict)
+    interpretations: dict[str, "Interpretation"] = field(default_factory=dict)
 
 
-def pattern_candidates(patterns: list[Pattern], sentences: list[RetrievedSentence],
+@dataclass(frozen=True)
+class Interpretation:
+    """A question as interpreted once: its category, signature and retrieved sentences."""
+
+    question: Question
+    category: Category
+    signature: Signature
+    sentences: tuple[RetrievedSentence, ...]
+
+
+def interpret(state: PipelineState, question: Question) -> Interpretation:
+    """Classify, sign and retrieve: the question's share of the answer path."""
+    category = classify(question, state.hints)
+    sentences = retrieve(state.index, content_words(question.parse), state.top_k)
+    return Interpretation(question, category, question_signature(question, category),
+                          tuple(sentences))
+
+
+def pattern_candidates(patterns: list[Pattern], sentences: Sequence[RetrievedSentence],
                        config: RelaxConfig) -> list[CandidateAnswer]:
     """Union of pattern extractions over the sentences, deduplicated on
     (doc_id, position, span).
@@ -119,22 +139,21 @@ def pattern_candidates(patterns: list[Pattern], sentences: list[RetrievedSentenc
     return collect(config)
 
 
-def extract_candidates(state: PipelineState, question: Question, category: Category,
-                       sentences: list[RetrievedSentence], use_patterns: bool, use_ner: bool,
-                       exclude_own: bool = False) -> list[CandidateAnswer]:
+def extract_candidates(state: PipelineState, record: Interpretation, use_patterns: bool,
+                       use_ner: bool, exclude_own: bool = False) -> list[CandidateAnswer]:
     """The extraction step shared by batch runs, revision and the tutor:
     pattern candidates first, then the NER candidates not already found at
     the same (doc_id, position, span). With ``exclude_own``, patterns whose
     provenance includes the question itself are skipped."""
     candidates: list[CandidateAnswer] = []
     if use_patterns:
-        applicable = state.kb.lookup(question_signature(question, category))
+        applicable = state.kb.lookup(record.signature)
         if exclude_own:
-            applicable = [p for p in applicable if question.id not in p.source_questions]
-        candidates = pattern_candidates(applicable, sentences, state.relax)
+            applicable = [p for p in applicable if record.question.id not in p.source_questions]
+        candidates = pattern_candidates(applicable, record.sentences, state.relax)
     if use_ner:
         seen = {(c.doc_id, c.position, c.span) for c in candidates}
-        ner = extract_ner(category, sentences, state.gazetteer, state.regex_rules)
+        ner = extract_ner(record.category, record.sentences, state.gazetteer, state.regex_rules)
         candidates += [c for c in ner if (c.doc_id, c.position, c.span) not in seen]
     return candidates
 
@@ -149,24 +168,15 @@ def oracle_select(candidates: list[CandidateAnswer], references) -> CandidateAns
     return None
 
 
-def apply_feedback(state: PipelineState, question: Question, answer: str,
-                   category: Category | None = None) -> int:
+def apply_feedback(state: PipelineState, record: Interpretation, answer: str) -> int:
     """Positive-feedback learning: derive patterns from the question's
-    cached retrieved sentences, insert them, record the Q/A pair.
-
-    Returns the number of learned patterns that told the KB anything new,
-    counting both fresh element sequences and fresh provenance on an
-    already-stored sequence; repeating identical feedback yields 0.
+    retrieved sentences, insert them, record the Q/A pair. Returns the
+    number of learned patterns that told the KB anything new (see
+    :meth:`KnowledgeBase.insert`); repeating identical feedback yields 0.
     """
-    sentences = state.sentence_cache.get(question.id, [])
-    patterns = learn_patterns(question, answer, sentences, category=category)
-    learned = 0
-    for pattern in patterns:
-        stored = state.kb.find(pattern.signature, pattern.elements)
-        if stored is None or not set(pattern.provenances) <= set(stored.provenances):
-            learned += 1
-    state.kb.insert(patterns)
-    state.kb.record_qa(question.id, answer)
+    learned = state.kb.insert(learn_patterns(record.question, answer, record.sentences,
+                                             record.signature))
+    state.kb.record_qa(record.question.id, answer)
     return learned
 
 
@@ -175,23 +185,21 @@ def answer_question(state: PipelineState, question: Question,
     """Classify, retrieve, extract, oracle-select, then learn. Errors never
     abort the sequence; they yield an unanswered outcome."""
     try:
-        category = classify(question, state.hints)
-        sentences = retrieve(state.index, content_words(question.parse), state.top_k)
-        state.sentence_cache[question.id] = sentences
-        candidates = extract_candidates(state, question, category, sentences,
-                                        scenario.use_patterns, scenario.use_ner)
+        record = interpret(state, question)
+        state.interpretations[question.id] = record
+        candidates = extract_candidates(state, record, scenario.use_patterns, scenario.use_ner)
         final = oracle_select(candidates, question.answers)
         correct = final is not None
         fallback_used = False
         patterns_learned = 0
         if correct and scenario.use_patterns:
-            patterns_learned = apply_feedback(state, question, final.text, category)
+            patterns_learned = apply_feedback(state, record, final.text)
         elif not correct and scenario.reference_fallback:
-            patterns_learned = apply_feedback(state, question, question.answers[0], category)
+            patterns_learned = apply_feedback(state, record, question.answers[0])
             fallback_used = True
         return Outcome(
             question_id=question.id,
-            category=str(category),
+            category=str(record.category),
             candidates=candidates,
             final=final.text if final else None,
             final_strategy=final.strategy if final else None,
@@ -231,24 +239,25 @@ class RunResult:
     revision: list[CheckpointReport] | None = None
 
 
-def revise(state: PipelineState, questions: dict[str, Question], pending: list[str],
-           checkpoint: int, learn_on_revision: bool = True) -> CheckpointReport:
+def revise(state: PipelineState, pending: list[str], checkpoint: int,
+           learn_on_revision: bool = True) -> CheckpointReport:
     """Retry previously wrong or unsolved questions against the current KB,
     excluding every pattern whose provenance includes the question itself
-    (a question must not be rescued by what it taught)."""
+    (a question must not be rescued by what it taught). A question whose
+    interpretation raised has no record and cannot be rescued."""
     report = CheckpointReport(checkpoint=checkpoint, retried=list(pending), newly_correct=[])
     for qid in pending:
-        question = questions[qid]
-        category = classify(question, state.hints)
-        candidates = extract_candidates(state, question, category,
-                                        state.sentence_cache.get(qid, []),
-                                        use_patterns=True, use_ner=False, exclude_own=True)
-        final = oracle_select(candidates, question.answers)
+        record = state.interpretations.get(qid)
+        if record is None:
+            continue
+        candidates = extract_candidates(state, record, use_patterns=True, use_ner=False,
+                                        exclude_own=True)
+        final = oracle_select(candidates, record.question.answers)
         if final is None:
             continue
         report.newly_correct.append(qid)
         if learn_on_revision:
-            report.patterns_learned += apply_feedback(state, question, final.text, category)
+            report.patterns_learned += apply_feedback(state, record, final.text)
     return report
 
 
@@ -259,7 +268,6 @@ def run_sequence(state: PipelineState, questions: list[Question], scenario: Scen
     metric point per question. With a revision schedule, previously failed
     questions are retried at every interval checkpoint and newly correct
     ones count as correct from that point forward."""
-    by_id = {q.id: q for q in questions}
     checkpoints = set(schedule.checkpoints(len(questions))) if schedule else set()
     outcomes: list[Outcome] = []
     points: list[EvalPoint] = []
@@ -282,7 +290,7 @@ def run_sequence(state: PipelineState, questions: list[Question], scenario: Scen
         alt_points.append(make_point(i, len(correct_ids), len(answered_ids | fallback_ids)))
         if i in checkpoints:
             pending = [q.id for q in questions[:i] if q.id not in correct_ids]
-            report = revise(state, by_id, pending, i, learn_on_revision)
+            report = revise(state, pending, i, learn_on_revision)
             reports.append(report)
             for qid in report.newly_correct:
                 correct_ids.add(qid)

@@ -2,9 +2,10 @@ from pathlib import Path
 
 import pytest
 
+from patternqa.classify import classify
 from patternqa.corpus import Question, load_documents, load_qa_corpus
 from patternqa.extraction import load_gazetteer
-from patternqa.knowledge import KnowledgeBase
+from patternqa.knowledge import KnowledgeBase, question_signature
 from patternqa.pipeline import PipelineState
 from patternqa.retrieval import RetrievedSentence, build_index
 from patternqa.treebank import parse_bracketed
@@ -22,6 +23,11 @@ DANTE_SENTENCE_PARSE = (
 HAMLET_QUESTION_PARSE = (
     "(SBARQ (WHNP (WP Who)) (SQ (VP (VBD wrote) (NP (NNP Hamlet)))) (. ?))"
 )
+
+
+def signature_of(question):
+    """The signature the pipeline files a question under, default hints."""
+    return question_signature(question, classify(question))
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 These deliberately avoid sharing code paths with the package: the edit
 distance is a memoized recursion (the package uses an iterative DP row),
 the alignment enumerator works over a flat (start, end, label) node list
-(the package walks the tree with pruning), and the metric oracle is a
-plain counting loop over log records.
+(the package walks the tree with pruning) and applies relaxation from the
+measure definitions, and the metric oracle is a plain counting loop over
+log records.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import lru_cache
 from patternqa.knowledge import ANSWER_SLOT, LEXICAL, Pattern, Signature, answer_slot, lexical, syntactic
 from patternqa.classify import Category
 from patternqa.treebank import ParseTree, leaf, leaves, node, node_spans
+from patternqa.unification import RelaxConfig
 
 
 def levenshtein_oracle(a: str, b: str) -> int:
@@ -33,30 +35,77 @@ def levenshtein_oracle(a: str, b: str) -> int:
     return dist(len(a), len(b))
 
 
-def brute_force_answer_spans(pattern: Pattern, tree: ParseTree) -> set[tuple[int, int]]:
-    """Every contiguous unit alignment of the pattern, tried naively at
-    every leaf offset; exact matching only."""
+def similarity_oracle(a: str, b: str, measure: str) -> float:
+    """The three lexical similarity measures, from their definitions: the
+    edit distance comes from :func:`levenshtein_oracle`, the character
+    bigram sets are rebuilt here."""
+    if measure == "levenshtein":
+        longest = max(len(a), len(b))
+        return 1.0 if longest == 0 else 1.0 - levenshtein_oracle(a, b) / longest
+    grams_a = {a[i : i + 2] for i in range(len(a) - 1)}
+    grams_b = {b[i : i + 2] for i in range(len(b) - 1)}
+    shared = len(grams_a & grams_b)
+    if measure == "overlap":
+        return 1.0 if not grams_a or not grams_b else shared / min(len(grams_a), len(grams_b))
+    return 1.0 if not grams_a and not grams_b else shared / len(grams_a | grams_b)
+
+
+RELAXATION_LABELS = {(False, False): "none", (True, False): "lexical",
+                     (False, True): "syntactic", (True, True): "both"}
+
+
+def brute_force_alignments(pattern: Pattern, tree: ParseTree,
+                           config: RelaxConfig | None = None) -> dict[tuple[int, int], str]:
+    """Answer span -> relaxation label for every contiguous unit alignment
+    of the pattern, tried naively at every leaf offset. Exact matching when
+    ``config`` is None; otherwise tokens may match by similarity and tags by
+    shared superclass, as far as the config enables. A span keeps the label
+    of the first alignment reaching it, in unify's documented order: leaf
+    offsets ascending, then depth-first with units in preorder."""
     tokens = leaves(tree)
     units = [(s, e, nd.label) for nd, s, e in node_spans(tree) if not nd.is_leaf]
-    found: set[tuple[int, int]] = set()
+    lexical_on = config is not None and config.enable_lexical
+    syntactic_on = config is not None and config.enable_syntactic
+    superclass = dict(config.tag_hierarchy) if config is not None else {}
+    found: dict[tuple[int, int], str] = {}
 
-    def rec(idx: int, pos: int, captured):
+    def rec(idx: int, pos: int, captured, lex_used: bool, syn_used: bool):
         if idx == len(pattern.elements):
-            if captured is not None:
-                found.add(captured)
+            if captured is not None and captured not in found:
+                found[captured] = RELAXATION_LABELS[lex_used, syn_used]
             return
         element = pattern.elements[idx]
         if element.kind == LEXICAL:
-            if pos < len(tokens) and tokens[pos].lower() == element.value.lower():
-                rec(idx + 1, pos + 1, captured)
+            if pos >= len(tokens):
+                return
+            token, value = tokens[pos].lower(), element.value.lower()
+            if token == value:
+                rec(idx + 1, pos + 1, captured, lex_used, syn_used)
+            elif lexical_on and similarity_oracle(
+                    token, value, config.lexical_measure) >= config.lexical_threshold:
+                rec(idx + 1, pos + 1, captured, True, syn_used)
             return
         for s, e, label in units:
-            if s == pos and label == element.value:
-                rec(idx + 1, e, (s, e) if element.kind == ANSWER_SLOT else captured)
+            if s != pos:
+                continue
+            if label == element.value:
+                relaxed = False
+            elif syntactic_on and superclass.get(label, label) == \
+                    superclass.get(element.value, element.value):
+                relaxed = True
+            else:
+                continue
+            rec(idx + 1, e, (s, e) if element.kind == ANSWER_SLOT else captured,
+                lex_used, syn_used or relaxed)
 
     for start in range(len(tokens) + 1):
-        rec(0, start, None)
+        rec(0, start, None, False, False)
     return found
+
+
+def brute_force_answer_spans(pattern: Pattern, tree: ParseTree) -> set[tuple[int, int]]:
+    """Every answer span of an exact alignment."""
+    return set(brute_force_alignments(pattern, tree))
 
 
 PHRASE_LABELS = ["S", "NP", "VP", "PP", "SBAR", "ADJP"]
@@ -100,6 +149,20 @@ def random_pattern(rng: random.Random, tree: ParseTree) -> Pattern:
             pool = tree_labels if rng.random() < 0.8 else PHRASE_LABELS + PRETERM_LABELS
             elements.append(syntactic(rng.choice(pool)))
     return Pattern(tuple(elements), TEST_SIGNATURE, (("gen", "gen:0"),))
+
+
+def misspell(rng: random.Random, pattern: Pattern) -> Pattern:
+    """The pattern with about half its literal tokens changed by one
+    character, so that lexical relaxation has near misses to find."""
+    elements = []
+    for element in pattern.elements:
+        value = element.value
+        if element.kind == LEXICAL and rng.random() < 0.5:
+            at = rng.randrange(len(value))
+            value = value[:at] + rng.choice("aeioxz") + value[at + rng.randint(0, 1):]
+            element = lexical(value)
+        elements.append(element)
+    return Pattern(tuple(elements), pattern.signature, pattern.provenances)
 
 
 def count_metrics_oracle(records: list[dict]) -> list[tuple[int, float, float]]:

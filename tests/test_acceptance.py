@@ -25,7 +25,7 @@ from patternqa.unification import (default_config, levenshtein_distance,
                                    unify)
 
 from .conftest import (DANTE_QUESTION_PARSE, FIXTURES,
-                       HAMLET_QUESTION_PARSE)
+                       HAMLET_QUESTION_PARSE, signature_of)
 from .oracles import (brute_force_answer_spans, levenshtein_oracle,
                       random_pattern, random_tree)
 
@@ -38,7 +38,8 @@ def report(name: str, ok: bool, detail: str = "") -> bool:
 
 
 def test_worked_example_fidelity(dante_question, dante_sentence):
-    patterns = learn_patterns(dante_question, "Dante", [dante_sentence])
+    patterns = learn_patterns(dante_question, "Dante", [dante_sentence],
+                              signature_of(dante_question))
     expected = [("answer", "NP"), ("lexical", "has"),
                 ("syntactic", "VBN"), ("syntactic", "NP")]
     got = [[(e.kind, e.value) for e in p.elements] for p in patterns]
@@ -50,7 +51,8 @@ def test_worked_example_fidelity(dante_question, dante_sentence):
 
 
 def test_relaxation_fidelity(dante_question, dante_sentence):
-    pattern = learn_patterns(dante_question, "Dante", [dante_sentence])[0]
+    pattern = learn_patterns(dante_question, "Dante", [dante_sentence],
+                             signature_of(dante_question))[0]
     nn_subject = parse_bracketed(
         "(S (NN poet) (VP (VBZ has) (VP (VBN written) "
         "(NP (DT The) (NNP Divine) (NNP Comedy)))))")

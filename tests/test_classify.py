@@ -1,6 +1,6 @@
 import pytest
 
-from patternqa.classify import Category, classify, load_hint_table, wh_word
+from patternqa.classify import Category, classify, load_hint_table, tagged_leaves, wh_word
 from patternqa.corpus import Question
 from patternqa.treebank import parse_bracketed
 
@@ -67,7 +67,7 @@ def test_classification_is_deterministic(dante_question):
 
 
 def test_wh_word_detection(dante_question):
-    assert wh_word(dante_question.parse) == ("who", 0)
+    assert wh_word(tagged_leaves(dante_question.parse)) == ("who", 0)
 
 
 def test_category_validation():

@@ -1,14 +1,18 @@
+import contextlib
 import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patternqa.cli import main
 from patternqa.knowledge import KnowledgeBase, save_kb
 
 from .conftest import (DANTE_QUESTION_PARSE, DANTE_SENTENCE_PARSE, FIXTURES,
-                       HAMLET_QUESTION_PARSE)
+                       HAMLET_QUESTION_PARSE, signature_of)
 
 CORPUS = str(FIXTURES / "qa30.jsonl")
 DOCS = str(FIXTURES / "docs.jsonl")
@@ -146,7 +150,8 @@ def test_tutor_quit_preserves_kb(tmp_path, monkeypatch, capsys, dante_question,
     from patternqa.knowledge import learn_patterns
 
     kb = KnowledgeBase()
-    kb.insert(learn_patterns(dante_question, "Dante", [dante_sentence]))
+    kb.insert(learn_patterns(dante_question, "Dante", [dante_sentence],
+                             signature_of(dante_question)))
     kb_in = tmp_path / "in.json"
     kb_out = tmp_path / "out.json"
     save_kb(kb, kb_in)
@@ -268,3 +273,99 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv
     assert run_cli(*argv, "--docs", DOCS, *extra) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: {message} ") and err.count("\n") == 1
+
+
+QA_RECORD = json.loads((FIXTURES / "qa30.jsonl").read_text().splitlines()[0])
+DOC_RECORD = json.loads((FIXTURES / "docs.jsonl").read_text().splitlines()[0])
+NOT_UTF8 = (json.dumps(QA_RECORD) + "\n").encode() + '{"id": "caf\xe9"}\n'.encode("latin-1")
+
+
+def _jsonl(record) -> bytes:
+    return (json.dumps(record) + "\n").encode()
+
+
+@pytest.mark.parametrize("command, content", [
+    (("ingest", "--docs"), _jsonl({**DOC_RECORD, "sentences": 5})),
+    (("ingest", "--docs"), _jsonl({**DOC_RECORD, "sentences": [3]})),
+    (("ingest", "--docs"), _jsonl({**DOC_RECORD, "doc_id": ["d"]})),
+    (("ingest", "--docs"),
+     _jsonl({**DOC_RECORD, "sentences": [{**DOC_RECORD["sentences"][0], "text": 5}]})),
+    (("ingest", "--corpus"), _jsonl({**QA_RECORD, "id": ["q"]})),
+    (("ingest", "--corpus"), _jsonl({**QA_RECORD, "question": 5})),
+    (("ingest", "--corpus"), NOT_UTF8),
+    (("stats", "--kb-in", "{kb}", "--outcomes"), b"[1]\n"),
+    (("run", "--from-metadata"), b"{}\n"),
+], ids=["sentences-not-a-list", "sentence-not-an-object", "doc-id-not-a-string",
+        "sentence-text-not-a-string", "id-not-a-string", "question-not-a-string",
+        "corpus-not-utf8", "outcome-not-an-object", "metadata-without-config"])
+def test_malformed_input_is_one_line_data_error(tmp_path, capsys, command, content):
+    kb_path = tmp_path / "kb.json"
+    save_kb(KnowledgeBase(), kb_path)
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    argv = [str(kb_path) if arg == "{kb}" else arg for arg in command]
+    capsys.readouterr()
+    assert run_cli(*argv, str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+QA_LINES = (FIXTURES / "qa30.jsonl").read_text().splitlines()[:6]
+DOC_LINES = (FIXTURES / "docs.jsonl").read_text().splitlines()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def mutated_record(draw, record: dict) -> str:
+    """One fixture record, broken in one way: a field set to any JSON value
+    or dropped (in the record or its first sentence), a parse nested deeply
+    or left unbalanced, a record that is not an object, or truncated JSON."""
+    target = record
+    if "sentences" in record and draw(st.booleans()):
+        target = record["sentences"][0]
+    key = draw(st.sampled_from(sorted(target)) | st.text(max_size=4))
+    kind = draw(st.sampled_from(["set", "drop", "deep", "not-object", "truncate"]))
+    if kind == "set":
+        target[key] = draw(JSON_VALUES)
+    elif kind == "drop":
+        target.pop(key, None)
+    elif kind == "deep":
+        opened, closed = draw(st.integers(0, 1500)), draw(st.integers(0, 1500))
+        tree = target if "parse" in target else target["sentences"][0]
+        tree["parse"] = "(S " * opened + tree["parse"] + ")" * closed
+    elif kind == "not-object":
+        record = draw(JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
+    line = json.dumps(record)
+    if kind == "truncate":
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    return line
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_fixture_records_never_print_a_traceback(data):
+    """Ingest and run never let an exception escape (which would print a
+    traceback): bad data exits 2 with one ``data error:`` line."""
+    qa_lines, doc_lines = list(QA_LINES), list(DOC_LINES)
+    lines = doc_lines if data.draw(st.booleans()) else qa_lines
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines[at] = data.draw(mutated_record(json.loads(lines[at])))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, docs = Path(tmp) / "qa.jsonl", Path(tmp) / "docs.jsonl"
+        corpus.write_text("\n".join(qa_lines) + "\n")
+        docs.write_text("\n".join(doc_lines) + "\n")
+        for argv in (["ingest", "--corpus", str(corpus), "--docs", str(docs)],
+                     ["run", "--scenario", "4", "--revise-interval", "2", "--corpus", str(corpus),
+                      "--docs", str(docs), "--out-dir", str(Path(tmp) / "run")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert "Traceback" not in err.getvalue()
+            assert code in (0, 2)
+            if code == 2:
+                assert err.getvalue().startswith("data error: ")
+                assert err.getvalue().count("\n") == 1

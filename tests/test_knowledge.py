@@ -12,6 +12,7 @@ from patternqa.retrieval import RetrievedSentence
 from patternqa.treebank import parse_bracketed
 from patternqa.unification import default_config, unify
 
+from .conftest import signature_of
 from .oracles import TEST_SIGNATURE
 
 
@@ -20,7 +21,8 @@ def rsent(text, parse, doc_id="doc", position=0):
 
 
 def test_worked_example_learns_expected_pattern(dante_question, dante_sentence):
-    patterns = learn_patterns(dante_question, "Dante", [dante_sentence])
+    patterns = learn_patterns(dante_question, "Dante", [dante_sentence],
+                              signature_of(dante_question))
     assert len(patterns) == 1
     assert [(e.kind, e.value) for e in patterns[0].elements] == [
         ("answer", "NP"), ("lexical", "has"), ("syntactic", "VBN"), ("syntactic", "NP"),
@@ -29,7 +31,7 @@ def test_worked_example_learns_expected_pattern(dante_question, dante_sentence):
 
 
 def test_empty_sentence_list(dante_question):
-    assert learn_patterns(dante_question, "Dante", []) == []
+    assert learn_patterns(dante_question, "Dante", [], signature_of(dante_question)) == []
 
 
 def test_answer_without_question_phrase_learns_nothing(dante_question):
@@ -37,7 +39,7 @@ def test_answer_without_question_phrase_learns_nothing(dante_question):
         "Dante has composed many works",
         "(S (NP (NNP Dante)) (VP (VBZ has) (VP (VBN composed) (NP (JJ many) (NNS works)))))",
     )
-    assert learn_patterns(dante_question, "Dante", [sentence]) == []
+    assert learn_patterns(dante_question, "Dante", [sentence], signature_of(dante_question)) == []
 
 
 def test_signatures_shared_across_same_shape(dante_question, hamlet_question):
@@ -95,6 +97,7 @@ def test_same_elements_merge_provenance():
     a = Pattern((answer_slot("NP"), lexical("has")), TEST_SIGNATURE, (("q1", "d:0"),))
     b = Pattern((answer_slot("NP"), lexical("has")), TEST_SIGNATURE, (("q2", "d:1"),))
     assert kb.insert([a]) == 1
+    assert kb.insert([b]) == 1  # fresh provenance on stored elements
     assert kb.insert([b]) == 0
     stored = kb.lookup(TEST_SIGNATURE)
     assert len(stored) == 1
@@ -116,7 +119,7 @@ def test_lookup_does_not_cross_signatures(dante_question):
 def test_dante_pattern_applies_to_hamlet_lookup(dante_question, dante_sentence, hamlet_question):
     kb = KnowledgeBase()
     learned = learn_patterns(dante_question, "Dante", [dante_sentence],
-                             category=classify(dante_question))
+                             signature_of(dante_question))
     kb.insert(learned)
     sig = question_signature(hamlet_question, classify(hamlet_question))
     assert kb.lookup(sig) == learned
@@ -136,7 +139,7 @@ def test_closure_learned_patterns_extract_their_answer(fixture_questions, fixtur
     for question in fixture_questions:
         answer = question.answers[0]
         for sentence in sentences.values():
-            learned = learn_patterns(question, answer, [sentence])
+            learned = learn_patterns(question, answer, [sentence], signature_of(question))
             for pattern in learned:
                 candidates = unify(pattern, sentence.tree, config.exact())
                 assert any(normalize_answer(c.text) == normalize_answer(answer)
@@ -150,8 +153,10 @@ def test_learning_is_sentence_order_independent(dante_question, dante_sentence):
                   "(S (NP (NNP Dante)) (VP (VBZ has) (VP (VBN written) "
                   "(NP (DT The) (NNP Divine) (NNP Comedy)))))",
                   doc_id="other", position=3)
-    forward = learn_patterns(dante_question, "Dante", [dante_sentence, other])
-    backward = learn_patterns(dante_question, "Dante", [other, dante_sentence])
+    forward = learn_patterns(dante_question, "Dante", [dante_sentence, other],
+                             signature_of(dante_question))
+    backward = learn_patterns(dante_question, "Dante", [other, dante_sentence],
+                              signature_of(dante_question))
     assert forward == backward
     assert len(forward) == 1
     assert forward[0].provenances == (("dante", "doc:0"), ("dante", "other:3"))
@@ -176,13 +181,14 @@ def test_pattern_length_cap(dante_question):
         "Dante " + " ".join(f"w{i}" for i in range(11)) + " The Divine Comedy",
         f"(S (NP (NNP Dante)) {filler} (NP (DT The) (NNP Divine) (NNP Comedy)))",
     )
-    assert learn_patterns(dante_question, "Dante", [too_long]) == []
+    assert learn_patterns(dante_question, "Dante", [too_long], signature_of(dante_question)) == []
     filler_ok = " ".join(f"(NN w{i})" for i in range(9))
     long_but_ok = rsent(
         "Dante " + " ".join(f"w{i}" for i in range(9)) + " The Divine Comedy",
         f"(S (NP (NNP Dante)) {filler_ok} (NP (DT The) (NNP Divine) (NNP Comedy)))",
     )
-    assert len(learn_patterns(dante_question, "Dante", [long_but_ok])) == 1
+    assert len(learn_patterns(dante_question, "Dante", [long_but_ok],
+                              signature_of(dante_question))) == 1
 
 
 def test_kb_monotone_lookup_never_shrinks():
@@ -200,7 +206,8 @@ def test_kb_monotone_lookup_never_shrinks():
 
 def test_save_load_roundtrip(tmp_path, dante_question, dante_sentence):
     kb = KnowledgeBase()
-    kb.insert(learn_patterns(dante_question, "Dante", [dante_sentence]))
+    kb.insert(learn_patterns(dante_question, "Dante", [dante_sentence],
+                             signature_of(dante_question)))
     kb.record_qa("dante", "Dante")
     path = tmp_path / "kb.json"
     save_kb(kb, path)

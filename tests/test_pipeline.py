@@ -4,7 +4,7 @@ from patternqa.classify import classify
 from patternqa.corpus import Document, Question
 from patternqa.extraction import load_gazetteer
 from patternqa.knowledge import KnowledgeBase, question_signature
-from patternqa.pipeline import (PipelineState, RevisionSchedule,
+from patternqa.pipeline import (Interpretation, PipelineState, RevisionSchedule,
                                 ScenarioConfig, answer_question,
                                 apply_feedback, pattern_candidates,
                                 run_sequence)
@@ -12,7 +12,7 @@ from patternqa.retrieval import build_index
 from patternqa.treebank import parse_bracketed
 from patternqa import pipeline as pipeline_module
 
-from .conftest import DANTE_QUESTION_PARSE, HAMLET_QUESTION_PARSE
+from .conftest import DANTE_QUESTION_PARSE, HAMLET_QUESTION_PARSE, signature_of
 
 
 def test_scenario_table():
@@ -95,20 +95,23 @@ def test_scenario1_malcolm_x_is_unanswered(fixture_questions, make_state):
     assert outcome.patterns_learned == 0
 
 
+def dante_record(question, sentence):
+    return Interpretation(question, classify(question), signature_of(question), (sentence,))
+
+
 def test_apply_feedback_worked_example(dante_question, dante_sentence):
     state = PipelineState(kb=KnowledgeBase(), index=build_index([]),
                           gazetteer=load_gazetteer())
-    state.sentence_cache["dante"] = [dante_sentence]
-    assert apply_feedback(state, dante_question, "Dante") == 1
-    assert apply_feedback(state, dante_question, "Dante") == 0  # idempotent
+    record = dante_record(dante_question, dante_sentence)
+    assert apply_feedback(state, record, "Dante") == 1
+    assert apply_feedback(state, record, "Dante") == 0  # idempotent
     assert state.kb.qa_pairs == [("dante", "Dante"), ("dante", "Dante")]
 
 
 def test_apply_feedback_without_answer_in_sentences(dante_question, dante_sentence):
     state = PipelineState(kb=KnowledgeBase(), index=build_index([]),
                           gazetteer=load_gazetteer())
-    state.sentence_cache["dante"] = [dante_sentence]
-    assert apply_feedback(state, dante_question, "Petrarch") == 0
+    assert apply_feedback(state, dante_record(dante_question, dante_sentence), "Petrarch") == 0
     assert state.kb.qa_pairs == [("dante", "Petrarch")]
 
 
@@ -198,7 +201,7 @@ def test_monotone_learning_candidates_grow_with_kb(dante_question, dante_sentenc
     from patternqa.unification import default_config
 
     learned = learn_patterns(dante_question, "Dante", [dante_sentence],
-                             category=classify(dante_question))
+                             signature_of(dante_question))
     sh_sentence = dante_sentence.__class__(
         text="Shakespeare has written Hamlet",
         tree=parse_bracketed("(S (NP (NNP Shakespeare)) (VP (VBZ has) "
@@ -207,7 +210,7 @@ def test_monotone_learning_candidates_grow_with_kb(dante_question, dante_sentenc
     config = default_config()
     small = pattern_candidates(learned, [sh_sentence], config)
     extra = learn_patterns(hamlet_question, "Shakespeare", [sh_sentence],
-                           category=classify(hamlet_question))
+                           signature_of(hamlet_question))
     large = pattern_candidates(learned + extra, [sh_sentence], config)
     assert {(c.span, c.doc_id, c.position) for c in small} <= \
         {(c.span, c.doc_id, c.position) for c in large}
@@ -220,7 +223,7 @@ def test_pattern_candidates_relax_only_when_nothing_matches_exactly(dante_questi
     from patternqa.unification import default_config
 
     learned = learn_patterns(dante_question, "Dante", [dante_sentence],
-                             category=classify(dante_question))
+                             signature_of(dante_question))
     flat_subject = dante_sentence.__class__(
         text="poet has written The Divine Comedy",
         tree=parse_bracketed("(S (NN poet) (VP (VBZ has) (VP (VBN written) "

@@ -11,8 +11,9 @@ from patternqa.unification import (RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE,
                                    lexical_similarity, load_tag_hierarchy,
                                    tag_compatible, unify)
 
-from .oracles import (TEST_SIGNATURE, brute_force_answer_spans,
-                      levenshtein_oracle, random_pattern, random_tree)
+from .oracles import (TEST_SIGNATURE, brute_force_alignments,
+                      brute_force_answer_spans, levenshtein_oracle, misspell,
+                      random_pattern, random_tree)
 
 DANTE_PATTERN = Pattern(
     (answer_slot("NP"), lexical("has"), syntactic("VBN"), syntactic("NP")),
@@ -166,6 +167,22 @@ def test_exact_unification_matches_brute_force_quick():
         pattern = random_pattern(rng, tree)
         assert {c.span for c in unify(pattern, tree, config)} == \
             brute_force_answer_spans(pattern, tree)
+
+
+@pytest.mark.parametrize("measure", ["levenshtein", "overlap", "jaccard"])
+def test_relaxed_unification_matches_brute_force(measure):
+    rng = random.Random(37)
+    labels = set()
+    for _ in range(1000):
+        tree = random_tree(rng)
+        pattern = misspell(rng, random_pattern(rng, tree))
+        config = default_config(measure, threshold=rng.choice([None, 0.2, 0.5, 0.8]),
+                                enable_lexical=rng.random() < 0.8,
+                                enable_syntactic=rng.random() < 0.8)
+        got = {c.span: c.relaxation_used for c in unify(pattern, tree, config)}
+        assert got == brute_force_alignments(pattern, tree, config), pattern.render()
+        labels.update(got.values())
+    assert labels == {RELAX_NONE, RELAX_LEXICAL, RELAX_SYNTACTIC, RELAX_BOTH}
 
 
 def test_relax_config_validation():
