@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Question, read_table
+from .corpus import COARSE_CLASSES, Question, read_table
 from .treebank import ParseTree, dfs_nodes
-
-COARSE_CLASSES = frozenset({"ABBR", "DESC", "ENTY", "HUM", "LOC", "NUM"})
 
 WH_TAGS = frozenset({"WP", "WP$", "WDT", "WRB"})
 WH_WORDS = frozenset({"who", "whom", "whose", "what", "which", "when", "where", "why", "how"})

@@ -84,8 +84,6 @@ def _sha256(path) -> str:
 
 
 def _require_file(path, what) -> Path:
-    if path is None:
-        raise UsageError(f"--{what} is required")
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"{what} file not found: {path}")
@@ -133,29 +131,61 @@ def _outcome_record(outcome) -> dict:
     }
 
 
-def cmd_run(args) -> int:
-    if args.from_metadata:
-        meta = json.loads(_require_file(args.from_metadata, "from-metadata").read_text("utf-8"))
-        try:
-            cfg = meta["config"]
-            for key in ("scenario", "corpus", "docs", "top_k", "relax_measure",
-                        "relax_threshold", "revise_interval", "kb_in"):
-                setattr(args, key, cfg[key])
-            for switch in ("lexical_relax", "syntactic_relax", "learn_on_revision"):
-                setattr(args, f"no_{switch}", not cfg[switch])
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{args.from_metadata}: bad or missing config entry: {exc}") from exc
-    if args.scenario is None:
-        raise UsageError("--scenario is required")
-    scenario = ScenarioConfig.from_id(args.scenario)
-    questions = load_qa_corpus(_require_file(args.corpus, "corpus"))
-    docs = load_documents(_require_file(args.docs, "docs"))
+# metadata.json config entries that ``run --from-metadata`` restores: each
+# value of _RECORDED is given to its ``run`` flag, each false switch becomes
+# its ``--no-`` flag
+_RECORDED = ("scenario", "corpus", "docs", "top_k", "relax_measure", "relax_threshold",
+             "revise_interval", "kb_in")
+_SWITCHES = ("lexical_relax", "syntactic_relax", "learn_on_revision")
+
+
+def _check_run_args(args) -> None:
+    for required in ("scenario", "corpus", "docs"):
+        if getattr(args, required) is None:
+            raise UsageError(f"--{required} is required")
     if args.revise_interval is not None and args.revise_interval < 1:
         raise UsageError("--revise-interval must be >= 1")
     if args.top_k < 1:
         raise UsageError("--top-k must be >= 1")
     if args.relax_threshold is not None and not 0.0 <= args.relax_threshold <= 1.0:
         raise UsageError("--relax-threshold must be in [0, 1]")
+
+
+def _restore_from_metadata(args) -> None:
+    """Set the run arguments recorded in ``args.from_metadata``. The recorded
+    values pass through the same parser and checks as flags; a value they
+    reject is a :class:`DataError`."""
+    path = args.from_metadata
+    meta = json.loads(_require_file(path, "from-metadata").read_text("utf-8"))
+    try:
+        cfg = meta["config"]
+        argv = ["run"]
+        for key in _RECORDED:
+            if cfg[key] is not None:
+                argv.append(f"--{key.replace('_', '-')}={cfg[key]}")
+        for switch in _SWITCHES:
+            if not isinstance(cfg[switch], bool):
+                raise UsageError(f"{switch} must be true or false, got {cfg[switch]!r}")
+            if not cfg[switch]:
+                argv.append(f"--no-{switch.replace('_', '-')}")
+        recorded = _build_parser().parse_args(argv)
+        _check_run_args(recorded)
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: bad or missing config entry: {exc}") from exc
+    except UsageError as exc:
+        raise DataError(f"{path}: config: {exc}") from exc
+    for key in _RECORDED + tuple(f"no_{switch}" for switch in _SWITCHES):
+        setattr(args, key, getattr(recorded, key))
+
+
+def cmd_run(args) -> int:
+    if args.from_metadata:
+        _restore_from_metadata(args)
+    else:
+        _check_run_args(args)
+    scenario = ScenarioConfig.from_id(args.scenario)
+    questions = load_qa_corpus(_require_file(args.corpus, "corpus"))
+    docs = load_documents(_require_file(args.docs, "docs"))
 
     relax = default_config(
         measure=args.relax_measure,

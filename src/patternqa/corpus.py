@@ -17,6 +17,10 @@ from pathlib import Path
 from .treebank import ParseTree, TreeFormatError, leaves, parse_bracketed
 
 
+# the Li & Roth coarse question classes; a gold category is "coarse:fine"
+COARSE_CLASSES = frozenset({"ABBR", "DESC", "ENTY", "HUM", "LOC", "NUM"})
+
+
 class CorpusError(ValueError):
     """Invalid corpus content; ``line`` is the 1-based offending line."""
 
@@ -136,12 +140,17 @@ def load_qa_corpus(path) -> list[Question]:
         tree = _parse_tree_field(record["parse"], lineno)
         if [t.lower() for t in leaves(tree)] != [t.lower() for t in tokenize(text)]:
             raise CorpusError("parse leaves do not match tokenized question", lineno)
+        category = record.get("category")
+        if category is not None and not isinstance(category, str):
+            raise CorpusError("category must be a string", lineno)
+        if category and category.partition(":")[0] not in COARSE_CLASSES:
+            raise CorpusError(f"unknown coarse class in category {category!r}", lineno)
         questions.append(
             Question(
                 id=qid,
                 text=text,
                 parse=tree,
-                category=record.get("category"),
+                category=category,
                 answers=tuple(str(a) for a in answers),
             )
         )

@@ -71,19 +71,3 @@ def export_series(points: list[EvalPoint], path, alt_points: list[EvalPoint] | N
                 row += [f"{alt.p:.4f}", f"{alt.f:.4f}", alt.answered]
             writer.writerow(row)
 
-
-def read_series(path) -> list[EvalPoint]:
-    points = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            points.append(
-                EvalPoint(
-                    i=int(row["i"]),
-                    p=float(row["P"]),
-                    r=float(row["R"]),
-                    f=float(row["F"]),
-                    correct=int(row["correct"]),
-                    answered=int(row["answered"]),
-                )
-            )
-    return points

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .classify import Category, tagged_leaves, wh_word
 from .corpus import Question, normalize_answer, tokenize
@@ -82,11 +82,17 @@ class Signature:
     structure_key: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class Pattern:
+    """Elements and signature identify a pattern. Its provenance is a set of
+    (question id, sentence identifier) pairs, copied from the argument; the
+    knowledge base grows a stored pattern's set in place, and
+    ``source_questions`` (the question ids) with it."""
+
     elements: tuple[PatternElement, ...]
     signature: Signature
-    provenances: tuple[tuple[str, str], ...]  # (question id, sentence identifier)
+    provenances: set[tuple[str, str]]
+    source_questions: set[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         slots = [e for e in self.elements if e.kind == ANSWER_SLOT]
@@ -94,13 +100,11 @@ class Pattern:
             raise ValueError("a pattern has exactly one answer slot")
         if len(self.elements) < 2:
             raise ValueError("a bare answer slot matches anything and is forbidden")
+        self.provenances = set(self.provenances)
+        self.source_questions = {qid for qid, _ in self.provenances}
 
     def render(self) -> str:
         return " ".join(e.render() for e in self.elements)
-
-    @property
-    def source_questions(self) -> frozenset[str]:
-        return frozenset(qid for qid, _ in self.provenances)
 
 
 def question_signature(question: Question, category: Category) -> Signature:
@@ -258,10 +262,7 @@ def learn_patterns(question: Question, answer: str, sentences: Sequence[Retrieve
         if pattern is None:
             continue
         by_elements.setdefault(pattern.elements, []).extend(pattern.provenances)
-    return [
-        Pattern(elements, signature, tuple(sorted(set(provs))))
-        for elements, provs in by_elements.items()
-    ]
+    return [Pattern(elements, signature, provs) for elements, provs in by_elements.items()]
 
 
 class KnowledgeBase:
@@ -272,26 +273,34 @@ class KnowledgeBase:
         self.qa_pairs: list[tuple[str, str]] = []
 
     def insert(self, patterns: list[Pattern]) -> int:
-        """Set-union insertion: same-element patterns merge their provenance.
+        """Set-union insertion: same-element patterns merge their provenance
+        into the stored pattern, at a cost linear in the new provenance only.
         Returns how many of ``patterns`` told the KB something new, either a
         fresh element sequence or fresh provenance on a stored one."""
         learned = 0
         for pattern in patterns:
             bucket = self._patterns.setdefault(pattern.signature, {})
             stored = bucket.get(pattern.elements)
-            if stored is not None:
-                known = set(stored.provenances)
-                if known.issuperset(pattern.provenances):
+            if stored is None:  # stored as a copy, so later merges leave ``pattern`` alone
+                bucket[pattern.elements] = Pattern(pattern.elements, pattern.signature,
+                                                   pattern.provenances)
+            else:
+                fresh = pattern.provenances - stored.provenances
+                if not fresh:
                     continue
-                merged = tuple(sorted(known.union(pattern.provenances)))
-                pattern = Pattern(stored.elements, stored.signature, merged)
-            bucket[pattern.elements] = pattern
+                stored.provenances |= fresh
+                stored.source_questions.update(qid for qid, _ in fresh)
             learned += 1
         return learned
 
     def lookup(self, signature: Signature) -> list[Pattern]:
         """Patterns under one signature, in insertion order; [] when unseen."""
         return list(self._patterns.get(signature, {}).values())
+
+    def count(self, signature: Signature) -> int:
+        """How many element sequences are stored under one signature. It
+        only grows: insertion appends and merges, never removes."""
+        return len(self._patterns.get(signature, ()))
 
     def signatures(self) -> list[Signature]:
         return list(self._patterns)
@@ -316,7 +325,7 @@ def save_kb(kb: KnowledgeBase, path) -> None:
                 "patterns": [
                     {
                         "elements": [_element_to_json(e) for e in p.elements],
-                        "provenance": [list(pair) for pair in p.provenances],
+                        "provenance": [list(pair) for pair in sorted(p.provenances)],
                     }
                     for p in kb.lookup(signature)
                 ],
@@ -344,7 +353,9 @@ def load_kb(path) -> KnowledgeBase:
             for item in entry.get("patterns", []):
                 where = f"pattern {json.dumps(item.get('elements'))} under {named}"
                 elements = tuple(PatternElement(e["kind"], e["value"]) for e in item["elements"])
-                provenances = tuple(tuple(pair) for pair in item["provenance"])
+                provenances = [(qid, sentence) for qid, sentence in item["provenance"]]
+                if not all(isinstance(x, str) for pair in provenances for x in pair):
+                    raise ValueError("provenance must be [question id, sentence] string pairs")
                 kb.insert([Pattern(elements, signature, provenances)])
         where = "qa_pairs"
         for qid, answer in payload.get("qa_pairs", []):

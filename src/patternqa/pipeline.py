@@ -89,6 +89,8 @@ class PipelineState:
     relax: RelaxConfig = field(default_factory=default_config)
     top_k: int = 20
     interpretations: dict[str, "Interpretation"] = field(default_factory=dict)
+    # question id -> patterns under its signature at its last failed retry
+    retry_counts: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,7 @@ def answer_question(state: PipelineState, question: Question,
     try:
         record = interpret(state, question)
         state.interpretations[question.id] = record
+        state.retry_counts.pop(question.id, None)  # an id asked again may teach again
         candidates = extract_candidates(state, record, scenario.use_patterns, scenario.use_ner)
         final = oracle_select(candidates, question.answers)
         correct = final is not None
@@ -244,16 +247,26 @@ def revise(state: PipelineState, pending: list[str], checkpoint: int,
     """Retry previously wrong or unsolved questions against the current KB,
     excluding every pattern whose provenance includes the question itself
     (a question must not be rescued by what it taught). A question whose
-    interpretation raised has no record and cannot be rescued."""
+    interpretation raised has no record and cannot be rescued.
+
+    A retry is skipped while the question's signature holds as many patterns
+    as at its last failed retry, as it would fail again (semi-naive
+    evaluation). Patterns are only ever added, and the question's own id
+    joins a provenance only through its own feedback, never while it is
+    pending. The report still lists every pending id as retried."""
     report = CheckpointReport(checkpoint=checkpoint, retried=list(pending), newly_correct=[])
     for qid in pending:
         record = state.interpretations.get(qid)
         if record is None:
             continue
+        known = state.kb.count(record.signature)
+        if state.retry_counts.get(qid) == known:
+            continue
         candidates = extract_candidates(state, record, use_patterns=True, use_ner=False,
                                         exclude_own=True)
         final = oracle_select(candidates, record.question.answers)
         if final is None:
+            state.retry_counts[qid] = known
             continue
         report.newly_correct.append(qid)
         if learn_on_revision:

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from patternqa.knowledge import ANSWER_SLOT, LEXICAL, Pattern, Signature, answer_slot, lexical, syntactic
 from patternqa.classify import Category
+from patternqa.pipeline import CheckpointReport, apply_feedback, oracle_select, pattern_candidates
 from patternqa.treebank import ParseTree, leaf, leaves, node, node_spans
 from patternqa.unification import RelaxConfig
 
@@ -163,6 +164,28 @@ def misspell(rng: random.Random, pattern: Pattern) -> Pattern:
             element = lexical(value)
         elements.append(element)
     return Pattern(tuple(elements), pattern.signature, pattern.provenances)
+
+
+def naive_revise(state, pending: list[str], checkpoint: int,
+                 learn_on_revision: bool = True) -> CheckpointReport:
+    """Reference for ``pipeline.revise`` that retries every pending question
+    in full at every checkpoint. A pattern is excluded when one of its
+    provenance pairs names the question, read from the pairs themselves."""
+    report = CheckpointReport(checkpoint=checkpoint, retried=list(pending), newly_correct=[])
+    for qid in pending:
+        record = state.interpretations.get(qid)
+        if record is None:
+            continue
+        applicable = [p for p in state.kb.lookup(record.signature)
+                      if all(source != qid for source, _ in p.provenances)]
+        final = oracle_select(pattern_candidates(applicable, record.sentences, state.relax),
+                              record.question.answers)
+        if final is None:
+            continue
+        report.newly_correct.append(qid)
+        if learn_on_revision:
+            report.patterns_learned += apply_feedback(state, record, final.text)
+    return report
 
 
 def count_metrics_oracle(records: list[dict]) -> list[tuple[int, float, float]]:

@@ -240,6 +240,7 @@ def test_deep_parse_ingests_and_runs(tmp_path):
 
 BARE_SLOT = [{"kind": "answer", "value": "NP"}]
 UNKNOWN_KIND = [{"kind": "answer", "value": "NP"}, {"kind": "wildcard", "value": "x"}]
+NP_HAS = [{"kind": "answer", "value": "NP"}, {"kind": "lexical", "value": "has"}]
 
 
 @pytest.mark.parametrize("entry, named", [
@@ -251,7 +252,11 @@ UNKNOWN_KIND = [{"kind": "answer", "value": "NP"}, {"kind": "wildcard", "value":
     ({"category": "HUM:ind", "structure_key": "who|S",
       "patterns": [{"elements": UNKNOWN_KIND, "provenance": [["q", "d:0"]]}]},
      f"pattern {json.dumps(UNKNOWN_KIND)} under signature HUM:ind | who|S"),
-], ids=["unknown-category", "bare-answer-slot", "unknown-element-kind"])
+    ({"category": "HUM:ind", "structure_key": "who|S",
+      "patterns": [{"elements": NP_HAS, "provenance": [["q", "d:0"], [1, "d:1"]]}]},
+     f"pattern {json.dumps(NP_HAS)} under signature HUM:ind | who|S"),
+], ids=["unknown-category", "bare-answer-slot", "unknown-element-kind",
+        "provenance-not-string-pairs"])
 def test_stats_invalid_kb_entry_is_data_error(tmp_path, capsys, entry, named):
     kb_path = tmp_path / "kb.json"
     kb_path.write_text(json.dumps({"signatures": [entry], "qa_pairs": []}))
@@ -275,6 +280,46 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv
     assert err.startswith(f"usage error: {message} ") and err.count("\n") == 1
 
 
+RECORDED_CONFIG = {"scenario": 2, "corpus": CORPUS, "docs": DOCS, "top_k": 20,
+                   "relax_measure": "levenshtein", "relax_threshold": 0.8, "lexical_relax": True,
+                   "syntactic_relax": True, "revise_interval": 10, "learn_on_revision": True,
+                   "kb_in": None}
+
+
+@pytest.mark.parametrize("entry, named", [
+    ({"scenario": 7}, "--scenario"),
+    ({"scenario": "2x"}, "--scenario"),
+    ({"top_k": "x"}, "--top-k"),
+    ({"top_k": 0}, "--top-k"),
+    ({"relax_measure": "cosine"}, "--relax-measure"),
+    ({"relax_threshold": 1.5}, "--relax-threshold"),
+    ({"revise_interval": 0}, "--revise-interval"),
+    ({"corpus": None}, "--corpus"),
+    ({"learn_on_revision": "no"}, "learn_on_revision"),
+], ids=["scenario-7", "scenario-not-a-number", "top-k-not-a-number", "top-k-0",
+        "unknown-measure", "threshold-above-1", "interval-0", "corpus-null",
+        "switch-not-a-boolean"])
+def test_bad_recorded_config_value_is_data_error(tmp_path, capsys, entry, named):
+    """Recorded values pass the checks the run flags pass; a bad one is the
+    metadata file's fault, so a data error."""
+    meta = tmp_path / "metadata.json"
+    meta.write_text(json.dumps({"config": {**RECORDED_CONFIG, **entry}}))
+    assert run_cli("run", "--from-metadata", str(meta), "--out-dir", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {meta}: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_recorded_config_round_trips(tmp_path):
+    config = {**RECORDED_CONFIG, "lexical_relax": False, "learn_on_revision": False}
+    meta = tmp_path / "metadata.json"
+    meta.write_text(json.dumps({"config": config}))
+    out_dir = tmp_path / "run"
+    assert run_cli("run", "--from-metadata", str(meta), "--out-dir", str(out_dir)) == 0
+    rerun = json.loads((out_dir / "metadata.json").read_text())["config"]
+    assert {key: rerun[key] for key in config} == config
+
+
 QA_RECORD = json.loads((FIXTURES / "qa30.jsonl").read_text().splitlines()[0])
 DOC_RECORD = json.loads((FIXTURES / "docs.jsonl").read_text().splitlines()[0])
 NOT_UTF8 = (json.dumps(QA_RECORD) + "\n").encode() + '{"id": "caf\xe9"}\n'.encode("latin-1")
@@ -293,17 +338,21 @@ def _jsonl(record) -> bytes:
     (("ingest", "--corpus"), _jsonl({**QA_RECORD, "id": ["q"]})),
     (("ingest", "--corpus"), _jsonl({**QA_RECORD, "question": 5})),
     (("ingest", "--corpus"), NOT_UTF8),
+    (("ingest", "--corpus"), _jsonl({**QA_RECORD, "category": "BOGUS:x"})),
+    (("run", "--scenario", "2", "--docs", DOCS, "--out-dir", "{out}", "--corpus"),
+     _jsonl({**QA_RECORD, "category": "BOGUS:x"})),
     (("stats", "--kb-in", "{kb}", "--outcomes"), b"[1]\n"),
     (("run", "--from-metadata"), b"{}\n"),
 ], ids=["sentences-not-a-list", "sentence-not-an-object", "doc-id-not-a-string",
         "sentence-text-not-a-string", "id-not-a-string", "question-not-a-string",
-        "corpus-not-utf8", "outcome-not-an-object", "metadata-without-config"])
+        "corpus-not-utf8", "ingest-unknown-category", "run-unknown-category",
+        "outcome-not-an-object", "metadata-without-config"])
 def test_malformed_input_is_one_line_data_error(tmp_path, capsys, command, content):
     kb_path = tmp_path / "kb.json"
     save_kb(KnowledgeBase(), kb_path)
     path = tmp_path / "input"
     path.write_bytes(content)
-    argv = [str(kb_path) if arg == "{kb}" else arg for arg in command]
+    argv = [arg.format(kb=kb_path, out=tmp_path / "run") for arg in command]
     capsys.readouterr()
     assert run_cli(*argv, str(path)) == 2
     err = capsys.readouterr().err

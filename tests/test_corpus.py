@@ -55,6 +55,15 @@ def test_duplicate_id_rejected(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("category", ["BOGUS:x", "hum:ind", 5])
+def test_unknown_gold_category_rejected(tmp_path, category):
+    bad = dict(GOOD_RECORD, id="q2", category=category)
+    path = write_jsonl(tmp_path / "qa.jsonl", [GOOD_RECORD, bad])
+    with pytest.raises(CorpusError) as err:
+        load_qa_corpus(path)
+    assert err.value.line == 2
+
+
 def test_malformed_json_names_line(tmp_path):
     path = tmp_path / "qa.jsonl"
     path.write_text(json.dumps(GOOD_RECORD) + "\n{broken\n")

@@ -1,11 +1,22 @@
+import csv
+
 import pytest
 from hypothesis import given, strategies as st
 
-from patternqa.evaluation import (export_series, f_measure, make_point,
-                                  read_series, running_metrics)
+from patternqa.evaluation import EvalPoint, export_series, f_measure, make_point, running_metrics
 from patternqa.pipeline import Outcome
 
 from .oracles import count_metrics_oracle
+
+
+def read_series(path) -> list[EvalPoint]:
+    """The primary columns of a CSV written by ``export_series``."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        return [
+            EvalPoint(i=int(row["i"]), p=float(row["P"]), r=float(row["R"]), f=float(row["F"]),
+                      correct=int(row["correct"]), answered=int(row["answered"]))
+            for row in csv.DictReader(handle)
+        ]
 
 
 def outcome(qid, correct, answered, fallback=False):

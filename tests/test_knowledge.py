@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -101,7 +102,7 @@ def test_same_elements_merge_provenance():
     assert kb.insert([b]) == 0
     stored = kb.lookup(TEST_SIGNATURE)
     assert len(stored) == 1
-    assert stored[0].provenances == (("q1", "d:0"), ("q2", "d:1"))
+    assert stored[0].provenances == {("q1", "d:0"), ("q2", "d:1")}
     assert stored[0].source_questions == {"q1", "q2"}
 
 
@@ -159,7 +160,7 @@ def test_learning_is_sentence_order_independent(dante_question, dante_sentence):
                               signature_of(dante_question))
     assert forward == backward
     assert len(forward) == 1
-    assert forward[0].provenances == (("dante", "doc:0"), ("dante", "other:3"))
+    assert forward[0].provenances == {("dante", "doc:0"), ("dante", "other:3")}
 
 
 def test_pattern_validation():
@@ -220,3 +221,14 @@ def test_save_load_roundtrip(tmp_path, dante_question, dante_sentence):
     second = tmp_path / "kb2.json"
     save_kb(loaded, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+def test_save_writes_provenance_sorted(tmp_path):
+    entry = {"category": "HUM:ind", "structure_key": "who|S", "patterns": [{
+        "elements": [{"kind": "answer", "value": "NP"}, {"kind": "lexical", "value": "has"}],
+        "provenance": [["q2", "d:0"], ["q1", "d:5"], ["q1", "d:1"]]}]}
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps({"signatures": [entry], "qa_pairs": []}))
+    save_kb(load_kb(path), path)
+    saved = json.loads(path.read_text())["signatures"][0]["patterns"][0]["provenance"]
+    assert saved == [["q1", "d:1"], ["q1", "d:5"], ["q2", "d:0"]]

@@ -1,18 +1,23 @@
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patternqa.classify import classify
 from patternqa.corpus import Document, Question
 from patternqa.extraction import load_gazetteer
-from patternqa.knowledge import KnowledgeBase, question_signature
+from patternqa.knowledge import (KnowledgeBase, Pattern, answer_slot, lexical,
+                                 question_signature, syntactic)
 from patternqa.pipeline import (Interpretation, PipelineState, RevisionSchedule,
                                 ScenarioConfig, answer_question,
-                                apply_feedback, pattern_candidates,
-                                run_sequence)
+                                apply_feedback, interpret, pattern_candidates,
+                                revise, run_sequence)
 from patternqa.retrieval import build_index
 from patternqa.treebank import parse_bracketed
 from patternqa import pipeline as pipeline_module
 
 from .conftest import DANTE_QUESTION_PARSE, HAMLET_QUESTION_PARSE, signature_of
+from .oracles import naive_revise
 
 
 def test_scenario_table():
@@ -193,6 +198,55 @@ def test_self_taught_patterns_cannot_rescue(fixture_questions, make_state):
     for report in result.revision:
         assert "q01" in report.retried
         assert "q01" not in report.newly_correct
+
+
+def kb_content(kb):
+    return [(signature, kb.lookup(signature)) for signature in kb.signatures()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_revision_matches_naive_retries(data, fixture_questions, fixture_docs):
+    """Skipping retries changes no outcome, checkpoint report, metric point
+    or learned pattern, with and without learning at checkpoints."""
+    questions = data.draw(st.permutations(fixture_questions))[:data.draw(st.integers(2, 30))]
+    scenario = ScenarioConfig.from_id(data.draw(st.sampled_from([2, 3, 4])))
+    schedule = RevisionSchedule(data.draw(st.integers(1, 6)))
+    learn = data.draw(st.booleans())
+    states = [PipelineState(kb=KnowledgeBase(), index=build_index(fixture_docs),
+                            gazetteer=load_gazetteer()) for _ in range(2)]
+    skipping = run_sequence(states[0], questions, scenario, schedule, learn)
+    with mock.patch.object(pipeline_module, "revise", naive_revise):
+        naive = run_sequence(states[1], questions, scenario, schedule, learn)
+    assert skipping == naive
+    assert kb_content(states[0].kb) == kb_content(states[1].kb)
+
+
+def test_retry_reruns_only_when_its_signature_gains_a_pattern(monkeypatch):
+    state = mini_state()
+    _, hamlet = mini_questions()
+    record = interpret(state, hamlet)
+    state.interpretations[hamlet.id] = record
+    calls = []
+    original = pipeline_module.unify
+    monkeypatch.setattr(pipeline_module, "unify",
+                        lambda *args: calls.append(args[0]) or original(*args))
+
+    def checkpoint():
+        calls.clear()
+        return revise(state, [hamlet.id], 1).newly_correct
+
+    miss = Pattern((answer_slot("NP"), lexical("zzzz")), record.signature, {("t1", "lit:0")})
+    state.kb.insert([miss])
+    assert checkpoint() == [] and calls  # the first retry always runs
+    assert checkpoint() == [] and calls == []  # nothing new under the signature
+    state.kb.insert([Pattern(miss.elements, record.signature, {("t2", "lit:1")})])
+    assert checkpoint() == [] and calls == []  # new provenance, no new pattern
+    hit = Pattern((answer_slot("NP"), lexical("has"), syntactic("VBN"), syntactic("NP")),
+                  record.signature, {("t3", "lit:0")})
+    state.kb.insert([hit])
+    assert checkpoint() == ["h"]
+    assert {pattern.render() for pattern in calls} == {miss.render(), hit.render()}
 
 
 def test_monotone_learning_candidates_grow_with_kb(dante_question, dante_sentence,
