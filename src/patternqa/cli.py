@@ -139,6 +139,20 @@ _RECORDED = ("scenario", "corpus", "docs", "top_k", "relax_measure", "relax_thre
 _SWITCHES = ("lexical_relax", "syntactic_relax", "learn_on_revision")
 
 
+def _check_output_path(flag: str, path, directory: bool = False) -> None:
+    """Reject an output path that cannot be written, before any input is
+    loaded: a file path that is a directory, a directory path that is a
+    file, or a path below an existing file."""
+    if path is None:
+        return
+    target = Path(path)
+    existing = next(p for p in (target, *target.parents) if p.exists())
+    if existing == target and target.is_dir() != directory:
+        raise UsageError(f"{flag} {path} is {'not ' if directory else ''}a directory")
+    if existing != target and not existing.is_dir():
+        raise UsageError(f"{flag} {path}: {existing} is not a directory")
+
+
 def _check_run_args(args) -> None:
     for required in ("scenario", "corpus", "docs"):
         if getattr(args, required) is None:
@@ -149,6 +163,9 @@ def _check_run_args(args) -> None:
         raise UsageError("--top-k must be >= 1")
     if args.relax_threshold is not None and not 0.0 <= args.relax_threshold <= 1.0:
         raise UsageError("--relax-threshold must be in [0, 1]")
+    _check_output_path("--out-dir", args.out_dir or "out", directory=True)  # out/<time> by default
+    _check_output_path("--kb-out", args.kb_out)
+    _check_output_path("--dump-index", args.dump_index)
 
 
 def _restore_from_metadata(args) -> None:
@@ -181,8 +198,7 @@ def _restore_from_metadata(args) -> None:
 def cmd_run(args) -> int:
     if args.from_metadata:
         _restore_from_metadata(args)
-    else:
-        _check_run_args(args)
+    _check_run_args(args)
     scenario = ScenarioConfig.from_id(args.scenario)
     questions = load_qa_corpus(_require_file(args.corpus, "corpus"))
     docs = load_documents(_require_file(args.docs, "docs"))
@@ -279,6 +295,7 @@ def cmd_run(args) -> int:
 def cmd_tutor(args) -> int:
     if args.top_k < 1:
         raise UsageError("--top-k must be >= 1")
+    _check_output_path("--kb-out", args.kb_out)
     docs = load_documents(_require_file(args.docs, "docs"))
     kb = load_kb(args.kb_in) if args.kb_in else KnowledgeBase()
     state = PipelineState(

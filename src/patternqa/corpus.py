@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .treebank import ParseTree, TreeFormatError, leaves, parse_bracketed
+from .treebank import (PUNCTUATION, ParseTree, Sentence, TreeFormatError, analyse, leaves,
+                       parse_bracketed)
 
 
 # the Li & Roth coarse question classes; a gold category is "coarse:fine"
@@ -41,7 +42,7 @@ class Question:
 @dataclass(frozen=True)
 class Document:
     doc_id: str
-    sentences: tuple[tuple[str, ParseTree], ...]
+    sentences: tuple[tuple[str, Sentence], ...]  # (text, analysed parse)
 
 
 _TRAILING_PUNCT = re.compile(r"^(.*?)([.,?!;:]*)$")
@@ -60,16 +61,15 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-_ARTICLES = {"a", "an", "the"}
-_PUNCT = re.compile(r"[^\w\s]")
+ARTICLES = frozenset({"a", "an", "the"})
 
 
 def normalize_answer(text: str) -> str:
     """Lowercase, drop leading articles, strip punctuation, collapse
     whitespace. Idempotent; answer matching is exact on normalized forms."""
-    text = _PUNCT.sub("", text.lower())
+    text = PUNCTUATION.sub("", text.lower())
     tokens = text.split()
-    while tokens and tokens[0] in _ARTICLES:
+    while tokens and tokens[0] in ARTICLES:
         tokens = tokens[1:]
     return " ".join(tokens)
 
@@ -158,6 +158,8 @@ def load_qa_corpus(path) -> list[Question]:
 
 
 def load_documents(path) -> list[Document]:
+    """Load documents in file order, each sentence parsed and analysed into
+    a :class:`Sentence` view; no tree outlives loading."""
     docs = []
     seen = set()
     for lineno, record in read_jsonl(path):
@@ -171,10 +173,10 @@ def load_documents(path) -> list[Document]:
             if not isinstance(sent, dict):
                 raise CorpusError("sentence must be a JSON object", lineno)
             _require_fields(sent, lineno, text=str, parse=str)
-            tree = _parse_tree_field(sent["parse"], lineno)
+            view = analyse(_parse_tree_field(sent["parse"], lineno))
             text = sent["text"]
-            if [t.lower() for t in leaves(tree)] != [t.lower() for t in tokenize(text)]:
+            if list(view.lowered) != [t.lower() for t in tokenize(text)]:
                 raise CorpusError("parse leaves do not match sentence text", lineno)
-            sentences.append((text, tree))
+            sentences.append((text, view))
         docs.append(Document(doc_id=doc_id, sentences=tuple(sentences)))
     return docs

@@ -14,9 +14,8 @@ import re
 from dataclasses import dataclass
 
 from .classify import Category
-from .corpus import normalize_answer, read_table
+from .corpus import ARTICLES, normalize_answer, read_table
 from .retrieval import RetrievedSentence, STOPWORDS
-from .treebank import leaves
 from .unification import RELAX_NONE, CandidateAnswer
 
 MAX_GAZETTEER_SPAN = 5
@@ -65,7 +64,7 @@ def _keep_maximal(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return kept
 
 
-def _regex_spans(tokens: list[str], patterns: list[re.Pattern]) -> list[tuple[int, int]]:
+def _regex_spans(tokens: tuple[str, ...], patterns: list[re.Pattern]) -> list[tuple[int, int]]:
     joined = " ".join(tokens)
     starts, ends = {}, {}
     offset = 0
@@ -82,7 +81,7 @@ def _regex_spans(tokens: list[str], patterns: list[re.Pattern]) -> list[tuple[in
     return _keep_maximal(spans)
 
 
-def _capitalized_runs(tokens: list[str]) -> list[tuple[int, int]]:
+def _capitalized_runs(tokens: tuple[str, ...]) -> list[tuple[int, int]]:
     """Maximal runs of capitalized tokens; a sentence-initial stopword
     ("The ...") does not start a run."""
     spans = []
@@ -100,18 +99,26 @@ def _capitalized_runs(tokens: list[str]) -> list[tuple[int, int]]:
     return spans
 
 
-def _gazetteer_spans(tokens: list[str], forms: frozenset[str]) -> list[tuple[int, int]]:
+def _gazetteer_spans(stripped: tuple[str, ...], forms: frozenset[str]) -> list[tuple[int, int]]:
+    """Shortest known form from each start, over windows of at most
+    MAX_GAZETTEER_SPAN tokens that neither open nor close on an article or
+    punctuation. ``stripped`` holds the tokens lowercased, punctuation
+    removed; joining a window's non-empty ones is ``normalize_answer`` of
+    its text, since its first token is no article."""
     if not forms:
         return []
     spans = []
-    n = len(tokens)
+    n = len(stripped)
     for start in range(n):
-        if not normalize_answer(tokens[start]):  # articles/punctuation cannot open a span
+        if not stripped[start] or stripped[start] in ARTICLES:
             continue
+        words = []
         for end in range(start + 1, min(n, start + MAX_GAZETTEER_SPAN) + 1):
-            if not normalize_answer(tokens[end - 1]):
+            word = stripped[end - 1]
+            if not word:
                 continue
-            if normalize_answer(" ".join(tokens[start:end])) in forms:
+            words.append(word)
+            if word not in ARTICLES and " ".join(words) in forms:
                 spans.append((start, end))
                 break
     return _keep_maximal(spans)
@@ -121,7 +128,7 @@ _OPEN_PARENS = {"(", "-LRB-"}
 _CLOSE_PARENS = {")", "-RRB-"}
 
 
-def _abbreviation_spans(tokens: list[str]) -> list[tuple[int, int]]:
+def _abbreviation_spans(tokens: tuple[str, ...]) -> list[tuple[int, int]]:
     """Runs of uppercase tokens enclosed in parentheses."""
     spans = []
     for i, token in enumerate(tokens):
@@ -151,12 +158,12 @@ def extract_ner(category: Category, sentences: list[RetrievedSentence],
         regex_rules = load_regex_rules()
     out: list[CandidateAnswer] = []
     for sentence in sentences:
-        tokens = leaves(sentence.tree)
+        tokens = sentence.view.tokens
         spans: list[tuple[int, int]] = []
         if category.coarse == "NUM":
             spans = _regex_spans(tokens, regex_rules.get(str(category), []))
         elif category.coarse in ("HUM", "LOC", "ENTY"):
-            spans = list(_gazetteer_spans(tokens, gazetteer.forms(str(category))))
+            spans = _gazetteer_spans(sentence.view.stripped, gazetteer.forms(str(category)))
             for span in _capitalized_runs(tokens):
                 others = gazetteer.coarse_classes_of(" ".join(tokens[span[0]:span[1]]))
                 if others and category.coarse not in others:

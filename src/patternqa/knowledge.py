@@ -10,7 +10,7 @@ question phrase it derives one pattern over the minimal covering span:
     covering constituent (preterminal tag when the span is one token with
     no phrasal cover);
   * each matched question phrase becomes a Syntactic slot labeled the same
-    way from the sentence tree;
+    way from the sentence's constituents;
   * leftover tokens whose stem matches a question content-word stem become
     Syntactic slots over their POS tag;
   * every other token stays Lexical.
@@ -28,10 +28,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .classify import Category, tagged_leaves, wh_word
-from .corpus import Question, normalize_answer, tokenize
+from .corpus import ARTICLES, Question, normalize_answer, tokenize
 from .retrieval import RetrievedSentence, STOPWORDS, content_words
 from .stem import stem
-from .treebank import ParseTree, leaves, node_spans
+from .treebank import ParseTree, Sentence, leaves, node_spans
 
 MAX_PATTERN_ELEMENTS = 12
 SIGNATURE_DEPTH = 2
@@ -124,31 +124,41 @@ def question_signature(question: Question, category: Category) -> Signature:
     return Signature(category=category, structure_key=f"{wh}|{' '.join(labels)}")
 
 
-def _find_subsequence(haystack: list[str], needle: list[str], blocked: tuple[int, int] | None) -> tuple[int, int] | None:
+def _find_subsequence(haystack: tuple[str, ...], needle: tuple[str, ...],
+                      blocked: tuple[int, int] | None) -> tuple[int, int] | None:
+    """First ``(start, end)`` at which ``needle`` occurs in ``haystack``
+    without overlapping ``blocked``."""
     if not needle or len(needle) > len(haystack):
         return None
-    for start in range(len(haystack) - len(needle) + 1):
-        end = start + len(needle)
+    size = len(needle)
+    last = len(haystack) - size  # the last start at which the needle fits
+    start = -1
+    while True:
+        try:
+            start = haystack.index(needle[0], start + 1, last + 1)
+        except ValueError:
+            return None
+        end = start + size
         if haystack[start:end] != needle:
             continue
         if blocked and not (end <= blocked[0] or start >= blocked[1]):
             continue
         return (start, end)
-    return None
 
 
-def _covering_label(spans, start: int, end: int) -> str | None:
+def _covering_label(sentence: Sentence, start: int, end: int) -> str | None:
     """Label of the lowest non-preterminal constituent exactly covering
     [start, end); preterminal tag as fallback for single-token spans."""
     constituent = None
     preterminal = None
-    for nd, s, e in spans:  # preorder: later hits are deeper
-        if s != start or e != end or nd.is_leaf:
+    # preorder: later hits are deeper
+    for e, label, is_preterminal in sentence.constituents[start]:
+        if e != end:
             continue
-        if nd.is_preterminal:
-            preterminal = nd.label
+        if is_preterminal:
+            preterminal = label
         else:
-            constituent = nd.label
+            constituent = label
     if constituent is not None:
         return constituent
     if preterminal is not None and end - start == 1:
@@ -156,56 +166,54 @@ def _covering_label(spans, start: int, end: int) -> str | None:
     return None
 
 
-def _question_phrases(question: Question) -> list[list[str]]:
+def _question_phrases(question: Question) -> list[tuple[str, ...]]:
     """Token sequences of question constituents (non-preterminal internal
     nodes) that contain at least one content word."""
     phrases = []
     seen = set()
+    lowered = [t.lower() for t in leaves(question.parse)]
     for nd, s, e in node_spans(question.parse):
         if nd.is_leaf or nd.is_preterminal:
             continue
-        tokens = [t.lower() for t in leaves(nd)]
+        tokens = tuple(lowered[s:e])
         if not any(t not in STOPWORDS and any(c.isalnum() for c in t) for t in tokens):
             continue
-        key = tuple(tokens)
-        if key in seen:
+        if tokens in seen:
             continue
-        seen.add(key)
+        seen.add(tokens)
         phrases.append(tokens)
     return phrases
 
 
-def _answer_span(sentence_tokens: list[str], answer: str) -> tuple[int, int] | None:
-    lowered = [t.lower() for t in sentence_tokens]
-    raw = [t.lower() for t in tokenize(answer)]
-    span = _find_subsequence(lowered, raw, None)
+def _answer_span(sentence: Sentence, forms) -> tuple[int, int] | None:
+    """First occurrence of the answer's lowercased tokens, else of its
+    normalized words; ``forms`` holds the two."""
+    raw, normalized = forms
+    span = _find_subsequence(sentence.lowered, raw, None)
     if span is not None:
         return span
-    normalized_sentence = [normalize_answer(t) for t in sentence_tokens]
-    normalized = normalize_answer(answer).split()
+    # each token's normalize_answer: its stripped form, blank for an article
+    normalized_sentence = tuple("" if w in ARTICLES else w for w in sentence.stripped)
     return _find_subsequence(normalized_sentence, normalized, None)
 
 
-def _pattern_from_sentence(question_id: str, answer: str, sentence: RetrievedSentence,
-                           signature: Signature, phrases: list[list[str]],
+def _pattern_from_sentence(question_id: str, answer_forms, retrieved: RetrievedSentence,
+                           signature: Signature, phrases: list[tuple[str, ...]],
                            content_stems: set[str]) -> Pattern | None:
-    tree = sentence.tree
-    tokens = leaves(tree)
-    lowered = [t.lower() for t in tokens]
-    ans = _answer_span(tokens, answer)
+    sentence = retrieved.view
+    ans = _answer_span(sentence, answer_forms)
     if ans is None:
         return None
-    spans = node_spans(tree)
-    ans_label = _covering_label(spans, *ans)
+    ans_label = _covering_label(sentence, *ans)
     if ans_label is None:
         return None
 
     matched = []
     for phrase in phrases:
-        hit = _find_subsequence(lowered, phrase, ans)
+        hit = _find_subsequence(sentence.lowered, phrase, ans)
         if hit is None:
             continue
-        label = _covering_label(spans, *hit)
+        label = _covering_label(sentence, *hit)
         if label is None:
             continue
         matched.append((hit, label))
@@ -222,7 +230,8 @@ def _pattern_from_sentence(question_id: str, answer: str, sentence: RetrievedSen
 
     start = min(ans[0], kept[0][0][0])
     end = max(ans[1], kept[-1][0][1])
-    pos_tags = {s: nd.label for nd, s, e in spans if nd.is_preterminal}
+    pos_tags = {s: label for s, nodes in enumerate(sentence.constituents)
+                for _, label, is_preterminal in nodes if is_preterminal}
 
     elements = []
     i = start
@@ -235,7 +244,7 @@ def _pattern_from_sentence(question_id: str, answer: str, sentence: RetrievedSen
             elements.append(element)
             i = span[1]
             continue
-        token = tokens[i]
+        token = sentence.tokens[i]
         if stem(token) in content_stems:
             elements.append(syntactic(pos_tags[i]))
         else:
@@ -243,7 +252,7 @@ def _pattern_from_sentence(question_id: str, answer: str, sentence: RetrievedSen
         i += 1
     if len(elements) > MAX_PATTERN_ELEMENTS:
         return None
-    sentence_id = f"{sentence.doc_id}:{sentence.position}"
+    sentence_id = f"{retrieved.doc_id}:{retrieved.position}"
     return Pattern(tuple(elements), signature, ((question_id, sentence_id),))
 
 
@@ -253,11 +262,13 @@ def learn_patterns(question: Question, answer: str, sentences: Sequence[Retrieve
     deduplicated by elements, provenances merged; sentence order is irrelevant."""
     if not answer:
         return []
+    answer_forms = (tuple(t.lower() for t in tokenize(answer)),
+                    tuple(normalize_answer(answer).split()))
     phrases = _question_phrases(question)
     content_stems = {stem(w) for w in content_words(question.parse)}
     by_elements: dict[tuple, list[tuple[str, str]]] = {}
     for sentence in sorted(sentences, key=lambda s: (s.doc_id, s.position)):
-        pattern = _pattern_from_sentence(question.id, answer, sentence, signature,
+        pattern = _pattern_from_sentence(question.id, answer_forms, sentence, signature,
                                          phrases, content_stems)
         if pattern is None:
             continue

@@ -127,7 +127,7 @@ def pattern_candidates(patterns: list[Pattern], sentences: Sequence[RetrievedSen
         seen = set()
         for sentence in sentences:
             for pattern in patterns:
-                for cand in unify(pattern, sentence.tree, cfg):
+                for cand in unify(pattern, sentence.view, cfg):
                     key = (sentence.doc_id, sentence.position, cand.span)
                     if key in seen:
                         continue

@@ -2,18 +2,22 @@
 
 A plain inverted index with BM25 scoring (k1=1.2, b=0.75) stands in for a
 full search engine; the unit of retrieval is the sentence because pattern
-unification operates on single sentence trees.
+unification operates on single sentences. The index holds each sentence's
+analysed :class:`~patternqa.treebank.Sentence` view, which retrieval hands
+on to extraction and learning; index terms come from the view's lowercased
+tokens.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .corpus import Document
-from .treebank import ParseTree, leaves
+from .treebank import ParseTree, Sentence, leaves
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -27,23 +31,23 @@ def _load_stopwords() -> frozenset[str]:
 STOPWORDS = _load_stopwords()
 
 
+def _content_terms(lowered) -> list[str]:
+    return [low for low in lowered
+            if low not in STOPWORDS and any(c.isalnum() for c in low)]
+
+
 def content_words(tree: ParseTree) -> list[str]:
     """Non-stopword leaves of a parse, lowercased; the query-formulation rule."""
-    out = []
-    for tok in leaves(tree):
-        low = tok.lower()
-        if low in STOPWORDS or not any(c.isalnum() for c in low):
-            continue
-        out.append(low)
-    return out
+    return _content_terms(tok.lower() for tok in leaves(tree))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexedSentence:
     doc_id: str
     position: int  # sentence offset within its document
     text: str
-    tree: ParseTree
+    view: Sentence
+    k1_norm: float  # BM25_K1 * the length normalization of this sentence
 
 
 @dataclass
@@ -58,10 +62,10 @@ class Index:
         return len(self.sentences)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievedSentence:
     text: str
-    tree: ParseTree
+    view: Sentence
     score: float
     doc_id: str
     position: int
@@ -71,11 +75,12 @@ def build_index(docs: list[Document]) -> Index:
     """Index lowercased, stopword-filtered sentence terms. Deterministic:
     the same documents always produce the same index."""
     index = Index()
+    entries = []
     for doc in docs:
-        for position, (text, tree) in enumerate(doc.sentences):
-            sid = len(index.sentences)
-            index.sentences.append(IndexedSentence(doc.doc_id, position, text, tree))
-            terms = content_words(tree)
+        for position, (text, view) in enumerate(doc.sentences):
+            sid = len(entries)
+            entries.append((doc.doc_id, position, text, view))
+            terms = _content_terms(view.lowered)
             index.doc_lengths.append(len(terms))
             counts: dict[str, int] = {}
             for term in terms:
@@ -84,33 +89,42 @@ def build_index(docs: list[Document]) -> Index:
                 index.postings.setdefault(term, []).append((sid, tf))
     if index.doc_lengths:
         index.avg_length = sum(index.doc_lengths) / len(index.doc_lengths)
+    # an average of 0 means no sentence has a term, so no norm is ever read
+    avg = index.avg_length or 1.0
+    index.sentences = [
+        IndexedSentence(*entry, BM25_K1 * (1.0 - BM25_B + BM25_B * length / avg))
+        for entry, length in zip(entries, index.doc_lengths)
+    ]
     return index
 
 
 def retrieve(index: Index, query_terms: list[str], k: int = 20) -> list[RetrievedSentence]:
     """Top-k sentences by BM25; ties broken by (doc_id, position) ascending.
-    k=0 yields an empty list; fewer than k are returned when fewer match."""
+    k=0 yields an empty list; fewer than k are returned when fewer match.
+    Query terms are summed in sorted order, so a score does not depend on
+    the hash seed (float addition is not associative)."""
     if k <= 0 or index.size == 0:
         return []
     n = index.size
+    sentences = index.sentences
     scores: dict[int, float] = {}
-    for term in set(t.lower() for t in query_terms):
+    for term in sorted({t.lower() for t in query_terms}):
         plist = index.postings.get(term)
         if not plist:
             continue
         df = len(plist)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         for sid, tf in plist:
-            length_norm = 1.0 - BM25_B + BM25_B * index.doc_lengths[sid] / index.avg_length
-            scores[sid] = scores.get(sid, 0.0) + idf * tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * length_norm)
-    ranked = sorted(
-        scores.items(),
-        key=lambda item: (-item[1], index.sentences[item[0]].doc_id, index.sentences[item[0]].position),
+            norm = sentences[sid].k1_norm
+            scores[sid] = scores.get(sid, 0.0) + idf * tf * (BM25_K1 + 1.0) / (tf + norm)
+    ranked = heapq.nsmallest(
+        k, scores.items(),
+        key=lambda item: (-item[1], sentences[item[0]].doc_id, sentences[item[0]].position),
     )
     out = []
-    for sid, score in ranked[:k]:
-        sent = index.sentences[sid]
-        out.append(RetrievedSentence(sent.text, sent.tree, score, sent.doc_id, sent.position))
+    for sid, score in ranked:
+        sent = sentences[sid]
+        out.append(RetrievedSentence(sent.text, sent.view, score, sent.doc_id, sent.position))
     return out
 
 

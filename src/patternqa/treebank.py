@@ -1,14 +1,21 @@
-"""Penn-bracketed constituency trees: parsing, serialization, traversal.
+"""Penn-bracketed constituency trees: parsing, serialization, traversal,
+and the analysed :class:`Sentence` view.
 
 Trees are immutable after construction and safe to share across readers.
 Labels are opaque text; no fixed tagset is imposed here (the tag hierarchy
 used for relaxed matching lives in :mod:`patternqa.unification`).
+
+A document sentence is analysed once, when it is loaded: :func:`analyse`
+walks its tree a single time and keeps only what unification, NER, pattern
+learning and indexing read (tokens in three spellings and the constituents
+by start offset). The tree itself is not kept.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from sys import intern
 
 
 class TreeFormatError(ValueError):
@@ -20,7 +27,7 @@ class TreeFormatError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseTree:
     """A constituency tree node.
 
@@ -64,6 +71,9 @@ def strip_decorations(label: str) -> str:
             return head
     return label
 
+
+# what answer normalization strips from a lowercased token
+PUNCTUATION = re.compile(r"[^\w\s]")
 
 _ATOM = re.compile(r"[^()\s]+")
 
@@ -190,3 +200,36 @@ def node_spans(tree: ParseTree) -> list[tuple[ParseTree, int, int]]:
             out[entry] = (nd, start, count)
         else:
             return out
+
+
+@dataclass(frozen=True, slots=True)
+class Sentence:
+    """A sentence tree, analysed once. Position ``i`` of each token tuple is
+    leaf ``i``: ``tokens`` verbatim, ``lowered`` lowercased, ``stripped``
+    lowercased with punctuation removed ("" for a punctuation-only token).
+    ``constituents[i]`` lists the internal nodes whose span starts at leaf
+    ``i`` as ``(end, label, is_preterminal)``, in preorder, so a node comes
+    before the nodes below it."""
+
+    tokens: tuple[str, ...]
+    lowered: tuple[str, ...]
+    stripped: tuple[str, ...]
+    constituents: tuple[tuple[tuple[int, str, bool], ...], ...]
+
+
+def analyse(tree: ParseTree) -> Sentence:
+    """The :class:`Sentence` view of ``tree``, from one walk. Tokens and
+    labels are interned, so the views of a collection share their strings."""
+    spans = node_spans(tree)
+    tokens = tuple(intern(nd.token) for nd, _, _ in spans if nd.token is not None)
+    lowered = tuple(intern(token.lower()) for token in tokens)
+    by_start: list[list[tuple[int, str, bool]]] = [[] for _ in tokens]
+    for nd, start, end in spans:
+        if nd.token is None:
+            by_start[start].append((end, intern(nd.label), nd.is_preterminal))
+    return Sentence(
+        tokens=tokens,
+        lowered=lowered,
+        stripped=tuple(intern(PUNCTUATION.sub("", low)) for low in lowered),
+        constituents=tuple(map(tuple, by_start)),
+    )

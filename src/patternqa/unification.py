@@ -1,26 +1,30 @@
 """Pattern/sentence unification with lexical and syntactic relaxation.
 
-A pattern is aligned against consecutive units of a sentence parse: a
-Lexical element consumes one leaf whose token matches it, a Syntactic or
+A pattern is aligned against consecutive units of a sentence parse, read
+from its analysed :class:`~patternqa.treebank.Sentence` view: a Lexical
+element consumes one leaf whose token matches it, a Syntactic or
 AnswerSlot element consumes a preterminal or constituent carrying a
 matching label. Candidate alignments are explored top-down, left-to-right,
 depth-first; every leaf offset at which the remaining sentence is long
 enough is tried. Relaxation (string-similarity token matching,
 superclass-compatible tags) applies only as far as the given config
-enables it; when to relax is decided by the caller.
+enables it; when to relax is decided by the caller. Without lexical
+relaxation a pattern whose literal tokens are not all in the sentence
+cannot align, which is tested before any alignment is tried.
 
-All functions here are pure over immutable inputs; parallel evaluation
-across sentences is safe as long as result lists are merged in sentence
-order.
+All functions here are pure over immutable inputs (patterns, views and
+configs); parallel evaluation across sentences is safe as long as result
+lists are merged in sentence order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .corpus import read_table
 from .knowledge import ANSWER_SLOT, LEXICAL, Pattern
-from .treebank import ParseTree, leaves, node_spans
+from .treebank import Sentence
 
 RELAX_NONE = "none"
 RELAX_LEXICAL = "lexical"
@@ -103,7 +107,7 @@ class RelaxConfig:
         if self.lexical_measure not in DEFAULT_THRESHOLDS:
             raise ValueError(f"unknown measure {self.lexical_measure!r}")
 
-    @property
+    @cached_property
     def hierarchy(self) -> dict[str, str]:
         return dict(self.tag_hierarchy)
 
@@ -143,64 +147,56 @@ _RELAXATION = {
 }
 
 
-def _alignments(pattern: Pattern, tokens, nodes_by_start, start, config, hierarchy):
-    """Yield (answer_span, lexical_used, syntactic_used) for alignments of
-    the full element sequence beginning at leaf offset ``start``. Tokens
-    match by similarity only when ``config`` enables lexical relaxation;
-    tags match by superclass only when a ``hierarchy`` is given."""
-    n = len(tokens)
+def unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig) -> list[CandidateAnswer]:
+    """Extract candidate answers for one pattern against one analysed
+    sentence, in one alignment pass under ``config`` (exact when it enables
+    no relaxation). A span keeps the relaxation of the first alignment that
+    reached it. Results are deduplicated by span and ordered by position.
+    """
+    lowered = sentence.lowered
+    elements = [(e.kind, e.value.lower() if e.kind == LEXICAL else e.value)
+                for e in pattern.elements]
+    lexical_on = config.enable_lexical
+    if not lexical_on and any(kind == LEXICAL and value not in lowered
+                              for kind, value in elements):
+        return []
+    constituents = sentence.constituents
+    hierarchy = config.hierarchy if config.enable_syntactic else None
+    n, size = len(lowered), len(elements)
+    found: dict[tuple[int, int], str] = {}
 
+    # depth-first over the elements from leaf offset ``pos``; an alignment
+    # of all of them records its answer span
     def match(idx, pos, captured, lex_used, syn_used):
-        if idx == len(pattern.elements):
-            yield captured, lex_used, syn_used
+        if idx == size:
+            if captured is not None and captured not in found:
+                found[captured] = _RELAXATION[lex_used, syn_used]
             return
-        remaining = len(pattern.elements) - idx
-        if n - pos < remaining:
+        if n - pos < size - idx:
             return
-        element = pattern.elements[idx]
-        if element.kind == LEXICAL:
-            token = tokens[pos]
-            if token.lower() == element.value.lower():
-                yield from match(idx + 1, pos + 1, captured, lex_used, syn_used)
-            elif config.enable_lexical and lexical_similarity(
-                token.lower(), element.value.lower(), config.lexical_measure
+        kind, value = elements[idx]
+        if kind == LEXICAL:
+            token = lowered[pos]
+            if token == value:
+                match(idx + 1, pos + 1, captured, lex_used, syn_used)
+            elif lexical_on and lexical_similarity(
+                token, value, config.lexical_measure
             ) >= config.lexical_threshold:
-                yield from match(idx + 1, pos + 1, captured, True, syn_used)
+                match(idx + 1, pos + 1, captured, True, syn_used)
             return
-        for end, label in nodes_by_start.get(pos, ()):
-            if label == element.value:
+        for end, label, _ in constituents[pos]:
+            if label == value:
                 relaxed = False
-            elif hierarchy is not None and tag_compatible(label, element.value, hierarchy):
+            elif hierarchy is not None and tag_compatible(label, value, hierarchy):
                 relaxed = True
             else:
                 continue
-            cap = (pos, end) if element.kind == ANSWER_SLOT else captured
-            yield from match(idx + 1, end, cap, lex_used, syn_used or relaxed)
+            match(idx + 1, end, (pos, end) if kind == ANSWER_SLOT else captured,
+                  lex_used, syn_used or relaxed)
 
-    yield from match(0, start, None, False, False)
-
-
-def unify(pattern: Pattern, sentence: ParseTree, config: RelaxConfig) -> list[CandidateAnswer]:
-    """Extract candidate answers for one pattern against one sentence tree,
-    in one alignment pass under ``config`` (exact when it enables no
-    relaxation). A span keeps the relaxation of the first alignment that
-    reached it. Results are deduplicated by span and ordered by position.
-    """
-    tokens = leaves(sentence)
-    nodes_by_start: dict[int, list[tuple[int, str]]] = {}
-    for nd, s, e in node_spans(sentence):  # preorder, so higher nodes come first
-        if nd.is_leaf:
-            continue
-        nodes_by_start.setdefault(s, []).append((e, nd.label))
-    hierarchy = config.hierarchy if config.enable_syntactic else None
-
-    found: dict[tuple[int, int], str] = {}
-    for start in range(len(tokens) - len(pattern.elements) + 1):
-        for span, lex_used, syn_used in _alignments(
-            pattern, tokens, nodes_by_start, start, config, hierarchy
-        ):
-            if span is not None and span not in found:
-                found[span] = _RELAXATION[lex_used, syn_used]
+    for start in range(n - size + 1):
+        match(0, start, None, False, False)
+    tokens = sentence.tokens
     return [
         CandidateAnswer(
             text=" ".join(tokens[span[0] : span[1]]),

@@ -8,7 +8,7 @@ from patternqa.extraction import load_gazetteer
 from patternqa.knowledge import KnowledgeBase, question_signature
 from patternqa.pipeline import PipelineState
 from patternqa.retrieval import RetrievedSentence, build_index
-from patternqa.treebank import parse_bracketed
+from patternqa.treebank import analyse, parse_bracketed
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -44,7 +44,7 @@ def dante_question():
 def dante_sentence():
     return RetrievedSentence(
         text="Dante has written The Divine Comedy",
-        tree=parse_bracketed(DANTE_SENTENCE_PARSE),
+        view=analyse(parse_bracketed(DANTE_SENTENCE_PARSE)),
         score=1.0,
         doc_id="doc",
         position=0,

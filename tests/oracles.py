@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from patternqa.corpus import normalize_answer
+from patternqa.extraction import MAX_GAZETTEER_SPAN, _keep_maximal
 from patternqa.knowledge import ANSWER_SLOT, LEXICAL, Pattern, Signature, answer_slot, lexical, syntactic
 from patternqa.classify import Category
 from patternqa.pipeline import CheckpointReport, apply_feedback, oracle_select, pattern_candidates
@@ -186,6 +188,26 @@ def naive_revise(state, pending: list[str], checkpoint: int,
         if learn_on_revision:
             report.patterns_learned += apply_feedback(state, record, final.text)
     return report
+
+
+def gazetteer_spans_oracle(tokens: list[str], forms: frozenset[str]) -> list[tuple[int, int]]:
+    """Gazetteer windows found by normalizing the text of every window of at
+    most MAX_GAZETTEER_SPAN tokens that opens and closes on a token that
+    normalizes to something."""
+    if not forms:
+        return []
+    spans = []
+    n = len(tokens)
+    for start in range(n):
+        if not normalize_answer(tokens[start]):  # articles/punctuation cannot open a span
+            continue
+        for end in range(start + 1, min(n, start + MAX_GAZETTEER_SPAN) + 1):
+            if not normalize_answer(tokens[end - 1]):
+                continue
+            if normalize_answer(" ".join(tokens[start:end])) in forms:
+                spans.append((start, end))
+                break
+    return _keep_maximal(spans)
 
 
 def count_metrics_oracle(records: list[dict]) -> list[tuple[int, float, float]]:

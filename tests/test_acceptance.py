@@ -20,7 +20,7 @@ from patternqa.evaluation import f_measure
 from patternqa.knowledge import learn_patterns, question_signature
 from patternqa.pipeline import (RevisionSchedule, ScenarioConfig,
                                 run_sequence)
-from patternqa.treebank import parse_bracketed
+from patternqa.treebank import analyse, parse_bracketed
 from patternqa.unification import (default_config, levenshtein_distance,
                                    unify)
 
@@ -44,7 +44,7 @@ def test_worked_example_fidelity(dante_question, dante_sentence):
                 ("syntactic", "VBN"), ("syntactic", "NP")]
     got = [[(e.kind, e.value) for e in p.elements] for p in patterns]
     shape_ok = got == [expected]
-    closure = unify(patterns[0], dante_sentence.tree, default_config().exact()) if patterns else []
+    closure = unify(patterns[0], dante_sentence.view, default_config().exact()) if patterns else []
     closure_ok = any(normalize_answer(c.text) == "dante" for c in closure)
     assert report("worked-example-fidelity", shape_ok and closure_ok,
                   f"learned {got}, closure {[c.text for c in closure]}")
@@ -53,9 +53,9 @@ def test_worked_example_fidelity(dante_question, dante_sentence):
 def test_relaxation_fidelity(dante_question, dante_sentence):
     pattern = learn_patterns(dante_question, "Dante", [dante_sentence],
                              signature_of(dante_question))[0]
-    nn_subject = parse_bracketed(
+    nn_subject = analyse(parse_bracketed(
         "(S (NN poet) (VP (VBZ has) (VP (VBN written) "
-        "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
+        "(NP (DT The) (NNP Divine) (NNP Comedy)))))"))
     exact = unify(pattern, nn_subject, default_config().exact())
     relaxed = unify(pattern, nn_subject, default_config())
     ok = (exact == []
@@ -65,7 +65,7 @@ def test_relaxation_fidelity(dante_question, dante_sentence):
                   f"exact={len(exact)} relaxed={[(c.text, c.relaxation_used) for c in relaxed]}")
 
 
-def test_oracle_equivalence_exact_unification(make_state, fixture_questions, fixture_docs):
+def test_oracle_equivalence_exact_unification(make_state, fixture_questions):
     rng = random.Random(2024)
     config = default_config().exact()
     pairs = 0
@@ -74,7 +74,7 @@ def test_oracle_equivalence_exact_unification(make_state, fixture_questions, fix
         tree = random_tree(rng, max_leaves=12)
         pattern = random_pattern(rng, tree)
         pairs += 1
-        mine = {c.span for c in unify(pattern, tree, config)}
+        mine = {c.span for c in unify(pattern, analyse(tree), config)}
         oracle = brute_force_answer_spans(pattern, tree)
         if mine != oracle:
             mismatches.append((pattern.render(), mine, oracle))
@@ -82,11 +82,12 @@ def test_oracle_equivalence_exact_unification(make_state, fixture_questions, fix
     state = make_state()
     run_sequence(state, fixture_questions, ScenarioConfig.from_id(2))
     learned = [p for sig in state.kb.signatures() for p in state.kb.lookup(sig)]
-    for doc in fixture_docs:
-        for _, tree in doc.sentences:
+    for line in (FIXTURES / "docs.jsonl").read_text().splitlines():
+        for sentence in json.loads(line)["sentences"]:
+            tree = parse_bracketed(sentence["parse"])
             for pattern in learned:
                 pairs += 1
-                mine = {c.span for c in unify(pattern, tree, config)}
+                mine = {c.span for c in unify(pattern, analyse(tree), config)}
                 if mine != brute_force_answer_spans(pattern, tree):
                     mismatches.append((pattern.render(), tree, mine))
     assert report("oracle-equivalence", not mismatches,

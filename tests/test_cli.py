@@ -280,6 +280,45 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv
     assert err.startswith(f"usage error: {message} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--out-dir", "{file}"), "--out-dir {file} is not a directory"),
+    (("run", "--out-dir", "{file}/sub"), "--out-dir {file}/sub: {file} is not a directory"),
+    (("run", "--out-dir", "{out}", "--kb-out", "{dir}"), "--kb-out {dir} is a directory"),
+    (("run", "--out-dir", "{out}", "--kb-out", "{file}/kb.json"),
+     "--kb-out {file}/kb.json: {file} is not a directory"),
+    (("run", "--out-dir", "{out}", "--dump-index", "{dir}"), "--dump-index {dir} is a directory"),
+    (("run", "--from-metadata", "{meta}", "--out-dir", "{file}"),
+     "--out-dir {file} is not a directory"),
+    (("tutor", "--kb-out", "{dir}"), "--kb-out {dir} is a directory"),
+], ids=["run-out-dir-is-a-file", "run-out-dir-under-a-file", "run-kb-out-is-a-directory",
+        "run-kb-out-under-a-file", "run-dump-index-is-a-directory",
+        "rerun-out-dir-is-a-file", "tutor-kb-out-is-a-directory"])
+def test_unwritable_output_path_is_usage_error_before_loading(tmp_path, monkeypatch, capsys,
+                                                              argv, message):
+    """A bad output path is reported before any input is read: the inputs
+    named here do not exist, so reading one would be a data error."""
+    paths = {"file": tmp_path / "file", "dir": tmp_path, "out": tmp_path / "run",
+             "meta": tmp_path / "metadata.json"}
+    paths["file"].write_text("")
+    paths["meta"].write_text(json.dumps({"config": {**RECORDED_CONFIG, "corpus": "missing.jsonl",
+                                                    "docs": "missing.jsonl"}}))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
+    inputs = () if "--from-metadata" in argv else (
+        ("--scenario", "2", "--corpus", "missing.jsonl", "--docs", "missing.jsonl")
+        if argv[0] == "run" else ("--docs", "missing.jsonl"))
+    assert run_cli(*(arg.format(**paths) for arg in argv), *inputs) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: {message.format(**paths)}\n"
+    assert not paths["out"].exists()
+
+
+def test_default_out_dir_below_a_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").write_text("")
+    assert run_cli("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS) == 1
+    assert capsys.readouterr().err == "usage error: --out-dir out is not a directory\n"
+
+
 RECORDED_CONFIG = {"scenario": 2, "corpus": CORPUS, "docs": DOCS, "top_k": 20,
                    "relax_measure": "levenshtein", "relax_threshold": 0.8, "lexical_relax": True,
                    "syntactic_relax": True, "revise_interval": 10, "learn_on_revision": True,

@@ -133,7 +133,7 @@ def test_match_is_exact_not_containment():
 
 
 def test_fixture_parses_are_canonical(fixture_questions, fixture_docs):
-    from patternqa.treebank import serialize
+    from patternqa.treebank import analyse, parse_bracketed, serialize
 
     import json as _json
     from .conftest import FIXTURES
@@ -144,6 +144,10 @@ def test_fixture_parses_are_canonical(fixture_questions, fixture_docs):
         raw[record["id"]] = record["parse"]
     for question in fixture_questions:
         assert serialize(question.parse) == raw[question.id]
-    for doc in fixture_docs:
-        for _, tree in doc.sentences:
-            assert serialize(tree)  # parses round-trip through the serializer
+    loaded = [view for doc in fixture_docs for _, view in doc.sentences]
+    parses = [sentence["parse"] for line in (FIXTURES / "docs.jsonl").read_text().splitlines()
+              for sentence in _json.loads(line)["sentences"]]
+    assert len(loaded) == len(parses)
+    for view, parse in zip(loaded, parses):
+        assert serialize(parse_bracketed(parse)) == parse
+        assert view == analyse(parse_bracketed(parse))

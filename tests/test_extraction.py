@@ -1,15 +1,19 @@
+from hypothesis import example, given, strategies as st
+
 from patternqa.classify import Category
 from patternqa.corpus import normalize_answer
-from patternqa.extraction import extract_ner, load_gazetteer, load_regex_rules
+from patternqa.extraction import _gazetteer_spans, extract_ner, load_gazetteer, load_regex_rules
 from patternqa.retrieval import RetrievedSentence
-from patternqa.treebank import parse_bracketed
+from patternqa.treebank import PUNCTUATION, analyse, leaf, node, parse_bracketed
+
+from .oracles import gazetteer_spans_oracle
 
 GAZETTEER = load_gazetteer()
 REGEX_RULES = load_regex_rules()
 
 
 def rsent(text, parse, doc_id="doc", position=0):
-    return RetrievedSentence(text, parse_bracketed(parse), 1.0, doc_id, position)
+    return RetrievedSentence(text, analyse(parse_bracketed(parse)), 1.0, doc_id, position)
 
 
 COLUMBUS = rsent(
@@ -97,8 +101,8 @@ def test_abbreviation_extraction():
 def test_spans_never_overlap_per_sentence():
     sentences = [
         COLUMBUS,
-        DANTE.__class__(DANTE.text, DANTE.tree, 1.0, "doc", 1),
-        FRANCE.__class__(FRANCE.text, FRANCE.tree, 1.0, "doc", 2),
+        DANTE.__class__(DANTE.text, DANTE.view, 1.0, "doc", 1),
+        FRANCE.__class__(FRANCE.text, FRANCE.view, 1.0, "doc", 2),
     ]
     for category in (Category("HUM", "ind"), Category("NUM", "date"), Category("LOC", "country")):
         out = extract_ner(category, sentences, GAZETTEER, REGEX_RULES)
@@ -147,3 +151,31 @@ def test_regex_values_keep_their_spaces(tmp_path):
     rx_path = tmp_path / "rx.tsv"
     rx_path.write_text("# comment\n\n  NUM:count\t [0-9]+ \n")
     assert [p.pattern for p in load_regex_rules(rx_path)["NUM:count"]] == [" [0-9]+ "]
+
+
+# articles in both cases, punctuation-only tokens, bracket tokens, dotted
+# abbreviations and non-ASCII tokens (final sigma, dotted capital I)
+GAZETTEER_TOKENS = st.sampled_from([
+    "the", "The", "THE", "a", "A", "an", "An", ",", ".", "--", "'", "-LRB-", "-RRB-",
+    "U.S.", "u.s", "US", "New", "york", "York", "of", "Bay", "Pigs", "Zürich", "ZÜRICH",
+    "São", "Paulo", "ΟΔΟΣ", "οδος", "İstanbul", "Tom's", "_", "3-0",
+]) | st.text(alphabet="aZé.-'Σ_ ", min_size=1, max_size=4).map(lambda t: t.replace(" ", ""))
+
+
+@example(["The", "New", "York", "."], [(0, 3)])
+@example(["Bay", "of", "the", ",", "Pigs", "the"], [(0, 6)])
+@given(st.lists(GAZETTEER_TOKENS.filter(bool), min_size=1, max_size=12),
+       st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=6))
+def test_gazetteer_window_join_matches_normalized_windows(tokens, windows):
+    """Joining a window's stripped tokens gives the same spans as
+    normalizing the window's text, against forms drawn from the sentence's
+    own windows plus a few others."""
+    forms = {normalize_answer(" ".join(tokens[s:e])) for s, e in windows}
+    # forms that are not normalized (the gazetteer loader normalizes every
+    # form) tell the window rules apart from normalization alone
+    forms |= {" ".join(PUNCTUATION.sub("", t.lower()) for t in tokens[s:e]) for s, e in windows}
+    forms |= {"new york", "bay of pigs", "us", "zürich", "the", "a bay"}
+    stripped = analyse(node("S", [node("NN", [leaf(token)]) for token in tokens])).stripped
+    assert _gazetteer_spans(stripped, frozenset(forms)) == \
+        gazetteer_spans_oracle(tokens, frozenset(forms))
+    assert _gazetteer_spans(stripped, frozenset()) == []

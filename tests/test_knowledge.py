@@ -1,24 +1,27 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patternqa.classify import Category, classify
-from patternqa.corpus import Question, normalize_answer
-from patternqa.knowledge import (ANSWER_SLOT, KnowledgeBase, Pattern,
-                                 PatternElement, answer_slot, learn_patterns,
+from patternqa.corpus import COARSE_CLASSES, Question, normalize_answer, tokenize
+from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, SYNTACTIC, KnowledgeBase, Pattern,
+                                 PatternElement, Signature, answer_slot, learn_patterns,
                                  lexical, load_kb, question_signature, save_kb,
                                  syntactic)
 from patternqa.retrieval import RetrievedSentence
-from patternqa.treebank import parse_bracketed
+from patternqa.treebank import analyse, dfs_nodes, leaf, leaves, node, parse_bracketed
 from patternqa.unification import default_config, unify
 
 from .conftest import signature_of
-from .oracles import TEST_SIGNATURE
+from .oracles import TEST_SIGNATURE, random_tree
 
 
 def rsent(text, parse, doc_id="doc", position=0):
-    return RetrievedSentence(text, parse_bracketed(parse), 1.0, doc_id, position)
+    return RetrievedSentence(text, analyse(parse_bracketed(parse)), 1.0, doc_id, position)
 
 
 def test_worked_example_learns_expected_pattern(dante_question, dante_sentence):
@@ -29,6 +32,21 @@ def test_worked_example_learns_expected_pattern(dante_question, dante_sentence):
         ("answer", "NP"), ("lexical", "has"), ("syntactic", "VBN"), ("syntactic", "NP"),
     ]
     assert patterns[0].render() == "NP_answer has VBN NP"
+
+
+def test_slots_take_the_lowest_of_stacked_constituents(dante_question):
+    """Where unary nodes stack over one span, the lowest phrase labels the
+    slot, and a lone token's tag serves only when no phrase covers it."""
+    stacked = rsent("Dante has written The Divine Comedy",
+                    "(S (UCP (NX (NNP Dante))) (VP (VBZ has) (VP (VBN written) "
+                    "(FRAG (NP (DT The) (NNP Divine) (NNP Comedy))))))")
+    patterns = learn_patterns(dante_question, "Dante", [stacked], signature_of(dante_question))
+    assert [p.render() for p in patterns] == ["NX_answer has VBN NP"]
+    bare = rsent("Dante has written The Divine Comedy",
+                 "(S (NNP Dante) (VP (VBZ has) (VP (VBN written) "
+                 "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
+    patterns = learn_patterns(dante_question, "Dante", [bare], signature_of(dante_question))
+    assert [p.render() for p in patterns] == ["NNP_answer has VBN NP"]
 
 
 def test_empty_sentence_list(dante_question):
@@ -132,9 +150,9 @@ def test_closure_learned_patterns_extract_their_answer(fixture_questions, fixtur
     # sentence recovers the answer (exact mode)
     config = default_config()
     sentences = {
-        (doc.doc_id, i): RetrievedSentence(text, tree, 1.0, doc.doc_id, i)
+        (doc.doc_id, i): RetrievedSentence(text, view, 1.0, doc.doc_id, i)
         for doc in fixture_docs
-        for i, (text, tree) in enumerate(doc.sentences)
+        for i, (text, view) in enumerate(doc.sentences)
     }
     checked = 0
     for question in fixture_questions:
@@ -142,7 +160,7 @@ def test_closure_learned_patterns_extract_their_answer(fixture_questions, fixtur
         for sentence in sentences.values():
             learned = learn_patterns(question, answer, [sentence], signature_of(question))
             for pattern in learned:
-                candidates = unify(pattern, sentence.tree, config.exact())
+                candidates = unify(pattern, sentence.view, config.exact())
                 assert any(normalize_answer(c.text) == normalize_answer(answer)
                            for c in candidates), (question.id, pattern.render())
                 checked += 1
@@ -232,3 +250,93 @@ def test_save_writes_provenance_sorted(tmp_path):
     save_kb(load_kb(path), path)
     saved = json.loads(path.read_text())["signatures"][0]["patterns"][0]["provenance"]
     assert saved == [["q1", "d:1"], ["q1", "d:5"], ["q2", "d:0"]]
+
+
+TOKEN_POOL = ["alpha", "Alpha", "beta", "gamma", "GAMMA", "the", "has", "of", "a", ".", ",",
+              "U.S.", "Zürich", "written", "writes"]
+
+
+def _retoken(tree, rng):
+    """``tree`` with each leaf replaced by a token drawn from TOKEN_POOL."""
+    if tree.is_leaf:
+        return leaf(rng.choice(TOKEN_POOL))
+    return node(tree.label, [_retoken(child, rng) for child in tree.children])
+
+
+def _taught_span(tokens, answer):
+    """The first occurrence of the answer's tokens, compared lowercased, else
+    of its normalized words among the tokens' normalized forms."""
+    for hay, needle in (([t.lower() for t in tokens], [t.lower() for t in tokenize(answer)]),
+                        ([normalize_answer(t) for t in tokens], normalize_answer(answer).split())):
+        for start in range(len(hay) - len(needle) + 1):
+            if needle and hay[start:start + len(needle)] == needle:
+                return start, start + len(needle)
+    return None
+
+
+def test_learner_closure_on_random_sentences():
+    """Every pattern learned from one sentence unifies exactly with that
+    sentence's view and yields the span of the taught answer."""
+    rng = random.Random(41)
+    config = default_config().exact()
+    learned = 0
+    for _ in range(600):
+        tree = _retoken(random_tree(rng, max_leaves=10), rng)
+        subtrees = [nd for nd in dfs_nodes(tree) if not nd.is_leaf]
+        asked = [rng.choice(subtrees) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.3:
+            asked.append(_retoken(random_tree(rng, max_leaves=3), rng))
+        parse = node("SBARQ", [node("WHNP", [node("WP", [leaf("Who")])]), node("SQ", asked)])
+        question = Question(id="q", text=" ".join(leaves(parse)), parse=parse, answers=("x",))
+        answer = " ".join(leaves(rng.choice(subtrees)))
+        if rng.random() < 0.2:
+            answer = rng.choice(["The ", "", "a "]) + answer.upper() + rng.choice(["", "."])
+        sentence = RetrievedSentence(" ".join(leaves(tree)), analyse(tree), 1.0, "doc", 3)
+        for pattern in learn_patterns(question, answer, [sentence], TEST_SIGNATURE):
+            span = _taught_span(sentence.view.tokens, answer)
+            assert span in {c.span for c in unify(pattern, sentence.view, config)}, \
+                (pattern.render(), answer, sentence.text)
+            assert pattern.provenances == {("q", "doc:3")}
+            learned += 1
+    assert learned >= 150
+
+
+ELEMENTS = st.builds(PatternElement, st.sampled_from([LEXICAL, SYNTACTIC]),
+                     st.text(min_size=1, max_size=4))
+SIGNATURES = st.builds(
+    Signature,
+    st.builds(Category, st.sampled_from(sorted(COARSE_CLASSES)), st.text(min_size=1, max_size=3)),
+    st.text(max_size=8))
+
+
+@st.composite
+def knowledge_bases(draw):
+    kb = KnowledgeBase()
+    for _ in range(draw(st.integers(0, 8))):
+        elements = draw(st.lists(ELEMENTS, min_size=1, max_size=5))
+        elements.insert(draw(st.integers(0, len(elements))),
+                        answer_slot(draw(st.text(min_size=1, max_size=3))))
+        provenances = draw(st.sets(st.tuples(st.text(max_size=3), st.text(max_size=3)),
+                                   min_size=1, max_size=4))
+        kb.insert([Pattern(tuple(elements), draw(SIGNATURES), provenances)])
+    for qid, answer in draw(st.lists(st.tuples(st.text(max_size=3), st.text(max_size=5)),
+                                     max_size=4)):
+        kb.record_qa(qid, answer)
+    return kb
+
+
+@settings(max_examples=60, deadline=None)
+@given(knowledge_bases())
+def test_save_load_round_trips_random_kbs(kb):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "kb.json", Path(tmp) / "kb2.json"
+        save_kb(kb, first)
+        loaded = load_kb(first)
+        assert loaded.qa_pairs == kb.qa_pairs
+        assert loaded.signatures() == kb.signatures()
+        for signature in kb.signatures():
+            assert loaded.lookup(signature) == kb.lookup(signature)
+            assert [p.source_questions for p in loaded.lookup(signature)] == \
+                [p.source_questions for p in kb.lookup(signature)]
+        save_kb(loaded, second)
+        assert second.read_bytes() == first.read_bytes()

@@ -13,7 +13,7 @@ from patternqa.pipeline import (Interpretation, PipelineState, RevisionSchedule,
                                 apply_feedback, interpret, pattern_candidates,
                                 revise, run_sequence)
 from patternqa.retrieval import build_index
-from patternqa.treebank import parse_bracketed
+from patternqa.treebank import analyse, parse_bracketed
 from patternqa import pipeline as pipeline_module
 
 from .conftest import DANTE_QUESTION_PARSE, HAMLET_QUESTION_PARSE, signature_of
@@ -42,11 +42,11 @@ def test_revision_checkpoints_strictly_below_total():
 def mini_state():
     docs = [Document("lit", (
         ("Dante has written The Divine Comedy.",
-         parse_bracketed("(S (NP (NNP Dante)) (VP (VBZ has) (VP (VBN written) "
-                         "(NP (DT The) (NNP Divine) (NNP Comedy)))) (. .))")),
+         analyse(parse_bracketed("(S (NP (NNP Dante)) (VP (VBZ has) (VP (VBN written) "
+                                 "(NP (DT The) (NNP Divine) (NNP Comedy)))) (. .))"))),
         ("Shakespeare has written Hamlet.",
-         parse_bracketed("(S (NP (NNP Shakespeare)) (VP (VBZ has) (VP (VBN written) "
-                         "(NP (NNP Hamlet)))) (. .))")),
+         analyse(parse_bracketed("(S (NP (NNP Shakespeare)) (VP (VBZ has) (VP (VBN written) "
+                                 "(NP (NNP Hamlet)))) (. .))"))),
     ))]
     return PipelineState(kb=KnowledgeBase(), index=build_index(docs),
                          gazetteer=load_gazetteer())
@@ -258,8 +258,8 @@ def test_monotone_learning_candidates_grow_with_kb(dante_question, dante_sentenc
                              signature_of(dante_question))
     sh_sentence = dante_sentence.__class__(
         text="Shakespeare has written Hamlet",
-        tree=parse_bracketed("(S (NP (NNP Shakespeare)) (VP (VBZ has) "
-                             "(VP (VBN written) (NP (NNP Hamlet)))))"),
+        view=analyse(parse_bracketed("(S (NP (NNP Shakespeare)) (VP (VBZ has) "
+                                     "(VP (VBN written) (NP (NNP Hamlet)))))")),
         score=1.0, doc_id="doc", position=1)
     config = default_config()
     small = pattern_candidates(learned, [sh_sentence], config)
@@ -280,8 +280,8 @@ def test_pattern_candidates_relax_only_when_nothing_matches_exactly(dante_questi
                              signature_of(dante_question))
     flat_subject = dante_sentence.__class__(
         text="poet has written The Divine Comedy",
-        tree=parse_bracketed("(S (NN poet) (VP (VBZ has) (VP (VBN written) "
-                             "(NP (DT The) (NNP Divine) (NNP Comedy)))))"),
+        view=analyse(parse_bracketed("(S (NN poet) (VP (VBZ has) (VP (VBN written) "
+                                     "(NP (DT The) (NNP Divine) (NNP Comedy)))))")),
         score=1.0, doc_id="doc", position=1)
     config = default_config()
     # the exact pass covers every sentence before any relaxation is tried

@@ -1,13 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from patternqa.corpus import Document
 from patternqa.retrieval import (STOPWORDS, build_index, content_words,
                                  retrieve, serialize_index)
-from patternqa.treebank import parse_bracketed
+from patternqa.treebank import analyse, parse_bracketed
 
 from .conftest import DANTE_QUESTION_PARSE
 
 
 def sent(text, parse):
-    return (text, parse_bracketed(parse))
+    return (text, analyse(parse_bracketed(parse)))
 
 
 DOCS = [
@@ -104,3 +109,34 @@ def test_stopwords_filtered_from_content_words():
     tree = parse_bracketed("(S (DT The) (NN cat) (VBD sat) (. .))")
     assert content_words(tree) == ["cat", "sat"]
     assert "the" in STOPWORDS
+
+
+HASH_SEED_SCRIPT = """
+from patternqa.corpus import Document
+from patternqa.retrieval import build_index, retrieve
+from patternqa.treebank import analyse, parse_bracketed
+
+words = [f"w{i}" for i in range(9)]
+sentences = []
+for i in range(9):
+    kept = [w for j, w in enumerate(words) if (i + 1) % (j + 2) or i == j]
+    parse = "(S " + " ".join(f"(NN {w})" for w in kept) + ")"
+    sentences.append((" ".join(kept), analyse(parse_bracketed(parse))))
+index = build_index([Document("d", tuple(sentences))])
+print([(r.position, r.score.hex()) for r in retrieve(index, words, 9)])
+"""
+
+
+def test_scores_do_not_depend_on_the_hash_seed(tmp_path):
+    """Query terms are summed in sorted order. Float addition is not
+    associative, so summed in set order a score's last bits, and with them
+    the order of tied sentences, would follow PYTHONHASHSEED."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in range(8):
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1

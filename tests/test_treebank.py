@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from patternqa.treebank import (ParseTree, TreeFormatError, dfs_nodes, leaf,
-                                leaves, node_spans, parse_bracketed, serialize,
+from patternqa.corpus import ARTICLES, normalize_answer
+from patternqa.treebank import (ParseTree, TreeFormatError, analyse, dfs_nodes, leaf,
+                                leaves, node, node_spans, parse_bracketed, serialize,
                                 strip_decorations)
 
 from .conftest import DANTE_SENTENCE_PARSE
@@ -114,3 +115,50 @@ def test_invalid_node_construction():
 def test_leaf_label_is_token(token):
     assert leaf(token).label == token
     assert leaf(token).is_leaf
+
+
+TOKENS = st.from_regex(r"[^()\s]{1,5}", fullmatch=True)  # what the parser reads as a token
+LABELS = st.sampled_from(["S", "NP", "VP", "NN", "NNP", "DT", "-LRB-", "-NONE-"])
+# preterminals, and phrases over preterminals, phrases and bare leaves
+TREES = st.recursive(
+    st.builds(lambda label, token: node(label, [leaf(token)]), LABELS, TOKENS),
+    lambda kids: st.builds(node, LABELS,
+                           st.lists(kids | st.builds(leaf, TOKENS), min_size=1, max_size=3)),
+    max_leaves=14)
+
+
+def test_analyse_dante_sentence():
+    view = analyse(parse_bracketed(DANTE_SENTENCE_PARSE))
+    assert view.tokens == tuple(DANTE_TOKENS)
+    assert view.lowered[3] == "the"
+    assert view.constituents[0] == ((6, "S", False), (1, "NP", False), (1, "NNP", True))
+    assert view.constituents[2] == ((6, "VP", False), (3, "VBN", True))
+    assert view.constituents[5] == ((6, "NNP", True),)
+
+
+@given(TREES)
+def test_analyse_matches_tree_walks(tree):
+    view = analyse(tree)
+    assert view.tokens == tuple(leaves(tree))
+    assert view.lowered == tuple(token.lower() for token in view.tokens)
+    # a token's stripped form is its normalize_answer, except for an article
+    assert all(normalize_answer(token) == ("" if word in ARTICLES else word)
+               for token, word in zip(view.tokens, view.stripped))
+    flat = [(start, end, label, preterminal)
+            for start, entries in enumerate(view.constituents)
+            for end, label, preterminal in entries]
+    internal = [(s, e, nd.label, nd.is_preterminal) for nd, s, e in node_spans(tree)
+                if not nd.is_leaf]
+    assert flat == sorted(internal, key=lambda item: item[0])  # stable: preorder within a start
+
+
+def test_analyse_random_trees_and_deep_tree():
+    rng = random.Random(13)
+    for _ in range(50):
+        tree = random_tree(rng)
+        view = analyse(tree)
+        assert view.tokens == tuple(leaves(tree))
+        assert sum(map(len, view.constituents)) == sum(1 for nd in dfs_nodes(tree)
+                                                       if not nd.is_leaf)
+    deep = parse_bracketed("(S " * 1500 + "(NN x)" + ")" * 1500)
+    assert analyse(deep).constituents[0][-1] == (1, "NN", True)

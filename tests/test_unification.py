@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from patternqa.knowledge import Pattern, answer_slot, lexical, syntactic
-from patternqa.treebank import leaves, parse_bracketed
+from patternqa.treebank import analyse, leaves, parse_bracketed
 from patternqa.unification import (RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE,
                                    RELAX_SYNTACTIC, RelaxConfig,
                                    default_config, levenshtein_distance,
@@ -92,7 +92,7 @@ def test_tag_compatibility_reflexive_symmetric():
 
 
 def test_unify_dante_pattern_exact(dante_sentence):
-    candidates = unify(DANTE_PATTERN, dante_sentence.tree, default_config())
+    candidates = unify(DANTE_PATTERN, dante_sentence.view, default_config())
     assert [(c.text, c.span, c.relaxation_used) for c in candidates] == \
         [("Dante", (0, 1), RELAX_NONE)]
     assert candidates[0].strategy == "pattern"
@@ -100,9 +100,9 @@ def test_unify_dante_pattern_exact(dante_sentence):
 
 def test_unify_nn_subject_needs_syntactic_relaxation():
     tree = parse_bracketed(NN_SUBJECT_PARSE)
-    exact = unify(DANTE_PATTERN, tree, default_config().exact())
+    exact = unify(DANTE_PATTERN, analyse(tree), default_config().exact())
     assert exact == []
-    relaxed = unify(DANTE_PATTERN, tree, default_config())
+    relaxed = unify(DANTE_PATTERN, analyse(tree), default_config())
     assert [(c.text, c.relaxation_used) for c in relaxed] == [("poet", RELAX_SYNTACTIC)]
 
 
@@ -110,29 +110,45 @@ def test_unify_lexical_relaxation_for_typo():
     tree = parse_bracketed("(S (NP (NNP Dante)) (VP (VBZ haz) (VP (VBN written) "
                            "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
     config = default_config(threshold=0.6)
-    assert unify(DANTE_PATTERN, tree, config.exact()) == []
-    relaxed = unify(DANTE_PATTERN, tree, config)
+    assert unify(DANTE_PATTERN, analyse(tree), config.exact()) == []
+    relaxed = unify(DANTE_PATTERN, analyse(tree), config)
     assert [(c.text, c.relaxation_used) for c in relaxed] == [("Dante", RELAX_LEXICAL)]
 
 
 def test_unify_both_relaxations():
     tree = parse_bracketed("(S (NN poet) (VP (VBZ haz) (VP (VBN written) "
                            "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
-    relaxed = unify(DANTE_PATTERN, tree, default_config(threshold=0.6))
+    relaxed = unify(DANTE_PATTERN, analyse(tree), default_config(threshold=0.6))
     assert [(c.text, c.relaxation_used) for c in relaxed] == [("poet", RELAX_BOTH)]
+
+
+def test_unify_literal_matches_any_case():
+    tree = parse_bracketed("(S (NP (NNP Dante)) (VP (VBZ HAS) (VP (VBN written) "
+                           "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
+    exact = unify(DANTE_PATTERN, analyse(tree), default_config().exact())
+    assert [(c.text, c.relaxation_used) for c in exact] == [("Dante", RELAX_NONE)]
+
+
+def test_unify_absent_literal_is_empty_unless_relaxed():
+    tree = parse_bracketed("(S (NP (NNP Dante)) (VP (VBZ had) (VP (VBN written) "
+                           "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
+    for config in (default_config().exact(), default_config(enable_lexical=False)):
+        assert unify(DANTE_PATTERN, analyse(tree), config) == []
+    relaxed = unify(DANTE_PATTERN, analyse(tree), default_config(threshold=0.6))
+    assert [(c.text, c.relaxation_used) for c in relaxed] == [("Dante", RELAX_LEXICAL)]
 
 
 def test_unify_incompatible_sentence_is_empty():
     tree = parse_bracketed("(S (NP (NN rain)) (VP (VBD fell)))")
-    assert unify(DANTE_PATTERN, tree, default_config()) == []
+    assert unify(DANTE_PATTERN, analyse(tree), default_config()) == []
 
 
 def test_relaxation_disabled_flags():
     tree = parse_bracketed(NN_SUBJECT_PARSE)
     no_syn = default_config(enable_syntactic=False)
-    assert unify(DANTE_PATTERN, tree, no_syn) == []
+    assert unify(DANTE_PATTERN, analyse(tree), no_syn) == []
     no_lex = default_config(enable_lexical=False)
-    assert [c.text for c in unify(DANTE_PATTERN, tree, no_lex)] == ["poet"]
+    assert [c.text for c in unify(DANTE_PATTERN, analyse(tree), no_lex)] == ["poet"]
 
 
 def test_candidates_are_contiguous_leaf_spans():
@@ -142,7 +158,7 @@ def test_candidates_are_contiguous_leaf_spans():
         tree = random_tree(rng)
         pattern = random_pattern(rng, tree)
         tokens = leaves(tree)
-        for cand in unify(pattern, tree, config):
+        for cand in unify(pattern, analyse(tree), config):
             start, end = cand.span
             assert 0 <= start < end <= len(tokens)
             assert cand.text == " ".join(tokens[start:end])
@@ -154,8 +170,8 @@ def test_exact_candidates_subset_of_relaxed():
     for _ in range(150):
         tree = random_tree(rng)
         pattern = random_pattern(rng, tree)
-        exact = {c.span for c in unify(pattern, tree, config.exact())}
-        relaxed = {c.span for c in unify(pattern, tree, config)}
+        exact = {c.span for c in unify(pattern, analyse(tree), config.exact())}
+        relaxed = {c.span for c in unify(pattern, analyse(tree), config)}
         assert exact <= relaxed
 
 
@@ -165,7 +181,7 @@ def test_exact_unification_matches_brute_force_quick():
     for _ in range(60):
         tree = random_tree(rng)
         pattern = random_pattern(rng, tree)
-        assert {c.span for c in unify(pattern, tree, config)} == \
+        assert {c.span for c in unify(pattern, analyse(tree), config)} == \
             brute_force_answer_spans(pattern, tree)
 
 
@@ -179,7 +195,7 @@ def test_relaxed_unification_matches_brute_force(measure):
         config = default_config(measure, threshold=rng.choice([None, 0.2, 0.5, 0.8]),
                                 enable_lexical=rng.random() < 0.8,
                                 enable_syntactic=rng.random() < 0.8)
-        got = {c.span: c.relaxation_used for c in unify(pattern, tree, config)}
+        got = {c.span: c.relaxation_used for c in unify(pattern, analyse(tree), config)}
         assert got == brute_force_alignments(pattern, tree, config), pattern.render()
         labels.update(got.values())
     assert labels == {RELAX_NONE, RELAX_LEXICAL, RELAX_SYNTACTIC, RELAX_BOTH}
