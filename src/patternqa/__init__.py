@@ -11,7 +11,7 @@ from .pipeline import (Interpretation, Outcome, PipelineState, RevisionSchedule,
                        ScenarioConfig, answer_question, apply_feedback, interpret,
                        run_sequence)
 from .retrieval import Index, RetrievedSentence, build_index, retrieve
-from .treebank import ParseTree, Sentence, analyse, dfs_nodes, leaves, parse_bracketed, serialize
+from .treebank import ParseTree, Sentence, analyse, parse_bracketed, serialize
 from .unification import (CandidateAnswer, RelaxConfig, default_config,
                           lexical_similarity, tag_compatible, unify)
 
@@ -24,7 +24,7 @@ __all__ = [
     "Interpretation", "Outcome", "PipelineState", "RevisionSchedule", "ScenarioConfig",
     "answer_question", "apply_feedback", "interpret", "run_sequence",
     "Index", "RetrievedSentence", "build_index", "retrieve",
-    "ParseTree", "Sentence", "analyse", "dfs_nodes", "leaves", "parse_bracketed", "serialize",
+    "ParseTree", "Sentence", "analyse", "parse_bracketed", "serialize",
     "CandidateAnswer", "RelaxConfig", "default_config",
     "lexical_similarity", "tag_compatible", "unify",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import COARSE_CLASSES, Question, read_table
-from .treebank import ParseTree, dfs_nodes
+from .treebank import Sentence
 
 WH_TAGS = frozenset({"WP", "WP$", "WDT", "WRB"})
 WH_WORDS = frozenset({"who", "whom", "whose", "what", "which", "when", "where", "why", "how"})
@@ -42,9 +42,11 @@ def load_hint_table(path=None) -> dict[str, Category]:
             for noun, label in read_table("head_noun_hints.tsv", path)}
 
 
-def tagged_leaves(tree: ParseTree) -> list[tuple[str, str]]:
+def tagged_leaves(sentence: Sentence) -> list[tuple[str, str]]:
     """``(token, POS tag)`` of each preterminal, left to right."""
-    return [(nd.children[0].token, nd.label) for nd in dfs_nodes(tree) if nd.is_preterminal]
+    return [(sentence.tokens[start], label)
+            for start, entries in enumerate(sentence.constituents)
+            for _, label, is_preterminal in entries if is_preterminal]
 
 
 def wh_word(tagged: list[tuple[str, str]]) -> tuple[str, int]:

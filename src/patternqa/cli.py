@@ -21,7 +21,7 @@ from .knowledge import (MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase,
 from .pipeline import (PipelineState, RevisionSchedule, ScenarioConfig,
                        apply_feedback, extract_candidates, interpret, run_sequence)
 from .retrieval import build_index, serialize_index
-from .treebank import TreeFormatError, leaves, parse_bracketed
+from .treebank import TreeFormatError, analyse, parse_bracketed
 from .unification import default_config
 
 
@@ -139,10 +139,12 @@ _RECORDED = ("scenario", "corpus", "docs", "top_k", "relax_measure", "relax_thre
 _SWITCHES = ("lexical_relax", "syntactic_relax", "learn_on_revision")
 
 
-def _check_output_path(flag: str, path, directory: bool = False) -> None:
+def _check_output_path(flag: str, path, directory: bool = False, created=None) -> None:
     """Reject an output path that cannot be written, before any input is
     loaded: a file path that is a directory, a directory path that is a
-    file, or a path below an existing file."""
+    file, a path below an existing file, or a file path whose parent
+    directory neither exists nor is ``created``, the directory the command
+    makes before writing."""
     if path is None:
         return
     target = Path(path)
@@ -151,6 +153,8 @@ def _check_output_path(flag: str, path, directory: bool = False) -> None:
         raise UsageError(f"{flag} {path} is {'not ' if directory else ''}a directory")
     if existing != target and not existing.is_dir():
         raise UsageError(f"{flag} {path}: {existing} is not a directory")
+    if not directory and existing not in (target, target.parent) and target.parent != created:
+        raise UsageError(f"{flag} {path}: directory {target.parent} does not exist")
 
 
 def _check_run_args(args) -> None:
@@ -164,8 +168,9 @@ def _check_run_args(args) -> None:
     if args.relax_threshold is not None and not 0.0 <= args.relax_threshold <= 1.0:
         raise UsageError("--relax-threshold must be in [0, 1]")
     _check_output_path("--out-dir", args.out_dir or "out", directory=True)  # out/<time> by default
-    _check_output_path("--kb-out", args.kb_out)
-    _check_output_path("--dump-index", args.dump_index)
+    out_dir = Path(args.out_dir) if args.out_dir else None
+    _check_output_path("--kb-out", args.kb_out, created=out_dir)
+    _check_output_path("--dump-index", args.dump_index, created=out_dir)
 
 
 def _restore_from_metadata(args) -> None:
@@ -211,6 +216,9 @@ def cmd_run(args) -> int:
     )
     kb = load_kb(args.kb_in) if args.kb_in else KnowledgeBase()
     index = build_index(docs)
+    # made before any output is written: --dump-index and --kb-out may lie in it
+    out_dir = Path(args.out_dir) if args.out_dir else Path("out") / time.strftime("%Y%m%d-%H%M%S")
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.dump_index:
         Path(args.dump_index).write_text(serialize_index(index) + "\n", "utf-8")
     state = PipelineState(
@@ -223,9 +231,6 @@ def cmd_run(args) -> int:
     schedule = RevisionSchedule(args.revise_interval) if args.revise_interval else None
     result = run_sequence(state, questions, scenario, schedule,
                           learn_on_revision=not args.no_learn_on_revision)
-
-    out_dir = Path(args.out_dir) if args.out_dir else Path("out") / time.strftime("%Y%m%d-%H%M%S")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     log_path = out_dir / "outcomes.jsonl"
     with open(log_path, "w", encoding="utf-8") as handle:
@@ -323,13 +328,13 @@ def cmd_tutor(args) -> int:
         if line.startswith("ask "):
             counter += 1
             try:
-                tree = parse_bracketed(line[4:].strip())
+                view = analyse(parse_bracketed(line[4:].strip()))
             except TreeFormatError as exc:
                 print(f"cannot parse question: {exc}")
                 prompt()
                 continue
             last = interpret(state, Question(id=f"tutor-{counter}",
-                                             text=" ".join(leaves(tree)), parse=tree))
+                                             text=" ".join(view.tokens), parse=view))
             candidates = extract_candidates(state, last, use_patterns=True, use_ner=args.use_ner)
             last_answer = candidates[0].text if candidates else None
             print(f"category: {last.category}")

@@ -4,6 +4,10 @@ answer normalization.
 File formats (JSON Lines, UTF-8):
   questions: {"id", "question", "parse", "category"?, "answers": [...]}
   documents: {"doc_id", "sentences": [{"text", "parse"}, ...]}
+
+Every parse, a question's or a document sentence's, is analysed once while
+it is read into a :class:`~patternqa.treebank.Sentence` view; no tree
+outlives loading.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .treebank import (PUNCTUATION, ParseTree, Sentence, TreeFormatError, analyse, leaves,
-                       parse_bracketed)
+from .treebank import PUNCTUATION, Sentence, TreeFormatError, analyse, parse_bracketed
 
 
 # the Li & Roth coarse question classes; a gold category is "coarse:fine"
@@ -34,7 +37,7 @@ class CorpusError(ValueError):
 class Question:
     id: str
     text: str
-    parse: ParseTree
+    parse: Sentence  # the analysed parse; the tree is not kept
     category: str | None = None  # gold "coarse:fine" label, when present
     answers: tuple[str, ...] = ()
 
@@ -101,11 +104,16 @@ def _require_fields(record: dict, lineno: int, **kinds) -> None:
             raise CorpusError(f"{key} must be a {'string' if kind is str else 'list'}", lineno)
 
 
-def _parse_tree_field(raw, lineno) -> ParseTree:
+def _analysed_parse(raw, text: str, lineno: int, what: str) -> Sentence:
+    """The :class:`Sentence` view of the bracketed parse ``raw``, whose
+    leaves must be the tokens of ``text`` up to case."""
     try:
-        return parse_bracketed(raw)
+        view = analyse(parse_bracketed(raw))
     except TreeFormatError as exc:
         raise CorpusError(f"bad parse: {exc}", lineno) from exc
+    if list(view.lowered) != [t.lower() for t in tokenize(text)]:
+        raise CorpusError(f"parse leaves do not match {what}", lineno)
+    return view
 
 
 def read_jsonl(path):
@@ -125,7 +133,8 @@ def read_jsonl(path):
 
 
 def load_qa_corpus(path) -> list[Question]:
-    """Load questions in file order (order matters for running metrics)."""
+    """Load questions in file order (order matters for running metrics),
+    each parse analysed into a :class:`Sentence` view."""
     questions = []
     seen = set()
     for lineno, record in read_jsonl(path):
@@ -137,9 +146,7 @@ def load_qa_corpus(path) -> list[Question]:
         answers = record["answers"]
         if not answers:
             raise CorpusError("answers must be a non-empty list", lineno)
-        tree = _parse_tree_field(record["parse"], lineno)
-        if [t.lower() for t in leaves(tree)] != [t.lower() for t in tokenize(text)]:
-            raise CorpusError("parse leaves do not match tokenized question", lineno)
+        view = _analysed_parse(record["parse"], text, lineno, "tokenized question")
         category = record.get("category")
         if category is not None and not isinstance(category, str):
             raise CorpusError("category must be a string", lineno)
@@ -149,7 +156,7 @@ def load_qa_corpus(path) -> list[Question]:
             Question(
                 id=qid,
                 text=text,
-                parse=tree,
+                parse=view,
                 category=category,
                 answers=tuple(str(a) for a in answers),
             )
@@ -173,10 +180,8 @@ def load_documents(path) -> list[Document]:
             if not isinstance(sent, dict):
                 raise CorpusError("sentence must be a JSON object", lineno)
             _require_fields(sent, lineno, text=str, parse=str)
-            view = analyse(_parse_tree_field(sent["parse"], lineno))
             text = sent["text"]
-            if list(view.lowered) != [t.lower() for t in tokenize(text)]:
-                raise CorpusError("parse leaves do not match sentence text", lineno)
-            sentences.append((text, view))
+            sentences.append((text, _analysed_parse(sent["parse"], text, lineno,
+                                                    "sentence text")))
         docs.append(Document(doc_id=doc_id, sentences=tuple(sentences)))
     return docs

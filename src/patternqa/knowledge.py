@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 from .classify import Category, tagged_leaves, wh_word
 from .corpus import ARTICLES, Question, normalize_answer, tokenize
-from .retrieval import RetrievedSentence, STOPWORDS, content_words
+from .retrieval import RetrievedSentence, content_words
 from .stem import stem
-from .treebank import ParseTree, Sentence, leaves, node_spans
+from .treebank import Sentence
 
 MAX_PATTERN_ELEMENTS = 12
 SIGNATURE_DEPTH = 2
@@ -112,15 +112,14 @@ def question_signature(question: Question, category: Category) -> Signature:
     nodes at depth <= 2. Insensitive to all leaf tokens except the wh-word."""
     wh, _ = wh_word(tagged_leaves(question.parse))
     labels = []
-
-    def walk(nd: ParseTree, depth: int):
-        if nd.is_leaf or depth > SIGNATURE_DEPTH:
-            return
-        labels.append(nd.label)
-        for child in nd.children:
-            walk(child, depth + 1)
-
-    walk(question.parse, 0)
+    open_ends: list[int] = []  # ends of the nodes enclosing the current one
+    for start, entries in enumerate(question.parse.constituents):
+        while open_ends and open_ends[-1] <= start:
+            open_ends.pop()
+        for end, label, _ in entries:  # preorder: each node encloses the next
+            if len(open_ends) <= SIGNATURE_DEPTH:  # the node's depth
+                labels.append(label)
+            open_ends.append(end)
     return Signature(category=category, structure_key=f"{wh}|{' '.join(labels)}")
 
 
@@ -167,22 +166,18 @@ def _covering_label(sentence: Sentence, start: int, end: int) -> str | None:
 
 
 def _question_phrases(question: Question) -> list[tuple[str, ...]]:
-    """Token sequences of question constituents (non-preterminal internal
-    nodes) that contain at least one content word."""
-    phrases = []
-    seen = set()
-    lowered = [t.lower() for t in leaves(question.parse)]
-    for nd, s, e in node_spans(question.parse):
-        if nd.is_leaf or nd.is_preterminal:
-            continue
-        tokens = tuple(lowered[s:e])
-        if not any(t not in STOPWORDS and any(c.isalnum() for c in t) for t in tokens):
-            continue
-        if tokens in seen:
-            continue
-        seen.add(tokens)
-        phrases.append(tokens)
-    return phrases
+    """Lowercased token sequences of question constituents (non-preterminal
+    internal nodes) that contain at least one content word, first
+    occurrence of each in preorder."""
+    content = set(content_words(question.parse))
+    lowered = question.parse.lowered
+    phrases: dict[tuple[str, ...], None] = {}
+    for s, entries in enumerate(question.parse.constituents):
+        for e, _, is_preterminal in entries:
+            tokens = lowered[s:e]
+            if not is_preterminal and not content.isdisjoint(tokens):
+                phrases.setdefault(tokens)
+    return list(phrases)
 
 
 def _answer_span(sentence: Sentence, forms) -> tuple[int, int] | None:

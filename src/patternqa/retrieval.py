@@ -4,8 +4,9 @@ A plain inverted index with BM25 scoring (k1=1.2, b=0.75) stands in for a
 full search engine; the unit of retrieval is the sentence because pattern
 unification operates on single sentences. The index holds each sentence's
 analysed :class:`~patternqa.treebank.Sentence` view, which retrieval hands
-on to extraction and learning; index terms come from the view's lowercased
-tokens.
+on to extraction and learning. Questions and documents are analysed the
+same way at load, so one rule, :func:`content_words` over a view's
+lowercased tokens, gives both the query terms and the index terms.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .corpus import Document
-from .treebank import ParseTree, Sentence, leaves
+from .treebank import Sentence
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -31,14 +32,11 @@ def _load_stopwords() -> frozenset[str]:
 STOPWORDS = _load_stopwords()
 
 
-def _content_terms(lowered) -> list[str]:
-    return [low for low in lowered
+def content_words(sentence: Sentence) -> list[str]:
+    """Lowercased tokens of a sentence that are not stopwords and hold a
+    letter or digit: the query and index term rule."""
+    return [low for low in sentence.lowered
             if low not in STOPWORDS and any(c.isalnum() for c in low)]
-
-
-def content_words(tree: ParseTree) -> list[str]:
-    """Non-stopword leaves of a parse, lowercased; the query-formulation rule."""
-    return _content_terms(tok.lower() for tok in leaves(tree))
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +78,7 @@ def build_index(docs: list[Document]) -> Index:
         for position, (text, view) in enumerate(doc.sentences):
             sid = len(entries)
             entries.append((doc.doc_id, position, text, view))
-            terms = _content_terms(view.lowered)
+            terms = content_words(view)
             index.doc_lengths.append(len(terms))
             counts: dict[str, int] = {}
             for term in terms:

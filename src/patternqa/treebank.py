@@ -1,14 +1,15 @@
-"""Penn-bracketed constituency trees: parsing, serialization, traversal,
-and the analysed :class:`Sentence` view.
+"""Penn-bracketed constituency trees: parsing, serialization, and the
+analysed :class:`Sentence` view.
 
-Trees are immutable after construction and safe to share across readers.
-Labels are opaque text; no fixed tagset is imposed here (the tag hierarchy
-used for relaxed matching lives in :mod:`patternqa.unification`).
+Trees are immutable after construction. Labels are opaque text; no fixed
+tagset is imposed here (the tag hierarchy used for relaxed matching lives
+in :mod:`patternqa.unification`).
 
-A document sentence is analysed once, when it is loaded: :func:`analyse`
-walks its tree a single time and keeps only what unification, NER, pattern
-learning and indexing read (tokens in three spellings and the constituents
-by start offset). The tree itself is not kept.
+Every sentence, question or document, is analysed once, when it is loaded:
+:func:`analyse` walks its tree a single time and keeps only what the later
+layers read (tokens in three spellings and the constituents by start
+offset). The tree itself is not kept, and this is the only module that
+walks one.
 """
 
 from __future__ import annotations
@@ -147,35 +148,6 @@ def serialize(tree: ParseTree) -> str:
         return tree.token
     inner = " ".join(serialize(c) for c in tree.children)
     return f"({tree.label} {inner})"
-
-
-def leaves(tree: ParseTree) -> list[str]:
-    """Left-to-right token sequence of the sentence under ``tree``."""
-    out = []
-    stack = [tree]
-    while stack:
-        cur = stack.pop()
-        if cur.is_leaf:
-            out.append(cur.token)
-        else:
-            stack.extend(reversed(cur.children))
-    return out
-
-
-def dfs_nodes(tree: ParseTree) -> list[ParseTree]:
-    """Preorder (top-down, left-to-right, depth-first) node sequence.
-
-    Every node is visited exactly once, root first, each node before its
-    children, siblings left to right. Leaves are included; their label is
-    their token.
-    """
-    out = []
-    stack = [tree]
-    while stack:
-        cur = stack.pop()
-        out.append(cur)
-        stack.extend(reversed(cur.children))
-    return out
 
 
 def node_spans(tree: ParseTree) -> list[tuple[ParseTree, int, int]]:

@@ -35,7 +35,7 @@ def dante_question():
     return Question(
         id="dante",
         text="Who wrote The Divine Comedy?",
-        parse=parse_bracketed(DANTE_QUESTION_PARSE),
+        parse=analyse(parse_bracketed(DANTE_QUESTION_PARSE)),
         answers=("Dante",),
     )
 
@@ -56,7 +56,7 @@ def hamlet_question():
     return Question(
         id="hamlet",
         text="Who wrote Hamlet?",
-        parse=parse_bracketed(HAMLET_QUESTION_PARSE),
+        parse=analyse(parse_bracketed(HAMLET_QUESTION_PARSE)),
         answers=("Shakespeare",),
     )
 

@@ -5,7 +5,9 @@ distance is a memoized recursion (the package uses an iterative DP row),
 the alignment enumerator works over a flat (start, end, label) node list
 (the package walks the tree with pruning) and applies relaxation from the
 measure definitions, and the metric oracle is a plain counting loop over
-log records.
+log records. The question readers (POS pairs, signature, phrases, content
+words) are kept here as the tree walks they were before questions were
+read through their analysed view.
 """
 
 from __future__ import annotations
@@ -13,13 +15,89 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 from patternqa.corpus import normalize_answer
 from patternqa.extraction import MAX_GAZETTEER_SPAN, _keep_maximal
-from patternqa.knowledge import ANSWER_SLOT, LEXICAL, Pattern, Signature, answer_slot, lexical, syntactic
-from patternqa.classify import Category
+from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, SIGNATURE_DEPTH, Pattern, Signature,
+                                 answer_slot, lexical, syntactic)
+from patternqa.classify import Category, wh_word
 from patternqa.pipeline import CheckpointReport, apply_feedback, oracle_select, pattern_candidates
-from patternqa.treebank import ParseTree, leaf, leaves, node, node_spans
+from patternqa.retrieval import STOPWORDS
+from patternqa.treebank import ParseTree, leaf, node, node_spans
 from patternqa.unification import RelaxConfig
+
+
+def leaves(tree: ParseTree) -> list[str]:
+    """Left-to-right token sequence of the sentence under ``tree``."""
+    out = []
+    stack = [tree]
+    while stack:
+        cur = stack.pop()
+        if cur.is_leaf:
+            out.append(cur.token)
+        else:
+            stack.extend(reversed(cur.children))
+    return out
+
+
+def dfs_nodes(tree: ParseTree) -> list[ParseTree]:
+    """Preorder (top-down, left-to-right, depth-first) node sequence, leaves
+    included."""
+    out = []
+    stack = [tree]
+    while stack:
+        cur = stack.pop()
+        out.append(cur)
+        stack.extend(reversed(cur.children))
+    return out
+
+
+def tagged_leaves_oracle(tree: ParseTree) -> list[tuple[str, str]]:
+    """``(token, POS tag)`` of each preterminal, in preorder."""
+    return [(nd.children[0].token, nd.label) for nd in dfs_nodes(tree) if nd.is_preterminal]
+
+
+def signature_oracle(tree: ParseTree, category: Category) -> Signature:
+    """The question signature from a recursive walk that stops below depth
+    SIGNATURE_DEPTH."""
+    wh, _ = wh_word(tagged_leaves_oracle(tree))
+    labels = []
+
+    def walk(nd: ParseTree, depth: int):
+        if nd.is_leaf or depth > SIGNATURE_DEPTH:
+            return
+        labels.append(nd.label)
+        for child in nd.children:
+            walk(child, depth + 1)
+
+    walk(tree, 0)
+    return Signature(category=category, structure_key=f"{wh}|{' '.join(labels)}")
+
+
+def content_words_oracle(tree: ParseTree) -> list[str]:
+    """Non-stopword leaves holding a letter or digit, lowercased."""
+    return [low for low in (tok.lower() for tok in leaves(tree))
+            if low not in STOPWORDS and any(c.isalnum() for c in low)]
+
+
+def question_phrases_oracle(tree: ParseTree) -> list[tuple[str, ...]]:
+    """Lowercased tokens of each phrasal node holding a content word, first
+    occurrence in preorder."""
+    phrases = []
+    seen = set()
+    lowered = [t.lower() for t in leaves(tree)]
+    for nd, s, e in node_spans(tree):
+        if nd.is_leaf or nd.is_preterminal:
+            continue
+        tokens = tuple(lowered[s:e])
+        if not any(t not in STOPWORDS and any(c.isalnum() for c in t) for t in tokens):
+            continue
+        if tokens in seen:
+            continue
+        seen.add(tokens)
+        phrases.append(tokens)
+    return phrases
 
 
 def levenshtein_oracle(a: str, b: str) -> int:
@@ -131,6 +209,16 @@ def random_tree(rng: random.Random, max_leaves: int = 12) -> ParseTree:
         return node(rng.choice(PHRASE_LABELS), [build(size) for size in sizes])
 
     return build(rng.randint(1, max_leaves))
+
+
+def trees(labels, tokens):
+    """Hypothesis strategy: preterminals, and phrases over preterminals,
+    phrases and bare leaves, so unary chains with equal spans occur."""
+    return st.recursive(
+        st.builds(lambda label, token: node(label, [leaf(token)]), labels, tokens),
+        lambda kids: st.builds(node, labels,
+                               st.lists(kids | st.builds(leaf, tokens), min_size=1, max_size=3)),
+        max_leaves=14)
 
 
 def random_pattern(rng: random.Random, tree: ParseTree) -> Pattern:

@@ -211,6 +211,15 @@ def test_run_dump_index(tmp_path):
     assert "postings" in payload
 
 
+def test_run_writes_into_the_out_dir_it_creates(tmp_path):
+    out = tmp_path / "new" / "run"
+    assert run_cli("run", "--scenario", "1", "--corpus", CORPUS, "--docs", DOCS,
+                   "--out-dir", str(out), "--dump-index", str(out / "index.json"),
+                   "--kb-out", str(out / "kb.json")) == 0
+    assert json.loads((out / "index.json").read_text())["N"] == 33
+    assert (out / "kb.json").is_file()
+
+
 def test_tutor_use_ner_lists_each_span_once(monkeypatch, capsys):
     transcript = (
         f"ask {DANTE_QUESTION_PARSE}\n"
@@ -290,9 +299,17 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv
     (("run", "--from-metadata", "{meta}", "--out-dir", "{file}"),
      "--out-dir {file} is not a directory"),
     (("tutor", "--kb-out", "{dir}"), "--kb-out {dir} is a directory"),
+    (("tutor", "--kb-out", "{dir}/nodir/kb.json"),
+     "--kb-out {dir}/nodir/kb.json: directory {dir}/nodir does not exist"),
+    (("run", "--out-dir", "{out}", "--dump-index", "{dir}/missing/idx.json"),
+     "--dump-index {dir}/missing/idx.json: directory {dir}/missing does not exist"),
+    (("run", "--out-dir", "{out}", "--kb-out", "{dir}/other/kb.json"),
+     "--kb-out {dir}/other/kb.json: directory {dir}/other does not exist"),
 ], ids=["run-out-dir-is-a-file", "run-out-dir-under-a-file", "run-kb-out-is-a-directory",
         "run-kb-out-under-a-file", "run-dump-index-is-a-directory",
-        "rerun-out-dir-is-a-file", "tutor-kb-out-is-a-directory"])
+        "rerun-out-dir-is-a-file", "tutor-kb-out-is-a-directory",
+        "tutor-kb-out-parent-missing", "run-dump-index-parent-missing",
+        "run-kb-out-parent-missing"])
 def test_unwritable_output_path_is_usage_error_before_loading(tmp_path, monkeypatch, capsys,
                                                               argv, message):
     """A bad output path is reported before any input is read: the inputs

@@ -143,7 +143,8 @@ def test_fixture_parses_are_canonical(fixture_questions, fixture_docs):
         record = _json.loads(line)
         raw[record["id"]] = record["parse"]
     for question in fixture_questions:
-        assert serialize(question.parse) == raw[question.id]
+        assert serialize(parse_bracketed(raw[question.id])) == raw[question.id]
+        assert question.parse == analyse(parse_bracketed(raw[question.id]))
     loaded = [view for doc in fixture_docs for _, view in doc.sentences]
     parses = [sentence["parse"] for line in (FIXTURES / "docs.jsonl").read_text().splitlines()
               for sentence in _json.loads(line)["sentences"]]

@@ -13,11 +13,11 @@ from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, SYNTACTIC, KnowledgeBase,
                                  lexical, load_kb, question_signature, save_kb,
                                  syntactic)
 from patternqa.retrieval import RetrievedSentence
-from patternqa.treebank import analyse, dfs_nodes, leaf, leaves, node, parse_bracketed
+from patternqa.treebank import analyse, leaf, node, parse_bracketed
 from patternqa.unification import default_config, unify
 
 from .conftest import signature_of
-from .oracles import TEST_SIGNATURE, random_tree
+from .oracles import TEST_SIGNATURE, dfs_nodes, leaves, random_tree
 
 
 def rsent(text, parse, doc_id="doc", position=0):
@@ -70,8 +70,8 @@ def test_signatures_shared_across_same_shape(dante_question, hamlet_question):
 def test_signature_differs_for_other_shapes(dante_question):
     other = Question(
         id="when", text="When did Dante die?",
-        parse=parse_bracketed("(SBARQ (WHADVP (WRB When)) (SQ (VBD did) "
-                              "(NP (NNP Dante)) (VP (VB die))) (. ?))"),
+        parse=analyse(parse_bracketed("(SBARQ (WHADVP (WRB When)) (SQ (VBD did) "
+                                      "(NP (NNP Dante)) (VP (VB die))) (. ?))")),
         answers=("1321",),
     )
     cat = Category("HUM", "ind")
@@ -287,7 +287,8 @@ def test_learner_closure_on_random_sentences():
         if rng.random() < 0.3:
             asked.append(_retoken(random_tree(rng, max_leaves=3), rng))
         parse = node("SBARQ", [node("WHNP", [node("WP", [leaf("Who")])]), node("SQ", asked)])
-        question = Question(id="q", text=" ".join(leaves(parse)), parse=parse, answers=("x",))
+        question = Question(id="q", text=" ".join(leaves(parse)), parse=analyse(parse),
+                            answers=("x",))
         answer = " ".join(leaves(rng.choice(subtrees)))
         if rng.random() < 0.2:
             answer = rng.choice(["The ", "", "a "]) + answer.upper() + rng.choice(["", "."])

@@ -54,9 +54,10 @@ def mini_state():
 
 def mini_questions():
     dante = Question(id="d", text="Who wrote The Divine Comedy?",
-                     parse=parse_bracketed(DANTE_QUESTION_PARSE), answers=("Dante",))
+                     parse=analyse(parse_bracketed(DANTE_QUESTION_PARSE)), answers=("Dante",))
     hamlet = Question(id="h", text="Who wrote Hamlet?",
-                      parse=parse_bracketed(HAMLET_QUESTION_PARSE), answers=("Shakespeare",))
+                      parse=analyse(parse_bracketed(HAMLET_QUESTION_PARSE)),
+                      answers=("Shakespeare",))
     return dante, hamlet
 
 

@@ -1,0 +1,76 @@
+"""Questions are read through the same analysed ``Sentence`` view as
+document sentences. The view-based readers must equal the tree walks they
+replaced (kept in ``oracles``), and no module past loading may see a tree."""
+
+import ast
+from pathlib import Path
+
+from hypothesis import example, given, strategies as st
+
+from patternqa.classify import Category, tagged_leaves
+from patternqa.corpus import Question
+from patternqa.knowledge import _question_phrases, question_signature
+from patternqa.retrieval import content_words
+from patternqa.treebank import analyse, parse_bracketed
+
+from .oracles import (content_words_oracle, question_phrases_oracle, random_tree,
+                      signature_oracle, tagged_leaves_oracle, trees)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "patternqa"
+
+LABELS = st.sampled_from(["SBARQ", "SQ", "S", "NP", "VP", "WHNP", "WP", "WRB", "NN", "DT", "."])
+TOKENS = st.from_regex(r"[^()\s]{1,5}", fullmatch=True) | st.sampled_from(
+    ["Who", "what", "How", "many", "the", "of", "is", "?", "3-0", "U.S."])
+QUESTION_TREES = trees(LABELS, TOKENS) | st.randoms(use_true_random=False).map(random_tree)
+
+UNARY_CHAINS = "(SBARQ (WHNP (WP Who)) (SQ (VP (VP (VB wrote)) (NP (NP (NN it))))) (. ?))"
+BARE_LEAVES = "(SBARQ (WHNP Who (NN poet)) (SQ wrote (NP the (NN poem))) ?)"
+DEEP = "(SBARQ (WHNP (WP Who)) " + "(S (NN x) " * 1500 + "(NN y)" + ")" * 1501
+
+
+def assert_readers_match_tree_walks(tree):
+    view = analyse(tree)
+    question = Question(id="q", text=" ".join(view.tokens), parse=view)
+    category = Category("HUM", "ind")
+    assert tagged_leaves(view) == tagged_leaves_oracle(tree)
+    assert question_signature(question, category) == signature_oracle(tree, category)
+    assert _question_phrases(question) == question_phrases_oracle(tree)
+    assert content_words(view) == content_words_oracle(tree)
+
+
+@given(QUESTION_TREES)
+@example(parse_bracketed(UNARY_CHAINS))
+@example(parse_bracketed(BARE_LEAVES))
+def test_question_readers_match_tree_walks(tree):
+    assert_readers_match_tree_walks(tree)
+
+
+def test_question_readers_match_tree_walks_on_a_deep_tree():
+    assert_readers_match_tree_walks(parse_bracketed(DEEP))
+
+
+def _names_used(path: Path) -> set[str]:
+    """Names a module imports from another, or reads as a module attribute."""
+    names = set()
+    for item in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(item, ast.ImportFrom):
+            names.update(alias.name for alias in item.names)
+        elif isinstance(item, ast.Attribute):
+            names.add(item.attr)
+    return names
+
+
+def test_trees_do_not_outlive_loading():
+    """Only ``treebank`` walks a tree (``node_spans``); only it, the loader and
+    the CLI, which parses a tutor's question, see ``ParseTree`` or
+    ``parse_bracketed``. The package ``__init__`` re-exports them and uses
+    neither."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        names = _names_used(path)
+        if path.stem != "treebank" and "node_spans" in names:
+            offenders.append((path.stem, "node_spans"))
+        if path.stem not in ("treebank", "corpus", "cli", "__init__"):
+            offenders.extend((path.stem, name) for name in ("ParseTree", "parse_bracketed")
+                             if name in names)
+    assert offenders == []

@@ -41,7 +41,7 @@ def test_rebuild_is_byte_identical():
 
 def test_dante_query_ranks_supporting_sentence_first():
     index = build_index(DOCS)
-    query = content_words(parse_bracketed(DANTE_QUESTION_PARSE))
+    query = content_words(analyse(parse_bracketed(DANTE_QUESTION_PARSE)))
     assert query == ["wrote", "divine", "comedy"]
     results = retrieve(index, query, 5)
     assert results
@@ -107,7 +107,7 @@ def test_rank_stability_when_avg_length_held_constant():
 
 def test_stopwords_filtered_from_content_words():
     tree = parse_bracketed("(S (DT The) (NN cat) (VBD sat) (. .))")
-    assert content_words(tree) == ["cat", "sat"]
+    assert content_words(analyse(tree)) == ["cat", "sat"]
     assert "the" in STOPWORDS
 
 

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from patternqa.corpus import ARTICLES, normalize_answer
-from patternqa.treebank import (ParseTree, TreeFormatError, analyse, dfs_nodes, leaf,
-                                leaves, node, node_spans, parse_bracketed, serialize,
-                                strip_decorations)
+from patternqa.treebank import (ParseTree, TreeFormatError, analyse, leaf, node_spans,
+                                parse_bracketed, serialize, strip_decorations)
 
 from .conftest import DANTE_SENTENCE_PARSE
-from .oracles import random_tree
+from .oracles import dfs_nodes, leaves, random_tree, trees
 
 DANTE_TOKENS = ["Dante", "has", "written", "The", "Divine", "Comedy"]
 
@@ -119,12 +118,7 @@ def test_leaf_label_is_token(token):
 
 TOKENS = st.from_regex(r"[^()\s]{1,5}", fullmatch=True)  # what the parser reads as a token
 LABELS = st.sampled_from(["S", "NP", "VP", "NN", "NNP", "DT", "-LRB-", "-NONE-"])
-# preterminals, and phrases over preterminals, phrases and bare leaves
-TREES = st.recursive(
-    st.builds(lambda label, token: node(label, [leaf(token)]), LABELS, TOKENS),
-    lambda kids: st.builds(node, LABELS,
-                           st.lists(kids | st.builds(leaf, TOKENS), min_size=1, max_size=3)),
-    max_leaves=14)
+TREES = trees(LABELS, TOKENS)
 
 
 def test_analyse_dante_sentence():

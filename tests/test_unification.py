@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from patternqa.knowledge import Pattern, answer_slot, lexical, syntactic
-from patternqa.treebank import analyse, leaves, parse_bracketed
+from patternqa.treebank import analyse, parse_bracketed
 from patternqa.unification import (RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE,
                                    RELAX_SYNTACTIC, RelaxConfig,
                                    default_config, levenshtein_distance,
@@ -12,7 +12,7 @@ from patternqa.unification import (RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE,
                                    tag_compatible, unify)
 
 from .oracles import (TEST_SIGNATURE, brute_force_alignments,
-                      brute_force_answer_spans, levenshtein_oracle, misspell,
+                      brute_force_answer_spans, leaves, levenshtein_oracle, misspell,
                       random_pattern, random_tree)
 
 DANTE_PATTERN = Pattern(
