@@ -22,7 +22,7 @@ from .pipeline import (PipelineState, RevisionSchedule, ScenarioConfig,
                        apply_feedback, extract_candidates, interpret, run_sequence)
 from .retrieval import build_index, serialize_index
 from .treebank import TreeFormatError, analyse, parse_bracketed
-from .unification import default_config
+from .unification import RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE, RELAX_SYNTACTIC, default_config
 
 
 class UsageError(Exception):
@@ -370,6 +370,18 @@ def cmd_tutor(args) -> int:
     return 0
 
 
+RELAXATIONS = (RELAX_NONE, RELAX_LEXICAL, RELAX_SYNTACTIC, RELAX_BOTH)
+
+# (key, test, what the test accepts) for the outcome fields `stats` counts;
+# a record without the key is read as before, so older logs still load
+OUTCOME_FIELDS = (
+    ("correct", lambda value: isinstance(value, bool), "a boolean"),
+    ("final_strategy", lambda value: value is None or isinstance(value, str), "a string or null"),
+    ("relaxation_used", lambda value: isinstance(value, str) and value in RELAXATIONS,
+     "one of " + ", ".join(RELAXATIONS)),
+)
+
+
 def cmd_stats(args) -> int:
     kb = load_kb(_require_file(args.kb_in, "kb-in"))
     print(f"signatures: {len(kb.signatures())}")
@@ -380,9 +392,14 @@ def cmd_stats(args) -> int:
     print(f"qa pairs: {len(kb.qa_pairs)}")
     if args.outcomes:
         exact = relaxed = 0
-        for _, record in read_jsonl(_require_file(args.outcomes, "outcomes")):
+        path = _require_file(args.outcomes, "outcomes")
+        for lineno, record in read_jsonl(path):
+            for key, valid, accepted in OUTCOME_FIELDS:
+                if key in record and not valid(record[key]):
+                    raise DataError(f"{path}: line {lineno}: {key} must be {accepted}, "
+                                    f"got {json.dumps(record[key])}")
             if record.get("correct") and record.get("final_strategy") == "pattern":
-                if record.get("relaxation_used") == "none":
+                if record.get("relaxation_used") == RELAX_NONE:
                     exact += 1
                 else:
                     relaxed += 1

@@ -11,7 +11,6 @@ from.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .classify import Category
 from .corpus import ARTICLES, normalize_answer, read_table
@@ -21,21 +20,30 @@ from .unification import RELAX_NONE, CandidateAnswer
 MAX_GAZETTEER_SPAN = 5
 
 
-@dataclass(frozen=True)
 class Gazetteer:
-    """Per-category surface-form sets; forms are pre-normalized."""
+    """Per-category surface-form sets; forms are pre-normalized. The
+    lookups NER reads are built once, here: each label's forms, the first
+    words of those forms, and each form's coarse classes."""
 
-    entries: tuple[tuple[str, frozenset[str]], ...] = ()
+    def __init__(self, table: dict[str, set[str]]):
+        self._forms = {label: frozenset(forms) for label, forms in table.items()}
+        self._first_words = {label: frozenset(form.split(" ", 1)[0] for form in forms)
+                             for label, forms in table.items()}
+        classes: dict[str, set[str]] = {}
+        for label, forms in table.items():
+            for form in forms:
+                classes.setdefault(form, set()).add(label.split(":")[0])
+        self._classes = {form: frozenset(coarse) for form, coarse in classes.items()}
 
     def forms(self, label: str) -> frozenset[str]:
-        for key, forms in self.entries:
-            if key == label:
-                return forms
-        return frozenset()
+        return self._forms.get(label, frozenset())
 
-    def coarse_classes_of(self, form: str) -> set[str]:
-        normalized = normalize_answer(form)
-        return {key.split(":")[0] for key, forms in self.entries if normalized in forms}
+    def first_words(self, label: str) -> frozenset[str]:
+        """The words that open one of the label's forms."""
+        return self._first_words.get(label, frozenset())
+
+    def coarse_classes_of(self, form: str) -> frozenset[str]:
+        return self._classes.get(normalize_answer(form), frozenset())
 
 
 def load_gazetteer(path=None) -> Gazetteer:
@@ -43,7 +51,7 @@ def load_gazetteer(path=None) -> Gazetteer:
     table: dict[str, set[str]] = {}
     for label, form in read_table("gazetteer.tsv", path):
         table.setdefault(label, set()).add(normalize_answer(form))
-    return Gazetteer(tuple((label, frozenset(forms)) for label, forms in sorted(table.items())))
+    return Gazetteer(table)
 
 
 def load_regex_rules(path=None) -> dict[str, list[re.Pattern]]:
@@ -99,18 +107,20 @@ def _capitalized_runs(tokens: tuple[str, ...]) -> list[tuple[int, int]]:
     return spans
 
 
-def _gazetteer_spans(stripped: tuple[str, ...], forms: frozenset[str]) -> list[tuple[int, int]]:
+def _gazetteer_spans(stripped: tuple[str, ...], forms: frozenset[str],
+                     first_words: frozenset[str]) -> list[tuple[int, int]]:
     """Shortest known form from each start, over windows of at most
     MAX_GAZETTEER_SPAN tokens that neither open nor close on an article or
     punctuation. ``stripped`` holds the tokens lowercased, punctuation
     removed; joining a window's non-empty ones is ``normalize_answer`` of
-    its text, since its first token is no article."""
-    if not forms:
-        return []
+    its text, since its first token is no article. Tokens hold no
+    whitespace, so a window can equal a form only if its first token is in
+    ``first_words``, the first words of ``forms``."""
     spans = []
     n = len(stripped)
     for start in range(n):
-        if not stripped[start] or stripped[start] in ARTICLES:
+        first = stripped[start]
+        if first not in first_words or not first or first in ARTICLES:
             continue
         words = []
         for end in range(start + 1, min(n, start + MAX_GAZETTEER_SPAN) + 1):
@@ -156,14 +166,16 @@ def extract_ner(category: Category, sentences: list[RetrievedSentence],
     """
     if regex_rules is None:
         regex_rules = load_regex_rules()
+    label = str(category)
+    forms, first_words = gazetteer.forms(label), gazetteer.first_words(label)
     out: list[CandidateAnswer] = []
     for sentence in sentences:
         tokens = sentence.view.tokens
         spans: list[tuple[int, int]] = []
         if category.coarse == "NUM":
-            spans = _regex_spans(tokens, regex_rules.get(str(category), []))
+            spans = _regex_spans(tokens, regex_rules.get(label, []))
         elif category.coarse in ("HUM", "LOC", "ENTY"):
-            spans = _gazetteer_spans(sentence.view.stripped, gazetteer.forms(str(category)))
+            spans = _gazetteer_spans(sentence.view.stripped, forms, first_words)
             for span in _capitalized_runs(tokens):
                 others = gazetteer.coarse_classes_of(" ".join(tokens[span[0]:span[1]]))
                 if others and category.coarse not in others:

@@ -11,7 +11,7 @@ deterministic and makes the provenance-exclusion rule testable.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .classify import Category, classify, load_hint_table
 from .corpus import Question, normalize_answer
@@ -127,12 +127,12 @@ def pattern_candidates(patterns: list[Pattern], sentences: Sequence[RetrievedSen
         seen = set()
         for sentence in sentences:
             for pattern in patterns:
-                for cand in unify(pattern, sentence.view, cfg):
+                for cand in unify(pattern, sentence.view, cfg, sentence.doc_id, sentence.position):
                     key = (sentence.doc_id, sentence.position, cand.span)
                     if key in seen:
                         continue
                     seen.add(key)
-                    found.append(replace(cand, doc_id=sentence.doc_id, position=sentence.position))
+                    found.append(cand)
         return found
 
     exact = collect(config.exact())

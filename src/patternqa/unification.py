@@ -147,11 +147,13 @@ _RELAXATION = {
 }
 
 
-def unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig) -> list[CandidateAnswer]:
+def unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
+          doc_id: str | None = None, position: int | None = None) -> list[CandidateAnswer]:
     """Extract candidate answers for one pattern against one analysed
     sentence, in one alignment pass under ``config`` (exact when it enables
     no relaxation). A span keeps the relaxation of the first alignment that
-    reached it. Results are deduplicated by span and ordered by position.
+    reached it. Results are deduplicated by span and ordered by position,
+    and carry the sentence's ``doc_id`` and ``position``.
     """
     lowered = sentence.lowered
     elements = [(e.kind, e.value.lower() if e.kind == LEXICAL else e.value)
@@ -196,14 +198,19 @@ def unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig) -> list[Can
 
     for start in range(n - size + 1):
         match(0, start, None, False, False)
+    if not found:
+        return []
     tokens = sentence.tokens
+    provenance = pattern.render()
     return [
         CandidateAnswer(
             text=" ".join(tokens[span[0] : span[1]]),
             span=span,
             strategy="pattern",
-            pattern_provenance=pattern.render(),
+            pattern_provenance=provenance,
             relaxation_used=found[span],
+            doc_id=doc_id,
+            position=position,
         )
         for span in sorted(found)
     ]

@@ -5,13 +5,15 @@ distance is a memoized recursion (the package uses an iterative DP row),
 the alignment enumerator works over a flat (start, end, label) node list
 (the package walks the tree with pruning) and applies relaxation from the
 measure definitions, and the metric oracle is a plain counting loop over
-log records. The question readers (POS pairs, signature, phrases, content
-words) are kept here as the tree walks they were before questions were
-read through their analysed view.
+log records. BM25 scores every sentence and sorts them all (the package
+visits the posting lists and stops early). The question readers (POS
+pairs, signature, phrases, content words) are kept here as the tree walks
+they were before questions were read through their analysed view.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from functools import lru_cache
 
@@ -23,7 +25,7 @@ from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, SIGNATURE_DEPTH, Pattern,
                                  answer_slot, lexical, syntactic)
 from patternqa.classify import Category, wh_word
 from patternqa.pipeline import CheckpointReport, apply_feedback, oracle_select, pattern_candidates
-from patternqa.retrieval import STOPWORDS
+from patternqa.retrieval import BM25_B, BM25_K1, STOPWORDS
 from patternqa.treebank import ParseTree, leaf, node, node_spans
 from patternqa.unification import RelaxConfig
 
@@ -296,6 +298,46 @@ def gazetteer_spans_oracle(tokens: list[str], forms: frozenset[str]) -> list[tup
                 spans.append((start, end))
                 break
     return _keep_maximal(spans)
+
+
+def coarse_classes_oracle(table: dict[str, set[str]], form: str) -> set[str]:
+    """Coarse classes of the labels whose (normalized) forms hold ``form``,
+    by a scan over every label."""
+    normalized = normalize_answer(form)
+    return {label.split(":")[0] for label, forms in table.items() if normalized in forms}
+
+
+def bm25_oracle(docs, query_terms: list[str], k: int) -> list[tuple[str, int, float]]:
+    """BM25 (k1=1.2, b=0.75) the slow obvious way: ``(doc_id, position,
+    score)`` of every sentence holding a query term, each score summed over
+    the query terms in sorted order, fully sorted by (-score, doc_id,
+    position), cut to k."""
+    sentences = []
+    for doc in docs:
+        for position, (_, view) in enumerate(doc.sentences):
+            words = [t.lower() for t in view.tokens]
+            words = [w for w in words if w not in STOPWORDS and any(c.isalnum() for c in w)]
+            sentences.append((doc.doc_id, position, words))
+    n = len(sentences)
+    if n == 0:
+        return []
+    avg = sum(len(words) for _, _, words in sentences) / n
+    terms = sorted({t.lower() for t in query_terms})
+    df = {term: sum(1 for _, _, words in sentences if term in words) for term in terms}
+    scored = []
+    for doc_id, position, words in sentences:
+        score, hit = 0.0, False
+        for term in terms:
+            tf = words.count(term)
+            if tf:
+                norm = BM25_K1 * (1.0 - BM25_B + BM25_B * len(words) / avg)
+                idf = math.log(1.0 + (n - df[term] + 0.5) / (df[term] + 0.5))
+                score += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
+                hit = True
+        if hit:
+            scored.append((doc_id, position, score))
+    scored.sort(key=lambda item: (-item[2], item[0], item[1]))
+    return scored[:max(k, 0)]
 
 
 def count_metrics_oracle(records: list[dict]) -> list[tuple[int, float, float]]:

@@ -415,6 +415,45 @@ def test_malformed_input_is_one_line_data_error(tmp_path, capsys, command, conte
     assert err.startswith("data error: ") and err.count("\n") == 1
 
 
+GOOD_OUTCOME = {"correct": True, "final_strategy": "pattern", "relaxation_used": "none"}
+
+
+@pytest.mark.parametrize("record, key", [
+    ({"correct": "no", "final_strategy": "pattern", "relaxation_used": "sideways"}, "correct"),
+    ({"correct": 1, "final_strategy": "pattern"}, "correct"),
+    ({"correct": None}, "correct"),
+    ({**GOOD_OUTCOME, "final_strategy": 3}, "final_strategy"),
+    ({**GOOD_OUTCOME, "final_strategy": ["pattern"]}, "final_strategy"),
+    ({**GOOD_OUTCOME, "relaxation_used": "sideways"}, "relaxation_used"),
+    ({**GOOD_OUTCOME, "relaxation_used": None}, "relaxation_used"),
+    ({**GOOD_OUTCOME, "relaxation_used": ["none"]}, "relaxation_used"),
+], ids=["correct-string", "correct-integer", "correct-null", "strategy-integer", "strategy-list",
+        "relaxation-unknown", "relaxation-null", "relaxation-list"])
+def test_stats_rejects_mistyped_outcome_fields(tmp_path, capsys, record, key):
+    kb_path = tmp_path / "kb.json"
+    save_kb(KnowledgeBase(), kb_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    outcomes.write_bytes(_jsonl(GOOD_OUTCOME) + _jsonl(record))
+    capsys.readouterr()
+    assert run_cli("stats", "--kb-in", str(kb_path), "--outcomes", str(outcomes)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"data error: {outcomes}: line 2: {key} must be ")
+    assert captured.err.count("\n") == 1
+    assert "pattern-extracted" not in captured.out
+
+
+def test_stats_reads_outcomes_without_the_checked_keys(tmp_path, capsys):
+    kb_path = tmp_path / "kb.json"
+    save_kb(KnowledgeBase(), kb_path)
+    outcomes = tmp_path / "outcomes.jsonl"
+    outcomes.write_bytes(_jsonl({"id": "q1"}) + _jsonl(GOOD_OUTCOME)
+                         + _jsonl({"correct": True, "final_strategy": "pattern"})
+                         + _jsonl({**GOOD_OUTCOME, "final_strategy": None}))
+    capsys.readouterr()
+    assert run_cli("stats", "--kb-in", str(kb_path), "--outcomes", str(outcomes)) == 0
+    assert "pattern-extracted correct answers: 2 (exact: 1, relaxed: 1)" in capsys.readouterr().out
+
+
 QA_LINES = (FIXTURES / "qa30.jsonl").read_text().splitlines()[:6]
 DOC_LINES = (FIXTURES / "docs.jsonl").read_text().splitlines()
 JSON_VALUES = st.recursive(

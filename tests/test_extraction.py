@@ -1,12 +1,13 @@
 from hypothesis import example, given, strategies as st
 
 from patternqa.classify import Category
-from patternqa.corpus import normalize_answer
-from patternqa.extraction import _gazetteer_spans, extract_ner, load_gazetteer, load_regex_rules
+from patternqa.corpus import normalize_answer, read_table
+from patternqa.extraction import (Gazetteer, _gazetteer_spans, extract_ner, load_gazetteer,
+                                  load_regex_rules)
 from patternqa.retrieval import RetrievedSentence
 from patternqa.treebank import PUNCTUATION, analyse, leaf, node, parse_bracketed
 
-from .oracles import gazetteer_spans_oracle
+from .oracles import coarse_classes_oracle, gazetteer_spans_oracle
 
 GAZETTEER = load_gazetteer()
 REGEX_RULES = load_regex_rules()
@@ -176,6 +177,56 @@ def test_gazetteer_window_join_matches_normalized_windows(tokens, windows):
     forms |= {" ".join(PUNCTUATION.sub("", t.lower()) for t in tokens[s:e]) for s, e in windows}
     forms |= {"new york", "bay of pigs", "us", "zürich", "the", "a bay"}
     stripped = analyse(node("S", [node("NN", [leaf(token)]) for token in tokens])).stripped
-    assert _gazetteer_spans(stripped, frozenset(forms)) == \
+    gazetteer = Gazetteer({"X:y": forms})
+    assert _gazetteer_spans(stripped, gazetteer.forms("X:y"), gazetteer.first_words("X:y")) == \
         gazetteer_spans_oracle(tokens, frozenset(forms))
-    assert _gazetteer_spans(stripped, frozenset()) == []
+    assert _gazetteer_spans(stripped, frozenset(), frozenset()) == []
+
+
+# forms that share a first word, forms of several words and forms with an
+# article inside; "the"/"a" alone normalize to nothing
+SHARED_FORMS = frozenset({"new york", "new york city", "new jersey", "new", "york",
+                          "bay of the pigs", "bay of pigs", "isle of a man", "city"})
+
+
+@example(["The", "New", "York", "City", "of", "the", "Bay", "of", "the", "Pigs"])
+@example(["new", "new", "jersey", ",", "Isle", "of", "a", "Man", "the"])
+@given(st.lists(st.sampled_from(["New", "new", "York", "City", "Jersey", "Bay", "of", "the", "The",
+                                 "Pigs", "Isle", "a", "Man", ",", "-LRB-"]),
+                min_size=1, max_size=14))
+def test_gazetteer_first_word_lookup_matches_oracle(tokens):
+    stripped = analyse(node("S", [node("NN", [leaf(token)]) for token in tokens])).stripped
+    gazetteer = Gazetteer({"LOC:city": set(SHARED_FORMS)})
+    assert gazetteer.first_words("LOC:city") == {"new", "york", "bay", "isle", "city"}
+    assert _gazetteer_spans(stripped, gazetteer.forms("LOC:city"),
+                            gazetteer.first_words("LOC:city")) == \
+        gazetteer_spans_oracle(tokens, SHARED_FORMS)
+
+
+SEVERAL_LABELS = {"LOC:city": {"paris", "new york", "saint helena"},
+                  "LOC:country": {"france", "saint helena"},
+                  "HUM:ind": {"paris", "helena"},
+                  "ENTY:other": {"paris", "new york"}}
+
+
+@example("Paris")
+@example("The Saint Helena .")
+@given(st.sampled_from(sorted({form for forms in SEVERAL_LABELS.values() for form in forms})
+                       + ["rome", "saint", "york"]).flatmap(lambda form: st.sampled_from(
+                           [form, form.upper(), "the " + form, form + " ,", "A " + form.title()])))
+def test_coarse_classes_lookup_matches_scan(form):
+    assert Gazetteer(SEVERAL_LABELS).coarse_classes_of(form) == \
+        coarse_classes_oracle(SEVERAL_LABELS, form)
+
+
+def test_shipped_gazetteer_lookups_match_scan():
+    table: dict[str, set[str]] = {}
+    for label, form in read_table("gazetteer.tsv"):
+        table.setdefault(label, set()).add(normalize_answer(form))
+    for forms in table.values():
+        for form in forms:
+            for text in (form, form.title(), "The " + form.upper()):
+                assert GAZETTEER.coarse_classes_of(text) == coarse_classes_oracle(table, text)
+    for label, forms in table.items():
+        assert GAZETTEER.forms(label) == forms
+        assert GAZETTEER.first_words(label) == {form.split()[0] for form in forms}

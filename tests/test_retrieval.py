@@ -3,12 +3,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from patternqa.corpus import Document
 from patternqa.retrieval import (STOPWORDS, build_index, content_words,
                                  retrieve, serialize_index)
-from patternqa.treebank import analyse, parse_bracketed
+from patternqa.treebank import analyse, leaf, node, parse_bracketed
 
 from .conftest import DANTE_QUESTION_PARSE
+from .oracles import bm25_oracle
 
 
 def sent(text, parse):
@@ -140,3 +144,101 @@ def test_scores_do_not_depend_on_the_hash_seed(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.add(done.stdout)
     assert len(outputs) == 1
+
+
+def flat(words):
+    """A one-level sentence over ``words``."""
+    return (" ".join(words), analyse(node("S", [node("NN", [leaf(w)]) for w in words])))
+
+
+BM25_WORDS = ["alpha", "beta", "gamma", "delta", "kappa", "sigma", "omega", "the", "of"]
+
+
+@st.composite
+def bm25_cases(draw):
+    """A collection of a few sentence shapes, each used a drawn number of
+    times, so document frequencies differ, equal scores are common and
+    often straddle the k-th place. Words repeat within a sentence (tf of 2
+    and more) and sentences differ in length. The query mixes case and
+    repeats terms, and may hold stopwords and terms the index does not
+    know."""
+    shapes = draw(st.lists(st.lists(st.sampled_from(BM25_WORDS), min_size=1, max_size=8),
+                           min_size=1, max_size=6))
+    copies = draw(st.lists(st.integers(1, 12), min_size=len(shapes), max_size=len(shapes)))
+    sentences = draw(st.permutations([words for words, c in zip(shapes, copies)
+                                      for _ in range(c)]))
+    n_docs = draw(st.integers(1, 4))
+    # doc ids that do not sort in document order
+    docs = [Document(f"d{(d * 7) % 5}{d}", tuple(flat(words) for words in sentences[d::n_docs]))
+            for d in range(n_docs)]
+    query = [case(word) for word, case in draw(st.lists(st.tuples(
+        st.sampled_from(BM25_WORDS + ["zeta", "a"]),
+        st.sampled_from([str.lower, str.upper, str.capitalize])), max_size=8))]
+    # a small k makes the loop stop early more often
+    return docs, query, draw(st.integers(0, 3) | st.integers(0, len(sentences) + 1))
+
+
+# the middle sentence's score, summed in descending-idf order, differs from
+# the sorted-order sum in its last bit
+@example(([Document("d", (flat(["beta"]), flat(["beta", "delta", "gamma"]), flat(["beta"])))],
+          ["gamma", "Beta", "delta"], 3))
+@settings(max_examples=300)
+@given(bm25_cases())
+def test_retrieve_equals_brute_force_bm25(case):
+    """Same ranks and bit-identical scores as scoring every sentence."""
+    docs, query, k = case
+    got = [(r.doc_id, r.position, r.score) for r in retrieve(build_index(docs), query, k)]
+    assert got == bm25_oracle(docs, query, k)
+
+
+class Unscorable:
+    """Stands in for a sentence that retrieval must never score."""
+
+    def __getattr__(self, name):
+        raise AssertionError("scored a sentence that the bound rules out")
+
+
+def rare_and_common_index():
+    """60 sentences: 3 hold the rare term, and the others hold two common
+    terms each shared by about 50 sentences. Every sentence without the rare
+    term is made unscorable."""
+    sentences = [flat(["rare", "common", "usual"]) for _ in range(3)]
+    sentences += [flat(["common", "usual"]) for _ in range(45)]
+    sentences += [flat(["usual", "filler"]) for _ in range(6)]
+    sentences += [flat(["common", "filler"]) for _ in range(6)]
+    docs = [Document("d", tuple(sentences))]
+    index = build_index(docs)
+    for sid, sent in enumerate(index.sentences):
+        if "rare" not in sent.view.lowered:
+            index.sentences[sid] = Unscorable()
+    return docs, index
+
+
+def test_pruned_loop_stops_after_the_rare_term():
+    """The three rare-term sentences outscore anything the two common terms
+    could add, so with k up to 3 no other sentence is scored."""
+    docs, index = rare_and_common_index()
+    query = ["usual", "rare", "common"]
+    for k in (1, 2, 3):
+        got = [(r.doc_id, r.position, r.score) for r in retrieve(index, query, k)]
+        assert got == bm25_oracle(docs, query, k)
+    with pytest.raises(AssertionError, match="bound rules out"):
+        retrieve(index, query, 4)  # a fourth sentence needs the common lists
+
+
+def test_pruned_loop_reaches_a_sentence_at_the_bound():
+    """The shortest sentence holds the common term at the index's largest
+    tf, so its score is the common term's bound. The two rare-term
+    sentences score just under it: the loop must go on to the common list,
+    and a bound 1% too small would stop it before."""
+    sentences = [flat(["rare", "word0", "word1", "word2"]) for _ in range(2)]
+    sentences += [flat(["common"] * 3)]
+    sentences += [flat(["common", "plain", "quiet", "still"]) for _ in range(5)]
+    sentences += [flat(["plain", "quiet", "still", "calm", "mild"]) for _ in range(24)]
+    docs = [Document("d", tuple(sentences))]
+    query = ["rare", "common"]
+    got = [(r.doc_id, r.position, r.score) for r in retrieve(build_index(docs), query, 2)]
+    assert got == bm25_oracle(docs, query, 2)
+    assert got[0][1] == 2
+    rare_score = bm25_oracle(docs, ["rare"], 1)[0][2]
+    assert 0.99 * got[0][2] < rare_score < got[0][2]
