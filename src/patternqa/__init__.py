@@ -7,9 +7,8 @@ from .corpus import Document, Question, load_documents, load_qa_corpus, normaliz
 from .evaluation import EvalPoint, f_measure, running_metrics
 from .knowledge import (KnowledgeBase, Pattern, PatternElement, Signature,
                         learn_patterns, question_signature)
-from .pipeline import (Interpretation, Outcome, PipelineState, RevisionSchedule,
-                       ScenarioConfig, answer_question, apply_feedback, interpret,
-                       run_sequence)
+from .pipeline import (Interpretation, Outcome, PipelineState, ScenarioConfig,
+                       answer_question, apply_feedback, interpret, run_sequence)
 from .retrieval import Index, RetrievedSentence, build_index, retrieve
 from .treebank import ParseTree, Sentence, analyse, parse_bracketed, serialize
 from .unification import (CandidateAnswer, RelaxConfig, default_config,
@@ -21,7 +20,7 @@ __all__ = [
     "EvalPoint", "f_measure", "running_metrics",
     "KnowledgeBase", "Pattern", "PatternElement", "Signature",
     "learn_patterns", "question_signature",
-    "Interpretation", "Outcome", "PipelineState", "RevisionSchedule", "ScenarioConfig",
+    "Interpretation", "Outcome", "PipelineState", "ScenarioConfig",
     "answer_question", "apply_feedback", "interpret", "run_sequence",
     "Index", "RetrievedSentence", "build_index", "retrieve",
     "ParseTree", "Sentence", "analyse", "parse_bracketed", "serialize",

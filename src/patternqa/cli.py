@@ -18,8 +18,8 @@ from .evaluation import export_series, running_metrics
 from .extraction import load_gazetteer
 from .knowledge import (MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase,
                         KnowledgeBaseError, load_kb, save_kb)
-from .pipeline import (PipelineState, RevisionSchedule, ScenarioConfig,
-                       apply_feedback, extract_candidates, interpret, run_sequence)
+from .pipeline import (PipelineState, ScenarioConfig, apply_feedback, extract_candidates,
+                       interpret, run_sequence)
 from .retrieval import build_index, serialize_index
 from .treebank import TreeFormatError, analyse, parse_bracketed
 from .unification import RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE, RELAX_SYNTACTIC, default_config
@@ -131,9 +131,9 @@ def _outcome_record(outcome) -> dict:
     }
 
 
-# metadata.json config entries that ``run --from-metadata`` restores: each
-# value of _RECORDED is given to its ``run`` flag, each false switch becomes
-# its ``--no-`` flag
+# metadata.json config entries that ``run`` records and ``run --from-metadata``
+# restores: each value of _RECORDED is given to its ``run`` flag, each false
+# switch becomes its ``--no-`` flag
 _RECORDED = ("scenario", "corpus", "docs", "top_k", "relax_measure", "relax_threshold",
              "revise_interval", "kb_in")
 _SWITCHES = ("lexical_relax", "syntactic_relax", "learn_on_revision")
@@ -178,7 +178,10 @@ def _restore_from_metadata(args) -> None:
     values pass through the same parser and checks as flags; a value they
     reject is a :class:`DataError`."""
     path = args.from_metadata
-    meta = json.loads(_require_file(path, "from-metadata").read_text("utf-8"))
+    try:
+        meta = json.loads(_require_file(path, "from-metadata").read_text("utf-8"))
+    except RecursionError as exc:
+        raise DataError(f"{path}: JSON nested too deeply") from exc
     try:
         cfg = meta["config"]
         argv = ["run"]
@@ -228,8 +231,7 @@ def cmd_run(args) -> int:
         relax=relax,
         top_k=args.top_k,
     )
-    schedule = RevisionSchedule(args.revise_interval) if args.revise_interval else None
-    result = run_sequence(state, questions, scenario, schedule,
+    result = run_sequence(state, questions, scenario, args.revise_interval,
                           learn_on_revision=not args.no_learn_on_revision)
 
     log_path = out_dir / "outcomes.jsonl"
@@ -238,14 +240,16 @@ def cmd_run(args) -> int:
             handle.write(json.dumps(_outcome_record(outcome), sort_keys=True))
             handle.write("\n")
 
-    base_points = running_metrics(result.outcomes)
-    base_alt = running_metrics(result.outcomes, fallback_as_answered=True)
-    export_series(base_points, out_dir / f"scenario{scenario.id}_metrics.csv", base_alt)
-    if schedule:
-        export_series(result.points, out_dir / f"revision_i{schedule.interval}.csv",
-                      result.alt_points)
+    points = running_metrics(result.outcomes)
+    export_series(points, out_dir / f"scenario{scenario.id}_metrics.csv",
+                  running_metrics(result.outcomes, fallback_as_answered=True))
+    if args.revise_interval:  # the run's score then counts the rescued questions
+        points = running_metrics(result.outcomes, revision=result.revision)
+        export_series(points, out_dir / f"revision_i{args.revise_interval}.csv",
+                      running_metrics(result.outcomes, fallback_as_answered=True,
+                                      revision=result.revision))
         report = {
-            "interval": schedule.interval,
+            "interval": args.revise_interval,
             "checkpoints": [
                 {
                     "checkpoint": r.checkpoint,
@@ -255,28 +259,21 @@ def cmd_run(args) -> int:
                 }
                 for r in result.revision
             ],
-            "final_correct": result.points[-1].correct if result.points else 0,
+            "final_correct": points[-1].correct if points else 0,
         }
         (out_dir / "revision_report.json").write_text(
             json.dumps(report, indent=1, sort_keys=True) + "\n", "utf-8")
 
+    config = {key: getattr(args, key) for key in _RECORDED}
+    config.update({switch: not getattr(args, f"no_{switch}") for switch in _SWITCHES})
+    config.update(
+        relax_threshold=relax.lexical_threshold,  # the measure's default when not given
+        max_pattern_elements=MAX_PATTERN_ELEMENTS,
+        signature_depth=SIGNATURE_DEPTH,
+        oracle_tie_break="first candidate in (pattern-before-ner, sentence rank, span) order",
+    )
     metadata = {
-        "config": {
-            "scenario": scenario.id,
-            "corpus": str(args.corpus),
-            "docs": str(args.docs),
-            "top_k": args.top_k,
-            "relax_measure": relax.lexical_measure,
-            "relax_threshold": relax.lexical_threshold,
-            "lexical_relax": relax.enable_lexical,
-            "syntactic_relax": relax.enable_syntactic,
-            "revise_interval": args.revise_interval,
-            "learn_on_revision": not args.no_learn_on_revision,
-            "kb_in": args.kb_in,
-            "max_pattern_elements": MAX_PATTERN_ELEMENTS,
-            "signature_depth": SIGNATURE_DEPTH,
-            "oracle_tie_break": "first candidate in (pattern-before-ner, sentence rank, span) order",
-        },
+        "config": config,
         "inputs": {
             "corpus_sha256": _sha256(args.corpus),
             "docs_sha256": _sha256(args.docs),
@@ -288,8 +285,8 @@ def cmd_run(args) -> int:
     if args.kb_out:
         save_kb(state.kb, args.kb_out)
 
-    final = result.points[-1] if result.points else None
-    if final:
+    if points:
+        final = points[-1]
         print(f"scenario {scenario.id}: {len(questions)} questions, "
               f"P={final.p:.4f} R={final.r:.4f} F={final.f:.4f} "
               f"(correct={final.correct}, answered={final.answered})")

@@ -3,6 +3,8 @@ answer normalization.
 
 File formats (JSON Lines, UTF-8):
   questions: {"id", "question", "parse", "category"?, "answers": [...]}
+    (``answers`` lists acceptable reference strings, each non-empty once
+    normalized)
   documents: {"doc_id", "sentences": [{"text", "parse"}, ...]}
 
 Every parse, a question's or a document sentence's, is analysed once while
@@ -118,7 +120,8 @@ def _analysed_parse(raw, text: str, lineno: int, what: str) -> Sentence:
 
 def read_jsonl(path):
     """``(line number, record)`` for each non-blank line of a JSON Lines
-    file; raises :class:`CorpusError` on a line that is not a JSON object."""
+    file; raises :class:`CorpusError` on a line that is not a JSON object,
+    or that nests too deeply to decode."""
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             if not raw.strip():
@@ -127,6 +130,8 @@ def read_jsonl(path):
                 record = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"malformed JSON: {exc.msg}", lineno) from exc
+            except RecursionError as exc:
+                raise CorpusError("JSON nested too deeply", lineno) from exc
             if not isinstance(record, dict):
                 raise CorpusError("record must be a JSON object", lineno)
             yield lineno, record
@@ -146,6 +151,11 @@ def load_qa_corpus(path) -> list[Question]:
         answers = record["answers"]
         if not answers:
             raise CorpusError("answers must be a non-empty list", lineno)
+        for answer in answers:
+            if not isinstance(answer, str):
+                raise CorpusError(f"answers must be strings, got {json.dumps(answer)}", lineno)
+            if not normalize_answer(answer):
+                raise CorpusError(f"answer {answer!r} is empty once normalized", lineno)
         view = _analysed_parse(record["parse"], text, lineno, "tokenized question")
         category = record.get("category")
         if category is not None and not isinstance(category, str):
@@ -158,7 +168,7 @@ def load_qa_corpus(path) -> list[Question]:
                 text=text,
                 parse=view,
                 category=category,
-                answers=tuple(str(a) for a in answers),
+                answers=tuple(answers),
             )
         )
     return questions

@@ -1,5 +1,6 @@
-"""Running precision/recall/F-measure over an outcome sequence, and CSV
-export of the resulting series."""
+"""Running precision/recall/F-measure over an outcome sequence, with or
+without the questions rescued at revision checkpoints, and CSV export of
+the resulting series."""
 
 from __future__ import annotations
 
@@ -32,23 +33,35 @@ def make_point(i: int, correct: int, answered: int) -> EvalPoint:
     return EvalPoint(i=i, p=p, r=r, f=f_measure(p, r), correct=correct, answered=answered)
 
 
-def running_metrics(outcomes, fallback_as_answered: bool = False) -> list[EvalPoint]:
-    """One point per prefix of the outcome sequence.
+def running_metrics(outcomes, fallback_as_answered: bool = False,
+                    revision=()) -> list[EvalPoint]:
+    """One point per prefix of the outcome sequence: the one place a run's
+    P/R/F series is counted.
 
-    A question counts as answered when the system produced any candidate;
-    tutor-supplied fallback answers are not system answers. The alternate
-    convention (fallback_as_answered) also counts fallback questions in
-    the precision denominator.
+    A question counts as answered when the system produced any candidate
+    (:attr:`Outcome.answered`); tutor-supplied fallback answers are not
+    system answers. The alternate convention (fallback_as_answered) also
+    counts fallback questions in the precision denominator.
+
+    ``revision`` holds the run's checkpoint reports. A question rescued at
+    checkpoint ``c`` counts as correct, and as answered unless its outcome
+    already counts, from point ``c + 1`` on.
     """
+    rescued: dict[int, list[str]] = {}
+    for report in revision:
+        rescued.setdefault(report.checkpoint + 1, []).extend(report.newly_correct)
+    counts = ((lambda o: o.answered or o.fallback_used) if fallback_as_answered
+              else (lambda o: o.answered))
+    seen = {}  # question id -> its outcome, up to the current point
     points = []
-    correct = 0
-    answered = 0
+    correct = answered = 0
     for i, outcome in enumerate(outcomes, 1):
+        for qid in rescued.get(i, ()):
+            correct += 1
+            answered += not counts(seen[qid])
+        seen[outcome.question_id] = outcome
         correct += bool(outcome.correct)
-        if outcome.candidates:
-            answered += 1
-        elif fallback_as_answered and outcome.fallback_used:
-            answered += 1
+        answered += counts(outcome)
         points.append(make_point(i, correct, answered))
     return points
 

@@ -349,7 +349,10 @@ def load_kb(path) -> KnowledgeBase:
     """Inverse of :func:`save_kb`. Raises :class:`KnowledgeBaseError`
     naming the first signature or pattern that does not validate."""
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except RecursionError as exc:
+            raise KnowledgeBaseError(f"{path}: JSON nested too deeply") from exc
     kb = KnowledgeBase()
     where = "top level"
     try:

@@ -1,11 +1,13 @@
-"""Question-answering pipeline: interpret, retrieve, extract, learn.
+"""Question-answering pipeline: interpret, retrieve, extract, learn, revise.
 
 Questions are processed strictly sequentially; the knowledge base grows
 only between questions (and at revision checkpoints), so extraction for
 any one question sees a frozen snapshot. Each question is interpreted
 once, into an :class:`Interpretation` (category, signature, retrieved
 sentences) that extraction, learning and revision share, which keeps runs
-deterministic and makes the provenance-exclusion rule testable.
+deterministic and makes the provenance-exclusion rule testable. A run
+yields outcomes and checkpoint reports and scores neither:
+:func:`~patternqa.evaluation.running_metrics` does.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 
 from .classify import Category, classify, load_hint_table
 from .corpus import Question, normalize_answer
-from .evaluation import EvalPoint, make_point
 from .extraction import Gazetteer, extract_ner, load_regex_rules
 from .knowledge import KnowledgeBase, Pattern, Signature, learn_patterns, question_signature
 from .retrieval import Index, RetrievedSentence, content_words, retrieve
@@ -64,19 +65,6 @@ class Outcome:
     @property
     def answered(self) -> bool:
         return bool(self.candidates)
-
-
-@dataclass(frozen=True)
-class RevisionSchedule:
-    interval: int
-
-    def __post_init__(self):
-        if self.interval < 1:
-            raise ValueError("interval must be >= 1")
-
-    def checkpoints(self, total: int) -> list[int]:
-        # stop points i*n strictly below the corpus size
-        return [i for i in range(self.interval, total, self.interval)]
 
 
 @dataclass
@@ -237,9 +225,7 @@ class CheckpointReport:
 @dataclass
 class RunResult:
     outcomes: list[Outcome]
-    points: list[EvalPoint]
-    alt_points: list[EvalPoint]
-    revision: list[CheckpointReport] | None = None
+    revision: list[CheckpointReport]
 
 
 def revise(state: PipelineState, pending: list[str], checkpoint: int,
@@ -275,42 +261,26 @@ def revise(state: PipelineState, pending: list[str], checkpoint: int,
 
 
 def run_sequence(state: PipelineState, questions: list[Question], scenario: ScenarioConfig,
-                 schedule: RevisionSchedule | None = None,
+                 revise_interval: int | None = None,
                  learn_on_revision: bool = True) -> RunResult:
-    """Process the corpus in order, emitting one outcome and one running
-    metric point per question. With a revision schedule, previously failed
-    questions are retried at every interval checkpoint and newly correct
-    ones count as correct from that point forward."""
-    checkpoints = set(schedule.checkpoints(len(questions))) if schedule else set()
+    """Process the corpus in order, emitting one outcome per question. With a
+    revision interval n, the questions not yet correct are retried at every
+    multiple of n strictly below the corpus size; the checkpoint reports are
+    returned with the outcomes, and
+    :func:`~patternqa.evaluation.running_metrics` scores the two together."""
+    if revise_interval is not None and revise_interval < 1:
+        raise ValueError("revise_interval must be >= 1")
     outcomes: list[Outcome] = []
-    points: list[EvalPoint] = []
-    alt_points: list[EvalPoint] = []
     reports: list[CheckpointReport] = []
     correct_ids: set[str] = set()
-    answered_ids: set[str] = set()
-    fallback_ids: set[str] = set()
-
     for i, question in enumerate(questions, 1):
         outcome = answer_question(state, question, scenario)
         outcomes.append(outcome)
         if outcome.correct:
             correct_ids.add(question.id)
-        if outcome.answered:
-            answered_ids.add(question.id)
-        if outcome.fallback_used:
-            fallback_ids.add(question.id)
-        points.append(make_point(i, len(correct_ids), len(answered_ids)))
-        alt_points.append(make_point(i, len(correct_ids), len(answered_ids | fallback_ids)))
-        if i in checkpoints:
+        if revise_interval and i % revise_interval == 0 and i < len(questions):
             pending = [q.id for q in questions[:i] if q.id not in correct_ids]
             report = revise(state, pending, i, learn_on_revision)
             reports.append(report)
-            for qid in report.newly_correct:
-                correct_ids.add(qid)
-                answered_ids.add(qid)
-    return RunResult(
-        outcomes=outcomes,
-        points=points,
-        alt_points=alt_points,
-        revision=reports if schedule else None,
-    )
+            correct_ids.update(report.newly_correct)
+    return RunResult(outcomes, reports)

@@ -4,11 +4,12 @@ These deliberately avoid sharing code paths with the package: the edit
 distance is a memoized recursion (the package uses an iterative DP row),
 the alignment enumerator works over a flat (start, end, label) node list
 (the package walks the tree with pruning) and applies relaxation from the
-measure definitions, and the metric oracle is a plain counting loop over
-log records. BM25 scores every sentence and sorts them all (the package
-visits the posting lists and stops early). The question readers (POS
-pairs, signature, phrases, content words) are kept here as the tree walks
-they were before questions were read through their analysed view.
+measure definitions, and the metric oracle keeps sets of question ids
+over log records (the package counts outcomes and rescues). BM25 scores
+every sentence and sorts them all (the package visits the posting lists
+and stops early). The question readers (POS pairs, signature, phrases,
+content words) are kept here as the tree walks they were before questions
+were read through their analysed view.
 """
 
 from __future__ import annotations
@@ -340,14 +341,27 @@ def bm25_oracle(docs, query_terms: list[str], k: int) -> list[tuple[str, int, fl
     return scored[:max(k, 0)]
 
 
-def count_metrics_oracle(records: list[dict]) -> list[tuple[int, float, float]]:
-    """(i, P_i, R_i) per prefix from raw outcome records, counted the slow
-    obvious way."""
+def count_metrics_oracle(records: list[dict], revision=(),
+                         fallback_as_answered: bool = False) -> list[tuple]:
+    """``(i, P_i, R_i, correct_i, answered_i)`` per prefix from raw outcome
+    records (``id``, ``correct``, ``candidates``, ``fallback_used``), kept
+    as sets of question ids the way the pipeline once counted its revision
+    series: after point ``c``, the questions rescued at checkpoint ``c``
+    join the correct and answered sets. Under the fallback convention the
+    answered set is the union of the answered and fallback sets."""
+    rescued = {report.checkpoint: report.newly_correct for report in revision}
+    correct_ids, answered_ids, fallback_ids = set(), set(), set()
     out = []
-    for i in range(1, len(records) + 1):
-        prefix = records[:i]
-        correct = sum(1 for r in prefix if r["correct"])
-        answered = sum(1 for r in prefix if r["candidates"])
-        p = correct / answered if answered else 1.0
-        out.append((i, p, correct / i))
+    for i, record in enumerate(records, 1):
+        if record["correct"]:
+            correct_ids.add(record["id"])
+        if record["candidates"]:
+            answered_ids.add(record["id"])
+        if record["fallback_used"]:
+            fallback_ids.add(record["id"])
+        correct = len(correct_ids)
+        answered = len(answered_ids | fallback_ids if fallback_as_answered else answered_ids)
+        out.append((i, correct / answered if answered else 1.0, correct / i, correct, answered))
+        correct_ids.update(rescued.get(i, ()))
+        answered_ids.update(rescued.get(i, ()))
     return out

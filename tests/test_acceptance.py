@@ -16,10 +16,9 @@ import sys
 
 from patternqa.classify import classify
 from patternqa.corpus import normalize_answer
-from patternqa.evaluation import f_measure
+from patternqa.evaluation import f_measure, running_metrics
 from patternqa.knowledge import learn_patterns, question_signature
-from patternqa.pipeline import (RevisionSchedule, ScenarioConfig,
-                                run_sequence)
+from patternqa.pipeline import ScenarioConfig, run_sequence
 from patternqa.treebank import analyse, parse_bracketed
 from patternqa.unification import (default_config, levenshtein_distance,
                                    unify)
@@ -148,9 +147,10 @@ def _fixture_runs(make_state, fixture_questions):
 def test_learning_curve_property(make_state, fixture_questions):
     runs = _fixture_runs(make_state, fixture_questions)
     boundaries = [6, 14, 22, 30]
-    recall_at = [runs[2].points[i - 1].r for i in boundaries]
+    points = {sid: running_metrics(run.outcomes) for sid, run in runs.items()}
+    recall_at = [points[2][i - 1].r for i in boundaries]
     strictly_up = all(b > a for a, b in zip(recall_at, recall_at[1:]))
-    dominated = all(p3.r >= p1.r for p1, p3 in zip(runs[1].points, runs[3].points))
+    dominated = all(p3.r >= p1.r for p1, p3 in zip(points[1], points[3]))
     assert report("learning-curve", strictly_up and dominated,
                   f"scenario-2 recall at boundaries {[round(r, 4) for r in recall_at]}; "
                   f"scenario-3 >= scenario-1 everywhere: {dominated}")
@@ -159,13 +159,12 @@ def test_learning_curve_property(make_state, fixture_questions):
 def test_revision_properties(make_state, fixture_questions):
     base = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
     ten_state = make_state()
-    ten = run_sequence(ten_state, fixture_questions, ScenarioConfig.from_id(2),
-                       RevisionSchedule(10))
-    five = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2),
-                        RevisionSchedule(5))
+    ten = run_sequence(ten_state, fixture_questions, ScenarioConfig.from_id(2), 10)
+    five = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2), 5)
+    final = {name: running_metrics(run.outcomes, revision=run.revision)[-1].correct
+             for name, run in (("base", base), ("ten", ten), ("five", five))}
     rescued_ten = sum(len(r.newly_correct) for r in ten.revision)
-    ordering = (five.points[-1].correct >= ten.points[-1].correct
-                >= base.points[-1].correct)
+    ordering = final["five"] >= final["ten"] >= final["base"]
     # self-exclusion: q01's only applicable pattern came from itself
     malcolm = fixture_questions[0]
     signature = question_signature(malcolm, classify(malcolm, ten_state.hints))
@@ -177,7 +176,7 @@ def test_revision_properties(make_state, fixture_questions):
     assert report(
         "revision-properties", rescued_ten >= 1 and ordering and blocked,
         f"interval-10 rescued {rescued_ten}; corrects no-rev/10/5 = "
-        f"{base.points[-1].correct}/{ten.points[-1].correct}/{five.points[-1].correct}; "
+        f"{final['base']}/{final['ten']}/{final['five']}; "
         f"self-exclusion blocked: {blocked}")
 
 

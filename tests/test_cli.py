@@ -379,6 +379,7 @@ def test_recorded_config_round_trips(tmp_path):
 QA_RECORD = json.loads((FIXTURES / "qa30.jsonl").read_text().splitlines()[0])
 DOC_RECORD = json.loads((FIXTURES / "docs.jsonl").read_text().splitlines()[0])
 NOT_UTF8 = (json.dumps(QA_RECORD) + "\n").encode() + '{"id": "caf\xe9"}\n'.encode("latin-1")
+DEEP_JSON = b"[" * 200_000 + b"\n"
 
 
 def _jsonl(record) -> bytes:
@@ -399,10 +400,19 @@ def _jsonl(record) -> bytes:
      _jsonl({**QA_RECORD, "category": "BOGUS:x"})),
     (("stats", "--kb-in", "{kb}", "--outcomes"), b"[1]\n"),
     (("run", "--from-metadata"), b"{}\n"),
+    (("ingest", "--corpus"), _jsonl({**QA_RECORD, "answers": [None]})),
+    (("ingest", "--corpus"), _jsonl({**QA_RECORD, "answers": [""]})),
+    (("ingest", "--corpus"), DEEP_JSON),
+    (("ingest", "--docs"), DEEP_JSON),
+    (("stats", "--kb-in"), DEEP_JSON),
+    (("stats", "--kb-in", "{kb}", "--outcomes"), DEEP_JSON),
+    (("run", "--out-dir", "{out}", "--from-metadata"), DEEP_JSON),
 ], ids=["sentences-not-a-list", "sentence-not-an-object", "doc-id-not-a-string",
         "sentence-text-not-a-string", "id-not-a-string", "question-not-a-string",
         "corpus-not-utf8", "ingest-unknown-category", "run-unknown-category",
-        "outcome-not-an-object", "metadata-without-config"])
+        "outcome-not-an-object", "metadata-without-config", "answer-null", "answer-empty",
+        "corpus-nested-too-deeply", "docs-nested-too-deeply", "kb-nested-too-deeply",
+        "outcomes-nested-too-deeply", "metadata-nested-too-deeply"])
 def test_malformed_input_is_one_line_data_error(tmp_path, capsys, command, content):
     kb_path = tmp_path / "kb.json"
     save_kb(KnowledgeBase(), kb_path)

@@ -48,6 +48,22 @@ def test_empty_answers_rejected(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("answer, message", [
+    (None, "answers must be strings, got null"),
+    (5, "answers must be strings, got 5"),
+    (["Dante"], 'answers must be strings, got ["Dante"]'),
+    ("", "answer '' is empty once normalized"),
+    ("The ...", "answer 'The ...' is empty once normalized"),
+], ids=["null", "number", "list", "empty", "article-and-punctuation"])
+def test_answer_without_a_normalized_form_rejected(tmp_path, answer, message):
+    bad = dict(GOOD_RECORD, id="q2", answers=["Dante", answer])
+    path = write_jsonl(tmp_path / "qa.jsonl", [GOOD_RECORD, bad])
+    with pytest.raises(CorpusError) as err:
+        load_qa_corpus(path)
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: {message}"
+
+
 def test_duplicate_id_rejected(tmp_path):
     path = write_jsonl(tmp_path / "qa.jsonl", [GOOD_RECORD, GOOD_RECORD])
     with pytest.raises(CorpusError) as err:

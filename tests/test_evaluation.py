@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from patternqa.evaluation import EvalPoint, export_series, f_measure, make_point, running_metrics
-from patternqa.pipeline import Outcome
+from patternqa.pipeline import CheckpointReport, Outcome
 
 from .oracles import count_metrics_oracle
 
@@ -52,8 +52,9 @@ def test_series_against_counting_oracle():
         answered = correct or i % 3 == 0
         outcomes.append(outcome(f"q{i}", correct, answered))
     points = running_metrics(outcomes)
-    records = [{"correct": o.correct, "candidates": o.candidates} for o in outcomes]
-    for point, (i, p, r) in zip(points, count_metrics_oracle(records)):
+    records = [{"id": o.question_id, "correct": o.correct, "candidates": o.candidates,
+                "fallback_used": o.fallback_used} for o in outcomes]
+    for point, (i, p, r, _, _) in zip(points, count_metrics_oracle(records)):
         assert point.i == i
         assert point.p == pytest.approx(p)
         assert point.r == pytest.approx(r)
@@ -74,6 +75,23 @@ def test_fallback_is_never_correct_in_series():
     # correct=False, so the correct count cannot include it
     outcomes = [outcome("q1", False, False, fallback=True)] * 3
     assert running_metrics(outcomes)[-1].correct == 0
+
+
+def test_rescued_questions_count_from_the_point_after_their_checkpoint():
+    outcomes = [outcome("q1", False, False, fallback=True), outcome("q2", False, True),
+                outcome("q3", True, True), outcome("q4", False, False), outcome("q5", True, True)]
+    revision = [CheckpointReport(2, ["q1", "q2"], ["q1", "q2"]),
+                CheckpointReport(4, ["q1", "q4"], ["q4"])]
+
+    def counts(points):
+        return [(point.correct, point.answered) for point in points]
+
+    assert counts(running_metrics(outcomes)) == [(0, 0), (0, 1), (1, 2), (1, 2), (2, 3)]
+    assert counts(running_metrics(outcomes, revision=revision)) == \
+        [(0, 0), (0, 1), (3, 3), (3, 3), (5, 5)]
+    # q1's fallback and q2's candidates already count as answered: not twice
+    assert counts(running_metrics(outcomes, fallback_as_answered=True, revision=revision)) == \
+        [(0, 1), (0, 2), (3, 3), (3, 3), (5, 5)]
 
 
 def test_precision_at_least_recall():

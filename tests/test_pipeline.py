@@ -5,19 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from patternqa.classify import classify
 from patternqa.corpus import Document, Question
+from patternqa.evaluation import running_metrics
 from patternqa.extraction import load_gazetteer
 from patternqa.knowledge import (KnowledgeBase, Pattern, answer_slot, lexical,
                                  question_signature, syntactic)
-from patternqa.pipeline import (Interpretation, PipelineState, RevisionSchedule,
-                                ScenarioConfig, answer_question,
-                                apply_feedback, interpret, pattern_candidates,
-                                revise, run_sequence)
+from patternqa.pipeline import (Interpretation, PipelineState, ScenarioConfig,
+                                answer_question, apply_feedback, interpret,
+                                pattern_candidates, revise, run_sequence)
 from patternqa.retrieval import build_index
 from patternqa.treebank import analyse, parse_bracketed
 from patternqa import pipeline as pipeline_module
 
 from .conftest import DANTE_QUESTION_PARSE, HAMLET_QUESTION_PARSE, signature_of
-from .oracles import naive_revise
+from .oracles import count_metrics_oracle, naive_revise
 
 
 def test_scenario_table():
@@ -31,12 +31,23 @@ def test_scenario_table():
         ScenarioConfig(1, True, True, False)
 
 
-def test_revision_checkpoints_strictly_below_total():
-    assert RevisionSchedule(10).checkpoints(30) == [10, 20]
-    assert RevisionSchedule(5).checkpoints(30) == [5, 10, 15, 20, 25]
-    assert RevisionSchedule(30).checkpoints(30) == []
+def points_of(result, fallback_as_answered=False):
+    """The run's running metrics, rescued questions included."""
+    return running_metrics(result.outcomes, fallback_as_answered, result.revision)
+
+
+def test_revision_checkpoints_strictly_below_total(fixture_questions, make_state):
+    def checkpoints(interval):
+        result = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(1),
+                              interval)
+        return [report.checkpoint for report in result.revision]
+
+    assert len(fixture_questions) == 30
+    assert checkpoints(10) == [10, 20]
+    assert checkpoints(5) == [5, 10, 15, 20, 25]
+    assert checkpoints(30) == []
     with pytest.raises(ValueError):
-        RevisionSchedule(0)
+        checkpoints(0)
 
 
 def mini_state():
@@ -125,12 +136,12 @@ def test_run_sequence_empty():
     state = PipelineState(kb=KnowledgeBase(), index=build_index([]),
                           gazetteer=load_gazetteer())
     result = run_sequence(state, [], ScenarioConfig.from_id(2))
-    assert result.outcomes == [] and result.points == []
+    assert result.outcomes == [] and points_of(result) == []
 
 
 def test_recall_grows_with_signature_reuse(fixture_questions, make_state):
     result = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
-    points = result.points
+    points = points_of(result)
     assert points[29].r > points[9].r
     # strictly increasing across the fixture's group boundaries
     boundary_recall = [points[i - 1].r for i in (6, 14, 22, 30)]
@@ -140,7 +151,7 @@ def test_recall_grows_with_signature_reuse(fixture_questions, make_state):
 def test_scenario3_recall_dominates_scenario1(fixture_questions, make_state):
     r1 = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(1))
     r3 = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(3))
-    for p1, p3 in zip(r1.points, r3.points):
+    for p1, p3 in zip(points_of(r1), points_of(r3)):
         assert p3.r >= p1.r
 
 
@@ -154,15 +165,14 @@ def test_fallback_outcomes_are_never_correct(fixture_questions, make_state):
 
 
 def test_revision_rescues_group_teacher(fixture_questions, make_state):
-    result = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2),
-                          RevisionSchedule(10))
+    result = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2), 10)
     assert [r.checkpoint for r in result.revision] == [10, 20]
     assert "q07" in result.revision[0].newly_correct
     assert "q15" in result.revision[1].newly_correct
-    # rescued questions count from the checkpoint forward
+    # rescued questions count from the point after their checkpoint
     no_revision = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
-    assert result.points[-1].correct > no_revision.points[-1].correct
-    assert result.points[9].correct == no_revision.points[9].correct  # log unchanged at cp
+    assert points_of(result)[-1].correct > points_of(no_revision)[-1].correct
+    assert points_of(result)[9].correct == points_of(no_revision)[9].correct  # log unchanged at cp
 
 
 def test_smaller_interval_rescues_at_least_as_many(fixture_questions, make_state):
@@ -170,16 +180,16 @@ def test_smaller_interval_rescues_at_least_as_many(fixture_questions, make_state
     by_interval = {}
     for interval in (5, 10):
         result = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2),
-                              RevisionSchedule(interval))
-        by_interval[interval] = result.points[-1].correct
-    assert by_interval[5] >= by_interval[10] >= base.points[-1].correct
+                              interval)
+        by_interval[interval] = points_of(result)[-1].correct
+    assert by_interval[5] >= by_interval[10] >= points_of(base)[-1].correct
 
 
 def test_revision_learning_ablation_switch(fixture_questions, make_state):
     learning = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2),
-                            RevisionSchedule(10), learn_on_revision=True)
+                            10, learn_on_revision=True)
     frozen = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2),
-                          RevisionSchedule(10), learn_on_revision=False)
+                          10, learn_on_revision=False)
     # rescues are identical on this fixture; only checkpoint learning differs
     assert [r.newly_correct for r in learning.revision] == \
         [r.newly_correct for r in frozen.revision]
@@ -188,8 +198,7 @@ def test_revision_learning_ablation_switch(fixture_questions, make_state):
 
 def test_self_taught_patterns_cannot_rescue(fixture_questions, make_state):
     state = make_state()
-    result = run_sequence(state, fixture_questions, ScenarioConfig.from_id(2),
-                          RevisionSchedule(10))
+    result = run_sequence(state, fixture_questions, ScenarioConfig.from_id(2), 10)
     # q01 fallback-learned a pattern under its own unique signature...
     malcolm = fixture_questions[0]
     signature = question_signature(malcolm, classify(malcolm, state.hints))
@@ -208,17 +217,17 @@ def kb_content(kb):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_revision_matches_naive_retries(data, fixture_questions, fixture_docs):
-    """Skipping retries changes no outcome, checkpoint report, metric point
-    or learned pattern, with and without learning at checkpoints."""
+    """Skipping retries changes no outcome, checkpoint report or learned
+    pattern, with and without learning at checkpoints."""
     questions = data.draw(st.permutations(fixture_questions))[:data.draw(st.integers(2, 30))]
     scenario = ScenarioConfig.from_id(data.draw(st.sampled_from([2, 3, 4])))
-    schedule = RevisionSchedule(data.draw(st.integers(1, 6)))
+    interval = data.draw(st.integers(1, 6))
     learn = data.draw(st.booleans())
     states = [PipelineState(kb=KnowledgeBase(), index=build_index(fixture_docs),
                             gazetteer=load_gazetteer()) for _ in range(2)]
-    skipping = run_sequence(states[0], questions, scenario, schedule, learn)
+    skipping = run_sequence(states[0], questions, scenario, interval, learn)
     with mock.patch.object(pipeline_module, "revise", naive_revise):
-        naive = run_sequence(states[1], questions, scenario, schedule, learn)
+        naive = run_sequence(states[1], questions, scenario, interval, learn)
     assert skipping == naive
     assert kb_content(states[0].kb) == kb_content(states[1].kb)
 
@@ -315,15 +324,26 @@ def test_determinism_across_runs(fixture_questions, make_state):
     a = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
     b = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
     assert [repr(o) for o in a.outcomes] == [repr(o) for o in b.outcomes]
-    assert a.points == b.points
+    assert points_of(a) == points_of(b)
 
 
-def test_points_match_running_metrics_without_revision(fixture_questions, make_state):
-    from patternqa.evaluation import running_metrics
-
-    result = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(4))
-    assert result.points == running_metrics(result.outcomes)
-    assert result.alt_points == running_metrics(result.outcomes, fallback_as_answered=True)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_revision_series_match_id_set_oracle(data, fixture_questions, fixture_docs):
+    """The running metrics of a revised run, rescued questions included,
+    equal the question-id sets counted by the oracle, under both answered
+    conventions."""
+    questions = data.draw(st.permutations(fixture_questions))[:data.draw(st.integers(1, 30))]
+    scenario = ScenarioConfig.from_id(data.draw(st.sampled_from([2, 3, 4])))
+    state = PipelineState(kb=KnowledgeBase(), index=build_index(fixture_docs),
+                          gazetteer=load_gazetteer())
+    result = run_sequence(state, questions, scenario, data.draw(st.integers(1, 6)))
+    records = [{"id": o.question_id, "correct": o.correct, "candidates": o.candidates,
+                "fallback_used": o.fallback_used} for o in result.outcomes]
+    for fallback_as_answered in (False, True):
+        series = [(point.i, point.p, point.r, point.correct, point.answered)
+                  for point in points_of(result, fallback_as_answered)]
+        assert series == count_metrics_oracle(records, result.revision, fallback_as_answered)
 
 
 def test_relaxed_match_recorded_in_outcome(fixture_questions, make_state):

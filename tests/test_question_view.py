@@ -1,6 +1,8 @@
 """Questions are read through the same analysed ``Sentence`` view as
 document sentences. The view-based readers must equal the tree walks they
-replaced (kept in ``oracles``), and no module past loading may see a tree."""
+replaced (kept in ``oracles``), and no module past loading may see a tree.
+The package's structure is guarded the same way: only ``evaluation``
+counts running metrics."""
 
 import ast
 from pathlib import Path
@@ -49,6 +51,13 @@ def test_question_readers_match_tree_walks_on_a_deep_tree():
     assert_readers_match_tree_walks(parse_bracketed(DEEP))
 
 
+def _names_called(path: Path) -> set[str]:
+    """Names a module calls, directly or as a module attribute."""
+    return {item.func.id if isinstance(item.func, ast.Name) else item.func.attr
+            for item in ast.walk(ast.parse(path.read_text("utf-8")))
+            if isinstance(item, ast.Call) and isinstance(item.func, (ast.Name, ast.Attribute))}
+
+
 def _names_used(path: Path) -> set[str]:
     """Names a module imports from another, or reads as a module attribute."""
     names = set()
@@ -73,4 +82,21 @@ def test_trees_do_not_outlive_loading():
         if path.stem not in ("treebank", "corpus", "cli", "__init__"):
             offenders.extend((path.stem, name) for name in ("ParseTree", "parse_bracketed")
                              if name in names)
+    assert offenders == []
+
+
+def test_only_evaluation_builds_metric_points():
+    """``evaluation.running_metrics`` is the one accumulator of a run's P/R/F
+    series: no other module imports or calls ``make_point`` or builds an
+    ``EvalPoint``. The package ``__init__`` re-exports ``EvalPoint`` and
+    builds none."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "evaluation":
+            continue
+        called, used = _names_called(path), _names_used(path)
+        offenders.extend((path.stem, name) for name in ("make_point", "EvalPoint")
+                         if name in called)
+        if "make_point" in used:
+            offenders.append((path.stem, "import make_point"))
     assert offenders == []
