@@ -10,7 +10,7 @@ from .knowledge import (KnowledgeBase, Pattern, PatternElement, Signature,
 from .pipeline import (Interpretation, Outcome, PipelineState, ScenarioConfig,
                        answer_question, apply_feedback, interpret, run_sequence)
 from .retrieval import Index, RetrievedSentence, build_index, retrieve
-from .treebank import ParseTree, Sentence, analyse, parse_bracketed, serialize
+from .treebank import Sentence, parse_sentence
 from .unification import (CandidateAnswer, RelaxConfig, default_config,
                           lexical_similarity, tag_compatible, unify)
 
@@ -23,7 +23,7 @@ __all__ = [
     "Interpretation", "Outcome", "PipelineState", "ScenarioConfig",
     "answer_question", "apply_feedback", "interpret", "run_sequence",
     "Index", "RetrievedSentence", "build_index", "retrieve",
-    "ParseTree", "Sentence", "analyse", "parse_bracketed", "serialize",
+    "Sentence", "parse_sentence",
     "CandidateAnswer", "RelaxConfig", "default_config",
     "lexical_similarity", "tag_compatible", "unify",
 ]

@@ -7,13 +7,15 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 
-from .corpus import CorpusError, Question, load_documents, load_qa_corpus, read_jsonl
+from .corpus import (CorpusError, Question, load_documents, load_qa_corpus, normalize_answer,
+                     read_jsonl)
 from .evaluation import export_series, running_metrics
 from .extraction import load_gazetteer
 from .knowledge import (MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase,
@@ -21,7 +23,7 @@ from .knowledge import (MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase,
 from .pipeline import (PipelineState, ScenarioConfig, apply_feedback, extract_candidates,
                        interpret, run_sequence)
 from .retrieval import build_index, serialize_index
-from .treebank import TreeFormatError, analyse, parse_bracketed
+from .treebank import TreeFormatError, parse_sentence
 from .unification import RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE, RELAX_SYNTACTIC, default_config
 
 
@@ -217,8 +219,11 @@ def cmd_run(args) -> int:
         enable_lexical=not args.no_lexical_relax,
         enable_syntactic=not args.no_syntactic_relax,
     )
-    kb = load_kb(args.kb_in) if args.kb_in else KnowledgeBase()
+    kb = load_kb(_require_file(args.kb_in, "kb-in")) if args.kb_in else KnowledgeBase()
     index = build_index(docs)
+    # the loaded collection is kept for the whole run: frozen, the cyclic
+    # collector stops walking it again and again while questions are answered
+    gc.freeze()
     # made before any output is written: --dump-index and --kb-out may lie in it
     out_dir = Path(args.out_dir) if args.out_dir else Path("out") / time.strftime("%Y%m%d-%H%M%S")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,7 +304,7 @@ def cmd_tutor(args) -> int:
         raise UsageError("--top-k must be >= 1")
     _check_output_path("--kb-out", args.kb_out)
     docs = load_documents(_require_file(args.docs, "docs"))
-    kb = load_kb(args.kb_in) if args.kb_in else KnowledgeBase()
+    kb = load_kb(_require_file(args.kb_in, "kb-in")) if args.kb_in else KnowledgeBase()
     state = PipelineState(
         kb=kb,
         index=build_index(docs),
@@ -313,6 +318,13 @@ def cmd_tutor(args) -> int:
     def prompt():
         print("> ", end="", flush=True)
 
+    def teach(answer):
+        # the rule load_qa_corpus applies to reference answers
+        if normalize_answer(answer):
+            print(f"learned {apply_feedback(state, last, answer)} new patterns")
+        else:
+            print(f"not learned: {answer!r} has no word once normalized")
+
     print("tutor ready. commands: ask <bracketed parse> | y | n | answer <text> | quit")
     prompt()
     for raw in sys.stdin:
@@ -325,7 +337,7 @@ def cmd_tutor(args) -> int:
         if line.startswith("ask "):
             counter += 1
             try:
-                view = analyse(parse_bracketed(line[4:].strip()))
+                view = parse_sentence(line[4:].strip())
             except TreeFormatError as exc:
                 print(f"cannot parse question: {exc}")
                 prompt()
@@ -345,17 +357,14 @@ def cmd_tutor(args) -> int:
             if last is None or last_answer is None:
                 print("nothing to confirm")
             else:
-                added = apply_feedback(state, last, last_answer)
-                print(f"learned {added} new patterns")
+                teach(last_answer)
         elif line == "n":
             print("marked wrong (use 'answer <text>' to teach the correct one)")
         elif line.startswith("answer "):
             if last is None:
                 print("ask a question first")
             else:
-                truth = line[len("answer "):].strip()
-                added = apply_feedback(state, last, truth)
-                print(f"learned {added} new patterns")
+                teach(line[len("answer "):].strip())
         else:
             print("commands: ask <bracketed parse> | y | n | answer <text> | quit")
         prompt()

@@ -7,9 +7,8 @@ File formats (JSON Lines, UTF-8):
     normalized)
   documents: {"doc_id", "sentences": [{"text", "parse"}, ...]}
 
-Every parse, a question's or a document sentence's, is analysed once while
-it is read into a :class:`~patternqa.treebank.Sentence` view; no tree
-outlives loading.
+Every parse, a question's or a document sentence's, is read once, straight
+into a :class:`~patternqa.treebank.Sentence` view; no tree is built.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .treebank import PUNCTUATION, Sentence, TreeFormatError, analyse, parse_bracketed
+from .treebank import PUNCTUATION, Sentence, TreeFormatError, parse_sentence
 
 
 # the Li & Roth coarse question classes; a gold category is "coarse:fine"
@@ -39,7 +38,7 @@ class CorpusError(ValueError):
 class Question:
     id: str
     text: str
-    parse: Sentence  # the analysed parse; the tree is not kept
+    parse: Sentence  # the analysed parse
     category: str | None = None  # gold "coarse:fine" label, when present
     answers: tuple[str, ...] = ()
 
@@ -110,7 +109,7 @@ def _analysed_parse(raw, text: str, lineno: int, what: str) -> Sentence:
     """The :class:`Sentence` view of the bracketed parse ``raw``, whose
     leaves must be the tokens of ``text`` up to case."""
     try:
-        view = analyse(parse_bracketed(raw))
+        view = parse_sentence(raw)
     except TreeFormatError as exc:
         raise CorpusError(f"bad parse: {exc}", lineno) from exc
     if list(view.lowered) != [t.lower() for t in tokenize(text)]:
@@ -139,7 +138,7 @@ def read_jsonl(path):
 
 def load_qa_corpus(path) -> list[Question]:
     """Load questions in file order (order matters for running metrics),
-    each parse analysed into a :class:`Sentence` view."""
+    each parse read into a :class:`Sentence` view."""
     questions = []
     seen = set()
     for lineno, record in read_jsonl(path):
@@ -175,8 +174,8 @@ def load_qa_corpus(path) -> list[Question]:
 
 
 def load_documents(path) -> list[Document]:
-    """Load documents in file order, each sentence parsed and analysed into
-    a :class:`Sentence` view; no tree outlives loading."""
+    """Load documents in file order, each sentence's parse read into a
+    :class:`Sentence` view."""
     docs = []
     seen = set()
     for lineno, record in read_jsonl(path):

@@ -367,8 +367,11 @@ def load_kb(path) -> KnowledgeBase:
                     raise ValueError("provenance must be [question id, sentence] string pairs")
                 kb.insert([Pattern(elements, signature, provenances)])
         where = "qa_pairs"
-        for qid, answer in payload.get("qa_pairs", []):
-            kb.record_qa(qid, answer)
+        for pair in payload.get("qa_pairs", []):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(x, str) for x in pair)):
+                raise ValueError(f"not a [question id, answer] string pair: {json.dumps(pair)}")
+            kb.record_qa(*pair)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise KnowledgeBaseError(f"{path}: {where}: {exc}") from exc
     return kb

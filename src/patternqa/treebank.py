@@ -1,21 +1,22 @@
-"""Penn-bracketed constituency trees: parsing, serialization, and the
-analysed :class:`Sentence` view.
+"""Penn-bracketed constituency parses, read straight into the analysed
+:class:`Sentence` view.
 
-Trees are immutable after construction. Labels are opaque text; no fixed
-tagset is imposed here (the tag hierarchy used for relaxed matching lives
-in :mod:`patternqa.unification`).
+Labels are opaque text; no fixed tagset is imposed here (the tag hierarchy
+used for relaxed matching lives in :mod:`patternqa.unification`).
 
 Every sentence, question or document, is analysed once, when it is loaded:
-:func:`analyse` walks its tree a single time and keeps only what the later
-layers read (tokens in three spellings and the constituents by start
-offset). The tree itself is not kept, and this is the only module that
-walks one.
+:func:`parse_sentence` reads its bracketed parse in a single pass and keeps
+only what the later layers read (tokens in three spellings and the
+constituents by start offset). No tree object is built, and this is the
+only module that reads a parse.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 from sys import intern
 
 
@@ -26,40 +27,6 @@ class TreeFormatError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-@dataclass(frozen=True, slots=True)
-class ParseTree:
-    """A constituency tree node.
-
-    A node carries a ``token`` iff it has no children (leaves store their
-    surface form verbatim; their ``label`` equals the token). A preterminal
-    is a node whose single child is a leaf (e.g. ``(NNP Dante)``).
-    """
-
-    label: str
-    children: tuple["ParseTree", ...] = ()
-    token: str | None = None
-
-    def __post_init__(self):
-        if (self.token is None) == (len(self.children) == 0):
-            raise ValueError("a node has a token iff it has zero children")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.token is not None
-
-    @property
-    def is_preterminal(self) -> bool:
-        return len(self.children) == 1 and self.children[0].is_leaf
-
-
-def leaf(token: str) -> ParseTree:
-    return ParseTree(label=token, token=token)
-
-
-def node(label: str, children) -> ParseTree:
-    return ParseTree(label=label, children=tuple(children))
 
 
 # Functional tag suffixes ("-SBJ") and numeric indices ("=2", "-1") are
@@ -73,110 +40,21 @@ def strip_decorations(label: str) -> str:
     return label
 
 
+@lru_cache(maxsize=4096)
+def _label(raw: str) -> str:
+    return intern(strip_decorations(raw))
+
+
 # what answer normalization strips from a lowercased token
 PUNCTUATION = re.compile(r"[^\w\s]")
 
-_ATOM = re.compile(r"[^()\s]+")
-
-
-def parse_bracketed(text: str) -> ParseTree:
-    """Parse one bracketed tree, e.g. ``(NP (NNP Dante))``.
-
-    Raises :class:`TreeFormatError` (with a 1-based character offset) on
-    unbalanced parentheses, a missing label after ``(``, or empty input.
-    """
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def fail(message):
-        raise TreeFormatError(message, pos + 1)
-
-    def read_atom():
-        nonlocal pos
-        m = _ATOM.match(text, pos)
-        if m is None:
-            fail("expected a label or token")
-        pos = m.end()
-        return m.group()
-
-    skip_ws()
-    if pos >= n:
-        fail("empty input")
-    if text[pos] != "(":
-        fail("expected '('")
-    # An explicit stack of open nodes, so nesting depth is bounded by memory,
-    # not by the interpreter's recursion limit.
-    open_nodes: list[tuple[str, list[ParseTree]]] = []
-    while True:
-        ch = text[pos]
-        if ch == "(":
-            pos += 1
-            skip_ws()
-            if pos >= n:
-                fail("unexpected end of input")
-            if text[pos] in "()":
-                fail("empty label")
-            open_nodes.append((strip_decorations(read_atom()), []))
-        elif ch == ")":
-            pos += 1
-            label, children = open_nodes.pop()
-            if not children:
-                fail("node without children")
-            if not open_nodes:
-                tree = node(label, children)
-                break
-            open_nodes[-1][1].append(node(label, children))
-        else:
-            open_nodes[-1][1].append(leaf(read_atom()))
-        skip_ws()
-        if pos >= n:
-            fail("unexpected end of input")
-    skip_ws()
-    if pos < n:
-        fail("trailing characters after tree")
-    return tree
-
-
-def serialize(tree: ParseTree) -> str:
-    """Inverse of :func:`parse_bracketed`, modulo whitespace."""
-    if tree.is_leaf:
-        return tree.token
-    inner = " ".join(serialize(c) for c in tree.children)
-    return f"({tree.label} {inner})"
-
-
-def node_spans(tree: ParseTree) -> list[tuple[ParseTree, int, int]]:
-    """Preorder list of ``(node, start, end)`` half-open leaf spans."""
-    out: list = []
-    count = 0  # leaves seen so far
-    open_nodes = []  # (node, its entry in out, start, iterator over the rest of its children)
-    cur = tree
-    while True:
-        if cur.token is not None:  # is_leaf, without a property call on this hot path
-            out.append((cur, count, count + 1))
-            count += 1
-        else:
-            open_nodes.append((cur, len(out), count, iter(cur.children)))
-            out.append(None)
-        while open_nodes:
-            nd, entry, start, rest = open_nodes[-1]
-            cur = next(rest, None)
-            if cur is not None:
-                break
-            open_nodes.pop()
-            out[entry] = (nd, start, count)
-        else:
-            return out
+# a bracket, or an atom (label or token); whitespace separates atoms
+_ITEM = re.compile(r"[()]|[^()\s]+")
 
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
-    """A sentence tree, analysed once. Position ``i`` of each token tuple is
+    """A sentence parse, analysed once. Position ``i`` of each token tuple is
     leaf ``i``: ``tokens`` verbatim, ``lowered`` lowercased, ``stripped``
     lowercased with punctuation removed ("" for a punctuation-only token).
     ``constituents[i]`` lists the internal nodes whose span starts at leaf
@@ -189,18 +67,73 @@ class Sentence:
     constituents: tuple[tuple[tuple[int, str, bool], ...], ...]
 
 
-def analyse(tree: ParseTree) -> Sentence:
-    """The :class:`Sentence` view of ``tree``, from one walk. Tokens and
-    labels are interned, so the views of a collection share their strings."""
-    spans = node_spans(tree)
-    tokens = tuple(intern(nd.token) for nd, _, _ in spans if nd.token is not None)
+def _fail(text: str, message: str, item: int | None, after: int = 0):
+    """Raise :class:`TreeFormatError` at item number ``item`` of ``text``
+    (``after`` characters past its start), or at the end of the input when
+    ``item`` is None."""
+    if item is None:
+        raise TreeFormatError(message, len(text) + 1)
+    match = next(islice(_ITEM.finditer(text), item, None))
+    raise TreeFormatError(message, match.start() + after + 1)
+
+
+def parse_sentence(text: str) -> Sentence:
+    """The :class:`Sentence` view of one bracketed parse, e.g.
+    ``(NP (NNP Dante))``, read in one pass. Labels lose their decorations;
+    tokens and labels are interned, so the views of a collection share their
+    strings.
+
+    Raises :class:`TreeFormatError` (with a 1-based character offset) on
+    unbalanced parentheses, a missing label after ``(``, a node without
+    children, text around the tree, or empty input.
+    """
+    items = _ITEM.findall(text)
+    if not items:
+        _fail(text, "empty input", None)
+    if items[0] != "(":
+        _fail(text, "expected '('", 0)
+    last = len(items) - 1
+    tokens: list[str] = []
+    by_start: list[list] = []  # the constituents starting at each leaf so far
+    starting: list = []  # the constituents starting at the next leaf
+    # An explicit stack of open nodes, so nesting depth is bounded by memory,
+    # not by the interpreter's recursion limit. ``children`` is the open
+    # node's: 0 none yet, 1 one leaf, 2 anything else.
+    open_nodes: list[tuple[list, int, str, int]] = []
+    children = 0
+    i = 0
+    while True:
+        item = items[i]
+        if item == "(":
+            if i == last:
+                _fail(text, "unexpected end of input", None)
+            i += 1
+            if items[i] in "()":
+                _fail(text, "empty label", i)
+            open_nodes.append((starting, len(starting), _label(items[i]), 2))
+            starting.append(None)  # filled in when the node closes
+            children = 0
+        elif item == ")":
+            entries, slot, label, parent_children = open_nodes.pop()
+            if not children:
+                _fail(text, "node without children", i, 1)
+            entries[slot] = (len(tokens), label, children == 1)
+            if not open_nodes:
+                break
+            children = parent_children
+        else:
+            tokens.append(intern(item))
+            by_start.append(starting)
+            starting = []
+            children = 2 if children else 1
+        if i == last:
+            _fail(text, "unexpected end of input", None)
+        i += 1
+    if i < last:
+        _fail(text, "trailing characters after tree", i + 1)
     lowered = tuple(intern(token.lower()) for token in tokens)
-    by_start: list[list[tuple[int, str, bool]]] = [[] for _ in tokens]
-    for nd, start, end in spans:
-        if nd.token is None:
-            by_start[start].append((end, intern(nd.label), nd.is_preterminal))
     return Sentence(
-        tokens=tokens,
+        tokens=tuple(tokens),
         lowered=lowered,
         stripped=tuple(intern(PUNCTUATION.sub("", low)) for low in lowered),
         constituents=tuple(map(tuple, by_start)),

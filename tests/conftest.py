@@ -8,7 +8,7 @@ from patternqa.extraction import load_gazetteer
 from patternqa.knowledge import KnowledgeBase, question_signature
 from patternqa.pipeline import PipelineState
 from patternqa.retrieval import RetrievedSentence, build_index
-from patternqa.treebank import analyse, parse_bracketed
+from patternqa.treebank import parse_sentence
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -35,7 +35,7 @@ def dante_question():
     return Question(
         id="dante",
         text="Who wrote The Divine Comedy?",
-        parse=analyse(parse_bracketed(DANTE_QUESTION_PARSE)),
+        parse=parse_sentence(DANTE_QUESTION_PARSE),
         answers=("Dante",),
     )
 
@@ -44,7 +44,7 @@ def dante_question():
 def dante_sentence():
     return RetrievedSentence(
         text="Dante has written The Divine Comedy",
-        view=analyse(parse_bracketed(DANTE_SENTENCE_PARSE)),
+        view=parse_sentence(DANTE_SENTENCE_PARSE),
         score=1.0,
         doc_id="doc",
         position=0,
@@ -56,7 +56,7 @@ def hamlet_question():
     return Question(
         id="hamlet",
         text="Who wrote Hamlet?",
-        parse=analyse(parse_bracketed(HAMLET_QUESTION_PARSE)),
+        parse=parse_sentence(HAMLET_QUESTION_PARSE),
         answers=("Shakespeare",),
     )
 

@@ -19,13 +19,13 @@ from patternqa.corpus import normalize_answer
 from patternqa.evaluation import f_measure, running_metrics
 from patternqa.knowledge import learn_patterns, question_signature
 from patternqa.pipeline import ScenarioConfig, run_sequence
-from patternqa.treebank import analyse, parse_bracketed
+from patternqa.treebank import parse_sentence
 from patternqa.unification import (default_config, levenshtein_distance,
                                    unify)
 
 from .conftest import (DANTE_QUESTION_PARSE, FIXTURES,
                        HAMLET_QUESTION_PARSE, signature_of)
-from .oracles import (brute_force_answer_spans, levenshtein_oracle,
+from .oracles import (analyse, brute_force_answer_spans, levenshtein_oracle, parse_bracketed,
                       random_pattern, random_tree)
 
 
@@ -52,9 +52,9 @@ def test_worked_example_fidelity(dante_question, dante_sentence):
 def test_relaxation_fidelity(dante_question, dante_sentence):
     pattern = learn_patterns(dante_question, "Dante", [dante_sentence],
                              signature_of(dante_question))[0]
-    nn_subject = analyse(parse_bracketed(
+    nn_subject = parse_sentence(
         "(S (NN poet) (VP (VBZ has) (VP (VBN written) "
-        "(NP (DT The) (NNP Divine) (NNP Comedy)))))"))
+        "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
     exact = unify(pattern, nn_subject, default_config().exact())
     relaxed = unify(pattern, nn_subject, default_config())
     ok = (exact == []

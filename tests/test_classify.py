@@ -2,11 +2,11 @@ import pytest
 
 from patternqa.classify import Category, classify, load_hint_table, tagged_leaves, wh_word
 from patternqa.corpus import Question
-from patternqa.treebank import analyse, parse_bracketed
+from patternqa.treebank import parse_sentence
 
 
 def make_question(text, parse, category=None):
-    return Question(id="t", text=text, parse=analyse(parse_bracketed(parse)),
+    return Question(id="t", text=text, parse=parse_sentence(parse),
                     category=category, answers=("x",))
 
 

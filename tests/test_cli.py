@@ -202,6 +202,19 @@ def test_tutor_replay_is_deterministic(monkeypatch, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_tutor_learns_nothing_from_an_answer_without_a_word(tmp_path, monkeypatch, capsys):
+    kb_out = tmp_path / "kb.json"
+    transcript = f"ask {HAMLET_QUESTION_PARSE}\nanswer .\nanswer the\nquit\n"
+    code, out = _run_tutor(monkeypatch, capsys, transcript, "--docs", DOCS,
+                           "--kb-out", str(kb_out))
+    assert code == 0
+    assert "not learned: '.' has no word once normalized" in out
+    assert "not learned: 'the' has no word once normalized" in out
+    assert "learned 1" not in out
+    payload = json.loads(kb_out.read_text())
+    assert payload["signatures"] == [] and payload["qa_pairs"] == []
+
+
 def test_run_dump_index(tmp_path):
     index_path = tmp_path / "index.json"
     assert run_cli("run", "--scenario", "1", "--corpus", CORPUS, "--docs", DOCS,
@@ -273,6 +286,20 @@ def test_stats_invalid_kb_entry_is_data_error(tmp_path, capsys, entry, named):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("pairs", [[["q", 5]], [[1, "a"]], ["qa"], [["q"]], [["q", "a", "b"]],
+                                   [None]],
+                         ids=["answer-not-a-string", "id-not-a-string", "pair-a-string",
+                              "one-element", "three-elements", "null"])
+def test_stats_rejects_qa_pairs_that_are_not_string_pairs(tmp_path, capsys, pairs):
+    kb_path = tmp_path / "kb.json"
+    kb_path.write_text(json.dumps({"signatures": [], "qa_pairs": pairs}))
+    assert run_cli("stats", "--kb-in", str(kb_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"data error: {kb_path}: qa_pairs: ")
+    assert captured.err.count("\n") == 1
+    assert "qa pairs:" not in captured.out
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -407,17 +434,25 @@ def _jsonl(record) -> bytes:
     (("stats", "--kb-in"), DEEP_JSON),
     (("stats", "--kb-in", "{kb}", "--outcomes"), DEEP_JSON),
     (("run", "--out-dir", "{out}", "--from-metadata"), DEEP_JSON),
+    (("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS, "--out-dir", "{out}",
+      "--kb-in"), None),
+    (("tutor", "--docs", DOCS, "--kb-in"), None),
 ], ids=["sentences-not-a-list", "sentence-not-an-object", "doc-id-not-a-string",
         "sentence-text-not-a-string", "id-not-a-string", "question-not-a-string",
         "corpus-not-utf8", "ingest-unknown-category", "run-unknown-category",
         "outcome-not-an-object", "metadata-without-config", "answer-null", "answer-empty",
         "corpus-nested-too-deeply", "docs-nested-too-deeply", "kb-nested-too-deeply",
-        "outcomes-nested-too-deeply", "metadata-nested-too-deeply"])
+        "outcomes-nested-too-deeply", "metadata-nested-too-deeply", "run-kb-in-a-directory",
+        "tutor-kb-in-a-directory"])
 def test_malformed_input_is_one_line_data_error(tmp_path, capsys, command, content):
+    """``content`` None makes the input a directory."""
     kb_path = tmp_path / "kb.json"
     save_kb(KnowledgeBase(), kb_path)
     path = tmp_path / "input"
-    path.write_bytes(content)
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
     argv = [arg.format(kb=kb_path, out=tmp_path / "run") for arg in command]
     capsys.readouterr()
     assert run_cli(*argv, str(path)) == 2

@@ -149,10 +149,9 @@ def test_match_is_exact_not_containment():
 
 
 def test_fixture_parses_are_canonical(fixture_questions, fixture_docs):
-    from patternqa.treebank import analyse, parse_bracketed, serialize
-
     import json as _json
     from .conftest import FIXTURES
+    from .oracles import analyse, parse_bracketed, serialize
 
     raw = {}
     for line in (FIXTURES / "qa30.jsonl").read_text().splitlines():

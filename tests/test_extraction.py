@@ -5,16 +5,16 @@ from patternqa.corpus import normalize_answer, read_table
 from patternqa.extraction import (Gazetteer, _gazetteer_spans, extract_ner, load_gazetteer,
                                   load_regex_rules)
 from patternqa.retrieval import RetrievedSentence
-from patternqa.treebank import PUNCTUATION, analyse, leaf, node, parse_bracketed
+from patternqa.treebank import PUNCTUATION, parse_sentence
 
-from .oracles import coarse_classes_oracle, gazetteer_spans_oracle
+from .oracles import analyse, coarse_classes_oracle, gazetteer_spans_oracle, leaf, node
 
 GAZETTEER = load_gazetteer()
 REGEX_RULES = load_regex_rules()
 
 
 def rsent(text, parse, doc_id="doc", position=0):
-    return RetrievedSentence(text, analyse(parse_bracketed(parse)), 1.0, doc_id, position)
+    return RetrievedSentence(text, parse_sentence(parse), 1.0, doc_id, position)
 
 
 COLUMBUS = rsent(

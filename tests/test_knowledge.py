@@ -13,15 +13,15 @@ from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, SYNTACTIC, KnowledgeBase,
                                  lexical, load_kb, question_signature, save_kb,
                                  syntactic)
 from patternqa.retrieval import RetrievedSentence
-from patternqa.treebank import analyse, leaf, node, parse_bracketed
+from patternqa.treebank import parse_sentence
 from patternqa.unification import default_config, unify
 
 from .conftest import signature_of
-from .oracles import TEST_SIGNATURE, dfs_nodes, leaves, random_tree
+from .oracles import TEST_SIGNATURE, analyse, dfs_nodes, leaf, leaves, node, random_tree
 
 
 def rsent(text, parse, doc_id="doc", position=0):
-    return RetrievedSentence(text, analyse(parse_bracketed(parse)), 1.0, doc_id, position)
+    return RetrievedSentence(text, parse_sentence(parse), 1.0, doc_id, position)
 
 
 def test_worked_example_learns_expected_pattern(dante_question, dante_sentence):
@@ -70,8 +70,8 @@ def test_signatures_shared_across_same_shape(dante_question, hamlet_question):
 def test_signature_differs_for_other_shapes(dante_question):
     other = Question(
         id="when", text="When did Dante die?",
-        parse=analyse(parse_bracketed("(SBARQ (WHADVP (WRB When)) (SQ (VBD did) "
-                                      "(NP (NNP Dante)) (VP (VB die))) (. ?))")),
+        parse=parse_sentence("(SBARQ (WHADVP (WRB When)) (SQ (VBD did) "
+                             "(NP (NNP Dante)) (VP (VB die))) (. ?))"),
         answers=("1321",),
     )
     cat = Category("HUM", "ind")

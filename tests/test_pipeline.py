@@ -13,7 +13,7 @@ from patternqa.pipeline import (Interpretation, PipelineState, ScenarioConfig,
                                 answer_question, apply_feedback, interpret,
                                 pattern_candidates, revise, run_sequence)
 from patternqa.retrieval import build_index
-from patternqa.treebank import analyse, parse_bracketed
+from patternqa.treebank import parse_sentence
 from patternqa import pipeline as pipeline_module
 
 from .conftest import DANTE_QUESTION_PARSE, HAMLET_QUESTION_PARSE, signature_of
@@ -53,11 +53,11 @@ def test_revision_checkpoints_strictly_below_total(fixture_questions, make_state
 def mini_state():
     docs = [Document("lit", (
         ("Dante has written The Divine Comedy.",
-         analyse(parse_bracketed("(S (NP (NNP Dante)) (VP (VBZ has) (VP (VBN written) "
-                                 "(NP (DT The) (NNP Divine) (NNP Comedy)))) (. .))"))),
+         parse_sentence("(S (NP (NNP Dante)) (VP (VBZ has) (VP (VBN written) "
+                        "(NP (DT The) (NNP Divine) (NNP Comedy)))) (. .))")),
         ("Shakespeare has written Hamlet.",
-         analyse(parse_bracketed("(S (NP (NNP Shakespeare)) (VP (VBZ has) (VP (VBN written) "
-                                 "(NP (NNP Hamlet)))) (. .))"))),
+         parse_sentence("(S (NP (NNP Shakespeare)) (VP (VBZ has) (VP (VBN written) "
+                        "(NP (NNP Hamlet)))) (. .))")),
     ))]
     return PipelineState(kb=KnowledgeBase(), index=build_index(docs),
                          gazetteer=load_gazetteer())
@@ -65,9 +65,9 @@ def mini_state():
 
 def mini_questions():
     dante = Question(id="d", text="Who wrote The Divine Comedy?",
-                     parse=analyse(parse_bracketed(DANTE_QUESTION_PARSE)), answers=("Dante",))
+                     parse=parse_sentence(DANTE_QUESTION_PARSE), answers=("Dante",))
     hamlet = Question(id="h", text="Who wrote Hamlet?",
-                      parse=analyse(parse_bracketed(HAMLET_QUESTION_PARSE)),
+                      parse=parse_sentence(HAMLET_QUESTION_PARSE),
                       answers=("Shakespeare",))
     return dante, hamlet
 
@@ -268,8 +268,8 @@ def test_monotone_learning_candidates_grow_with_kb(dante_question, dante_sentenc
                              signature_of(dante_question))
     sh_sentence = dante_sentence.__class__(
         text="Shakespeare has written Hamlet",
-        view=analyse(parse_bracketed("(S (NP (NNP Shakespeare)) (VP (VBZ has) "
-                                     "(VP (VBN written) (NP (NNP Hamlet)))))")),
+        view=parse_sentence("(S (NP (NNP Shakespeare)) (VP (VBZ has) "
+                            "(VP (VBN written) (NP (NNP Hamlet)))))"),
         score=1.0, doc_id="doc", position=1)
     config = default_config()
     small = pattern_candidates(learned, [sh_sentence], config)
@@ -290,8 +290,8 @@ def test_pattern_candidates_relax_only_when_nothing_matches_exactly(dante_questi
                              signature_of(dante_question))
     flat_subject = dante_sentence.__class__(
         text="poet has written The Divine Comedy",
-        view=analyse(parse_bracketed("(S (NN poet) (VP (VBZ has) (VP (VBN written) "
-                                     "(NP (DT The) (NNP Divine) (NNP Comedy)))))")),
+        view=parse_sentence("(S (NN poet) (VP (VBZ has) (VP (VBN written) "
+                            "(NP (DT The) (NNP Divine) (NNP Comedy)))))"),
         score=1.0, doc_id="doc", position=1)
     config = default_config()
     # the exact pass covers every sentence before any relaxation is tried

@@ -1,7 +1,7 @@
 """Questions are read through the same analysed ``Sentence`` view as
 document sentences. The view-based readers must equal the tree walks they
-replaced (kept in ``oracles``), and no module past loading may see a tree.
-The package's structure is guarded the same way: only ``evaluation``
+replaced (kept in ``oracles``), and no module of the package may build a
+tree. The package's structure is guarded the same way: only ``evaluation``
 counts running metrics."""
 
 import ast
@@ -13,10 +13,9 @@ from patternqa.classify import Category, tagged_leaves
 from patternqa.corpus import Question
 from patternqa.knowledge import _question_phrases, question_signature
 from patternqa.retrieval import content_words
-from patternqa.treebank import analyse, parse_bracketed
 
-from .oracles import (content_words_oracle, question_phrases_oracle, random_tree,
-                      signature_oracle, tagged_leaves_oracle, trees)
+from .oracles import (analyse, content_words_oracle, parse_bracketed, question_phrases_oracle,
+                      random_tree, signature_oracle, tagged_leaves_oracle, trees)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "patternqa"
 
@@ -69,19 +68,32 @@ def _names_used(path: Path) -> set[str]:
     return names
 
 
+TREE_NAMES = ("ParseTree", "parse_bracketed", "node_spans", "serialize", "analyse")
+
+
+def _names_defined(path: Path) -> set[str]:
+    """Names a module binds: its functions, classes and assigned names."""
+    names = set()
+    for item in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(item.name)
+        elif isinstance(item, ast.Name) and isinstance(item.ctx, ast.Store):
+            names.add(item.id)
+    return names
+
+
 def test_trees_do_not_outlive_loading():
-    """Only ``treebank`` walks a tree (``node_spans``); only it, the loader and
-    the CLI, which parses a tutor's question, see ``ParseTree`` or
-    ``parse_bracketed``. The package ``__init__`` re-exports them and uses
-    neither."""
+    """No module of the package defines, imports or reads a tree type, the
+    tree parser, walker or serializer, or the walk that analysed a tree (they
+    are kept in ``oracles`` as the reference). Only ``treebank`` parses: it
+    defines ``parse_sentence``, the one function named ``parse_*``."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        names = _names_used(path)
-        if path.stem != "treebank" and "node_spans" in names:
-            offenders.append((path.stem, "node_spans"))
-        if path.stem not in ("treebank", "corpus", "cli", "__init__"):
-            offenders.extend((path.stem, name) for name in ("ParseTree", "parse_bracketed")
-                             if name in names)
+        names = _names_defined(path) | _names_used(path)
+        offenders.extend((path.stem, name) for name in TREE_NAMES if name in names)
+        parsers = {name for name in _names_defined(path) if name.startswith("parse_")}
+        if parsers != ({"parse_sentence"} if path.stem == "treebank" else set()):
+            offenders.append((path.stem, sorted(parsers)))
     assert offenders == []
 
 

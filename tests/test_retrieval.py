@@ -9,14 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from patternqa.corpus import Document
 from patternqa.retrieval import (STOPWORDS, build_index, content_words,
                                  retrieve, serialize_index)
-from patternqa.treebank import analyse, leaf, node, parse_bracketed
+from patternqa.treebank import parse_sentence
 
 from .conftest import DANTE_QUESTION_PARSE
 from .oracles import bm25_oracle
 
 
 def sent(text, parse):
-    return (text, analyse(parse_bracketed(parse)))
+    return (text, parse_sentence(parse))
 
 
 DOCS = [
@@ -45,7 +45,7 @@ def test_rebuild_is_byte_identical():
 
 def test_dante_query_ranks_supporting_sentence_first():
     index = build_index(DOCS)
-    query = content_words(analyse(parse_bracketed(DANTE_QUESTION_PARSE)))
+    query = content_words(parse_sentence(DANTE_QUESTION_PARSE))
     assert query == ["wrote", "divine", "comedy"]
     results = retrieve(index, query, 5)
     assert results
@@ -110,22 +110,22 @@ def test_rank_stability_when_avg_length_held_constant():
 
 
 def test_stopwords_filtered_from_content_words():
-    tree = parse_bracketed("(S (DT The) (NN cat) (VBD sat) (. .))")
-    assert content_words(analyse(tree)) == ["cat", "sat"]
+    view = parse_sentence("(S (DT The) (NN cat) (VBD sat) (. .))")
+    assert content_words(view) == ["cat", "sat"]
     assert "the" in STOPWORDS
 
 
 HASH_SEED_SCRIPT = """
 from patternqa.corpus import Document
 from patternqa.retrieval import build_index, retrieve
-from patternqa.treebank import analyse, parse_bracketed
+from patternqa.treebank import parse_sentence
 
 words = [f"w{i}" for i in range(9)]
 sentences = []
 for i in range(9):
     kept = [w for j, w in enumerate(words) if (i + 1) % (j + 2) or i == j]
     parse = "(S " + " ".join(f"(NN {w})" for w in kept) + ")"
-    sentences.append((" ".join(kept), analyse(parse_bracketed(parse))))
+    sentences.append((" ".join(kept), parse_sentence(parse)))
 index = build_index([Document("d", tuple(sentences))])
 print([(r.position, r.score.hex()) for r in retrieve(index, words, 9)])
 """
@@ -148,7 +148,7 @@ def test_scores_do_not_depend_on_the_hash_seed(tmp_path):
 
 def flat(words):
     """A one-level sentence over ``words``."""
-    return (" ".join(words), analyse(node("S", [node("NN", [leaf(w)]) for w in words])))
+    return (" ".join(words), parse_sentence("(S " + " ".join(f"(NN {w})" for w in words) + ")"))
 
 
 BM25_WORDS = ["alpha", "beta", "gamma", "delta", "kappa", "sigma", "omega", "the", "of"]

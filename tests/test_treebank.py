@@ -1,14 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from patternqa.corpus import ARTICLES, normalize_answer
-from patternqa.treebank import (ParseTree, TreeFormatError, analyse, leaf, node_spans,
-                                parse_bracketed, serialize, strip_decorations)
+from patternqa.treebank import TreeFormatError, parse_sentence, strip_decorations
 
 from .conftest import DANTE_SENTENCE_PARSE
-from .oracles import dfs_nodes, leaves, random_tree, trees
+from .oracles import (ParseTree, analyse, dfs_nodes, leaf, leaves, node_spans, parse_bracketed,
+                      random_tree, serialize, trees)
 
 DANTE_TOKENS = ["Dante", "has", "written", "The", "Divine", "Comedy"]
 
@@ -26,14 +26,14 @@ def test_parse_single_leaf_tree():
 
 def test_unbalanced_input_offset():
     with pytest.raises(TreeFormatError) as err:
-        parse_bracketed("(S (NP")
+        parse_sentence("(S (NP")
     assert err.value.offset == 7
 
 
 @pytest.mark.parametrize("bad", ["", "   ", "(S", "(S (NP x)", "((NP x))", "(S (NP x)) junk", "x"])
 def test_malformed_inputs_raise(bad):
     with pytest.raises(TreeFormatError) as err:
-        parse_bracketed(bad)
+        parse_sentence(bad)
     assert err.value.offset >= 1
 
 
@@ -119,10 +119,11 @@ def test_leaf_label_is_token(token):
 TOKENS = st.from_regex(r"[^()\s]{1,5}", fullmatch=True)  # what the parser reads as a token
 LABELS = st.sampled_from(["S", "NP", "VP", "NN", "NNP", "DT", "-LRB-", "-NONE-"])
 TREES = trees(LABELS, TOKENS)
+DEEP = "(S " * 1500 + "(NN x)" + ")" * 1500
 
 
 def test_analyse_dante_sentence():
-    view = analyse(parse_bracketed(DANTE_SENTENCE_PARSE))
+    view = parse_sentence(DANTE_SENTENCE_PARSE)
     assert view.tokens == tuple(DANTE_TOKENS)
     assert view.lowered[3] == "the"
     assert view.constituents[0] == ((6, "S", False), (1, "NP", False), (1, "NNP", True))
@@ -132,7 +133,7 @@ def test_analyse_dante_sentence():
 
 @given(TREES)
 def test_analyse_matches_tree_walks(tree):
-    view = analyse(tree)
+    view = parse_sentence(serialize(tree))
     assert view.tokens == tuple(leaves(tree))
     assert view.lowered == tuple(token.lower() for token in view.tokens)
     # a token's stripped form is its normalize_answer, except for an article
@@ -150,9 +151,72 @@ def test_analyse_random_trees_and_deep_tree():
     rng = random.Random(13)
     for _ in range(50):
         tree = random_tree(rng)
-        view = analyse(tree)
+        view = parse_sentence(serialize(tree))
         assert view.tokens == tuple(leaves(tree))
         assert sum(map(len, view.constituents)) == sum(1 for nd in dfs_nodes(tree)
                                                        if not nd.is_leaf)
-    deep = parse_bracketed("(S " * 1500 + "(NN x)" + ")" * 1500)
-    assert analyse(deep).constituents[0][-1] == (1, "NN", True)
+    deep = parse_sentence(DEEP)
+    assert deep.constituents[0][-1] == (1, "NN", True)
+
+
+def reference_or_error(parse, text):
+    """``parse(text)``, or the message and offset of its TreeFormatError."""
+    try:
+        return parse(text)
+    except TreeFormatError as exc:
+        return str(exc), exc.offset
+
+
+DECORATIONS = ["", "", "", "-SBJ", "-1", "=2", "-SBJ-1", "-"]
+WORDS = ["x", "Dante", "the", "3-0", "U.S.", "*T*-1", ",", "-", "=", "é"]
+WHITESPACE = [" ", " ", "  ", "\n\t", "\x1c", "\u3000"]
+PIECES = ["(", ")", "()", "(S)", "(S x)", "(-NONE- *T*-1)", "x", "-SBJ-1", " ", "\x1c"]
+
+
+def random_parse(rng: random.Random) -> str:
+    """A random tree written with decorated labels, bare leaves beside
+    phrases and odd whitespace, then up to three times a character dropped
+    or a piece inserted anywhere."""
+    def write(tree):
+        if tree.is_leaf:
+            return tree.token
+        children = [write(child) for child in tree.children]
+        if not tree.is_preterminal and rng.random() < 0.3:
+            children.insert(rng.randint(0, len(children)), rng.choice(WORDS))
+        return f"({tree.label}{rng.choice(DECORATIONS)} {' '.join(children)})"
+
+    text = write(random_tree(rng)).replace(" ", rng.choice(WHITESPACE))
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randint(0, len(text))
+        if rng.random() < 0.5:
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + rng.choice(PIECES) + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=True).map(random_parse))
+@example("")
+@example(" \x1c\n ")
+@example("()")
+@example("(S)")
+@example("(S (NP x) ())")
+@example("x (S y)")
+@example("(S x) y")
+@example("(S x))")
+@example("((S x))")
+@example("(S (NP x)")
+@example("(S (NP x) ( ")
+@example("(S x (NP y))")
+@example("(S (NP x) y (VP z))")
+@example("(NP-SBJ-1 (-NONE- *T*-1) (NNP=2 Dante))")
+@example("(S (VP (VP (VB go))))")
+@example("\x1c(S\x1cx\x1c)\x1c")
+@example(DEEP)
+@example(DEEP[:-1])
+def test_parse_sentence_matches_reference(text):
+    """The one-pass parser returns the view the reference tree parser and
+    walk give, or raises the same error at the same offset."""
+    assert reference_or_error(parse_sentence, text) == \
+        reference_or_error(lambda raw: analyse(parse_bracketed(raw)), text)

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from patternqa.knowledge import Pattern, answer_slot, lexical, syntactic
-from patternqa.treebank import analyse, parse_bracketed
+from patternqa.treebank import parse_sentence
 from patternqa.unification import (RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE,
                                    RELAX_SYNTACTIC, RelaxConfig,
                                    default_config, levenshtein_distance,
                                    lexical_similarity, load_tag_hierarchy,
                                    tag_compatible, unify)
 
-from .oracles import (TEST_SIGNATURE, brute_force_alignments,
+from .oracles import (TEST_SIGNATURE, analyse, brute_force_alignments,
                       brute_force_answer_spans, leaves, levenshtein_oracle, misspell,
                       random_pattern, random_tree)
 
@@ -99,56 +99,56 @@ def test_unify_dante_pattern_exact(dante_sentence):
 
 
 def test_unify_nn_subject_needs_syntactic_relaxation():
-    tree = parse_bracketed(NN_SUBJECT_PARSE)
-    exact = unify(DANTE_PATTERN, analyse(tree), default_config().exact())
+    view = parse_sentence(NN_SUBJECT_PARSE)
+    exact = unify(DANTE_PATTERN, view, default_config().exact())
     assert exact == []
-    relaxed = unify(DANTE_PATTERN, analyse(tree), default_config())
+    relaxed = unify(DANTE_PATTERN, view, default_config())
     assert [(c.text, c.relaxation_used) for c in relaxed] == [("poet", RELAX_SYNTACTIC)]
 
 
 def test_unify_lexical_relaxation_for_typo():
-    tree = parse_bracketed("(S (NP (NNP Dante)) (VP (VBZ haz) (VP (VBN written) "
-                           "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
+    view = parse_sentence("(S (NP (NNP Dante)) (VP (VBZ haz) (VP (VBN written) "
+                          "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
     config = default_config(threshold=0.6)
-    assert unify(DANTE_PATTERN, analyse(tree), config.exact()) == []
-    relaxed = unify(DANTE_PATTERN, analyse(tree), config)
+    assert unify(DANTE_PATTERN, view, config.exact()) == []
+    relaxed = unify(DANTE_PATTERN, view, config)
     assert [(c.text, c.relaxation_used) for c in relaxed] == [("Dante", RELAX_LEXICAL)]
 
 
 def test_unify_both_relaxations():
-    tree = parse_bracketed("(S (NN poet) (VP (VBZ haz) (VP (VBN written) "
-                           "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
-    relaxed = unify(DANTE_PATTERN, analyse(tree), default_config(threshold=0.6))
+    view = parse_sentence("(S (NN poet) (VP (VBZ haz) (VP (VBN written) "
+                          "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
+    relaxed = unify(DANTE_PATTERN, view, default_config(threshold=0.6))
     assert [(c.text, c.relaxation_used) for c in relaxed] == [("poet", RELAX_BOTH)]
 
 
 def test_unify_literal_matches_any_case():
-    tree = parse_bracketed("(S (NP (NNP Dante)) (VP (VBZ HAS) (VP (VBN written) "
-                           "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
-    exact = unify(DANTE_PATTERN, analyse(tree), default_config().exact())
+    view = parse_sentence("(S (NP (NNP Dante)) (VP (VBZ HAS) (VP (VBN written) "
+                          "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
+    exact = unify(DANTE_PATTERN, view, default_config().exact())
     assert [(c.text, c.relaxation_used) for c in exact] == [("Dante", RELAX_NONE)]
 
 
 def test_unify_absent_literal_is_empty_unless_relaxed():
-    tree = parse_bracketed("(S (NP (NNP Dante)) (VP (VBZ had) (VP (VBN written) "
-                           "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
+    view = parse_sentence("(S (NP (NNP Dante)) (VP (VBZ had) (VP (VBN written) "
+                          "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
     for config in (default_config().exact(), default_config(enable_lexical=False)):
-        assert unify(DANTE_PATTERN, analyse(tree), config) == []
-    relaxed = unify(DANTE_PATTERN, analyse(tree), default_config(threshold=0.6))
+        assert unify(DANTE_PATTERN, view, config) == []
+    relaxed = unify(DANTE_PATTERN, view, default_config(threshold=0.6))
     assert [(c.text, c.relaxation_used) for c in relaxed] == [("Dante", RELAX_LEXICAL)]
 
 
 def test_unify_incompatible_sentence_is_empty():
-    tree = parse_bracketed("(S (NP (NN rain)) (VP (VBD fell)))")
-    assert unify(DANTE_PATTERN, analyse(tree), default_config()) == []
+    view = parse_sentence("(S (NP (NN rain)) (VP (VBD fell)))")
+    assert unify(DANTE_PATTERN, view, default_config()) == []
 
 
 def test_relaxation_disabled_flags():
-    tree = parse_bracketed(NN_SUBJECT_PARSE)
+    view = parse_sentence(NN_SUBJECT_PARSE)
     no_syn = default_config(enable_syntactic=False)
-    assert unify(DANTE_PATTERN, analyse(tree), no_syn) == []
+    assert unify(DANTE_PATTERN, view, no_syn) == []
     no_lex = default_config(enable_lexical=False)
-    assert [c.text for c in unify(DANTE_PATTERN, analyse(tree), no_lex)] == ["poet"]
+    assert [c.text for c in unify(DANTE_PATTERN, view, no_lex)] == ["poet"]
 
 
 def test_candidates_are_contiguous_leaf_spans():
