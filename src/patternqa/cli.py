@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from .corpus import (CorpusError, Question, load_documents, load_qa_corpus, normalize_answer,
@@ -205,22 +206,36 @@ def _restore_from_metadata(args) -> None:
         setattr(args, key, getattr(recorded, key))
 
 
+@contextmanager
+def _collector_paused():
+    """Loading makes many objects that all live on, so the cyclic collector
+    would only walk them again and again: it is off meanwhile, and back on
+    however loading ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def cmd_run(args) -> int:
     if args.from_metadata:
         _restore_from_metadata(args)
     _check_run_args(args)
     scenario = ScenarioConfig.from_id(args.scenario)
-    questions = load_qa_corpus(_require_file(args.corpus, "corpus"))
-    docs = load_documents(_require_file(args.docs, "docs"))
-
     relax = default_config(
         measure=args.relax_measure,
         threshold=args.relax_threshold,
         enable_lexical=not args.no_lexical_relax,
         enable_syntactic=not args.no_syntactic_relax,
     )
-    kb = load_kb(_require_file(args.kb_in, "kb-in")) if args.kb_in else KnowledgeBase()
-    index = build_index(docs)
+    with _collector_paused():
+        questions = load_qa_corpus(_require_file(args.corpus, "corpus"))
+        docs = load_documents(_require_file(args.docs, "docs"))
+        kb = load_kb(_require_file(args.kb_in, "kb-in")) if args.kb_in else KnowledgeBase()
+        index = build_index(docs)
     # the loaded collection is kept for the whole run: frozen, the cyclic
     # collector stops walking it again and again while questions are answered
     gc.freeze()
@@ -303,11 +318,13 @@ def cmd_tutor(args) -> int:
     if args.top_k < 1:
         raise UsageError("--top-k must be >= 1")
     _check_output_path("--kb-out", args.kb_out)
-    docs = load_documents(_require_file(args.docs, "docs"))
-    kb = load_kb(_require_file(args.kb_in, "kb-in")) if args.kb_in else KnowledgeBase()
+    with _collector_paused():
+        docs = load_documents(_require_file(args.docs, "docs"))
+        kb = load_kb(_require_file(args.kb_in, "kb-in")) if args.kb_in else KnowledgeBase()
+        index = build_index(docs)
     state = PipelineState(
         kb=kb,
-        index=build_index(docs),
+        index=index,
         gazetteer=load_gazetteer(),
         top_k=args.top_k,
     )

@@ -14,7 +14,6 @@ into a :class:`~patternqa.treebank.Sentence` view; no tree is built.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -49,19 +48,16 @@ class Document:
     sentences: tuple[tuple[str, Sentence], ...]  # (text, analysed parse)
 
 
-_TRAILING_PUNCT = re.compile(r"^(.*?)([.,?!;:]*)$")
-
-
 def tokenize(text: str) -> list[str]:
     """Whitespace split with terminal punctuation separated into its own
     tokens ("Comedy?" -> ["Comedy", "?"]). Fixtures are authored to agree
     with parse leaves under this rule."""
     out = []
     for chunk in text.split():
-        word, punct = _TRAILING_PUNCT.match(chunk).groups()
+        word = chunk.rstrip(".,?!;:")
         if word:
             out.append(word)
-        out.extend(punct)
+        out.extend(chunk[len(word):])
     return out
 
 

@@ -43,7 +43,9 @@ class Gazetteer:
         return self._first_words.get(label, frozenset())
 
     def coarse_classes_of(self, form: str) -> frozenset[str]:
-        return self._classes.get(normalize_answer(form), frozenset())
+        """The coarse classes of the labels holding ``form``, a normalized
+        form (see :func:`normalized_form`)."""
+        return self._classes.get(form, frozenset())
 
 
 def load_gazetteer(path=None) -> Gazetteer:
@@ -87,6 +89,17 @@ def _regex_spans(tokens: tuple[str, ...], patterns: list[re.Pattern]) -> list[tu
             if begin in starts and stop in ends:  # token-aligned matches only
                 spans.append((starts[begin], ends[stop]))
     return _keep_maximal(spans)
+
+
+def normalized_form(stripped: tuple[str, ...]) -> str:
+    """``normalize_answer`` of the text of the tokens whose stripped forms
+    (lowercased, punctuation removed) are ``stripped``: the non-empty ones,
+    leading articles dropped, joined by spaces."""
+    words = [word for word in stripped if word]
+    start = 0
+    while start < len(words) and words[start] in ARTICLES:
+        start += 1
+    return " ".join(words[start:])
 
 
 def _capitalized_runs(tokens: tuple[str, ...]) -> list[tuple[int, int]]:
@@ -154,8 +167,8 @@ def _abbreviation_spans(tokens: tuple[str, ...]) -> list[tuple[int, int]]:
 
 
 def extract_ner(category: Category, sentences: list[RetrievedSentence],
-                gazetteer: Gazetteer, regex_rules: dict[str, list[re.Pattern]] | None = None
-                ) -> list[CandidateAnswer]:
+                gazetteer: Gazetteer, regex_rules: dict[str, list[re.Pattern]] | None = None,
+                memo: dict | None = None) -> list[CandidateAnswer]:
     """Category-dispatched extraction over the retrieved sentences.
 
     NUM uses the regex inventory for its fine class; HUM/LOC/ENTY use
@@ -163,6 +176,10 @@ def extract_ner(category: Category, sentences: list[RetrievedSentence],
     (suppressed when the gazetteer knows the span under a different coarse
     class); ABBR finds parenthesized uppercase runs; DESC has no strategy.
     Output is deterministic, ordered by (sentence index, span start).
+
+    With a ``memo``, a dict the caller owns, each sentence's candidates are
+    looked up under ``(label, doc_id, position)`` and computed only when
+    absent. One memo may therefore serve one index, gazetteer and rule set.
     """
     if regex_rules is None:
         regex_rules = load_regex_rules()
@@ -170,33 +187,36 @@ def extract_ner(category: Category, sentences: list[RetrievedSentence],
     forms, first_words = gazetteer.forms(label), gazetteer.first_words(label)
     out: list[CandidateAnswer] = []
     for sentence in sentences:
-        tokens = sentence.view.tokens
+        key = (label, sentence.doc_id, sentence.position)
+        if memo is not None and key in memo:
+            out += memo[key]
+            continue
+        tokens, stripped = sentence.view.tokens, sentence.view.stripped
         spans: list[tuple[int, int]] = []
         if category.coarse == "NUM":
             spans = _regex_spans(tokens, regex_rules.get(label, []))
         elif category.coarse in ("HUM", "LOC", "ENTY"):
-            spans = _gazetteer_spans(sentence.view.stripped, forms, first_words)
-            for span in _capitalized_runs(tokens):
-                others = gazetteer.coarse_classes_of(" ".join(tokens[span[0]:span[1]]))
+            spans = _gazetteer_spans(stripped, forms, first_words)
+            for start, end in _capitalized_runs(tokens):
+                others = gazetteer.coarse_classes_of(normalized_form(stripped[start:end]))
                 if others and category.coarse not in others:
                     continue
-                spans.append(span)
+                spans.append((start, end))
         elif category.coarse == "ABBR":
             spans = _abbreviation_spans(tokens)
         # DESC: no specific strategy
-        seen = set()
-        for span in sorted(spans):
-            if span in seen:
-                continue
-            seen.add(span)
-            out.append(
-                CandidateAnswer(
-                    text=" ".join(tokens[span[0]:span[1]]),
-                    span=span,
-                    strategy="ner",
-                    relaxation_used=RELAX_NONE,
-                    doc_id=sentence.doc_id,
-                    position=sentence.position,
-                )
+        found = tuple(
+            CandidateAnswer(
+                text=" ".join(tokens[span[0]:span[1]]),
+                span=span,
+                strategy="ner",
+                relaxation_used=RELAX_NONE,
+                doc_id=sentence.doc_id,
+                position=sentence.position,
             )
+            for span in sorted(set(spans))
+        )
+        if memo is not None:
+            memo[key] = found
+        out += found
     return out

@@ -8,6 +8,16 @@ sentences) that extraction, learning and revision share, which keeps runs
 deterministic and makes the provenance-exclusion rule testable. A run
 yields outcomes and checkpoint reports and scores neither:
 :func:`~patternqa.evaluation.running_metrics` does.
+
+Extraction results are computed once per run. :attr:`PipelineState.memo`
+holds the result of each unification, keyed by the pattern's elements, the
+sentence's ``(doc_id, position)`` and the pass's :class:`RelaxConfig`, and
+each sentence's NER candidates, keyed by the fine category label and the
+sentence's ``(doc_id, position)``. Both are tuples of frozen candidates,
+shared by every question, retry and tutor turn that meets the pair again.
+The memo lives as long as the state, whose index, gazetteer, rules and
+relax config are set once. No entry depends on which patterns the
+knowledge base holds, so no insertion, or later pruning, makes one stale.
 """
 
 from __future__ import annotations
@@ -79,6 +89,8 @@ class PipelineState:
     interpretations: dict[str, "Interpretation"] = field(default_factory=dict)
     # question id -> patterns under its signature at its last failed retry
     retry_counts: dict[str, int] = field(default_factory=dict)
+    # unify and extract_ner results of this run, keyed as the module says
+    memo: dict[tuple, tuple[CandidateAnswer, ...]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,7 @@ def interpret(state: PipelineState, question: Question) -> Interpretation:
 
 
 def pattern_candidates(patterns: list[Pattern], sentences: Sequence[RetrievedSentence],
-                       config: RelaxConfig) -> list[CandidateAnswer]:
+                       config: RelaxConfig, memo: dict | None = None) -> list[CandidateAnswer]:
     """Union of pattern extractions over the sentences, deduplicated on
     (doc_id, position, span).
 
@@ -108,6 +120,7 @@ def pattern_candidates(patterns: list[Pattern], sentences: Sequence[RetrievedSen
     first, over every (sentence, pattern) pair; relaxation (string-similarity
     token matching, superclass-compatible tags) applies only when exact
     unification produced nothing anywhere, which is precisely its trigger.
+    ``memo`` is handed to every :func:`unify` call.
     """
 
     def collect(cfg: RelaxConfig) -> list[CandidateAnswer]:
@@ -115,7 +128,8 @@ def pattern_candidates(patterns: list[Pattern], sentences: Sequence[RetrievedSen
         seen = set()
         for sentence in sentences:
             for pattern in patterns:
-                for cand in unify(pattern, sentence.view, cfg, sentence.doc_id, sentence.position):
+                for cand in unify(pattern, sentence.view, cfg, sentence.doc_id, sentence.position,
+                                  memo):
                     key = (sentence.doc_id, sentence.position, cand.span)
                     if key in seen:
                         continue
@@ -123,7 +137,7 @@ def pattern_candidates(patterns: list[Pattern], sentences: Sequence[RetrievedSen
                     found.append(cand)
         return found
 
-    exact = collect(config.exact())
+    exact = collect(config.exact)
     if exact or not (config.enable_lexical or config.enable_syntactic):
         return exact
     return collect(config)
@@ -140,10 +154,11 @@ def extract_candidates(state: PipelineState, record: Interpretation, use_pattern
         applicable = state.kb.lookup(record.signature)
         if exclude_own:
             applicable = [p for p in applicable if record.question.id not in p.source_questions]
-        candidates = pattern_candidates(applicable, record.sentences, state.relax)
+        candidates = pattern_candidates(applicable, record.sentences, state.relax, state.memo)
     if use_ner:
         seen = {(c.doc_id, c.position, c.span) for c in candidates}
-        ner = extract_ner(record.category, record.sentences, state.gazetteer, state.regex_rules)
+        ner = extract_ner(record.category, record.sentences, state.gazetteer, state.regex_rules,
+                          state.memo)
         candidates += [c for c in ner if (c.doc_id, c.position, c.span) not in seen]
     return candidates
 

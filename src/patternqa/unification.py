@@ -12,9 +12,13 @@ enables it; when to relax is decided by the caller. Without lexical
 relaxation a pattern whose literal tokens are not all in the sentence
 cannot align, which is tested before any alignment is tried.
 
-All functions here are pure over immutable inputs (patterns, views and
-configs); parallel evaluation across sentences is safe as long as result
-lists are merged in sentence order.
+The module holds no state. Its functions are pure over immutable inputs
+(patterns, views and configs), except that :func:`unify` may be handed a
+memo, a dict its caller owns: each result is then computed once under the
+pattern's elements, the sentence's ``(doc_id, position)`` and the config,
+and shared as a tuple of frozen candidates. Since a sentence is keyed by
+its place, not its view, one memo may serve calls over one index only,
+under one relax config and its :attr:`RelaxConfig.exact` pass.
 """
 
 from __future__ import annotations
@@ -111,7 +115,9 @@ class RelaxConfig:
     def hierarchy(self) -> dict[str, str]:
         return dict(self.tag_hierarchy)
 
+    @cached_property
     def exact(self) -> "RelaxConfig":
+        """This config's exact pass, one object per config."""
         return replace(self, enable_lexical=False, enable_syntactic=False)
 
 
@@ -148,20 +154,34 @@ _RELAXATION = {
 
 
 def unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
-          doc_id: str | None = None, position: int | None = None) -> list[CandidateAnswer]:
+          doc_id: str | None = None, position: int | None = None,
+          memo: dict | None = None) -> tuple[CandidateAnswer, ...]:
     """Extract candidate answers for one pattern against one analysed
     sentence, in one alignment pass under ``config`` (exact when it enables
     no relaxation). A span keeps the relaxation of the first alignment that
     reached it. Results are deduplicated by span and ordered by position,
-    and carry the sentence's ``doc_id`` and ``position``.
+    and carry the sentence's ``doc_id`` and ``position``. With a ``memo``,
+    the result is looked up under ``(pattern.elements, doc_id, position,
+    config)`` and computed only when absent (see the module docstring).
     """
+    if memo is None:
+        return _unify(pattern, sentence, config, doc_id, position)
+    key = (pattern.elements, doc_id, position, config)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _unify(pattern, sentence, config, doc_id, position)
+    return found
+
+
+def _unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
+           doc_id: str | None, position: int | None) -> tuple[CandidateAnswer, ...]:
     lowered = sentence.lowered
     elements = [(e.kind, e.value.lower() if e.kind == LEXICAL else e.value)
                 for e in pattern.elements]
     lexical_on = config.enable_lexical
     if not lexical_on and any(kind == LEXICAL and value not in lowered
                               for kind, value in elements):
-        return []
+        return ()
     constituents = sentence.constituents
     hierarchy = config.hierarchy if config.enable_syntactic else None
     n, size = len(lowered), len(elements)
@@ -199,10 +219,10 @@ def unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
     for start in range(n - size + 1):
         match(0, start, None, False, False)
     if not found:
-        return []
+        return ()
     tokens = sentence.tokens
     provenance = pattern.render()
-    return [
+    return tuple(
         CandidateAnswer(
             text=" ".join(tokens[span[0] : span[1]]),
             span=span,
@@ -213,4 +233,4 @@ def unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
             position=position,
         )
         for span in sorted(found)
-    ]
+    )

@@ -11,7 +11,8 @@ and stops early). The question readers (POS pairs, signature, phrases,
 content words) are kept here as the tree walks they were before questions
 were read through their analysed view. The tree type, its parser and the
 walk that analysed a tree are kept here as the reference that the one-pass
-``treebank.parse_sentence`` is checked against.
+``treebank.parse_sentence`` is checked against. Extraction is also kept
+without the run's memo, every unification and NER pass computed afresh.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from sys import intern
 from hypothesis import strategies as st
 
 from patternqa.corpus import normalize_answer
-from patternqa.extraction import MAX_GAZETTEER_SPAN, _keep_maximal
+from patternqa.extraction import MAX_GAZETTEER_SPAN, _keep_maximal, extract_ner
 from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, SIGNATURE_DEPTH, Pattern, Signature,
                                  answer_slot, lexical, syntactic)
 from patternqa.classify import Category, wh_word
@@ -434,6 +435,41 @@ def naive_revise(state, pending: list[str], checkpoint: int,
         if learn_on_revision:
             report.patterns_learned += apply_feedback(state, record, final.text)
     return report
+
+
+_TRAILING_PUNCT = re.compile(r"^(.*?)([.,?!;:]*)$")
+
+
+def tokenize_oracle(text: str) -> list[str]:
+    """``corpus.tokenize`` as one regex match per whitespace chunk: the
+    shortest prefix, then the run of terminal punctuation that ends it."""
+    out = []
+    for chunk in text.split():
+        word, punct = _TRAILING_PUNCT.match(chunk).groups()
+        if word:
+            out.append(word)
+        out.extend(punct)
+    return out
+
+
+def extract_candidates_oracle(state, record, use_patterns: bool, use_ner: bool,
+                              exclude_own: bool = False) -> list:
+    """Reference for ``pipeline.extract_candidates`` that never reads or
+    fills ``state.memo``: it unifies every (pattern, sentence) pair and runs
+    NER on every sentence again. A pattern is excluded when one of its
+    provenance pairs names the question."""
+    candidates = []
+    if use_patterns:
+        applicable = [p for p in state.kb.lookup(record.signature)
+                      if not exclude_own
+                      or all(source != record.question.id for source, _ in p.provenances)]
+        candidates = pattern_candidates(applicable, record.sentences, state.relax)
+    if use_ner:
+        found = {(c.doc_id, c.position, c.span) for c in candidates}
+        candidates += [c for c in extract_ner(record.category, record.sentences,
+                                              state.gazetteer, state.regex_rules)
+                       if (c.doc_id, c.position, c.span) not in found]
+    return candidates
 
 
 def gazetteer_spans_oracle(tokens: list[str], forms: frozenset[str]) -> list[tuple[int, int]]:

@@ -43,7 +43,7 @@ def test_worked_example_fidelity(dante_question, dante_sentence):
                 ("syntactic", "VBN"), ("syntactic", "NP")]
     got = [[(e.kind, e.value) for e in p.elements] for p in patterns]
     shape_ok = got == [expected]
-    closure = unify(patterns[0], dante_sentence.view, default_config().exact()) if patterns else []
+    closure = unify(patterns[0], dante_sentence.view, default_config().exact) if patterns else []
     closure_ok = any(normalize_answer(c.text) == "dante" for c in closure)
     assert report("worked-example-fidelity", shape_ok and closure_ok,
                   f"learned {got}, closure {[c.text for c in closure]}")
@@ -55,9 +55,9 @@ def test_relaxation_fidelity(dante_question, dante_sentence):
     nn_subject = parse_sentence(
         "(S (NN poet) (VP (VBZ has) (VP (VBN written) "
         "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
-    exact = unify(pattern, nn_subject, default_config().exact())
+    exact = unify(pattern, nn_subject, default_config().exact)
     relaxed = unify(pattern, nn_subject, default_config())
-    ok = (exact == []
+    ok = (exact == ()
           and [c.text for c in relaxed] == ["poet"]
           and relaxed[0].relaxation_used == "syntactic")
     assert report("relaxation-fidelity", ok,
@@ -66,7 +66,7 @@ def test_relaxation_fidelity(dante_question, dante_sentence):
 
 def test_oracle_equivalence_exact_unification(make_state, fixture_questions):
     rng = random.Random(2024)
-    config = default_config().exact()
+    config = default_config().exact
     pairs = 0
     mismatches = []
     while pairs < 250:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import sys
@@ -67,6 +68,21 @@ def test_run_with_revision_outputs(tmp_path):
     report = json.loads((out_dir / "revision_report.json").read_text())
     assert [c["checkpoint"] for c in report["checkpoints"]] == [10, 20]
     assert (out_dir / "revision_i10.csv").is_file()
+
+
+def test_run_turns_the_collector_back_on(tmp_path):
+    """Loading pauses the cyclic collector; a run that ends, well or on a
+    bad docs line, leaves it on for the caller."""
+    assert gc.isenabled()
+    assert run_cli("run", "--scenario", "1", "--corpus", CORPUS, "--docs", DOCS,
+                   "--out-dir", str(tmp_path / "good")) == 0
+    assert gc.isenabled()
+    bad_docs = tmp_path / "docs.jsonl"
+    bad_docs.write_text(Path(DOCS).read_text("utf-8") + '{"doc_id": "x", "sentences": [3]}\n',
+                        "utf-8")
+    assert run_cli("run", "--scenario", "1", "--corpus", CORPUS, "--docs", str(bad_docs),
+                   "--out-dir", str(tmp_path / "bad")) == 2
+    assert gc.isenabled()
 
 
 def test_runs_are_byte_identical(tmp_path):

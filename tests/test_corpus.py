@@ -1,12 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from patternqa.corpus import (CorpusError, load_documents, load_qa_corpus,
                               normalize_answer, tokenize)
 
 from .conftest import DANTE_QUESTION_PARSE
+from .oracles import tokenize_oracle
 
 GOOD_RECORD = {
     "id": "q1",
@@ -119,6 +120,24 @@ def test_tokenize_separates_terminal_punctuation():
         ["Who", "wrote", "The", "Divine", "Comedy", "?"]
     assert tokenize("Malcolm X.") == ["Malcolm", "X", "."]
     assert tokenize("It costs 3.5 units.") == ["It", "costs", "3.5", "units", "."]
+
+
+# terminal punctuation, letters (final sigma among them), and whitespace
+# that str.split() splits on: carriage return, file separator, ideographic
+# space
+TOKENIZE_TEXTS = st.text(alphabet=".,?!;:-'aZΣ \t\r\n\x1c\u3000", max_size=24) | st.text()
+
+
+@example("?!. ,, ;:")
+@example("...")
+@example("a.b.")
+@example("Σ")
+@example("x\r.y")
+@example("Bay\x1cPigs.")
+@example("Tokyo\u3000Japan?")
+@given(TOKENIZE_TEXTS)
+def test_tokenize_matches_regex_split(text):
+    assert tokenize(text) == tokenize_oracle(text)
 
 
 @pytest.mark.parametrize("raw,expected", [

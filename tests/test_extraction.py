@@ -3,7 +3,7 @@ from hypothesis import example, given, strategies as st
 from patternqa.classify import Category
 from patternqa.corpus import normalize_answer, read_table
 from patternqa.extraction import (Gazetteer, _gazetteer_spans, extract_ner, load_gazetteer,
-                                  load_regex_rules)
+                                  load_regex_rules, normalized_form)
 from patternqa.retrieval import RetrievedSentence
 from patternqa.treebank import PUNCTUATION, parse_sentence
 
@@ -140,7 +140,7 @@ def test_custom_gazetteer_and_regex_files(tmp_path):
     gaz_path.write_text("ENTY:color\tburnt sienna\n")
     gazetteer = load_gazetteer(gaz_path)
     assert gazetteer.forms("ENTY:color") == frozenset({"burnt sienna"})
-    assert gazetteer.coarse_classes_of("Burnt Sienna") == {"ENTY"}
+    assert gazetteer.coarse_classes_of("burnt sienna") == {"ENTY"}
 
     rx_path = tmp_path / "rx.tsv"
     rx_path.write_text("NUM:other\t\\b[0-9]+\\b\n")
@@ -165,12 +165,15 @@ GAZETTEER_TOKENS = st.sampled_from([
 
 @example(["The", "New", "York", "."], [(0, 3)])
 @example(["Bay", "of", "the", ",", "Pigs", "the"], [(0, 6)])
+@example(["The", "a", "İstanbul", "-LRB-", "Tom's", "ΟΔΟΣ", "."], [(2, 4)])
 @given(st.lists(GAZETTEER_TOKENS.filter(bool), min_size=1, max_size=12),
        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=6))
 def test_gazetteer_window_join_matches_normalized_windows(tokens, windows):
     """Joining a window's stripped tokens gives the same spans as
     normalizing the window's text, against forms drawn from the sentence's
-    own windows plus a few others."""
+    own windows plus a few others. The gazetteer key that NER computes for
+    a capitalized run from its stripped tokens is, for every window,
+    ``normalize_answer`` of the window's text."""
     forms = {normalize_answer(" ".join(tokens[s:e])) for s, e in windows}
     # forms that are not normalized (the gazetteer loader normalizes every
     # form) tell the window rules apart from normalization alone
@@ -181,6 +184,10 @@ def test_gazetteer_window_join_matches_normalized_windows(tokens, windows):
     assert _gazetteer_spans(stripped, gazetteer.forms("X:y"), gazetteer.first_words("X:y")) == \
         gazetteer_spans_oracle(tokens, frozenset(forms))
     assert _gazetteer_spans(stripped, frozenset(), frozenset()) == []
+    for start in range(len(tokens)):
+        for end in range(start + 1, len(tokens) + 1):
+            assert normalized_form(stripped[start:end]) == \
+                normalize_answer(" ".join(tokens[start:end]))
 
 
 # forms that share a first word, forms of several words and forms with an
@@ -215,7 +222,7 @@ SEVERAL_LABELS = {"LOC:city": {"paris", "new york", "saint helena"},
                        + ["rome", "saint", "york"]).flatmap(lambda form: st.sampled_from(
                            [form, form.upper(), "the " + form, form + " ,", "A " + form.title()])))
 def test_coarse_classes_lookup_matches_scan(form):
-    assert Gazetteer(SEVERAL_LABELS).coarse_classes_of(form) == \
+    assert Gazetteer(SEVERAL_LABELS).coarse_classes_of(normalize_answer(form)) == \
         coarse_classes_oracle(SEVERAL_LABELS, form)
 
 
@@ -226,7 +233,8 @@ def test_shipped_gazetteer_lookups_match_scan():
     for forms in table.values():
         for form in forms:
             for text in (form, form.title(), "The " + form.upper()):
-                assert GAZETTEER.coarse_classes_of(text) == coarse_classes_oracle(table, text)
+                assert GAZETTEER.coarse_classes_of(normalize_answer(text)) == \
+                    coarse_classes_oracle(table, text)
     for label, forms in table.items():
         assert GAZETTEER.forms(label) == forms
         assert GAZETTEER.first_words(label) == {form.split()[0] for form in forms}

@@ -160,7 +160,7 @@ def test_closure_learned_patterns_extract_their_answer(fixture_questions, fixtur
         for sentence in sentences.values():
             learned = learn_patterns(question, answer, [sentence], signature_of(question))
             for pattern in learned:
-                candidates = unify(pattern, sentence.view, config.exact())
+                candidates = unify(pattern, sentence.view, config.exact)
                 assert any(normalize_answer(c.text) == normalize_answer(answer)
                            for c in candidates), (question.id, pattern.render())
                 checked += 1
@@ -278,7 +278,7 @@ def test_learner_closure_on_random_sentences():
     """Every pattern learned from one sentence unifies exactly with that
     sentence's view and yields the span of the taught answer."""
     rng = random.Random(41)
-    config = default_config().exact()
+    config = default_config().exact
     learned = 0
     for _ in range(600):
         tree = _retoken(random_tree(rng, max_leaves=10), rng)

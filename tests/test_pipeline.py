@@ -3,21 +3,22 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patternqa.classify import classify
+from patternqa.classify import Category, classify
 from patternqa.corpus import Document, Question
 from patternqa.evaluation import running_metrics
-from patternqa.extraction import load_gazetteer
+from patternqa.extraction import Gazetteer, extract_ner, load_gazetteer, load_regex_rules
 from patternqa.knowledge import (KnowledgeBase, Pattern, answer_slot, lexical,
                                  question_signature, syntactic)
 from patternqa.pipeline import (Interpretation, PipelineState, ScenarioConfig,
                                 answer_question, apply_feedback, interpret,
                                 pattern_candidates, revise, run_sequence)
-from patternqa.retrieval import build_index
+from patternqa.retrieval import RetrievedSentence, build_index
 from patternqa.treebank import parse_sentence
+from patternqa.unification import default_config, unify
 from patternqa import pipeline as pipeline_module
 
 from .conftest import DANTE_QUESTION_PARSE, HAMLET_QUESTION_PARSE, signature_of
-from .oracles import count_metrics_oracle, naive_revise
+from .oracles import count_metrics_oracle, extract_candidates_oracle, naive_revise
 
 
 def test_scenario_table():
@@ -351,3 +352,69 @@ def test_relaxed_match_recorded_in_outcome(fixture_questions, make_state):
     by_id = {o.question_id: o for o in result.outcomes}
     assert by_id["q10"].correct
     assert by_id["q10"].relaxation_used == "syntactic"
+
+
+@pytest.mark.parametrize("scenario_id, interval", [(1, None), (2, None), (3, None), (4, None),
+                                                   (2, 5), (2, 10)])
+def test_memoized_run_matches_unmemoized_oracle(fixture_questions, make_state, scenario_id,
+                                                interval):
+    """Every outcome and checkpoint report of a run is what it is when each
+    unification and NER pass is computed afresh. Within one fixture run no
+    (pattern, sentence, pass) or (label, sentence) pair comes up twice, so
+    the corpus is asked a second time on the same state, against the grown
+    knowledge base, and the memo must then serve repeated work."""
+    scenario = ScenarioConfig.from_id(scenario_id)
+    state, reference = make_state(), make_state()
+    with mock.patch.object(pipeline_module, "unify", wraps=unify) as unified, \
+            mock.patch.object(pipeline_module, "extract_ner", wraps=extract_ner) as ner:
+        results = [run_sequence(state, fixture_questions, scenario, interval) for _ in range(2)]
+    lookups = unified.call_count + sum(len(call.args[1]) for call in ner.call_args_list)
+    assert 0 < len(state.memo) < lookups
+    with mock.patch.object(pipeline_module, "extract_candidates", extract_candidates_oracle):
+        expected = [run_sequence(reference, fixture_questions, scenario, interval)
+                    for _ in range(2)]
+    assert reference.memo == {}
+    for result, oracle in zip(results, expected):
+        assert result.outcomes == oracle.outcomes
+        assert result.revision == oracle.revision
+
+
+def test_memo_keeps_passes_labels_and_positions_apart(dante_question, dante_sentence):
+    """One memo, as a run shares it: a pattern that unifies with a sentence
+    only once relaxed, and NER on one document's sentences under two fine
+    labels whose gazetteer forms differ, each get their own result."""
+    from patternqa.knowledge import learn_patterns
+
+    memo = {}
+    learned = learn_patterns(dante_question, "Dante", [dante_sentence],
+                             signature_of(dante_question))
+    flat_subject = RetrievedSentence(
+        "poet has written The Divine Comedy",
+        parse_sentence("(S (NN poet) (VP (VBZ has) (VP (VBN written) "
+                       "(NP (DT The) (NNP Divine) (NNP Comedy)))))"), 1.0, "doc", 0)
+    config = default_config()
+    assert unify(learned[0], flat_subject.view, config.exact, "doc", 0, memo) == ()
+    assert [c.text for c in unify(learned[0], flat_subject.view, config, "doc", 0, memo)] == \
+        ["poet"]
+    assert [(c.text, c.relaxation_used) for c in
+            pattern_candidates(learned, [flat_subject], config, memo)] == [("poet", "syntactic")]
+
+    sentences = [
+        RetrievedSentence("he played the trumpet to a rabbit .",
+                          parse_sentence("(S (NP (PRP he)) (VP (VBD played) (NP (DT the) "
+                                         "(NN trumpet)) (PP (TO to) (NP (DT a) (NN rabbit)))) "
+                                         "(. .))"), 1.0, "zoo", 0),
+        RetrievedSentence("a rabbit ate .",
+                          parse_sentence("(S (NP (DT a) (NN rabbit)) (VP (VBD ate)) (. .))"),
+                          1.0, "zoo", 1),
+    ]
+    gazetteer = Gazetteer({"ENTY:instru": {"trumpet"}, "ENTY:animal": {"rabbit"}})
+    rules = load_regex_rules()
+    found = {}
+    for fine in ("instru", "animal"):
+        category = Category("ENTY", fine)
+        found[fine] = [(c.position, c.text) for c in
+                       extract_ner(category, sentences, gazetteer, rules, memo)]
+        assert found[fine] == [(c.position, c.text) for c in
+                               extract_ner(category, sentences, gazetteer, rules)]
+    assert found == {"instru": [(0, "trumpet")], "animal": [(0, "rabbit"), (1, "rabbit")]}

@@ -5,6 +5,7 @@ tree. The package's structure is guarded the same way: only ``evaluation``
 counts running metrics."""
 
 import ast
+import random
 from pathlib import Path
 
 from hypothesis import example, given, strategies as st
@@ -22,7 +23,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "patternqa"
 LABELS = st.sampled_from(["SBARQ", "SQ", "S", "NP", "VP", "WHNP", "WP", "WRB", "NN", "DT", "."])
 TOKENS = st.from_regex(r"[^()\s]{1,5}", fullmatch=True) | st.sampled_from(
     ["Who", "what", "How", "many", "the", "of", "is", "?", "3-0", "U.S."])
-QUESTION_TREES = trees(LABELS, TOKENS) | st.randoms(use_true_random=False).map(random_tree)
+# a random_tree is drawn from one integer seed: one draw per example, where
+# st.randoms() makes every call of the generator a draw of its own
+QUESTION_TREES = trees(LABELS, TOKENS) | st.integers(0, 2**32 - 1).map(
+    lambda seed: random_tree(random.Random(seed)))
 
 UNARY_CHAINS = "(SBARQ (WHNP (WP Who)) (SQ (VP (VP (VB wrote)) (NP (NP (NN it))))) (. ?))"
 BARE_LEAVES = "(SBARQ (WHNP Who (NN poet)) (SQ wrote (NP the (NN poem))) ?)"

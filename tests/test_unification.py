@@ -100,8 +100,8 @@ def test_unify_dante_pattern_exact(dante_sentence):
 
 def test_unify_nn_subject_needs_syntactic_relaxation():
     view = parse_sentence(NN_SUBJECT_PARSE)
-    exact = unify(DANTE_PATTERN, view, default_config().exact())
-    assert exact == []
+    exact = unify(DANTE_PATTERN, view, default_config().exact)
+    assert exact == ()
     relaxed = unify(DANTE_PATTERN, view, default_config())
     assert [(c.text, c.relaxation_used) for c in relaxed] == [("poet", RELAX_SYNTACTIC)]
 
@@ -110,7 +110,7 @@ def test_unify_lexical_relaxation_for_typo():
     view = parse_sentence("(S (NP (NNP Dante)) (VP (VBZ haz) (VP (VBN written) "
                           "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
     config = default_config(threshold=0.6)
-    assert unify(DANTE_PATTERN, view, config.exact()) == []
+    assert unify(DANTE_PATTERN, view, config.exact) == ()
     relaxed = unify(DANTE_PATTERN, view, config)
     assert [(c.text, c.relaxation_used) for c in relaxed] == [("Dante", RELAX_LEXICAL)]
 
@@ -125,28 +125,28 @@ def test_unify_both_relaxations():
 def test_unify_literal_matches_any_case():
     view = parse_sentence("(S (NP (NNP Dante)) (VP (VBZ HAS) (VP (VBN written) "
                           "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
-    exact = unify(DANTE_PATTERN, view, default_config().exact())
+    exact = unify(DANTE_PATTERN, view, default_config().exact)
     assert [(c.text, c.relaxation_used) for c in exact] == [("Dante", RELAX_NONE)]
 
 
 def test_unify_absent_literal_is_empty_unless_relaxed():
     view = parse_sentence("(S (NP (NNP Dante)) (VP (VBZ had) (VP (VBN written) "
                           "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
-    for config in (default_config().exact(), default_config(enable_lexical=False)):
-        assert unify(DANTE_PATTERN, view, config) == []
+    for config in (default_config().exact, default_config(enable_lexical=False)):
+        assert unify(DANTE_PATTERN, view, config) == ()
     relaxed = unify(DANTE_PATTERN, view, default_config(threshold=0.6))
     assert [(c.text, c.relaxation_used) for c in relaxed] == [("Dante", RELAX_LEXICAL)]
 
 
 def test_unify_incompatible_sentence_is_empty():
     view = parse_sentence("(S (NP (NN rain)) (VP (VBD fell)))")
-    assert unify(DANTE_PATTERN, view, default_config()) == []
+    assert unify(DANTE_PATTERN, view, default_config()) == ()
 
 
 def test_relaxation_disabled_flags():
     view = parse_sentence(NN_SUBJECT_PARSE)
     no_syn = default_config(enable_syntactic=False)
-    assert unify(DANTE_PATTERN, view, no_syn) == []
+    assert unify(DANTE_PATTERN, view, no_syn) == ()
     no_lex = default_config(enable_lexical=False)
     assert [c.text for c in unify(DANTE_PATTERN, view, no_lex)] == ["poet"]
 
@@ -170,14 +170,14 @@ def test_exact_candidates_subset_of_relaxed():
     for _ in range(150):
         tree = random_tree(rng)
         pattern = random_pattern(rng, tree)
-        exact = {c.span for c in unify(pattern, analyse(tree), config.exact())}
+        exact = {c.span for c in unify(pattern, analyse(tree), config.exact)}
         relaxed = {c.span for c in unify(pattern, analyse(tree), config)}
         assert exact <= relaxed
 
 
 def test_exact_unification_matches_brute_force_quick():
     rng = random.Random(31)
-    config = default_config().exact()
+    config = default_config().exact
     for _ in range(60):
         tree = random_tree(rng)
         pattern = random_pattern(rng, tree)
