@@ -49,12 +49,19 @@ class KnowledgeBaseError(ValueError):
 class PatternElement:
     kind: str
     value: str
+    # element sequences key the knowledge base and the extraction memo, so
+    # each element's hash is computed once
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (LEXICAL, SYNTACTIC, ANSWER_SLOT):
             raise ValueError(f"unknown element kind {self.kind!r}")
         if not self.value:
             raise ValueError("element value must be non-empty")
+        object.__setattr__(self, "_hash", hash((self.kind, self.value)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def render(self) -> str:
         if self.kind == ANSWER_SLOT:

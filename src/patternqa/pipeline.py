@@ -11,8 +11,8 @@ yields outcomes and checkpoint reports and scores neither:
 
 Extraction results are computed once per run. :attr:`PipelineState.memo`
 holds the result of each unification, keyed by the pattern's elements, the
-sentence's ``(doc_id, position)`` and the pass's :class:`RelaxConfig`, and
-each sentence's NER candidates, keyed by the fine category label and the
+sentence's ``(doc_id, position)`` and the pass's two relaxation switches,
+and each sentence's NER candidates, keyed by the fine category label and the
 sentence's ``(doc_id, position)``. Both are tuples of frozen candidates,
 shared by every question, retry and tutor turn that meets the pair again.
 The memo lives as long as the state, whose index, gazetteer, rules and

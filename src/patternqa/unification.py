@@ -15,10 +15,11 @@ cannot align, which is tested before any alignment is tried.
 The module holds no state. Its functions are pure over immutable inputs
 (patterns, views and configs), except that :func:`unify` may be handed a
 memo, a dict its caller owns: each result is then computed once under the
-pattern's elements, the sentence's ``(doc_id, position)`` and the config,
-and shared as a tuple of frozen candidates. Since a sentence is keyed by
-its place, not its view, one memo may serve calls over one index only,
-under one relax config and its :attr:`RelaxConfig.exact` pass.
+pattern's elements, the sentence's ``(doc_id, position)`` and the pass's
+two relaxation switches, and shared as a tuple of frozen candidates. Since
+a sentence is keyed by its place, not its view, and a pass by its switches,
+not its whole config, one memo may serve calls over one index only, under
+one relax config and its :attr:`RelaxConfig.exact` pass.
 """
 
 from __future__ import annotations
@@ -162,11 +163,12 @@ def unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
     reached it. Results are deduplicated by span and ordered by position,
     and carry the sentence's ``doc_id`` and ``position``. With a ``memo``,
     the result is looked up under ``(pattern.elements, doc_id, position,
-    config)`` and computed only when absent (see the module docstring).
+    config.enable_lexical, config.enable_syntactic)`` and computed only when
+    absent (see the module docstring).
     """
     if memo is None:
         return _unify(pattern, sentence, config, doc_id, position)
-    key = (pattern.elements, doc_id, position, config)
+    key = (pattern.elements, doc_id, position, config.enable_lexical, config.enable_syntactic)
     found = memo.get(key)
     if found is None:
         found = memo[key] = _unify(pattern, sentence, config, doc_id, position)

@@ -234,10 +234,15 @@ def signature_oracle(tree: ParseTree, category: Category) -> Signature:
     return Signature(category=category, structure_key=f"{wh}|{' '.join(labels)}")
 
 
+def is_content_word(low: str) -> bool:
+    """The query and index term rule, character by character: a lowercased
+    token that is not a stopword and holds a letter or digit."""
+    return low not in STOPWORDS and any(c.isalnum() for c in low)
+
+
 def content_words_oracle(tree: ParseTree) -> list[str]:
     """Non-stopword leaves holding a letter or digit, lowercased."""
-    return [low for low in (tok.lower() for tok in leaves(tree))
-            if low not in STOPWORDS and any(c.isalnum() for c in low)]
+    return [low for low in (tok.lower() for tok in leaves(tree)) if is_content_word(low)]
 
 
 def question_phrases_oracle(tree: ParseTree) -> list[tuple[str, ...]]:
@@ -250,7 +255,7 @@ def question_phrases_oracle(tree: ParseTree) -> list[tuple[str, ...]]:
         if nd.is_leaf or nd.is_preterminal:
             continue
         tokens = tuple(lowered[s:e])
-        if not any(t not in STOPWORDS and any(c.isalnum() for c in t) for t in tokens):
+        if not any(is_content_word(t) for t in tokens):
             continue
         if tokens in seen:
             continue
@@ -507,8 +512,7 @@ def bm25_oracle(docs, query_terms: list[str], k: int) -> list[tuple[str, int, fl
     sentences = []
     for doc in docs:
         for position, (_, view) in enumerate(doc.sentences):
-            words = [t.lower() for t in view.tokens]
-            words = [w for w in words if w not in STOPWORDS and any(c.isalnum() for c in w)]
+            words = [w for w in (t.lower() for t in view.tokens) if is_content_word(w)]
             sentences.append((doc.doc_id, position, words))
     n = len(sentences)
     if n == 0:

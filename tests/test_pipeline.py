@@ -418,3 +418,19 @@ def test_memo_keeps_passes_labels_and_positions_apart(dante_question, dante_sent
         assert found[fine] == [(c.position, c.text) for c in
                                extract_ner(category, sentences, gazetteer, rules)]
     assert found == {"instru": [(0, "trumpet")], "animal": [(0, "rabbit"), (1, "rabbit")]}
+
+
+def test_memo_keeps_a_syntactic_only_pass_apart(dante_question, dante_sentence):
+    """A pass is keyed by both relaxation switches: with lexical relaxation
+    off, the relaxed pass differs from the exact one in its syntactic switch
+    alone, and still gets its own result."""
+    from patternqa.knowledge import learn_patterns
+
+    memo = {}
+    learned = learn_patterns(dante_question, "Dante", [dante_sentence],
+                             signature_of(dante_question))
+    view = parse_sentence("(S (NN poet) (VP (VBZ has) (VP (VBN written) "
+                          "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
+    config = default_config(enable_lexical=False)
+    assert unify(learned[0], view, config.exact, "doc", 0, memo) == ()
+    assert [c.text for c in unify(learned[0], view, config, "doc", 0, memo)] == ["poet"]
