@@ -12,7 +12,8 @@ question phrase it derives one pattern over the minimal covering span:
   * each matched question phrase becomes a Syntactic slot labeled the same
     way from the sentence's constituents;
   * leftover tokens whose stem matches a question content-word stem become
-    Syntactic slots over their POS tag;
+    Syntactic slots over their POS tag, except a leaf without a POS tag
+    (no preterminal above it), which stays Lexical;
   * every other token stays Lexical.
 
 The knowledge base stores patterns per question signature (semantic
@@ -199,69 +200,52 @@ def _answer_span(sentence: Sentence, forms) -> tuple[int, int] | None:
     return _find_subsequence(normalized_sentence, normalized, None)
 
 
-def _pattern_from_sentence(question_id: str, answer_forms, retrieved: RetrievedSentence,
-                           signature: Signature, phrases: list[tuple[str, ...]],
-                           content_stems: set[str]) -> Pattern | None:
-    sentence = retrieved.view
+def _pattern_elements(sentence: Sentence, answer_forms, phrases: list[tuple[str, ...]],
+                      content_stems: set[str]) -> tuple[PatternElement, ...] | None:
+    """The element sequence one sentence teaches, or None."""
     ans = _answer_span(sentence, answer_forms)
-    if ans is None:
-        return None
-    ans_label = _covering_label(sentence, *ans)
+    ans_label = None if ans is None else _covering_label(sentence, *ans)
     if ans_label is None:
         return None
-
     matched = []
     for phrase in phrases:
         hit = _find_subsequence(sentence.lowered, phrase, ans)
-        if hit is None:
-            continue
-        label = _covering_label(sentence, *hit)
-        if label is None:
-            continue
-        matched.append((hit, label))
-    # keep maximal non-overlapping phrase spans, longest first
+        label = None if hit is None else _covering_label(sentence, *hit)
+        if label is not None:
+            matched.append((hit, label))
+    # keep maximal non-overlapping phrase spans, longest first; then the
+    # answer span, which no phrase span overlaps: start -> (end, element)
     matched.sort(key=lambda item: (-(item[0][1] - item[0][0]), item[0][0]))
-    kept: list[tuple[tuple[int, int], str]] = []
-    for span, label in matched:
-        if any(not (span[1] <= k[0][0] or span[0] >= k[0][1]) for k in kept):
-            continue
-        kept.append((span, label))
-    if not kept:
+    regions: dict[int, tuple[int, PatternElement]] = {}
+    for (s, e), label in matched:
+        if all(e <= ks or s >= ke for ks, (ke, _) in regions.items()):
+            regions[s] = (e, syntactic(label))
+    if not regions:
         return None
-    kept.sort(key=lambda item: item[0][0])
-
-    start = min(ans[0], kept[0][0][0])
-    end = max(ans[1], kept[-1][0][1])
-    pos_tags = {s: label for s, nodes in enumerate(sentence.constituents)
-                for _, label, is_preterminal in nodes if is_preterminal}
-
+    regions[ans[0]] = (ans[1], answer_slot(ans_label))
     elements = []
-    i = start
-    regions = [(ans, answer_slot(ans_label))] + [(sp, syntactic(lb)) for sp, lb in kept]
-    regions.sort(key=lambda item: item[0])
-    region_index = {sp[0]: (sp, el) for sp, el in regions}
+    i = min(regions)
+    end = max(e for e, _ in regions.values())
     while i < end:
-        if i in region_index:
-            span, element = region_index[i]
+        region = regions.get(i)
+        if region is not None:
+            i, element = region
             elements.append(element)
-            i = span[1]
             continue
         token = sentence.tokens[i]
-        if stem(token) in content_stems:
-            elements.append(syntactic(pos_tags[i]))
-        else:
-            elements.append(lexical(token))
+        tag = None
+        if stem(token) in content_stems:  # a leaf without a preterminal has no tag
+            tag = next((label for _, label, is_preterminal in sentence.constituents[i]
+                        if is_preterminal), None)
+        elements.append(lexical(token) if tag is None else syntactic(tag))
         i += 1
-    if len(elements) > MAX_PATTERN_ELEMENTS:
-        return None
-    sentence_id = f"{retrieved.doc_id}:{retrieved.position}"
-    return Pattern(tuple(elements), signature, ((question_id, sentence_id),))
+    return tuple(elements) if len(elements) <= MAX_PATTERN_ELEMENTS else None
 
 
 def learn_patterns(question: Question, answer: str, sentences: Sequence[RetrievedSentence],
                    signature: Signature) -> list[Pattern]:
-    """One pattern per learnable sentence, filed under ``signature`` and
-    deduplicated by elements, provenances merged; sentence order is irrelevant."""
+    """One pattern per element sequence the sentences teach, filed under
+    ``signature``, every teaching sentence in its provenance; order is irrelevant."""
     if not answer:
         return []
     answer_forms = (tuple(t.lower() for t in tokenize(answer)),
@@ -270,11 +254,10 @@ def learn_patterns(question: Question, answer: str, sentences: Sequence[Retrieve
     content_stems = {stem(w) for w in content_words(question.parse)}
     by_elements: dict[tuple, list[tuple[str, str]]] = {}
     for sentence in sorted(sentences, key=lambda s: (s.doc_id, s.position)):
-        pattern = _pattern_from_sentence(question.id, answer_forms, sentence, signature,
-                                         phrases, content_stems)
-        if pattern is None:
-            continue
-        by_elements.setdefault(pattern.elements, []).extend(pattern.provenances)
+        elements = _pattern_elements(sentence.view, answer_forms, phrases, content_stems)
+        if elements is not None:
+            by_elements.setdefault(elements, []).append(
+                (question.id, f"{sentence.doc_id}:{sentence.position}"))
     return [Pattern(elements, signature, provs) for elements, provs in by_elements.items()]
 
 

@@ -63,13 +63,13 @@ class ScenarioConfig:
 class Outcome:
     question_id: str
     category: str
-    candidates: list[CandidateAnswer]
-    final: str | None
-    final_strategy: str | None
-    correct: bool
-    fallback_used: bool
-    relaxation_used: str
-    patterns_learned: int
+    candidates: list[CandidateAnswer] = field(default_factory=list)
+    final: str | None = None
+    final_strategy: str | None = None
+    correct: bool = False
+    fallback_used: bool = False
+    relaxation_used: str = RELAX_NONE
+    patterns_learned: int = 0
     error: str | None = None
 
     @property
@@ -215,18 +215,7 @@ def answer_question(state: PipelineState, question: Question,
             patterns_learned=patterns_learned,
         )
     except Exception as exc:  # noqa: BLE001 - per-question fault isolation
-        return Outcome(
-            question_id=question.id,
-            category="",
-            candidates=[],
-            final=None,
-            final_strategy=None,
-            correct=False,
-            fallback_used=False,
-            relaxation_used=RELAX_NONE,
-            patterns_learned=0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return Outcome(question.id, "", error=f"{type(exc).__name__}: {exc}")
 
 
 @dataclass

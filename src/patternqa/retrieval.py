@@ -15,12 +15,9 @@ holds it, and every factor of that weight is fixed once the collection is
 indexed, so :func:`build_index` computes each weight once: a term's
 postings map each sentence that holds it to its weight. Each term also
 gets its own bound, its largest weight widened by a relative 1e-9 to cover
-rounding. (The index no longer keeps a global ``max_tf`` and
-``min_k1_norm``: the bound they gave held for every term at once, and so
-was far looser for a term found in many long sentences.) :func:`retrieve`
-visits the query terms in descending bound order and stops once the k-th
-best score is strictly above the summed bounds of the terms it has not
-visited. Every idf is positive, since a document frequency never exceeds
+rounding. :func:`retrieve` visits the query terms in descending bound
+order and stops once the k-th best score is strictly above the summed
+bounds of the terms it has not visited. Every idf is positive, since a document frequency never exceeds
 the number of sentences, so every weight and every score is positive.
 Ties go to the lower ``(doc_id, position)``; the index keeps each
 sentence's place in that order, so a tie is settled by one integer.

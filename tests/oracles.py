@@ -13,6 +13,9 @@ were read through their analysed view. The tree type, its parser and the
 walk that analysed a tree are kept here as the reference that the one-pass
 ``treebank.parse_sentence`` is checked against. Extraction is also kept
 without the run's memo, every unification and NER pass computed afresh.
+Pattern learning is kept as it was before it read tags in place: one
+``Pattern`` per sentence from a whole-sentence tag dict and a sorted region
+list, then one per element sequence.
 """
 
 from __future__ import annotations
@@ -26,13 +29,16 @@ from sys import intern
 
 from hypothesis import strategies as st
 
-from patternqa.corpus import normalize_answer
+from patternqa.corpus import normalize_answer, tokenize
 from patternqa.extraction import MAX_GAZETTEER_SPAN, _keep_maximal, extract_ner
-from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, SIGNATURE_DEPTH, Pattern, Signature,
-                                 answer_slot, lexical, syntactic)
+from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH,
+                                 Pattern, Signature, _answer_span, _covering_label,
+                                 _find_subsequence, _question_phrases, answer_slot, lexical,
+                                 syntactic)
 from patternqa.classify import Category, wh_word
 from patternqa.pipeline import CheckpointReport, apply_feedback, oracle_select, pattern_candidates
-from patternqa.retrieval import BM25_B, BM25_K1, STOPWORDS
+from patternqa.retrieval import BM25_B, BM25_K1, STOPWORDS, content_words
+from patternqa.stem import stem
 from patternqa.treebank import PUNCTUATION, Sentence, TreeFormatError, strip_decorations
 from patternqa.unification import RelaxConfig
 
@@ -560,3 +566,82 @@ def count_metrics_oracle(records: list[dict], revision=(),
         correct_ids.update(rescued.get(i, ()))
         answered_ids.update(rescued.get(i, ()))
     return out
+
+
+def _pattern_from_sentence_oracle(question_id: str, answer_forms, retrieved,
+                                  signature: Signature, phrases: list[tuple[str, ...]],
+                                  content_stems: set[str]) -> Pattern | None:
+    sentence = retrieved.view
+    ans = _answer_span(sentence, answer_forms)
+    if ans is None:
+        return None
+    ans_label = _covering_label(sentence, *ans)
+    if ans_label is None:
+        return None
+
+    matched = []
+    for phrase in phrases:
+        hit = _find_subsequence(sentence.lowered, phrase, ans)
+        if hit is None:
+            continue
+        label = _covering_label(sentence, *hit)
+        if label is None:
+            continue
+        matched.append((hit, label))
+    # keep maximal non-overlapping phrase spans, longest first
+    matched.sort(key=lambda item: (-(item[0][1] - item[0][0]), item[0][0]))
+    kept: list[tuple[tuple[int, int], str]] = []
+    for span, label in matched:
+        if any(not (span[1] <= k[0][0] or span[0] >= k[0][1]) for k in kept):
+            continue
+        kept.append((span, label))
+    if not kept:
+        return None
+    kept.sort(key=lambda item: item[0][0])
+
+    start = min(ans[0], kept[0][0][0])
+    end = max(ans[1], kept[-1][0][1])
+    pos_tags = {s: label for s, nodes in enumerate(sentence.constituents)
+                for _, label, is_preterminal in nodes if is_preterminal}
+
+    elements = []
+    i = start
+    regions = [(ans, answer_slot(ans_label))] + [(sp, syntactic(lb)) for sp, lb in kept]
+    regions.sort(key=lambda item: item[0])
+    region_index = {sp[0]: (sp, el) for sp, el in regions}
+    while i < end:
+        if i in region_index:
+            span, element = region_index[i]
+            elements.append(element)
+            i = span[1]
+            continue
+        token = sentence.tokens[i]
+        # the one change: a leaf without a preterminal has no tag and stays literal
+        if stem(token) in content_stems and i in pos_tags:
+            elements.append(syntactic(pos_tags[i]))
+        else:
+            elements.append(lexical(token))
+        i += 1
+    if len(elements) > MAX_PATTERN_ELEMENTS:
+        return None
+    sentence_id = f"{retrieved.doc_id}:{retrieved.position}"
+    return Pattern(tuple(elements), signature, ((question_id, sentence_id),))
+
+
+def learn_patterns_oracle(question, answer: str, sentences, signature: Signature) -> list[Pattern]:
+    """Reference for ``knowledge.learn_patterns``: one ``Pattern`` per
+    learnable sentence, then one per element sequence, provenances merged."""
+    if not answer:
+        return []
+    answer_forms = (tuple(t.lower() for t in tokenize(answer)),
+                    tuple(normalize_answer(answer).split()))
+    phrases = _question_phrases(question)
+    content_stems = {stem(w) for w in content_words(question.parse)}
+    by_elements: dict[tuple, list[tuple[str, str]]] = {}
+    for sentence in sorted(sentences, key=lambda s: (s.doc_id, s.position)):
+        pattern = _pattern_from_sentence_oracle(question.id, answer_forms, sentence, signature,
+                                                phrases, content_stems)
+        if pattern is None:
+            continue
+        by_elements.setdefault(pattern.elements, []).extend(pattern.provenances)
+    return [Pattern(elements, signature, provs) for elements, provs in by_elements.items()]

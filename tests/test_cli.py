@@ -231,6 +231,53 @@ def test_tutor_learns_nothing_from_an_answer_without_a_word(tmp_path, monkeypatc
     assert payload["signatures"] == [] and payload["qa_pairs"] == []
 
 
+INFERNO_QUESTION_PARSE = "(SBARQ (WHNP (WP Who)) (SQ (VP (VBD wrote) (NP (NNP Inferno)))) (. ?))"
+# "wrote" is a leaf under no POS tag
+BARE_WROTE = {"text": "Dante wrote Inferno .",
+              "parse": "(S (NP (NNP Dante)) wrote (NP (NNP Inferno)) (. .))"}
+IN_EXILE = {"text": "Dante wrote Inferno in exile .",
+            "parse": "(S (NP (NNP Dante)) (VP (VBD wrote) (NP (NNP Inferno)) "
+                     "(PP (IN in) (NP (NN exile)))) (. .))"}
+HAMLET = {"text": "Shakespeare wrote Hamlet .",
+          "parse": "(S (NP (NNP Shakespeare)) (VP (VBD wrote) (NP (NNP Hamlet))) (. .))"}
+
+
+def _write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(path)
+
+
+def test_run_learns_from_a_leaf_without_a_tag(tmp_path, capsys):
+    """q1 is taught from a sentence whose "wrote" has no POS tag, first on
+    its reference answer, then again when revision rescues it with q2's
+    pattern. Neither turns into an error or a traceback."""
+    corpus = _write_jsonl(tmp_path / "qa.jsonl", [
+        {"id": "q1", "question": "Who wrote Inferno ?", "parse": INFERNO_QUESTION_PARSE,
+         "answers": ["Dante"]},
+        *({"id": qid, "question": "Who wrote Hamlet ?", "parse": HAMLET_QUESTION_PARSE,
+           "answers": ["Shakespeare"]} for qid in ("q2", "q3"))])
+    docs = _write_jsonl(tmp_path / "docs.jsonl", [
+        {"doc_id": "d1", "sentences": [BARE_WROTE, IN_EXILE]},
+        {"doc_id": "d2", "sentences": [HAMLET]}])
+    out_dir = tmp_path / "run"
+    assert run_cli("run", "--scenario", "2", "--corpus", corpus, "--docs", docs,
+                   "--revise-interval", "2", "--out-dir", str(out_dir)) == 0
+    report = json.loads((out_dir / "revision_report.json").read_text())
+    assert "q1" in report["checkpoints"][0]["newly_correct"]
+    outcomes = [json.loads(line) for line in
+                (out_dir / "outcomes.jsonl").read_text().splitlines()]
+    assert [o["id"] for o in outcomes] == ["q1", "q2", "q3"]
+    assert all(o["error"] is None for o in outcomes)
+
+
+def test_tutor_learns_from_a_leaf_without_a_tag(tmp_path, monkeypatch, capsys):
+    docs = _write_jsonl(tmp_path / "docs.jsonl", [{"doc_id": "d1", "sentences": [BARE_WROTE]}])
+    code, out = _run_tutor(monkeypatch, capsys,
+                           f"ask {INFERNO_QUESTION_PARSE}\nanswer Dante\nquit\n", "--docs", docs)
+    assert code == 0
+    assert "learned 1 new patterns" in out
+
+
 def test_run_dump_index(tmp_path):
     index_path = tmp_path / "index.json"
     assert run_cli("run", "--scenario", "1", "--corpus", CORPUS, "--docs", DOCS,

@@ -17,7 +17,8 @@ from patternqa.treebank import parse_sentence
 from patternqa.unification import default_config, unify
 
 from .conftest import signature_of
-from .oracles import TEST_SIGNATURE, analyse, dfs_nodes, leaf, leaves, node, random_tree
+from .oracles import (PHRASE_LABELS, PRETERM_LABELS, TEST_SIGNATURE, VOCAB, analyse, dfs_nodes,
+                      learn_patterns_oracle, leaf, leaves, node, random_tree, trees)
 
 
 def rsent(text, parse, doc_id="doc", position=0):
@@ -47,6 +48,21 @@ def test_slots_take_the_lowest_of_stacked_constituents(dante_question):
                  "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
     patterns = learn_patterns(dante_question, "Dante", [bare], signature_of(dante_question))
     assert [p.render() for p in patterns] == ["NNP_answer has VBN NP"]
+
+
+BARE_WROTE_PARSE = "(S (NP (NNP Dante)) wrote (NP (NNP Inferno)) (. .))"
+INFERNO_QUESTION_PARSE = "(SBARQ (WHNP (WP Who)) (SQ (VP (VBD wrote) (NP (NNP Inferno)))) (. ?))"
+
+
+def test_a_leaf_without_a_tag_stays_literal():
+    """``wrote`` matches a question word but has no preterminal, so there is
+    no tag for it to become: it is learned as the literal token."""
+    question = Question(id="q1", text="Who wrote Inferno ?",
+                        parse=parse_sentence(INFERNO_QUESTION_PARSE), answers=("Dante",))
+    sentence = rsent("Dante wrote Inferno .", BARE_WROTE_PARSE, doc_id="d1")
+    patterns = learn_patterns(question, "Dante", [sentence], signature_of(question))
+    assert [p.render() for p in patterns] == ["NP_answer wrote NP"]
+    assert patterns[0].provenances == {("q1", "d1:0")}
 
 
 def test_empty_sentence_list(dante_question):
@@ -300,6 +316,109 @@ def test_learner_closure_on_random_sentences():
             assert pattern.provenances == {("q", "doc:3")}
             learned += 1
     assert learned >= 150
+
+
+def _exact_alignments(pattern, view, answer_span):
+    """Every exact alignment of ``pattern`` onto ``view`` that puts its
+    answer slot on ``answer_span``: one leaf span per element. A literal
+    covers the one leaf it equals (lowercased); a tag or the slot covers a
+    constituent starting where the previous element ended, with that label."""
+    found = []
+
+    def walk(k, at, spans):
+        if k == len(pattern.elements):
+            found.append(spans)
+            return
+        element = pattern.elements[k]
+        if at >= len(view.tokens):
+            return
+        if element.kind == LEXICAL:
+            if view.lowered[at] == element.value.lower():
+                walk(k + 1, at + 1, spans + [(at, at + 1)])
+            return
+        for end, label, _ in view.constituents[at]:
+            if label == element.value and (element.kind != ANSWER_SLOT
+                                           or (at, end) == answer_span):
+                walk(k + 1, end, spans + [(at, end)])
+
+    for start in range(len(view.tokens)):
+        walk(0, start, [])
+    return found
+
+
+TAGS = st.sampled_from(PHRASE_LABELS + PRETERM_LABELS)
+WORDS = st.sampled_from(VOCAB + ["written", "writes", "the", "."])
+
+
+def _phrases(tree):
+    return [nd for nd in dfs_nodes(tree) if not nd.is_leaf]
+
+
+@settings(max_examples=50, deadline=None)
+@given(trees(TAGS, WORDS), st.lists(trees(TAGS, WORDS) | st.builds(leaf, WORDS), max_size=3),
+       trees(TAGS, WORDS), TAGS, st.booleans(), st.data())
+def test_learning_over_bare_leaves(taught, middle, asked, label, answer_first, data):
+    """A sentence of the answer's subtree, the asked subtree and, between
+    them, subtrees and leaves under no preterminal; the question asks a
+    phrase of the asked subtree and some of the words between. Learning
+    never raises, every learned pattern unifies exactly to the taught
+    answer's span, and no tag stands for a leaf that has none."""
+    parts = [taught, *middle, asked] if answer_first else [asked, *middle, taught]
+    tree = node(label, parts)
+    words = [leaf(token) for part in middle for token in leaves(part)]
+    question_parts = [data.draw(st.sampled_from(_phrases(asked)))]
+    if words:
+        question_parts += data.draw(st.lists(st.sampled_from(words), max_size=2))
+    parse = node("SBARQ", [node("WHNP", [node("WP", [leaf("Who")])]),
+                           node("SQ", data.draw(st.permutations(question_parts)))])
+    question = Question(id="q", text=" ".join(leaves(parse)), parse=analyse(parse),
+                        answers=("x",))
+    answer = " ".join(leaves(data.draw(st.sampled_from(_phrases(taught)))))
+    sentence = RetrievedSentence(" ".join(leaves(tree)), analyse(tree), 1.0, "doc", 2)
+    view = sentence.view
+    learned = learn_patterns(question, answer, [sentence], TEST_SIGNATURE)
+    assert learned == learn_patterns_oracle(question, answer, [sentence], TEST_SIGNATURE)
+    untagged = {i for i, nodes in enumerate(view.constituents)
+                if not any(is_preterminal for _, _, is_preterminal in nodes)}
+    span = _taught_span(view.tokens, answer)
+    for pattern in learned:
+        assert span in {c.span for c in unify(pattern, view, default_config().exact)}
+        witnesses = _exact_alignments(pattern, view, span)
+        assert witnesses, pattern.render()
+        for spans in witnesses:
+            for element, (start, end) in zip(pattern.elements, spans):
+                if end - start == 1 and start in untagged:
+                    assert element == lexical(view.tokens[start]), pattern.render()
+
+
+def test_learner_matches_the_per_sentence_oracle(fixture_questions, fixture_docs):
+    """Patterns, signatures, provenances and their order equal those of the
+    learner that built one Pattern per sentence, on the fixtures and on
+    random sentences taught together."""
+    sentences = [RetrievedSentence(text, view, 1.0, doc.doc_id, i)
+                 for doc in fixture_docs for i, (text, view) in enumerate(doc.sentences)]
+    learned = 0
+    for question in fixture_questions:
+        signature = signature_of(question)
+        for answer in question.answers:
+            patterns = learn_patterns(question, answer, sentences[::-1], signature)
+            assert patterns == learn_patterns_oracle(question, answer, sentences, signature)
+            learned += len(patterns)
+    rng = random.Random(7)
+    for _ in range(300):
+        forest = [_retoken(random_tree(rng, max_leaves=8), rng) for _ in range(3)]
+        batch = [RetrievedSentence(" ".join(leaves(t)), analyse(t), 1.0, f"d{i % 2}", i)
+                 for i, t in enumerate(forest)]
+        subtrees = [nd for t in forest for nd in dfs_nodes(t) if not nd.is_leaf]
+        parse = node("SBARQ", [node("WHNP", [node("WP", [leaf("Who")])]),
+                               node("SQ", [rng.choice(subtrees)])])
+        question = Question(id="q", text=" ".join(leaves(parse)), parse=analyse(parse),
+                            answers=("x",))
+        answer = " ".join(leaves(rng.choice(subtrees)))
+        patterns = learn_patterns(question, answer, batch, TEST_SIGNATURE)
+        assert patterns == learn_patterns_oracle(question, answer, batch, TEST_SIGNATURE)
+        learned += len(patterns)
+    assert learned >= 100
 
 
 ELEMENTS = st.builds(PatternElement, st.sampled_from([LEXICAL, SYNTACTIC]),
