@@ -119,15 +119,16 @@ def _candidate_record(cand) -> dict:
 
 
 def _outcome_record(outcome) -> dict:
+    final = outcome.final
     return {
         "id": outcome.question_id,
         "category": outcome.category,
         "correct": outcome.correct,
         "answered": outcome.answered,
         "fallback_used": outcome.fallback_used,
-        "final": outcome.final,
-        "final_strategy": outcome.final_strategy,
-        "relaxation_used": outcome.relaxation_used,
+        "final": final.text if final else None,
+        "final_strategy": final.strategy if final else None,
+        "relaxation_used": final.relaxation_used if final else RELAX_NONE,
         "patterns_learned": outcome.patterns_learned,
         "error": outcome.error,
         "candidates": [_candidate_record(c) for c in outcome.candidates],
@@ -207,17 +208,28 @@ def _restore_from_metadata(args) -> None:
 
 
 @contextmanager
-def _collector_paused():
+def _loading():
     """Loading makes many objects that all live on, so the cyclic collector
-    would only walk them again and again: it is off meanwhile, and back on
-    however loading ends."""
+    would only walk them again and again: it is off while loading and back
+    on however loading ends, and once loading succeeds what it made is
+    frozen, out of the collector's reach for the rest of the command."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
+        gc.freeze()
     finally:
         if enabled:
             gc.enable()
+
+
+def _session(args, **settings) -> PipelineState:
+    """The state a command answers in: the ``--docs`` collection indexed,
+    the ``--kb-in`` knowledge base or an empty one, and ``settings``."""
+    docs = load_documents(_require_file(args.docs, "docs"))
+    kb = load_kb(_require_file(args.kb_in, "kb-in")) if args.kb_in else KnowledgeBase()
+    return PipelineState(kb=kb, index=build_index(docs), gazetteer=load_gazetteer(),
+                         top_k=args.top_k, **settings)
 
 
 def cmd_run(args) -> int:
@@ -231,26 +243,14 @@ def cmd_run(args) -> int:
         enable_lexical=not args.no_lexical_relax,
         enable_syntactic=not args.no_syntactic_relax,
     )
-    with _collector_paused():
+    with _loading():
         questions = load_qa_corpus(_require_file(args.corpus, "corpus"))
-        docs = load_documents(_require_file(args.docs, "docs"))
-        kb = load_kb(_require_file(args.kb_in, "kb-in")) if args.kb_in else KnowledgeBase()
-        index = build_index(docs)
-    # the loaded collection is kept for the whole run: frozen, the cyclic
-    # collector stops walking it again and again while questions are answered
-    gc.freeze()
+        state = _session(args, relax=relax)
     # made before any output is written: --dump-index and --kb-out may lie in it
     out_dir = Path(args.out_dir) if args.out_dir else Path("out") / time.strftime("%Y%m%d-%H%M%S")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.dump_index:
-        Path(args.dump_index).write_text(serialize_index(index) + "\n", "utf-8")
-    state = PipelineState(
-        kb=kb,
-        index=index,
-        gazetteer=load_gazetteer(),
-        relax=relax,
-        top_k=args.top_k,
-    )
+        Path(args.dump_index).write_text(serialize_index(state.index) + "\n", "utf-8")
     result = run_sequence(state, questions, scenario, args.revise_interval,
                           learn_on_revision=not args.no_learn_on_revision)
 
@@ -260,25 +260,18 @@ def cmd_run(args) -> int:
             handle.write(json.dumps(_outcome_record(outcome), sort_keys=True))
             handle.write("\n")
 
-    points = running_metrics(result.outcomes)
-    export_series(points, out_dir / f"scenario{scenario.id}_metrics.csv",
-                  running_metrics(result.outcomes, fallback_as_answered=True))
+    series = [(f"scenario{scenario.id}_metrics.csv", ())]
     if args.revise_interval:  # the run's score then counts the rescued questions
-        points = running_metrics(result.outcomes, revision=result.revision)
-        export_series(points, out_dir / f"revision_i{args.revise_interval}.csv",
+        series.append((f"revision_i{args.revise_interval}.csv", result.revision))
+    for name, revision in series:
+        points = running_metrics(result.outcomes, revision=revision)
+        export_series(points, out_dir / name,
                       running_metrics(result.outcomes, fallback_as_answered=True,
-                                      revision=result.revision))
+                                      revision=revision))
+    if args.revise_interval:
         report = {
             "interval": args.revise_interval,
-            "checkpoints": [
-                {
-                    "checkpoint": r.checkpoint,
-                    "retried": r.retried,
-                    "newly_correct": r.newly_correct,
-                    "patterns_learned": r.patterns_learned,
-                }
-                for r in result.revision
-            ],
+            "checkpoints": [vars(r) for r in result.revision],
             "final_correct": points[-1].correct if points else 0,
         }
         (out_dir / "revision_report.json").write_text(
@@ -318,16 +311,8 @@ def cmd_tutor(args) -> int:
     if args.top_k < 1:
         raise UsageError("--top-k must be >= 1")
     _check_output_path("--kb-out", args.kb_out)
-    with _collector_paused():
-        docs = load_documents(_require_file(args.docs, "docs"))
-        kb = load_kb(_require_file(args.kb_in, "kb-in")) if args.kb_in else KnowledgeBase()
-        index = build_index(docs)
-    state = PipelineState(
-        kb=kb,
-        index=index,
-        gazetteer=load_gazetteer(),
-        top_k=args.top_k,
-    )
+    with _loading():
+        state = _session(args)
     counter = 0
     last = None
     last_answer: str | None = None
@@ -356,6 +341,7 @@ def cmd_tutor(args) -> int:
             try:
                 view = parse_sentence(line[4:].strip())
             except TreeFormatError as exc:
+                last = last_answer = None  # nothing to confirm or teach until the next ask
                 print(f"cannot parse question: {exc}")
                 prompt()
                 continue

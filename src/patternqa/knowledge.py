@@ -193,11 +193,12 @@ def _answer_span(sentence: Sentence, forms) -> tuple[int, int] | None:
     normalized words; ``forms`` holds the two."""
     raw, normalized = forms
     span = _find_subsequence(sentence.lowered, raw, None)
-    if span is not None:
+    if span is not None or not ARTICLES.isdisjoint(normalized):
         return span
-    # each token's normalize_answer: its stripped form, blank for an article
-    normalized_sentence = tuple("" if w in ARTICLES else w for w in sentence.stripped)
-    return _find_subsequence(normalized_sentence, normalized, None)
+    # a token normalizes to its stripped form, "" when that is an article:
+    # words holding an article never match, and words holding none match
+    # exactly where they match the stripped forms
+    return _find_subsequence(sentence.stripped, normalized, None)
 
 
 def _pattern_elements(sentence: Sentence, answer_forms, phrases: list[tuple[str, ...]],

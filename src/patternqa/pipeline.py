@@ -30,7 +30,7 @@ from .corpus import Question, normalize_answer
 from .extraction import Gazetteer, extract_ner, load_regex_rules
 from .knowledge import KnowledgeBase, Pattern, Signature, learn_patterns, question_signature
 from .retrieval import Index, RetrievedSentence, content_words, retrieve
-from .unification import RELAX_NONE, CandidateAnswer, RelaxConfig, default_config, unify
+from .unification import CandidateAnswer, RelaxConfig, default_config, unify
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,21 @@ class ScenarioConfig:
 
 @dataclass
 class Outcome:
+    """One question's result. ``final`` is the candidate oracle selection
+    chose, or None; the question is correct iff there is one. The chosen
+    answer's text, strategy and relaxation are read from it."""
+
     question_id: str
     category: str
     candidates: list[CandidateAnswer] = field(default_factory=list)
-    final: str | None = None
-    final_strategy: str | None = None
-    correct: bool = False
+    final: CandidateAnswer | None = None
     fallback_used: bool = False
-    relaxation_used: str = RELAX_NONE
     patterns_learned: int = 0
     error: str | None = None
+
+    @property
+    def correct(self) -> bool:
+        return self.final is not None
 
     @property
     def answered(self) -> bool:
@@ -194,26 +199,14 @@ def answer_question(state: PipelineState, question: Question,
         state.interpretations[question.id] = record
         state.retry_counts.pop(question.id, None)  # an id asked again may teach again
         candidates = extract_candidates(state, record, scenario.use_patterns, scenario.use_ner)
-        final = oracle_select(candidates, question.answers)
-        correct = final is not None
-        fallback_used = False
-        patterns_learned = 0
-        if correct and scenario.use_patterns:
-            patterns_learned = apply_feedback(state, record, final.text)
-        elif not correct and scenario.reference_fallback:
-            patterns_learned = apply_feedback(state, record, question.answers[0])
-            fallback_used = True
-        return Outcome(
-            question_id=question.id,
-            category=str(record.category),
-            candidates=candidates,
-            final=final.text if final else None,
-            final_strategy=final.strategy if final else None,
-            correct=correct,
-            fallback_used=fallback_used,
-            relaxation_used=final.relaxation_used if final else RELAX_NONE,
-            patterns_learned=patterns_learned,
-        )
+        outcome = Outcome(question.id, str(record.category), candidates,
+                          oracle_select(candidates, question.answers))
+        if outcome.correct and scenario.use_patterns:
+            outcome.patterns_learned = apply_feedback(state, record, outcome.final.text)
+        elif not outcome.correct and scenario.reference_fallback:
+            outcome.patterns_learned = apply_feedback(state, record, question.answers[0])
+            outcome.fallback_used = True
+        return outcome
     except Exception as exc:  # noqa: BLE001 - per-question fault isolation
         return Outcome(question.id, "", error=f"{type(exc).__name__}: {exc}")
 

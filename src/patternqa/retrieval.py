@@ -34,24 +34,18 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
-from .corpus import Document
+from .corpus import Document, read_table
 from .treebank import Sentence
 
 BM25_K1 = 1.2
 BM25_B = 0.75
 
 
-def _load_stopwords() -> frozenset[str]:
-    text = resources.files("patternqa").joinpath("data/stopwords.txt").read_text("utf-8")
-    return frozenset(line.strip() for line in text.splitlines() if line.strip())
-
-
-STOPWORDS = _load_stopwords()
+STOPWORDS = frozenset(word for word, _ in read_table("stopwords.txt"))
 
 
 def content_words(sentence: Sentence) -> list[str]:

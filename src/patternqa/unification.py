@@ -24,7 +24,7 @@ one relax config and its :attr:`RelaxConfig.exact` pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .corpus import read_table
@@ -104,17 +104,13 @@ class RelaxConfig:
     lexical_measure: str = "levenshtein"
     lexical_threshold: float = 0.8
     enable_syntactic: bool = True
-    tag_hierarchy: tuple[tuple[str, str], ...] = ()
+    tag_hierarchy: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.lexical_threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
         if self.lexical_measure not in DEFAULT_THRESHOLDS:
             raise ValueError(f"unknown measure {self.lexical_measure!r}")
-
-    @cached_property
-    def hierarchy(self) -> dict[str, str]:
-        return dict(self.tag_hierarchy)
 
     @cached_property
     def exact(self) -> "RelaxConfig":
@@ -131,7 +127,7 @@ def default_config(measure: str = "levenshtein", threshold: float | None = None,
         lexical_measure=measure,
         lexical_threshold=threshold,
         enable_syntactic=enable_syntactic,
-        tag_hierarchy=tuple(sorted(load_tag_hierarchy().items())),
+        tag_hierarchy=load_tag_hierarchy(),
     )
 
 
@@ -185,7 +181,7 @@ def _unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
                               for kind, value in elements):
         return ()
     constituents = sentence.constituents
-    hierarchy = config.hierarchy if config.enable_syntactic else None
+    hierarchy = config.tag_hierarchy if config.enable_syntactic else None
     n, size = len(lowered), len(elements)
     found: dict[tuple[int, int], str] = {}
 

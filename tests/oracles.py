@@ -15,7 +15,9 @@ walk that analysed a tree are kept here as the reference that the one-pass
 without the run's memo, every unification and NER pass computed afresh.
 Pattern learning is kept as it was before it read tags in place: one
 ``Pattern`` per sentence from a whole-sentence tag dict and a sorted region
-list, then one per element sequence.
+list, then one per element sequence. Its answer span is found as it was
+before the search skipped needles that hold an article: in a token tuple
+rebuilt with every article blanked.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from sys import intern
 
 from hypothesis import strategies as st
 
-from patternqa.corpus import normalize_answer, tokenize
+from patternqa.corpus import ARTICLES, normalize_answer, tokenize
 from patternqa.extraction import MAX_GAZETTEER_SPAN, _keep_maximal, extract_ner
 from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH,
-                                 Pattern, Signature, _answer_span, _covering_label,
+                                 Pattern, Signature, _covering_label,
                                  _find_subsequence, _question_phrases, answer_slot, lexical,
                                  syntactic)
 from patternqa.classify import Category, wh_word
@@ -568,11 +570,22 @@ def count_metrics_oracle(records: list[dict], revision=(),
     return out
 
 
+def answer_span_oracle(sentence: Sentence, forms) -> tuple[int, int] | None:
+    """First occurrence of the answer's lowercased tokens, else of its
+    normalized words among the sentence's tokens normalized one by one."""
+    raw, normalized = forms
+    span = _find_subsequence(sentence.lowered, raw, None)
+    if span is not None:
+        return span
+    normalized_sentence = tuple("" if w in ARTICLES else w for w in sentence.stripped)
+    return _find_subsequence(normalized_sentence, normalized, None)
+
+
 def _pattern_from_sentence_oracle(question_id: str, answer_forms, retrieved,
                                   signature: Signature, phrases: list[tuple[str, ...]],
                                   content_stems: set[str]) -> Pattern | None:
     sentence = retrieved.view
-    ans = _answer_span(sentence, answer_forms)
+    ans = answer_span_oracle(sentence, answer_forms)
     if ans is None:
         return None
     ans_label = _covering_label(sentence, *ans)

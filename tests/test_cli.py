@@ -70,19 +70,23 @@ def test_run_with_revision_outputs(tmp_path):
     assert (out_dir / "revision_i10.csv").is_file()
 
 
-def test_run_turns_the_collector_back_on(tmp_path):
-    """Loading pauses the cyclic collector; a run that ends, well or on a
-    bad docs line, leaves it on for the caller."""
-    assert gc.isenabled()
-    assert run_cli("run", "--scenario", "1", "--corpus", CORPUS, "--docs", DOCS,
-                   "--out-dir", str(tmp_path / "good")) == 0
-    assert gc.isenabled()
+def test_run_turns_the_collector_back_on(tmp_path, monkeypatch):
+    """Loading pauses the cyclic collector; a run or tutor session that
+    ends, well or on a bad docs line, leaves it on for the caller. What a
+    successful load made is frozen; a failed load freezes nothing (the
+    count may still fall, as frozen objects are freed)."""
     bad_docs = tmp_path / "docs.jsonl"
     bad_docs.write_text(Path(DOCS).read_text("utf-8") + '{"doc_id": "x", "sentences": [3]}\n',
                         "utf-8")
-    assert run_cli("run", "--scenario", "1", "--corpus", CORPUS, "--docs", str(bad_docs),
-                   "--out-dir", str(tmp_path / "bad")) == 2
-    assert gc.isenabled()
+    monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
+    for docs, code in ((DOCS, 0), (str(bad_docs), 2)):
+        for argv in (["run", "--scenario", "1", "--corpus", CORPUS,
+                      "--out-dir", str(tmp_path / f"out{code}")], ["tutor"]):
+            assert gc.isenabled()
+            frozen = gc.get_freeze_count()
+            assert main([*argv, "--docs", docs]) == code
+            assert gc.isenabled()
+            assert (gc.get_freeze_count() > frozen) == (code == 0)
 
 
 def test_runs_are_byte_identical(tmp_path):
@@ -200,6 +204,22 @@ def test_tutor_bad_parse_keeps_state(monkeypatch, capsys, tmp_path):
     code, out = _run_tutor(monkeypatch, capsys, "ask (S (NP\nquit\n", "--docs", DOCS)
     assert code == 0
     assert "cannot parse question" in out
+
+
+def test_tutor_failed_ask_leaves_no_question_to_teach(tmp_path, monkeypatch, capsys):
+    """After an ask whose parse fails, neither ``answer`` nor ``y`` teaches
+    the question asked before it."""
+    kb_out = tmp_path / "kb.json"
+    transcript = (f"ask {HAMLET_QUESTION_PARSE}\nanswer Shakespeare\nask (S (NP\n"
+                  "answer Cervantes\ny\nquit\n")
+    code, out = _run_tutor(monkeypatch, capsys, transcript, "--docs", DOCS,
+                           "--kb-out", str(kb_out))
+    assert code == 0
+    after = out.split("cannot parse question", 1)[1]
+    assert "ask a question first" in after
+    assert "nothing to confirm" in after
+    assert "learned" not in after
+    assert json.loads(kb_out.read_text())["qa_pairs"] == [["tutor-1", "Shakespeare"]]
 
 
 def test_tutor_replay_is_deterministic(monkeypatch, capsys):

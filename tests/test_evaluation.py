@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from patternqa.evaluation import EvalPoint, export_series, f_measure, make_point, running_metrics
 from patternqa.pipeline import CheckpointReport, Outcome
+from patternqa.unification import CandidateAnswer
 
 from .oracles import count_metrics_oracle
 
@@ -24,11 +25,8 @@ def outcome(qid, correct, answered, fallback=False):
         question_id=qid,
         category="ENTY:other",
         candidates=[object()] * (1 if answered else 0),
-        final="x" if correct else None,
-        final_strategy="pattern" if correct else None,
-        correct=correct,
+        final=CandidateAnswer("x", (0, 1), "pattern") if correct else None,
         fallback_used=fallback,
-        relaxation_used="none",
         patterns_learned=0,
     )
 

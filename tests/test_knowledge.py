@@ -9,16 +9,17 @@ from hypothesis import given, settings, strategies as st
 from patternqa.classify import Category, classify
 from patternqa.corpus import COARSE_CLASSES, Question, normalize_answer, tokenize
 from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, SYNTACTIC, KnowledgeBase, Pattern,
-                                 PatternElement, Signature, answer_slot, learn_patterns,
-                                 lexical, load_kb, question_signature, save_kb,
-                                 syntactic)
+                                 PatternElement, Signature, _answer_span, answer_slot,
+                                 learn_patterns, lexical, load_kb, question_signature,
+                                 save_kb, syntactic)
 from patternqa.retrieval import RetrievedSentence
 from patternqa.treebank import parse_sentence
 from patternqa.unification import default_config, unify
 
 from .conftest import signature_of
-from .oracles import (PHRASE_LABELS, PRETERM_LABELS, TEST_SIGNATURE, VOCAB, analyse, dfs_nodes,
-                      learn_patterns_oracle, leaf, leaves, node, random_tree, trees)
+from .oracles import (PHRASE_LABELS, PRETERM_LABELS, TEST_SIGNATURE, VOCAB, analyse,
+                      answer_span_oracle, dfs_nodes, learn_patterns_oracle, leaf, leaves, node,
+                      random_tree, trees)
 
 
 def rsent(text, parse, doc_id="doc", position=0):
@@ -460,3 +461,26 @@ def test_save_load_round_trips_random_kbs(kb):
                 [p.source_questions for p in kb.lookup(signature)]
         save_kb(loaded, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+# articles in any case, punctuation-only tokens, and words whose stripped
+# form differs from their lowercased one
+SPAN_TOKENS = st.sampled_from(["the", "The", "THE", "a", "A", "an", "An", "Dante", "dante",
+                               "Dantes", "Dante's", "U.S.", "us", "wrote", "Inferno", "Inferno.",
+                               "of", ".", ",", "--", "'s"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(SPAN_TOKENS, min_size=1, max_size=10), st.data())
+def test_answer_span_matches_the_blanked_sentence_oracle(tokens, data):
+    """An answer's span is where it is found among the sentence's tokens
+    normalized one by one, articles blanked, whatever articles the answer
+    holds in leading, inner or trailing places."""
+    sentence = parse_sentence("(S " + " ".join(f"(X {t})" for t in tokens) + ")")
+    start = data.draw(st.integers(0, len(tokens) - 1))
+    end = data.draw(st.integers(start + 1, len(tokens)))
+    around = st.lists(SPAN_TOKENS, max_size=2)
+    words = data.draw(around) + tokens[start:end] + data.draw(around)
+    answer = " ".join(data.draw(st.just(words) | st.lists(SPAN_TOKENS, min_size=1, max_size=4)))
+    forms = (tuple(t.lower() for t in tokenize(answer)), tuple(normalize_answer(answer).split()))
+    assert _answer_span(sentence, forms) == answer_span_oracle(sentence, forms)

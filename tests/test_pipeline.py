@@ -86,8 +86,8 @@ def test_scenario2_learns_then_answers_structural_twin():
 
     second = answer_question(state, hamlet, scenario)
     assert second.correct
-    assert second.final == "Shakespeare"
-    assert second.final_strategy == "pattern"
+    assert second.final.text == "Shakespeare"
+    assert second.final.strategy == "pattern"
     assert not second.fallback_used
     assert second.patterns_learned >= 1
 
@@ -351,7 +351,7 @@ def test_relaxed_match_recorded_in_outcome(fixture_questions, make_state):
     result = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
     by_id = {o.question_id: o for o in result.outcomes}
     assert by_id["q10"].correct
-    assert by_id["q10"].relaxation_used == "syntactic"
+    assert by_id["q10"].final.relaxation_used == "syntactic"
 
 
 @pytest.mark.parametrize("scenario_id, interval", [(1, None), (2, None), (3, None), (4, None),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,11 @@ def test_rank_stability_when_avg_length_held_constant():
                                 f"(S {filler_tokens})"),))
     after = [(r.doc_id, r.position) for r in retrieve(build_index(DOCS + [extra]), query, 10)]
     assert before == after
+
+
+def test_stopwords_are_the_shipped_words_one_per_line():
+    text = resources.files("patternqa").joinpath("data/stopwords.txt").read_text("utf-8")
+    assert STOPWORDS == frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 
 def test_stopwords_filtered_from_content_words():
