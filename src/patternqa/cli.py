@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from .corpus import (CorpusError, Question, load_documents, load_qa_corpus, normalize_answer,
@@ -106,33 +107,49 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _candidate_record(cand) -> dict:
-    return {
-        "text": cand.text,
-        "span": list(cand.span),
-        "strategy": cand.strategy,
-        "relaxation": cand.relaxation_used,
-        "doc_id": cand.doc_id,
-        "position": cand.position,
-        "pattern": cand.pattern_provenance,
-    }
+_BOOL = {False: "false", True: "true"}
 
 
-def _outcome_record(outcome) -> dict:
-    final = outcome.final
-    return {
-        "id": outcome.question_id,
-        "category": outcome.category,
-        "correct": outcome.correct,
-        "answered": outcome.answered,
-        "fallback_used": outcome.fallback_used,
-        "final": final.text if final else None,
-        "final_strategy": final.strategy if final else None,
-        "relaxation_used": final.relaxation_used if final else RELAX_NONE,
-        "patterns_learned": outcome.patterns_learned,
-        "error": outcome.error,
-        "candidates": [_candidate_record(c) for c in outcome.candidates],
-    }
+def _nullable(text) -> str:
+    return "null" if text is None else _string(text)
+
+
+def _candidate_json(cand) -> str:
+    position = "null" if cand.position is None else cand.position
+    return (f'{{"doc_id": {_nullable(cand.doc_id)}, '
+            f'"pattern": {_nullable(cand.pattern_provenance)}, "position": {position}, '
+            f'"relaxation": {_string(cand.relaxation_used)}, '
+            f'"span": [{cand.span[0]}, {cand.span[1]}], "strategy": {_string(cand.strategy)}, '
+            f'"text": {_string(cand.text)}}}')
+
+
+def _write_outcomes(outcomes, handle) -> None:
+    """Write one line per outcome: its record exactly as
+    ``json.dumps(record, sort_keys=True)`` writes it (keys sorted,
+    ASCII-escaped), assembled straight from the outcome. The run's memo
+    shares candidates between questions, so each candidate object is
+    encoded once per call; the outcomes keep every candidate alive until
+    the call returns, so no object id is reused while it is a key."""
+    encoded: dict[int, str] = {}
+    for outcome in outcomes:
+        parts = []
+        for cand in outcome.candidates:
+            text = encoded.get(id(cand))
+            if text is None:
+                text = encoded[id(cand)] = _candidate_json(cand)
+            parts.append(text)
+        final = outcome.final
+        handle.write(
+            f'{{"answered": {_BOOL[outcome.answered]}, "candidates": [{", ".join(parts)}], '
+            f'"category": {_string(outcome.category)}, "correct": {_BOOL[outcome.correct]}, '
+            f'"error": {_nullable(outcome.error)}, '
+            f'"fallback_used": {_BOOL[outcome.fallback_used]}, '
+            f'"final": {"null" if final is None else _string(final.text)}, '
+            f'"final_strategy": {"null" if final is None else _string(final.strategy)}, '
+            f'"id": {_string(outcome.question_id)}, '
+            f'"patterns_learned": {outcome.patterns_learned}, '
+            f'"relaxation_used": '
+            f'{_string(RELAX_NONE if final is None else final.relaxation_used)}}}\n')
 
 
 # metadata.json config entries that ``run`` records and ``run --from-metadata``
@@ -141,6 +158,8 @@ def _outcome_record(outcome) -> dict:
 _RECORDED = ("scenario", "corpus", "docs", "top_k", "relax_measure", "relax_threshold",
              "revise_interval", "kb_in")
 _SWITCHES = ("lexical_relax", "syntactic_relax", "learn_on_revision")
+# input files whose digests metadata.json records, as inputs.<name>_sha256
+_INPUTS = ("corpus", "docs", "kb_in")
 
 
 def _check_output_path(flag: str, path, directory: bool = False, created=None) -> None:
@@ -177,10 +196,11 @@ def _check_run_args(args) -> None:
     _check_output_path("--dump-index", args.dump_index, created=out_dir)
 
 
-def _restore_from_metadata(args) -> None:
-    """Set the run arguments recorded in ``args.from_metadata``. The recorded
-    values pass through the same parser and checks as flags; a value they
-    reject is a :class:`DataError`."""
+def _restore_from_metadata(args) -> dict[str, str]:
+    """Set the run arguments recorded in ``args.from_metadata`` and return
+    the input digests it records, by input name. The recorded values pass
+    through the same parser and checks as flags; a value they reject is a
+    :class:`DataError`."""
     path = args.from_metadata
     try:
         meta = json.loads(_require_file(path, "from-metadata").read_text("utf-8"))
@@ -205,6 +225,20 @@ def _restore_from_metadata(args) -> None:
         raise DataError(f"{path}: config: {exc}") from exc
     for key in _RECORDED + tuple(f"no_{switch}" for switch in _SWITCHES):
         setattr(args, key, getattr(recorded, key))
+    inputs = meta.get("inputs", {})
+    if not isinstance(inputs, dict):
+        raise DataError(f"{path}: inputs must be an object")
+    return {name: inputs[f"{name}_sha256"] for name in _INPUTS
+            if getattr(args, name) and f"{name}_sha256" in inputs}
+
+
+def _check_digests(args, digests: dict[str, str]) -> None:
+    """Refuse to re-run on an input that differs from the one recorded."""
+    for name, digest in digests.items():
+        path = getattr(args, name)
+        if _sha256(_require_file(path, name.replace("_", "-"))) != digest:
+            raise DataError(f"{args.from_metadata}: {path} does not match the recorded "
+                            f"{name}_sha256; the input changed since the run")
 
 
 @contextmanager
@@ -233,9 +267,9 @@ def _session(args, **settings) -> PipelineState:
 
 
 def cmd_run(args) -> int:
-    if args.from_metadata:
-        _restore_from_metadata(args)
+    digests = _restore_from_metadata(args) if args.from_metadata else {}
     _check_run_args(args)
+    _check_digests(args, digests)
     scenario = ScenarioConfig.from_id(args.scenario)
     relax = default_config(
         measure=args.relax_measure,
@@ -254,11 +288,8 @@ def cmd_run(args) -> int:
     result = run_sequence(state, questions, scenario, args.revise_interval,
                           learn_on_revision=not args.no_learn_on_revision)
 
-    log_path = out_dir / "outcomes.jsonl"
-    with open(log_path, "w", encoding="utf-8") as handle:
-        for outcome in result.outcomes:
-            handle.write(json.dumps(_outcome_record(outcome), sort_keys=True))
-            handle.write("\n")
+    with open(out_dir / "outcomes.jsonl", "w", encoding="utf-8") as handle:
+        _write_outcomes(result.outcomes, handle)
 
     series = [(f"scenario{scenario.id}_metrics.csv", ())]
     if args.revise_interval:  # the run's score then counts the rescued questions
@@ -287,10 +318,8 @@ def cmd_run(args) -> int:
     )
     metadata = {
         "config": config,
-        "inputs": {
-            "corpus_sha256": _sha256(args.corpus),
-            "docs_sha256": _sha256(args.docs),
-        },
+        "inputs": {f"{name}_sha256": _sha256(getattr(args, name))
+                   for name in _INPUTS if getattr(args, name)},
     }
     (out_dir / "metadata.json").write_text(
         json.dumps(metadata, indent=1, sort_keys=True) + "\n", "utf-8")

@@ -336,6 +336,22 @@ def save_kb(kb: KnowledgeBase, path) -> None:
         handle.write("\n")
 
 
+def _list_at(record: dict, key: str) -> list:
+    value = record.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list")
+    return value
+
+
+def _string_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(isinstance(x, str) for x in value)
+
+
+def _is_element(value) -> bool:
+    return (isinstance(value, dict) and isinstance(value.get("kind"), str)
+            and isinstance(value.get("value"), str))
+
+
 def load_kb(path) -> KnowledgeBase:
     """Inverse of :func:`save_kb`. Raises :class:`KnowledgeBaseError`
     naming the first signature or pattern that does not validate."""
@@ -344,25 +360,37 @@ def load_kb(path) -> KnowledgeBase:
             payload = json.load(handle)
         except RecursionError as exc:
             raise KnowledgeBaseError(f"{path}: JSON nested too deeply") from exc
+    if not isinstance(payload, dict):
+        raise KnowledgeBaseError(f"{path}: top level must be an object")
     kb = KnowledgeBase()
     where = "top level"
     try:
-        for entry in payload.get("signatures", []):
-            named = where = f"signature {entry.get('category')} | {entry.get('structure_key')}"
-            signature = Signature(Category.parse(entry["category"]), entry["structure_key"])
-            for item in entry.get("patterns", []):
-                where = f"pattern {json.dumps(item.get('elements'))} under {named}"
-                elements = tuple(PatternElement(e["kind"], e["value"]) for e in item["elements"])
-                provenances = [(qid, sentence) for qid, sentence in item["provenance"]]
-                if not all(isinstance(x, str) for pair in provenances for x in pair):
+        signatures, qa_pairs = _list_at(payload, "signatures"), _list_at(payload, "qa_pairs")
+        for n, entry in enumerate(signatures):
+            if not isinstance(entry, dict):
+                raise ValueError(f"signature entry {n} must be an object")
+            category, key = entry.get("category"), entry.get("structure_key")
+            named = where = f"signature {category} | {key}"
+            if not (isinstance(category, str) and isinstance(key, str)):
+                raise ValueError("category and structure_key must be strings")
+            signature = Signature(Category.parse(category), key)
+            for m, item in enumerate(_list_at(entry, "patterns")):
+                if not isinstance(item, dict):
+                    raise ValueError(f"pattern entry {m} must be an object")
+                elements, provenances = item.get("elements"), item.get("provenance")
+                where = f"pattern {json.dumps(elements)} under {named}"
+                if not (isinstance(elements, list) and all(map(_is_element, elements))):
+                    raise ValueError('elements must be a list of {"kind": string, '
+                                     '"value": string} objects')
+                if not (isinstance(provenances, list) and all(map(_string_pair, provenances))):
                     raise ValueError("provenance must be [question id, sentence] string pairs")
-                kb.insert([Pattern(elements, signature, provenances)])
+                elements = tuple(PatternElement(e["kind"], e["value"]) for e in elements)
+                kb.insert([Pattern(elements, signature, {tuple(pair) for pair in provenances})])
         where = "qa_pairs"
-        for pair in payload.get("qa_pairs", []):
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(x, str) for x in pair)):
+        for pair in qa_pairs:
+            if not _string_pair(pair):
                 raise ValueError(f"not a [question id, answer] string pair: {json.dumps(pair)}")
             kb.record_qa(*pair)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise KnowledgeBaseError(f"{path}: {where}: {exc}") from exc
     return kb

@@ -17,11 +17,13 @@ Pattern learning is kept as it was before it read tags in place: one
 ``Pattern`` per sentence from a whole-sentence tag dict and a sorted region
 list, then one per element sequence. Its answer span is found as it was
 before the search skipped needles that hold an article: in a token tuple
-rebuilt with every article blanked.
+rebuilt with every article blanked. An outcome's log line is kept as the
+record dict it was built from, dumped by ``json.dumps`` with sorted keys.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -42,7 +44,7 @@ from patternqa.pipeline import CheckpointReport, apply_feedback, oracle_select, 
 from patternqa.retrieval import BM25_B, BM25_K1, STOPWORDS, content_words
 from patternqa.stem import stem
 from patternqa.treebank import PUNCTUATION, Sentence, TreeFormatError, strip_decorations
-from patternqa.unification import RelaxConfig
+from patternqa.unification import RELAX_NONE, RelaxConfig
 
 
 @dataclass(frozen=True, slots=True)
@@ -658,3 +660,35 @@ def learn_patterns_oracle(question, answer: str, sentences, signature: Signature
             continue
         by_elements.setdefault(pattern.elements, []).extend(pattern.provenances)
     return [Pattern(elements, signature, provs) for elements, provs in by_elements.items()]
+
+
+def _candidate_record(cand) -> dict:
+    return {
+        "text": cand.text,
+        "span": list(cand.span),
+        "strategy": cand.strategy,
+        "relaxation": cand.relaxation_used,
+        "doc_id": cand.doc_id,
+        "position": cand.position,
+        "pattern": cand.pattern_provenance,
+    }
+
+
+def outcome_line_oracle(outcome) -> str:
+    """One ``outcomes.jsonl`` line, as the run wrote it before the writer
+    assembled lines itself: a record dict dumped with sorted keys."""
+    final = outcome.final
+    record = {
+        "id": outcome.question_id,
+        "category": outcome.category,
+        "correct": outcome.correct,
+        "answered": outcome.answered,
+        "fallback_used": outcome.fallback_used,
+        "final": final.text if final else None,
+        "final_strategy": final.strategy if final else None,
+        "relaxation_used": final.relaxation_used if final else RELAX_NONE,
+        "patterns_learned": outcome.patterns_learned,
+        "error": outcome.error,
+        "candidates": [_candidate_record(c) for c in outcome.candidates],
+    }
+    return json.dumps(record, sort_keys=True) + "\n"

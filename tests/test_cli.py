@@ -110,6 +110,57 @@ def test_rerun_from_metadata_reproduces_log(tmp_path):
     assert (first / "outcomes.jsonl").read_bytes() == (second / "outcomes.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("changed, old, new", [
+    ("docs", b'"doc_id": "history"', b'"doc_id": "historz"'),
+    ("corpus", b'"id": "q01"', b'"id": "q00"'),
+    ("kb", b'"violin"', b'"violiN"'),
+], ids=["docs", "corpus", "kb-in"])
+def test_rerun_refuses_an_input_changed_since_the_run(tmp_path, capsys, changed, old, new):
+    """``--from-metadata`` checks each recorded input digest; one changed
+    byte in an input makes the re-run a one-line data error naming it."""
+    inputs = {"docs": tmp_path / "docs.jsonl", "corpus": tmp_path / "qa.jsonl",
+              "kb": tmp_path / "kb.json"}
+    inputs["docs"].write_bytes(Path(DOCS).read_bytes())
+    inputs["corpus"].write_bytes(Path(CORPUS).read_bytes())
+    assert run_cli("run", "--scenario", "2", "--corpus", str(inputs["corpus"]),
+                   "--docs", str(inputs["docs"]), "--out-dir", str(tmp_path / "kb-run"),
+                   "--kb-out", str(inputs["kb"])) == 0
+    first = tmp_path / "first"
+    assert run_cli("run", "--scenario", "2", "--corpus", str(inputs["corpus"]),
+                   "--docs", str(inputs["docs"]), "--kb-in", str(inputs["kb"]),
+                   "--out-dir", str(first)) == 0
+    recorded = json.loads((first / "metadata.json").read_text())["inputs"]
+    assert sorted(recorded) == ["corpus_sha256", "docs_sha256", "kb_in_sha256"]
+    assert run_cli("run", "--from-metadata", str(first / "metadata.json"),
+                   "--out-dir", str(tmp_path / "same")) == 0
+    content = inputs[changed].read_bytes()
+    assert content.count(old) == 1
+    inputs[changed].write_bytes(content.replace(old, new))
+    capsys.readouterr()
+    rerun = tmp_path / "rerun"
+    assert run_cli("run", "--from-metadata", str(first / "metadata.json"),
+                   "--out-dir", str(rerun)) == 2
+    name = "kb_in" if changed == "kb" else changed
+    assert capsys.readouterr().err == (
+        f"data error: {first / 'metadata.json'}: {inputs[changed]} does not match the "
+        f"recorded {name}_sha256; the input changed since the run\n")
+    assert not rerun.exists()
+
+
+def test_metadata_records_no_kb_digest_without_kb_in(tmp_path):
+    assert run_cli("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
+                   "--out-dir", str(tmp_path)) == 0
+    recorded = json.loads((tmp_path / "metadata.json").read_text())["inputs"]
+    assert sorted(recorded) == ["corpus_sha256", "docs_sha256"]
+
+
+def test_metadata_inputs_not_an_object_is_data_error(tmp_path, capsys):
+    meta = tmp_path / "metadata.json"
+    meta.write_text(json.dumps({"config": RECORDED_CONFIG, "inputs": ["sha"]}))
+    assert run_cli("run", "--from-metadata", str(meta), "--out-dir", str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err == f"data error: {meta}: inputs must be an object\n"
+
+
 def test_kb_roundtrip_through_run(tmp_path):
     kb_path = tmp_path / "kb.json"
     out_dir = tmp_path / "run"
@@ -383,6 +434,77 @@ def test_stats_rejects_qa_pairs_that_are_not_string_pairs(tmp_path, capsys, pair
     assert captured.err.startswith(f"data error: {kb_path}: qa_pairs: ")
     assert captured.err.count("\n") == 1
     assert "qa pairs:" not in captured.out
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([], "top level must be an object"),
+    ({"signatures": {}}, "top level: signatures must be a list"),
+    ({"qa_pairs": "qa"}, "top level: qa_pairs must be a list"),
+    ({"signatures": [5]}, "top level: signature entry 0 must be an object"),
+    ({"signatures": [{"category": "HUM:ind", "structure_key": "who|S", "patterns": 5}]},
+     "signature HUM:ind | who|S: patterns must be a list"),
+    ({"signatures": [{"category": "HUM:ind", "structure_key": "who|S", "patterns": [[]]}]},
+     "signature HUM:ind | who|S: pattern entry 0 must be an object"),
+    ({"signatures": [{"category": "HUM:ind", "structure_key": "who|S",
+                      "patterns": [{"elements": "NP", "provenance": []}]}]},
+     'pattern "NP" under signature HUM:ind | who|S: elements must be a list of '
+     '{"kind": string, "value": string} objects'),
+    ({"signatures": [{"category": 7, "structure_key": "who|S", "patterns": []}]},
+     "signature 7 | who|S: category and structure_key must be strings"),
+    ({"signatures": [{"category": "HUM:ind", "structure_key": ["who"], "patterns": []}]},
+     "signature HUM:ind | ['who']: category and structure_key must be strings"),
+    ({"signatures": [{"category": "HUM:ind", "structure_key": "who|S",
+                      "patterns": [{"elements": [{"kind": "answer", "value": "NP"},
+                                                 {"kind": "lexical", "value": 7}],
+                                    "provenance": [["q", "d:0"]]}]}]},
+     'pattern [{"kind": "answer", "value": "NP"}, {"kind": "lexical", "value": 7}] under '
+     'signature HUM:ind | who|S: elements must be a list of {"kind": string, "value": string} '
+     'objects'),
+    ({"signatures": [{"category": "HUM:ind", "structure_key": "who|S",
+                      "patterns": [{"elements": [{"kind": None, "value": "NP"},
+                                                 {"kind": "lexical", "value": "has"}],
+                                    "provenance": [["q", "d:0"]]}]}]},
+     'pattern [{"kind": null, "value": "NP"}, {"kind": "lexical", "value": "has"}] under '
+     'signature HUM:ind | who|S: elements must be a list of {"kind": string, "value": string} '
+     'objects'),
+    ({"signatures": [{"category": "HUM:ind", "structure_key": "who|S",
+                      "patterns": [{"elements": NP_HAS}]}]},
+     f"pattern {json.dumps(NP_HAS)} under signature HUM:ind | who|S: "
+     "provenance must be [question id, sentence] string pairs"),
+], ids=["top-level-a-list", "signatures-not-a-list", "qa-pairs-not-a-list",
+        "signature-not-an-object", "patterns-not-a-list", "pattern-not-an-object",
+        "elements-not-a-list", "category-not-a-string", "structure-key-not-a-string",
+        "element-value-not-a-string", "element-kind-not-a-string", "provenance-missing"])
+def test_stats_names_the_expected_kb_shape(tmp_path, capsys, payload, message):
+    kb_path = tmp_path / "kb.json"
+    kb_path.write_text(json.dumps(payload))
+    assert run_cli("stats", "--kb-in", str(kb_path)) == 2
+    assert capsys.readouterr().err == f"data error: {kb_path}: {message}\n"
+
+
+def test_kb_with_numeric_lexical_values_is_rejected_before_running(tmp_path, monkeypatch, capsys):
+    """The scenario-2 fixture KB with every lexical value set to 7: ``run``
+    and ``tutor`` refuse it at load, before answering anything."""
+    kb_path = tmp_path / "kb.json"
+    assert run_cli("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
+                   "--out-dir", str(tmp_path / "first"), "--kb-out", str(kb_path)) == 0
+    payload = json.loads(kb_path.read_text())
+    lexical = [element for signature in payload["signatures"] for pattern in signature["patterns"]
+               for element in pattern["elements"] if element["kind"] == "lexical"]
+    assert len(lexical) == 17
+    for element in lexical:
+        element["value"] = 7
+    kb_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    out_dir = tmp_path / "second"
+    assert run_cli("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
+                   "--out-dir", str(out_dir), "--kb-in", str(kb_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {kb_path}: pattern ") and err.count("\n") == 1
+    assert "elements must be a list of" in err
+    assert not out_dir.exists()
+    code, _ = _run_tutor(monkeypatch, capsys, "quit\n", "--docs", DOCS, "--kb-in", str(kb_path))
+    assert code == 2
 
 
 @pytest.mark.parametrize("argv, message", [
