@@ -9,7 +9,7 @@ must cope with that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import COARSE_CLASSES, Question, read_table
 from .treebank import Sentence
@@ -18,14 +18,21 @@ WH_TAGS = frozenset({"WP", "WP$", "WDT", "WRB"})
 WH_WORDS = frozenset({"who", "whom", "whose", "what", "which", "when", "where", "why", "how"})
 
 
-@dataclass(frozen=True)
-class Category:
+class _Label(NamedTuple):
     coarse: str
     fine: str
 
-    def __post_init__(self):
-        if self.coarse not in COARSE_CLASSES:
-            raise ValueError(f"unknown coarse class {self.coarse!r}")
+
+class Category(_Label):
+    """A coarse:fine label. A tuple, so it also equals the plain tuple
+    ``(coarse, fine)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, coarse: str, fine: str):
+        if coarse not in COARSE_CLASSES:
+            raise ValueError(f"unknown coarse class {coarse!r}")
+        return tuple.__new__(cls, (coarse, fine))
 
     def __str__(self) -> str:
         return f"{self.coarse}:{self.fine}"

@@ -295,15 +295,15 @@ def cmd_run(args) -> int:
     if args.revise_interval:  # the run's score then counts the rescued questions
         series.append((f"revision_i{args.revise_interval}.csv", result.revision))
     for name, revision in series:
-        points = running_metrics(result.outcomes, revision=revision)
-        export_series(points, out_dir / name,
-                      running_metrics(result.outcomes, fallback_as_answered=True,
-                                      revision=revision))
+        points, alt_points = running_metrics(result.outcomes, revision)
+        export_series(points, out_dir / name, alt_points)
+        final = points[-1] if points else None  # the last point of the last series
+        del points, alt_points  # freed before the next series is counted
     if args.revise_interval:
         report = {
             "interval": args.revise_interval,
             "checkpoints": [vars(r) for r in result.revision],
-            "final_correct": points[-1].correct if points else 0,
+            "final_correct": 0 if final is None else final.correct,
         }
         (out_dir / "revision_report.json").write_text(
             json.dumps(report, indent=1, sort_keys=True) + "\n", "utf-8")
@@ -327,8 +327,7 @@ def cmd_run(args) -> int:
     if args.kb_out:
         save_kb(state.kb, args.kb_out)
 
-    if points:
-        final = points[-1]
+    if final is not None:
         print(f"scenario {scenario.id}: {len(questions)} questions, "
               f"P={final.p:.4f} R={final.r:.4f} F={final.f:.4f} "
               f"(correct={final.correct}, answered={final.answered})")

@@ -5,11 +5,10 @@ the resulting series."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(NamedTuple):
     i: int  # 1-based question index
     p: float
     r: float
@@ -30,17 +29,17 @@ def make_point(i: int, correct: int, answered: int) -> EvalPoint:
     # in the exported row flags the convention).
     p = correct / answered if answered else 1.0
     r = correct / i
-    return EvalPoint(i=i, p=p, r=r, f=f_measure(p, r), correct=correct, answered=answered)
+    return EvalPoint(i, p, r, f_measure(p, r), correct, answered)
 
 
-def running_metrics(outcomes, fallback_as_answered: bool = False,
-                    revision=()) -> list[EvalPoint]:
-    """One point per prefix of the outcome sequence: the one place a run's
-    P/R/F series is counted.
+def running_metrics(outcomes, revision=()) -> tuple[list[EvalPoint], list[EvalPoint]]:
+    """One point per prefix of the outcome sequence under each answered
+    convention, both counted in one walk: the one place a run's P/R/F
+    series are counted. Returns the plain series, then the alternate one.
 
     A question counts as answered when the system produced any candidate
     (:attr:`Outcome.answered`); tutor-supplied fallback answers are not
-    system answers. The alternate convention (fallback_as_answered) also
+    system answers. The alternate convention (fallback as answered) also
     counts fallback questions in the precision denominator.
 
     ``revision`` holds the run's checkpoint reports. A question rescued at
@@ -50,20 +49,22 @@ def running_metrics(outcomes, fallback_as_answered: bool = False,
     rescued: dict[int, list[str]] = {}
     for report in revision:
         rescued.setdefault(report.checkpoint + 1, []).extend(report.newly_correct)
-    counts = ((lambda o: o.answered or o.fallback_used) if fallback_as_answered
-              else (lambda o: o.answered))
     seen = {}  # question id -> its outcome, up to the current point
-    points = []
-    correct = answered = 0
+    points, alt_points = [], []
+    correct = answered = alt_answered = 0
     for i, outcome in enumerate(outcomes, 1):
         for qid in rescued.get(i, ()):
+            earlier = seen[qid]
             correct += 1
-            answered += not counts(seen[qid])
+            answered += not earlier.answered
+            alt_answered += not (earlier.answered or earlier.fallback_used)
         seen[outcome.question_id] = outcome
         correct += bool(outcome.correct)
-        answered += counts(outcome)
+        answered += outcome.answered
+        alt_answered += outcome.answered or outcome.fallback_used
         points.append(make_point(i, correct, answered))
-    return points
+        alt_points.append(make_point(i, correct, alt_answered))
+    return points, alt_points
 
 
 def export_series(points: list[EvalPoint], path, alt_points: list[EvalPoint] | None = None) -> None:

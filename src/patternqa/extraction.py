@@ -188,8 +188,9 @@ def extract_ner(category: Category, sentences: list[RetrievedSentence],
     out: list[CandidateAnswer] = []
     for sentence in sentences:
         key = (label, sentence.doc_id, sentence.position)
-        if memo is not None and key in memo:
-            out += memo[key]
+        found = None if memo is None else memo.get(key)
+        if found is not None:
+            out += found
             continue
         tokens, stripped = sentence.view.tokens, sentence.view.stripped
         spans: list[tuple[int, int]] = []
@@ -205,17 +206,9 @@ def extract_ner(category: Category, sentences: list[RetrievedSentence],
         elif category.coarse == "ABBR":
             spans = _abbreviation_spans(tokens)
         # DESC: no specific strategy
-        found = tuple(
-            CandidateAnswer(
-                text=" ".join(tokens[span[0]:span[1]]),
-                span=span,
-                strategy="ner",
-                relaxation_used=RELAX_NONE,
-                doc_id=sentence.doc_id,
-                position=sentence.position,
-            )
-            for span in sorted(set(spans))
-        )
+        found = tuple(CandidateAnswer(" ".join(tokens[span[0]:span[1]]), span, "ner", None,
+                                      RELAX_NONE, sentence.doc_id, sentence.position)
+                      for span in sorted(set(spans)))
         if memo is not None:
             memo[key] = found
         out += found

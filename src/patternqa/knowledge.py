@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .classify import Category, tagged_leaves, wh_word
 from .corpus import ARTICLES, Question, normalize_answer, tokenize
@@ -46,23 +47,25 @@ class KnowledgeBaseError(ValueError):
     """A knowledge-base file entry that does not validate."""
 
 
-@dataclass(frozen=True)
-class PatternElement:
+class _Element(NamedTuple):
     kind: str
     value: str
-    # element sequences key the knowledge base and the extraction memo, so
-    # each element's hash is computed once
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.kind not in (LEXICAL, SYNTACTIC, ANSWER_SLOT):
-            raise ValueError(f"unknown element kind {self.kind!r}")
-        if not self.value:
+
+class PatternElement(_Element):
+    """One element of a pattern. A tuple: element sequences key the
+    knowledge base and the extraction memo, and are hashed and compared as
+    tuples of strings, so an element also equals the plain tuple
+    ``(kind, value)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, value: str):
+        if kind not in (LEXICAL, SYNTACTIC, ANSWER_SLOT):
+            raise ValueError(f"unknown element kind {kind!r}")
+        if not value:
             raise ValueError("element value must be non-empty")
-        object.__setattr__(self, "_hash", hash((self.kind, self.value)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple.__new__(cls, (kind, value))
 
     def render(self) -> str:
         if self.kind == ANSWER_SLOT:
@@ -84,8 +87,9 @@ def answer_slot(tag: str) -> PatternElement:
     return PatternElement(ANSWER_SLOT, tag)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
+    """The key patterns are filed under. A tuple, like its category."""
+
     category: Category
     structure_key: str
 

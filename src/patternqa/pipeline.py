@@ -13,8 +13,9 @@ Extraction results are computed once per run. :attr:`PipelineState.memo`
 holds the result of each unification, keyed by the pattern's elements, the
 sentence's ``(doc_id, position)`` and the pass's two relaxation switches,
 and each sentence's NER candidates, keyed by the fine category label and the
-sentence's ``(doc_id, position)``. Both are tuples of frozen candidates,
-shared by every question, retry and tutor turn that meets the pair again.
+sentence's ``(doc_id, position)``. Both are tuples of candidates, which are
+themselves immutable tuples, shared by every question, retry and tutor turn
+that meets the pair again.
 The memo lives as long as the state, whose index, gazetteer, rules and
 relax config are set once. No entry depends on which patterns the
 knowledge base holds, so no insertion, or later pruning, makes one stale.
@@ -161,10 +162,12 @@ def extract_candidates(state: PipelineState, record: Interpretation, use_pattern
             applicable = [p for p in applicable if record.question.id not in p.source_questions]
         candidates = pattern_candidates(applicable, record.sentences, state.relax, state.memo)
     if use_ner:
-        seen = {(c.doc_id, c.position, c.span) for c in candidates}
         ner = extract_ner(record.category, record.sentences, state.gazetteer, state.regex_rules,
                           state.memo)
-        candidates += [c for c in ner if (c.doc_id, c.position, c.span) not in seen]
+        if candidates:
+            seen = {(c.doc_id, c.position, c.span) for c in candidates}
+            ner = [c for c in ner if (c.doc_id, c.position, c.span) not in seen]
+        candidates += ner
     return candidates
 
 

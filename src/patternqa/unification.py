@@ -16,16 +16,18 @@ The module holds no state. Its functions are pure over immutable inputs
 (patterns, views and configs), except that :func:`unify` may be handed a
 memo, a dict its caller owns: each result is then computed once under the
 pattern's elements, the sentence's ``(doc_id, position)`` and the pass's
-two relaxation switches, and shared as a tuple of frozen candidates. Since
-a sentence is keyed by its place, not its view, and a pass by its switches,
-not its whole config, one memo may serve calls over one index only, under
-one relax config and its :attr:`RelaxConfig.exact` pass.
+two relaxation switches, and shared as a tuple of candidates, each itself
+an immutable tuple. Since a sentence is keyed by its place, not its view,
+and a pass by its switches, not its whole config, one memo may serve calls
+over one index only, under one relax config and its
+:attr:`RelaxConfig.exact` pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .corpus import read_table
 from .knowledge import ANSWER_SLOT, LEXICAL, Pattern
@@ -131,8 +133,10 @@ def default_config(measure: str = "levenshtein", threshold: float | None = None,
     )
 
 
-@dataclass(frozen=True)
-class CandidateAnswer:
+class CandidateAnswer(NamedTuple):
+    """One extracted answer. A tuple: immutable, hashed and compared as its
+    fields, so it also equals a plain tuple holding the same values."""
+
     text: str
     span: tuple[int, int]  # half-open leaf indices within the sentence
     strategy: str  # "pattern" or "ner"
@@ -216,19 +220,11 @@ def _unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
 
     for start in range(n - size + 1):
         match(0, start, None, False, False)
+    match = None  # ``match`` refers to itself through its cell: unlink it, so no cycle is left
     if not found:
         return ()
     tokens = sentence.tokens
     provenance = pattern.render()
-    return tuple(
-        CandidateAnswer(
-            text=" ".join(tokens[span[0] : span[1]]),
-            span=span,
-            strategy="pattern",
-            pattern_provenance=provenance,
-            relaxation_used=found[span],
-            doc_id=doc_id,
-            position=position,
-        )
-        for span in sorted(found)
-    )
+    return tuple(CandidateAnswer(" ".join(tokens[span[0] : span[1]]), span, "pattern",
+                                 provenance, found[span], doc_id, position)
+                 for span in sorted(found))

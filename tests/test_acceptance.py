@@ -147,7 +147,7 @@ def _fixture_runs(make_state, fixture_questions):
 def test_learning_curve_property(make_state, fixture_questions):
     runs = _fixture_runs(make_state, fixture_questions)
     boundaries = [6, 14, 22, 30]
-    points = {sid: running_metrics(run.outcomes) for sid, run in runs.items()}
+    points = {sid: running_metrics(run.outcomes)[0] for sid, run in runs.items()}
     recall_at = [points[2][i - 1].r for i in boundaries]
     strictly_up = all(b > a for a, b in zip(recall_at, recall_at[1:]))
     dominated = all(p3.r >= p1.r for p1, p3 in zip(points[1], points[3]))
@@ -161,7 +161,7 @@ def test_revision_properties(make_state, fixture_questions):
     ten_state = make_state()
     ten = run_sequence(ten_state, fixture_questions, ScenarioConfig.from_id(2), 10)
     five = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2), 5)
-    final = {name: running_metrics(run.outcomes, revision=run.revision)[-1].correct
+    final = {name: running_metrics(run.outcomes, run.revision)[0][-1].correct
              for name, run in (("base", base), ("ten", ten), ("five", five))}
     rescued_ten = sum(len(r.newly_correct) for r in ten.revision)
     ordering = final["five"] >= final["ten"] >= final["base"]

@@ -33,7 +33,7 @@ def outcome(qid, correct, answered, fallback=False):
 
 def test_all_correct_gives_ones():
     outcomes = [outcome(f"q{i}", True, True) for i in range(5)]
-    for point in running_metrics(outcomes):
+    for point in running_metrics(outcomes)[0]:
         assert point.p == point.r == point.f == 1.0
 
 
@@ -49,7 +49,7 @@ def test_series_against_counting_oracle():
     for i, correct in enumerate(flags[:30]):
         answered = correct or i % 3 == 0
         outcomes.append(outcome(f"q{i}", correct, answered))
-    points = running_metrics(outcomes)
+    points = running_metrics(outcomes)[0]
     records = [{"id": o.question_id, "correct": o.correct, "candidates": o.candidates,
                 "fallback_used": o.fallback_used} for o in outcomes]
     for point, (i, p, r, _, _) in zip(points, count_metrics_oracle(records)):
@@ -60,10 +60,9 @@ def test_series_against_counting_oracle():
 
 def test_fallback_not_counted_as_answered():
     outcomes = [outcome("q1", False, False, fallback=True), outcome("q2", True, True)]
-    points = running_metrics(outcomes)
+    points, alt = running_metrics(outcomes)
     assert points[0].answered == 0 and points[0].p == 1.0
     assert points[1].answered == 1 and points[1].p == 1.0
-    alt = running_metrics(outcomes, fallback_as_answered=True)
     assert alt[0].answered == 1 and alt[0].p == 0.0
     assert alt[1].answered == 2 and alt[1].p == 0.5
 
@@ -72,7 +71,7 @@ def test_fallback_is_never_correct_in_series():
     # pipeline invariant mirrored in counting: a fallback outcome always has
     # correct=False, so the correct count cannot include it
     outcomes = [outcome("q1", False, False, fallback=True)] * 3
-    assert running_metrics(outcomes)[-1].correct == 0
+    assert running_metrics(outcomes)[0][-1].correct == 0
 
 
 def test_rescued_questions_count_from_the_point_after_their_checkpoint():
@@ -84,18 +83,18 @@ def test_rescued_questions_count_from_the_point_after_their_checkpoint():
     def counts(points):
         return [(point.correct, point.answered) for point in points]
 
-    assert counts(running_metrics(outcomes)) == [(0, 0), (0, 1), (1, 2), (1, 2), (2, 3)]
-    assert counts(running_metrics(outcomes, revision=revision)) == \
+    assert counts(running_metrics(outcomes)[0]) == [(0, 0), (0, 1), (1, 2), (1, 2), (2, 3)]
+    assert counts(running_metrics(outcomes, revision)[0]) == \
         [(0, 0), (0, 1), (3, 3), (3, 3), (5, 5)]
     # q1's fallback and q2's candidates already count as answered: not twice
-    assert counts(running_metrics(outcomes, fallback_as_answered=True, revision=revision)) == \
+    assert counts(running_metrics(outcomes, revision)[1]) == \
         [(0, 1), (0, 2), (3, 3), (3, 3), (5, 5)]
 
 
 def test_precision_at_least_recall():
     flags = [(True, True), (False, True), (False, False), (True, True), (False, True)]
     outcomes = [outcome(f"q{i}", c, a) for i, (c, a) in enumerate(flags)]
-    for point in running_metrics(outcomes):
+    for point in running_metrics(outcomes)[0]:
         assert point.p >= point.r
 
 

@@ -1,7 +1,6 @@
 """The ``outcomes.jsonl`` writer against its oracle: the record dict each
 line was once built from, dumped by ``json.dumps`` with sorted keys."""
 
-import dataclasses
 import io
 
 from hypothesis import given, settings, strategies as st
@@ -39,7 +38,7 @@ def outcome_logs(draw) -> list[Outcome]:
         if draw(st.booleans()):
             outcomes.append(Outcome(draw(word), "", error=draw(word)))
             continue
-        candidates = [pool[i] if draw(st.booleans()) else dataclasses.replace(pool[i])
+        candidates = [pool[i] if draw(st.booleans()) else pool[i]._replace()
                       for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=4))]
         final = draw(st.none() | st.sampled_from(candidates)) if candidates else None
         outcomes.append(Outcome(draw(word), draw(word), candidates, final,
@@ -62,12 +61,12 @@ def test_shared_and_equal_candidates_are_written_in_place():
     appear, each with its own fields."""
     shared = CandidateAnswer('Dante "Alighieri"', (0, 2), "ner", None, RELAX_NONE, "d", 3)
     other = CandidateAnswer("caf\xe9", (1, 2), "pattern", "[answer NP]", RELAX_LEXICAL, None, None)
-    variants = [dataclasses.replace(shared, **{name: value}) for name, value in [
+    variants = [shared._replace(**{name: value}) for name, value in [
         ("text", "Dante"), ("span", (0, 1)), ("strategy", "pattern"),
         ("pattern_provenance", "[answer NP]"), ("relaxation_used", RELAX_BOTH),
         ("doc_id", None), ("position", None)]]
     outcomes = [Outcome("q1", "HUM:ind", [shared, other], shared),
-                Outcome("q2", "HUM:ind", [other, shared, dataclasses.replace(shared), *variants]),
+                Outcome("q2", "HUM:ind", [other, shared, shared._replace(), *variants]),
                 Outcome("q3", "", error="ValueError: bad")]
     handle = io.StringIO()
     _write_outcomes(outcomes, handle)

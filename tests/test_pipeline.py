@@ -34,7 +34,7 @@ def test_scenario_table():
 
 def points_of(result, fallback_as_answered=False):
     """The run's running metrics, rescued questions included."""
-    return running_metrics(result.outcomes, fallback_as_answered, result.revision)
+    return running_metrics(result.outcomes, result.revision)[fallback_as_answered]
 
 
 def test_revision_checkpoints_strictly_below_total(fixture_questions, make_state):

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -96,6 +97,22 @@ def test_unify_dante_pattern_exact(dante_sentence):
     assert [(c.text, c.span, c.relaxation_used) for c in candidates] == \
         [("Dante", (0, 1), RELAX_NONE)]
     assert candidates[0].strategy == "pattern"
+
+
+def test_unify_leaves_no_reference_cycle(dante_sentence):
+    """All that unification makes is freed by reference counting: with the
+    cyclic collector off meanwhile, it finds nothing left to collect."""
+    config = default_config()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert unify(DANTE_PATTERN, dante_sentence.view, config)
+        assert unify(DANTE_PATTERN, parse_sentence(NN_SUBJECT_PARSE), config)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_unify_nn_subject_needs_syntactic_relaxation():
