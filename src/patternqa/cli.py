@@ -16,12 +16,11 @@ from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
-from .corpus import (CorpusError, Question, load_documents, load_qa_corpus, normalize_answer,
-                     read_jsonl)
+from .corpus import (DataError, Question, check, load_documents, load_qa_corpus,
+                     normalize_answer, read_json, read_jsonl)
 from .evaluation import export_series, running_metrics
 from .extraction import load_gazetteer
-from .knowledge import (MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase,
-                        KnowledgeBaseError, load_kb, save_kb)
+from .knowledge import MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase, load_kb, save_kb
 from .pipeline import (PipelineState, ScenarioConfig, apply_feedback, extract_candidates,
                        interpret, run_sequence)
 from .retrieval import build_index, serialize_index
@@ -30,10 +29,6 @@ from .unification import RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE, RELAX_SYNTACTIC,
 
 
 class UsageError(Exception):
-    pass
-
-
-class DataError(Exception):
     pass
 
 
@@ -90,17 +85,17 @@ def _sha256(path) -> str:
 def _require_file(path, what) -> Path:
     p = Path(path)
     if not p.is_file():
-        raise FileNotFoundError(f"{what} file not found: {path}")
+        raise DataError(path or '""', f"{what} file not found")
     return p
 
 
 def cmd_ingest(args) -> int:
     if args.corpus is None and args.docs is None:
         raise UsageError("nothing to ingest; pass --corpus and/or --docs")
-    if args.corpus:
+    if args.corpus is not None:
         questions = load_qa_corpus(_require_file(args.corpus, "corpus"))
         print(f"corpus ok: {len(questions)} questions")
-    if args.docs:
+    if args.docs is not None:
         docs = load_documents(_require_file(args.docs, "docs"))
         sentences = sum(len(d.sentences) for d in docs)
         print(f"docs ok: {len(docs)} documents, {sentences} sentences")
@@ -198,38 +193,34 @@ def _check_run_args(args) -> None:
 
 def _restore_from_metadata(args) -> dict[str, str]:
     """Set the run arguments recorded in ``args.from_metadata`` and return
-    the input digests it records, by input name. The recorded values pass
-    through the same parser and checks as flags; a value they reject is a
-    :class:`DataError`."""
-    path = args.from_metadata
+    the input digests it records, by input name."""
+    recorded, inputs = read_json(_require_file(args.from_metadata, "from-metadata"),
+                                 _recorded_run)
+    for key in _RECORDED + tuple(f"no_{switch}" for switch in _SWITCHES):
+        setattr(args, key, getattr(recorded, key))
+    return {name: inputs[f"{name}_sha256"] for name in _INPUTS
+            if getattr(args, name) is not None and f"{name}_sha256" in inputs}
+
+
+def _recorded_run(meta: dict):
+    """The run arguments a metadata file records, and its input digests.
+    The recorded values pass through the same parser and checks as flags;
+    an entry they reject, or that is absent where a flag is required, is
+    the file's fault (a ``ValueError``)."""
+    config = check(meta.get("config"), dict, "an object", "config")
+    argv = ["run"]
+    for key in _RECORDED:
+        if config.get(key) is not None:
+            argv.append(f"--{key.replace('_', '-')}={config[key]}")
     try:
-        meta = json.loads(_require_file(path, "from-metadata").read_text("utf-8"))
-    except RecursionError as exc:
-        raise DataError(f"{path}: JSON nested too deeply") from exc
-    try:
-        cfg = meta["config"]
-        argv = ["run"]
-        for key in _RECORDED:
-            if cfg[key] is not None:
-                argv.append(f"--{key.replace('_', '-')}={cfg[key]}")
         for switch in _SWITCHES:
-            if not isinstance(cfg[switch], bool):
-                raise UsageError(f"{switch} must be true or false, got {cfg[switch]!r}")
-            if not cfg[switch]:
+            if not check(config.get(switch), bool, "true or false", switch):
                 argv.append(f"--no-{switch.replace('_', '-')}")
         recorded = _build_parser().parse_args(argv)
         _check_run_args(recorded)
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: bad or missing config entry: {exc}") from exc
-    except UsageError as exc:
-        raise DataError(f"{path}: config: {exc}") from exc
-    for key in _RECORDED + tuple(f"no_{switch}" for switch in _SWITCHES):
-        setattr(args, key, getattr(recorded, key))
-    inputs = meta.get("inputs", {})
-    if not isinstance(inputs, dict):
-        raise DataError(f"{path}: inputs must be an object")
-    return {name: inputs[f"{name}_sha256"] for name in _INPUTS
-            if getattr(args, name) and f"{name}_sha256" in inputs}
+    except (UsageError, ValueError) as exc:
+        raise ValueError(f"config: {exc}") from exc
+    return recorded, check(meta.get("inputs", {}), dict, "an object", "inputs")
 
 
 def _check_digests(args, digests: dict[str, str]) -> None:
@@ -237,7 +228,7 @@ def _check_digests(args, digests: dict[str, str]) -> None:
     for name, digest in digests.items():
         path = getattr(args, name)
         if _sha256(_require_file(path, name.replace("_", "-"))) != digest:
-            raise DataError(f"{args.from_metadata}: {path} does not match the recorded "
+            raise DataError(args.from_metadata, f"{path} does not match the recorded "
                             f"{name}_sha256; the input changed since the run")
 
 
@@ -261,13 +252,13 @@ def _session(args, **settings) -> PipelineState:
     """The state a command answers in: the ``--docs`` collection indexed,
     the ``--kb-in`` knowledge base or an empty one, and ``settings``."""
     docs = load_documents(_require_file(args.docs, "docs"))
-    kb = load_kb(_require_file(args.kb_in, "kb-in")) if args.kb_in else KnowledgeBase()
+    kb = KnowledgeBase() if args.kb_in is None else load_kb(_require_file(args.kb_in, "kb-in"))
     return PipelineState(kb=kb, index=build_index(docs), gazetteer=load_gazetteer(),
                          top_k=args.top_k, **settings)
 
 
 def cmd_run(args) -> int:
-    digests = _restore_from_metadata(args) if args.from_metadata else {}
+    digests = {} if args.from_metadata is None else _restore_from_metadata(args)
     _check_run_args(args)
     _check_digests(args, digests)
     scenario = ScenarioConfig.from_id(args.scenario)
@@ -319,7 +310,7 @@ def cmd_run(args) -> int:
     metadata = {
         "config": config,
         "inputs": {f"{name}_sha256": _sha256(getattr(args, name))
-                   for name in _INPUTS if getattr(args, name)},
+                   for name in _INPUTS if getattr(args, name) is not None},
     }
     (out_dir / "metadata.json").write_text(
         json.dumps(metadata, indent=1, sort_keys=True) + "\n", "utf-8")
@@ -409,14 +400,24 @@ def cmd_tutor(args) -> int:
 
 RELAXATIONS = (RELAX_NONE, RELAX_LEXICAL, RELAX_SYNTACTIC, RELAX_BOTH)
 
-# (key, test, what the test accepts) for the outcome fields `stats` counts;
+# (key, shape, what the shape accepts) for the outcome fields `stats` counts;
 # a record without the key is read as before, so older logs still load
 OUTCOME_FIELDS = (
-    ("correct", lambda value: isinstance(value, bool), "a boolean"),
-    ("final_strategy", lambda value: value is None or isinstance(value, str), "a string or null"),
-    ("relaxation_used", lambda value: isinstance(value, str) and value in RELAXATIONS,
-     "one of " + ", ".join(RELAXATIONS)),
+    ("correct", bool, "a boolean"),
+    ("final_strategy", str | None, "a string or null"),
+    ("relaxation_used", RELAXATIONS.__contains__, "one of " + ", ".join(RELAXATIONS)),
 )
+
+
+def _exact_pattern_answer(record: dict) -> bool | None:
+    """Whether an outcome record's correct pattern answer was found by the
+    exact pass; None when the record holds no correct pattern answer."""
+    for key, shape, what in OUTCOME_FIELDS:
+        if key in record:
+            check(record[key], shape, what, key)
+    if record.get("correct") and record.get("final_strategy") == "pattern":
+        return record.get("relaxation_used") == RELAX_NONE
+    return None
 
 
 def cmd_stats(args) -> int:
@@ -427,19 +428,9 @@ def cmd_stats(args) -> int:
               f"{len(kb.lookup(signature))} patterns")
     print(f"patterns total: {kb.pattern_count()}")
     print(f"qa pairs: {len(kb.qa_pairs)}")
-    if args.outcomes:
-        exact = relaxed = 0
-        path = _require_file(args.outcomes, "outcomes")
-        for lineno, record in read_jsonl(path):
-            for key, valid, accepted in OUTCOME_FIELDS:
-                if key in record and not valid(record[key]):
-                    raise DataError(f"{path}: line {lineno}: {key} must be {accepted}, "
-                                    f"got {json.dumps(record[key])}")
-            if record.get("correct") and record.get("final_strategy") == "pattern":
-                if record.get("relaxation_used") == RELAX_NONE:
-                    exact += 1
-                else:
-                    relaxed += 1
+    if args.outcomes is not None:
+        found = read_jsonl(_require_file(args.outcomes, "outcomes"), _exact_pattern_answer)
+        exact, relaxed = found.count(True), found.count(False)
         print(f"pattern-extracted correct answers: {exact + relaxed} "
               f"(exact: {exact}, relaxed: {relaxed})")
     return 0
@@ -459,8 +450,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, CorpusError, KnowledgeBaseError, FileNotFoundError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .classify import Category, tagged_leaves, wh_word
-from .corpus import ARTICLES, Question, normalize_answer, tokenize
+from .corpus import ARTICLES, Question, check, normalize_answer, read_json, tokenize
 from .retrieval import RetrievedSentence, content_words
 from .stem import stem
 from .treebank import Sentence
@@ -41,10 +41,6 @@ SIGNATURE_DEPTH = 2
 LEXICAL = "lexical"
 SYNTACTIC = "syntactic"
 ANSWER_SLOT = "answer"
-
-
-class KnowledgeBaseError(ValueError):
-    """A knowledge-base file entry that does not validate."""
 
 
 class _Element(NamedTuple):
@@ -340,61 +336,41 @@ def save_kb(kb: KnowledgeBase, path) -> None:
         handle.write("\n")
 
 
-def _list_at(record: dict, key: str) -> list:
-    value = record.get(key, [])
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be a list")
-    return value
-
-
-def _string_pair(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(isinstance(x, str) for x in value)
-
-
-def _is_element(value) -> bool:
-    return (isinstance(value, dict) and isinstance(value.get("kind"), str)
-            and isinstance(value.get("value"), str))
-
-
 def load_kb(path) -> KnowledgeBase:
-    """Inverse of :func:`save_kb`. Raises :class:`KnowledgeBaseError`
-    naming the first signature or pattern that does not validate."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except RecursionError as exc:
-            raise KnowledgeBaseError(f"{path}: JSON nested too deeply") from exc
-    if not isinstance(payload, dict):
-        raise KnowledgeBaseError(f"{path}: top level must be an object")
+    """Inverse of :func:`save_kb`. Raises :class:`~patternqa.corpus.DataError`
+    naming the file and the first signature or pattern that does not
+    validate."""
+    return read_json(path, _kb_from_json)
+
+
+def _kb_from_json(payload: dict) -> KnowledgeBase:
+    """The knowledge base a decoded KB file holds; a ``ValueError`` names
+    the entry at fault."""
     kb = KnowledgeBase()
     where = "top level"
     try:
-        signatures, qa_pairs = _list_at(payload, "signatures"), _list_at(payload, "qa_pairs")
+        signatures = check(payload.get("signatures", []), list, "a list", "signatures")
+        qa_pairs = check(payload.get("qa_pairs", []), list, "a list", "qa_pairs")
         for n, entry in enumerate(signatures):
-            if not isinstance(entry, dict):
-                raise ValueError(f"signature entry {n} must be an object")
+            check(entry, dict, "an object", f"signature entry {n}")
             category, key = entry.get("category"), entry.get("structure_key")
             named = where = f"signature {category} | {key}"
-            if not (isinstance(category, str) and isinstance(key, str)):
-                raise ValueError("category and structure_key must be strings")
-            signature = Signature(Category.parse(category), key)
-            for m, item in enumerate(_list_at(entry, "patterns")):
-                if not isinstance(item, dict):
-                    raise ValueError(f"pattern entry {m} must be an object")
-                elements, provenances = item.get("elements"), item.get("provenance")
+            signature = Signature(Category.parse(check(category, str, "a string", "category")),
+                                  check(key, str, "a string", "structure_key"))
+            for m, item in enumerate(check(entry.get("patterns", []), list, "a list", "patterns")):
+                check(item, dict, "an object", f"pattern entry {m}")
+                elements = item.get("elements")
                 where = f"pattern {json.dumps(elements)} under {named}"
-                if not (isinstance(elements, list) and all(map(_is_element, elements))):
-                    raise ValueError('elements must be a list of {"kind": string, '
-                                     '"value": string} objects')
-                if not (isinstance(provenances, list) and all(map(_string_pair, provenances))):
-                    raise ValueError("provenance must be [question id, sentence] string pairs")
+                check(elements, [{"kind": str, "value": str}],
+                      'a list of {"kind": string, "value": string} objects', "elements")
+                provenances = check(item.get("provenance"), [(str, str)],
+                                    "[question id, sentence] string pairs", "provenance")
                 elements = tuple(PatternElement(e["kind"], e["value"]) for e in elements)
                 kb.insert([Pattern(elements, signature, {tuple(pair) for pair in provenances})])
         where = "qa_pairs"
-        for pair in qa_pairs:
-            if not _string_pair(pair):
-                raise ValueError(f"not a [question id, answer] string pair: {json.dumps(pair)}")
-            kb.record_qa(*pair)
+        for n, pair in enumerate(qa_pairs):
+            kb.record_qa(*check(pair, (str, str), "a [question id, answer] string pair",
+                                f"pair {n}"))
     except ValueError as exc:
-        raise KnowledgeBaseError(f"{path}: {where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
     return kb

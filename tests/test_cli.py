@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -208,6 +209,29 @@ def test_stats_empty_kb(tmp_path, capsys):
 
 def test_stats_missing_kb():
     assert run_cli("stats", "--kb-in", "/nonexistent/kb.json") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("ingest", "--corpus", ""),
+    ("ingest", "--docs", ""),
+    ("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS, "--kb-in", ""),
+    ("run", "--from-metadata", ""),
+    ("stats", "--kb-in", "{kb}", "--outcomes", ""),
+    ("tutor", "--docs", DOCS, "--kb-in", ""),
+], ids=["ingest-corpus", "ingest-docs", "run-kb-in", "run-from-metadata", "stats-outcomes",
+        "tutor-kb-in"])
+def test_empty_input_path_is_data_error(tmp_path, monkeypatch, capsys, argv):
+    """An empty path names no file: it is checked like any other, not taken
+    as the flag left out."""
+    kb_path = tmp_path / "kb.json"
+    save_kb(KnowledgeBase(), kb_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
+    out_dir = tmp_path / "run"
+    extra = ("--out-dir", str(out_dir)) if argv[0] == "run" else ()
+    assert run_cli(*(arg.format(kb=kb_path) for arg in argv), *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('data error: "": ') and err.endswith(" file not found\n")
+    assert not out_dir.exists()
 
 
 def _run_tutor(monkeypatch, capsys, transcript, *argv):
@@ -450,9 +474,9 @@ def test_stats_rejects_qa_pairs_that_are_not_string_pairs(tmp_path, capsys, pair
      'pattern "NP" under signature HUM:ind | who|S: elements must be a list of '
      '{"kind": string, "value": string} objects'),
     ({"signatures": [{"category": 7, "structure_key": "who|S", "patterns": []}]},
-     "signature 7 | who|S: category and structure_key must be strings"),
+     "signature 7 | who|S: category must be a string"),
     ({"signatures": [{"category": "HUM:ind", "structure_key": ["who"], "patterns": []}]},
-     "signature HUM:ind | ['who']: category and structure_key must be strings"),
+     "signature HUM:ind | ['who']: structure_key must be a string"),
     ({"signatures": [{"category": "HUM:ind", "structure_key": "who|S",
                       "patterns": [{"elements": [{"kind": "answer", "value": "NP"},
                                                  {"kind": "lexical", "value": 7}],
@@ -584,14 +608,18 @@ RECORDED_CONFIG = {"scenario": 2, "corpus": CORPUS, "docs": DOCS, "top_k": 20,
     ({"revise_interval": 0}, "--revise-interval"),
     ({"corpus": None}, "--corpus"),
     ({"learn_on_revision": "no"}, "learn_on_revision"),
+    ([], "top level must be an object"),
+    ({"config": []}, "config must be an object"),
 ], ids=["scenario-7", "scenario-not-a-number", "top-k-not-a-number", "top-k-0",
         "unknown-measure", "threshold-above-1", "interval-0", "corpus-null",
-        "switch-not-a-boolean"])
+        "switch-not-a-boolean", "top-level-a-list", "config-a-list"])
 def test_bad_recorded_config_value_is_data_error(tmp_path, capsys, entry, named):
     """Recorded values pass the checks the run flags pass; a bad one is the
-    metadata file's fault, so a data error."""
+    metadata file's fault, so a data error. An ``entry`` holding ``config``,
+    or not an object, is the whole metadata file."""
     meta = tmp_path / "metadata.json"
-    meta.write_text(json.dumps({"config": {**RECORDED_CONFIG, **entry}}))
+    whole = not isinstance(entry, dict) or "config" in entry
+    meta.write_text(json.dumps(entry if whole else {"config": {**RECORDED_CONFIG, **entry}}))
     assert run_cli("run", "--from-metadata", str(meta), "--out-dir", str(tmp_path / "run")) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {meta}: ") and err.count("\n") == 1
@@ -612,6 +640,7 @@ QA_RECORD = json.loads((FIXTURES / "qa30.jsonl").read_text().splitlines()[0])
 DOC_RECORD = json.loads((FIXTURES / "docs.jsonl").read_text().splitlines()[0])
 NOT_UTF8 = (json.dumps(QA_RECORD) + "\n").encode() + '{"id": "caf\xe9"}\n'.encode("latin-1")
 DEEP_JSON = b"[" * 200_000 + b"\n"
+BOM = b"\xef\xbb\xbf"
 
 
 def _jsonl(record) -> bytes:
@@ -642,15 +671,23 @@ def _jsonl(record) -> bytes:
     (("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS, "--out-dir", "{out}",
       "--kb-in"), None),
     (("tutor", "--docs", DOCS, "--kb-in"), None),
+    (("stats", "--kb-in"), b'{"signatures": [}\n'),
+    (("stats", "--kb-in"), b'{"qa_pairs": [["q1", "caf\xe9"]]}\n'),
+    (("stats", "--kb-in", "{kb}", "--outcomes"), _jsonl({"correct": True}) + b"{correct\n"),
+    (("ingest", "--corpus"), BOM + _jsonl(QA_RECORD)),
+    (("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS, "--out-dir", "{out}",
+      "--kb-in"), BOM + b'{"signatures": [], "qa_pairs": []}\n'),
 ], ids=["sentences-not-a-list", "sentence-not-an-object", "doc-id-not-a-string",
         "sentence-text-not-a-string", "id-not-a-string", "question-not-a-string",
         "corpus-not-utf8", "ingest-unknown-category", "run-unknown-category",
         "outcome-not-an-object", "metadata-without-config", "answer-null", "answer-empty",
         "corpus-nested-too-deeply", "docs-nested-too-deeply", "kb-nested-too-deeply",
         "outcomes-nested-too-deeply", "metadata-nested-too-deeply", "run-kb-in-a-directory",
-        "tutor-kb-in-a-directory"])
+        "tutor-kb-in-a-directory", "kb-malformed", "kb-not-utf8", "outcome-line-malformed",
+        "corpus-with-bom", "kb-with-bom"])
 def test_malformed_input_is_one_line_data_error(tmp_path, capsys, command, content):
-    """``content`` None makes the input a directory."""
+    """``content`` None makes the input a directory. The one line names the
+    input, and a JSON Lines input's line."""
     kb_path = tmp_path / "kb.json"
     save_kb(KnowledgeBase(), kb_path)
     path = tmp_path / "input"
@@ -662,7 +699,10 @@ def test_malformed_input_is_one_line_data_error(tmp_path, capsys, command, conte
     capsys.readouterr()
     assert run_cli(*argv, str(path)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
+    lines = content.count(b"\n") if content else 0
+    if lines > 1:  # a JSON Lines input, at fault on its last line
+        assert err.startswith(f"data error: {path}: line {lines}: ")
 
 
 GOOD_OUTCOME = {"correct": True, "final_strategy": "pattern", "relaxation_used": "none"}
@@ -715,21 +755,31 @@ JSON_VALUES = st.recursive(
 
 @st.composite
 def mutated_record(draw, record: dict) -> str:
-    """One fixture record, broken in one way: a field set to any JSON value
-    or dropped (in the record or its first sentence), a parse nested deeply
-    or left unbalanced, a record that is not an object, or truncated JSON."""
+    """One fixture record, broken in one way: a field or list item, at any
+    depth, set to any JSON value or dropped; a parse (the record's, or its
+    first sentence's) nested deeply or left unbalanced; a record that is
+    not an object; or truncated JSON."""
+    trees = [d for d in (record, *record.get("sentences", [])[:1]) if "parse" in d]
     target = record
-    if "sentences" in record and draw(st.booleans()):
-        target = record["sentences"][0]
-    key = draw(st.sampled_from(sorted(target)) | st.text(max_size=4))
-    kind = draw(st.sampled_from(["set", "drop", "deep", "not-object", "truncate"]))
+    while True:
+        inner = [value for value in (target.values() if isinstance(target, dict) else target)
+                 if isinstance(value, (dict, list)) and value]
+        if not inner or not draw(st.booleans()):
+            break
+        target = draw(st.sampled_from(inner))
+    if isinstance(target, dict):
+        key = draw(st.sampled_from(sorted(target)) | st.text(max_size=4))
+    else:
+        key = draw(st.integers(0, len(target) - 1))
+    kind = draw(st.sampled_from([kind for kind in ("set", "drop", "deep", "not-object", "truncate")
+                                 if trees or kind != "deep"]))
     if kind == "set":
         target[key] = draw(JSON_VALUES)
-    elif kind == "drop":
-        target.pop(key, None)
+    elif kind == "drop" and (isinstance(target, list) or key in target):
+        del target[key]
     elif kind == "deep":
         opened, closed = draw(st.integers(0, 1500)), draw(st.integers(0, 1500))
-        tree = target if "parse" in target else target["sentences"][0]
+        tree = draw(st.sampled_from(trees))
         tree["parse"] = "(S " * opened + tree["parse"] + ")" * closed
     elif kind == "not-object":
         record = draw(JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
@@ -737,6 +787,53 @@ def mutated_record(draw, record: dict) -> str:
     if kind == "truncate":
         line = line[:draw(st.integers(0, len(line) - 1))]
     return line
+
+
+@functools.cache
+def _fixture_run_files() -> tuple[str, tuple[str, ...]]:
+    """The ``--kb-out`` file and the ``outcomes.jsonl`` lines of a scenario-2
+    run over the fixtures."""
+    with tempfile.TemporaryDirectory() as tmp:
+        kb, out_dir = Path(tmp) / "kb.json", Path(tmp) / "run"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
+                         "--out-dir", str(out_dir), "--kb-out", str(kb)]) == 0
+        return kb.read_text(), tuple((out_dir / "outcomes.jsonl").read_text().splitlines())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_kb_and_outcome_records_never_print_a_traceback(data):
+    """A fixture KB broken in one place, read by ``stats`` and ``run
+    --kb-in``, or a fixture outcome log with one line broken, read by
+    ``stats --outcomes``: each command exits 0, or with one error line that
+    names the broken file."""
+    kb_text, outcome_lines = _fixture_run_files()
+    with tempfile.TemporaryDirectory() as tmp:
+        kb, outcomes = Path(tmp) / "kb.json", Path(tmp) / "outcomes.jsonl"
+        lines = list(outcome_lines)
+        if data.draw(st.booleans()):
+            broken = kb
+            kb_text = data.draw(mutated_record(json.loads(kb_text))) + "\n"
+            commands = [["stats", "--kb-in", str(kb)],
+                        ["run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
+                         "--kb-in", str(kb), "--out-dir", str(Path(tmp) / "run")]]
+        else:
+            broken = outcomes
+            at = data.draw(st.integers(0, len(lines) - 1))
+            lines[at] = data.draw(mutated_record(json.loads(lines[at])))
+            commands = [["stats", "--kb-in", str(kb), "--outcomes", str(outcomes)]]
+        kb.write_text(kb_text)
+        outcomes.write_text("\n".join(lines) + "\n")
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert "Traceback" not in err.getvalue()
+            assert code in (0, 1, 2)
+            if code:
+                assert err.getvalue().startswith((f"data error: {broken}: ", "usage error: "))
+                assert err.getvalue().count("\n") == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,8 +3,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from patternqa.corpus import (CorpusError, load_documents, load_qa_corpus,
-                              normalize_answer, tokenize)
+from patternqa.corpus import DataError, load_documents, load_qa_corpus, normalize_answer, tokenize
 
 from .conftest import DANTE_QUESTION_PARSE
 from .oracles import tokenize_oracle
@@ -44,30 +43,30 @@ def test_empty_file(tmp_path):
 def test_empty_answers_rejected(tmp_path):
     bad = dict(GOOD_RECORD, answers=[])
     path = write_jsonl(tmp_path / "qa.jsonl", [GOOD_RECORD | {"id": "q0"}, bad])
-    with pytest.raises(CorpusError) as err:
+    with pytest.raises(DataError) as err:
         load_qa_corpus(path)
     assert err.value.line == 2
 
 
 @pytest.mark.parametrize("answer, message", [
-    (None, "answers must be strings, got null"),
-    (5, "answers must be strings, got 5"),
-    (["Dante"], 'answers must be strings, got ["Dante"]'),
+    (None, "answers must be a non-empty list of strings"),
+    (5, "answers must be a non-empty list of strings"),
+    (["Dante"], "answers must be a non-empty list of strings"),
     ("", "answer '' is empty once normalized"),
     ("The ...", "answer 'The ...' is empty once normalized"),
 ], ids=["null", "number", "list", "empty", "article-and-punctuation"])
 def test_answer_without_a_normalized_form_rejected(tmp_path, answer, message):
     bad = dict(GOOD_RECORD, id="q2", answers=["Dante", answer])
     path = write_jsonl(tmp_path / "qa.jsonl", [GOOD_RECORD, bad])
-    with pytest.raises(CorpusError) as err:
+    with pytest.raises(DataError) as err:
         load_qa_corpus(path)
     assert err.value.line == 2
-    assert str(err.value) == f"line 2: {message}"
+    assert str(err.value) == f"{path}: line 2: {message}"
 
 
 def test_duplicate_id_rejected(tmp_path):
     path = write_jsonl(tmp_path / "qa.jsonl", [GOOD_RECORD, GOOD_RECORD])
-    with pytest.raises(CorpusError) as err:
+    with pytest.raises(DataError) as err:
         load_qa_corpus(path)
     assert err.value.line == 2
 
@@ -76,7 +75,7 @@ def test_duplicate_id_rejected(tmp_path):
 def test_unknown_gold_category_rejected(tmp_path, category):
     bad = dict(GOOD_RECORD, id="q2", category=category)
     path = write_jsonl(tmp_path / "qa.jsonl", [GOOD_RECORD, bad])
-    with pytest.raises(CorpusError) as err:
+    with pytest.raises(DataError) as err:
         load_qa_corpus(path)
     assert err.value.line == 2
 
@@ -84,7 +83,7 @@ def test_unknown_gold_category_rejected(tmp_path, category):
 def test_malformed_json_names_line(tmp_path):
     path = tmp_path / "qa.jsonl"
     path.write_text(json.dumps(GOOD_RECORD) + "\n{broken\n")
-    with pytest.raises(CorpusError) as err:
+    with pytest.raises(DataError) as err:
         load_qa_corpus(path)
     assert err.value.line == 2
 
@@ -92,7 +91,7 @@ def test_malformed_json_names_line(tmp_path):
 def test_leaves_must_match_text(tmp_path):
     bad = dict(GOOD_RECORD, question="Who wrote Hamlet?")
     path = write_jsonl(tmp_path / "qa.jsonl", [bad])
-    with pytest.raises(CorpusError):
+    with pytest.raises(DataError):
         load_qa_corpus(path)
 
 
