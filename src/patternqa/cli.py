@@ -7,17 +7,16 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import hashlib
-import json
 import sys
 import time
-from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
-from .corpus import (DataError, Question, check, load_documents, load_qa_corpus,
-                     normalize_answer, read_json, read_jsonl)
+from .corpus import (DataError, Question, check, json_text, load_documents, load_qa_corpus,
+                     normalize_answer, opened, read_json, read_jsonl)
 from .evaluation import export_series, running_metrics
 from .extraction import load_gazetteer
 from .knowledge import MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase, load_kb, save_kb
@@ -79,7 +78,8 @@ def _build_parser() -> _Parser:
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    with opened(path) as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def _require_file(path, what) -> Path:
@@ -175,7 +175,8 @@ def _check_output_path(flag: str, path, directory: bool = False, created=None) -
         raise UsageError(f"{flag} {path}: directory {target.parent} does not exist")
 
 
-def _check_run_args(args) -> None:
+def _check_run_values(args) -> None:
+    """Reject run arguments that are missing or out of range."""
     for required in ("scenario", "corpus", "docs"):
         if getattr(args, required) is None:
             raise UsageError(f"--{required} is required")
@@ -185,6 +186,10 @@ def _check_run_args(args) -> None:
         raise UsageError("--top-k must be >= 1")
     if args.relax_threshold is not None and not 0.0 <= args.relax_threshold <= 1.0:
         raise UsageError("--relax-threshold must be in [0, 1]")
+
+
+def _check_run_outputs(args) -> None:
+    """Reject run output paths that cannot be written."""
     _check_output_path("--out-dir", args.out_dir or "out", directory=True)  # out/<time> by default
     out_dir = Path(args.out_dir) if args.out_dir else None
     _check_output_path("--kb-out", args.kb_out, created=out_dir)
@@ -217,7 +222,7 @@ def _recorded_run(meta: dict):
             if not check(config.get(switch), bool, "true or false", switch):
                 argv.append(f"--no-{switch.replace('_', '-')}")
         recorded = _build_parser().parse_args(argv)
-        _check_run_args(recorded)
+        _check_run_values(recorded)  # output paths are not recorded
     except (UsageError, ValueError) as exc:
         raise ValueError(f"config: {exc}") from exc
     return recorded, check(meta.get("inputs", {}), dict, "an object", "inputs")
@@ -232,20 +237,22 @@ def _check_digests(args, digests: dict[str, str]) -> None:
                             f"{name}_sha256; the input changed since the run")
 
 
-@contextmanager
-def _loading():
-    """Loading makes many objects that all live on, so the cyclic collector
-    would only walk them again and again: it is off while loading and back
-    on however loading ends, and once loading succeeds what it made is
-    frozen, out of the collector's reach for the rest of the command."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-        gc.freeze()
-    finally:
-        if enabled:
-            gc.enable()
+def _collector_off(command):
+    """``command`` run with the cyclic collector off, and back on however it
+    ends. A command loads many objects that all live on and then makes no
+    reference cycles, so collections would only walk the collection again
+    and again and find nothing to free; what the command made is freed by
+    reference counting when its frame ends, still inside the pause."""
+    @functools.wraps(command)
+    def paused(args) -> int:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return command(args)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 def _session(args, **settings) -> PipelineState:
@@ -257,9 +264,11 @@ def _session(args, **settings) -> PipelineState:
                          top_k=args.top_k, **settings)
 
 
+@_collector_off
 def cmd_run(args) -> int:
     digests = {} if args.from_metadata is None else _restore_from_metadata(args)
-    _check_run_args(args)
+    _check_run_values(args)
+    _check_run_outputs(args)
     _check_digests(args, digests)
     scenario = ScenarioConfig.from_id(args.scenario)
     relax = default_config(
@@ -268,9 +277,8 @@ def cmd_run(args) -> int:
         enable_lexical=not args.no_lexical_relax,
         enable_syntactic=not args.no_syntactic_relax,
     )
-    with _loading():
-        questions = load_qa_corpus(_require_file(args.corpus, "corpus"))
-        state = _session(args, relax=relax)
+    questions = load_qa_corpus(_require_file(args.corpus, "corpus"))
+    state = _session(args, relax=relax)
     # made before any output is written: --dump-index and --kb-out may lie in it
     out_dir = Path(args.out_dir) if args.out_dir else Path("out") / time.strftime("%Y%m%d-%H%M%S")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -297,7 +305,7 @@ def cmd_run(args) -> int:
             "final_correct": 0 if final is None else final.correct,
         }
         (out_dir / "revision_report.json").write_text(
-            json.dumps(report, indent=1, sort_keys=True) + "\n", "utf-8")
+            json_text(report, sort_keys=True) + "\n", "utf-8")
 
     config = {key: getattr(args, key) for key in _RECORDED}
     config.update({switch: not getattr(args, f"no_{switch}") for switch in _SWITCHES})
@@ -313,7 +321,7 @@ def cmd_run(args) -> int:
                    for name in _INPUTS if getattr(args, name) is not None},
     }
     (out_dir / "metadata.json").write_text(
-        json.dumps(metadata, indent=1, sort_keys=True) + "\n", "utf-8")
+        json_text(metadata, sort_keys=True) + "\n", "utf-8")
 
     if args.kb_out:
         save_kb(state.kb, args.kb_out)
@@ -326,12 +334,12 @@ def cmd_run(args) -> int:
     return 0
 
 
+@_collector_off
 def cmd_tutor(args) -> int:
     if args.top_k < 1:
         raise UsageError("--top-k must be >= 1")
     _check_output_path("--kb-out", args.kb_out)
-    with _loading():
-        state = _session(args)
+    state = _session(args)
     counter = 0
     last = None
     last_answer: str | None = None

@@ -11,16 +11,19 @@ Every parse, a question's or a document sentence's, is read once, straight
 into a :class:`~patternqa.treebank.Sentence` view; no tree is built.
 
 Every JSON input, these two and the knowledge base, outcome log and run
-metadata read elsewhere, is decoded by :func:`read_json` (a whole file) or
-:func:`read_jsonl` (one value per line), which hand each decoded object to
-a builder. Builders validate with :func:`check`, whose ``ValueError`` the
-reader turns into a :class:`DataError` naming the file and, for JSON Lines,
-the line.
+metadata read elsewhere, is read through :func:`opened` and decoded by
+:func:`read_json` (a whole file) or :func:`read_jsonl` (one value per
+line), which hand each decoded object to a builder. Builders validate with
+:func:`check`, whose ``ValueError`` the reader turns into a
+:class:`DataError` naming the file and, for JSON Lines, the line; so is an
+``OSError`` raised while reading a file.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
@@ -59,17 +62,16 @@ class Document:
     sentences: tuple[tuple[str, Sentence], ...]  # (text, analysed parse)
 
 
+# a word (a run of non-space characters up to its last one that is not
+# terminal punctuation), or one terminal punctuation character
+_TOKEN = re.compile(r"\S*[^\s.,?!;:]|[.,?!;:]")
+
+
 def tokenize(text: str) -> list[str]:
     """Whitespace split with terminal punctuation separated into its own
     tokens ("Comedy?" -> ["Comedy", "?"]). Fixtures are authored to agree
     with parse leaves under this rule."""
-    out = []
-    for chunk in text.split():
-        word = chunk.rstrip(".,?!;:")
-        if word:
-            out.append(word)
-        out.extend(chunk[len(word):])
-    return out
+    return _TOKEN.findall(text)
 
 
 ARTICLES = frozenset({"a", "an", "the"})
@@ -146,27 +148,61 @@ def _decoded(path, raw: bytes, build, line: int | None = None):
         raise DataError(path, str(exc), line) from exc
 
 
+@contextmanager
+def opened(path):
+    """The input file ``path``, open for reading bytes. An ``OSError``
+    opening or reading it, such as a permission denied, raises
+    :class:`DataError`."""
+    try:
+        with open(path, "rb") as handle:
+            yield handle
+    except OSError as exc:
+        raise DataError(path, exc.strerror or str(exc)) from exc
+
+
 def read_json(path, build):
     """``build(value)`` of the JSON object in the file ``path``."""
-    return _decoded(path, Path(path).read_bytes(), build)
+    with opened(path) as handle:
+        raw = handle.read()
+    return _decoded(path, raw, build)
 
 
 def read_jsonl(path, build) -> list:
     """``build(record)`` of the JSON object on each non-blank line of the
     JSON Lines file ``path``, in file order."""
-    with open(path, "rb") as handle:
+    with opened(path) as handle:
         return [_decoded(path, raw, build, line)
                 for line, raw in enumerate(handle, 1) if raw.strip()]
 
 
-def _analysed_parse(raw: str, text: str, what: str) -> Sentence:
+def json_text(value, sort_keys: bool = False, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=1, sort_keys=sort_keys)`` of a JSON value
+    whose objects have string keys; ``indent`` is the line break and margin
+    of the level ``value`` sits at. With an indent, ``json`` encodes
+    through closures that form reference cycles, left for the cyclic
+    collector to free; this leaves none."""
+    inner = indent + " "
+    if isinstance(value, dict) and value:
+        items = sorted(value.items()) if sort_keys else value.items()
+        return "{" + ",".join(f"{inner}{json.dumps(key)}: {json_text(item, sort_keys, inner)}"
+                              for key, item in items) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + ",".join(inner + json_text(item, sort_keys, inner)
+                              for item in value) + indent + "]"
+    return json.dumps(value)
+
+
+def _analysed_parse(raw: str, text: str, what: str, shared: dict) -> Sentence:
     """The :class:`Sentence` view of the bracketed parse ``raw``, whose
-    leaves must be the tokens of ``text`` up to case."""
+    leaves must be the tokens of ``text`` up to case; ``shared`` is the
+    load's sharing table (see :func:`~patternqa.treebank.parse_sentence`)."""
     try:
-        view = parse_sentence(raw)
+        view = parse_sentence(raw, shared)
     except TreeFormatError as exc:
         raise ValueError(f"bad parse: {exc}") from exc
-    if list(view.lowered) != [t.lower() for t in tokenize(text)]:
+    words = tokenize(text)
+    # leaves equal to the words are equal up to case without lowering them
+    if words != list(view.tokens) and [w.lower() for w in words] != list(view.lowered):
         raise ValueError(f"parse leaves do not match {what}")
     return view
 
@@ -175,6 +211,7 @@ def load_qa_corpus(path) -> list[Question]:
     """Load questions in file order (order matters for running metrics),
     each parse read into a :class:`Sentence` view."""
     seen = set()
+    shared: dict = {}
 
     def question(record: dict) -> Question:
         qid = check(record.get("id"), str, "a string", "id")
@@ -192,8 +229,8 @@ def load_qa_corpus(path) -> list[Question]:
         category = check(record.get("category"), str | None, "a string", "category")
         if category and category.partition(":")[0] not in COARSE_CLASSES:
             raise ValueError(f"unknown coarse class in category {category!r}")
-        return Question(id=qid, text=text, parse=_analysed_parse(parse, text, "tokenized question"),
-                        category=category, answers=tuple(answers))
+        view = _analysed_parse(parse, text, "tokenized question", shared)
+        return Question(id=qid, text=text, parse=view, category=category, answers=tuple(answers))
 
     return read_jsonl(path, question)
 
@@ -202,6 +239,7 @@ def load_documents(path) -> list[Document]:
     """Load documents in file order, each sentence's parse read into a
     :class:`Sentence` view."""
     seen = set()
+    shared: dict = {}
 
     def document(record: dict) -> Document:
         doc_id = check(record.get("doc_id"), str, "a string", "doc_id")
@@ -211,7 +249,7 @@ def load_documents(path) -> list[Document]:
         sentences = check(record.get("sentences"), [{"text": str, "parse": str}],
                           'a list of {"text": string, "parse": string} objects', "sentences")
         return Document(doc_id=doc_id, sentences=tuple(
-            (s["text"], _analysed_parse(s["parse"], s["text"], "sentence text"))
+            (s["text"], _analysed_parse(s["parse"], s["text"], "sentence text", shared))
             for s in sentences))
 
     return read_jsonl(path, document)

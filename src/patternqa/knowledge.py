@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .classify import Category, tagged_leaves, wh_word
-from .corpus import ARTICLES, Question, check, normalize_answer, read_json, tokenize
+from .corpus import (ARTICLES, Question, check, json_text, normalize_answer, read_json,
+                     tokenize)
 from .retrieval import RetrievedSentence, content_words
 from .stem import stem
 from .treebank import Sentence
@@ -332,8 +333,7 @@ def save_kb(kb: KnowledgeBase, path) -> None:
         "qa_pairs": [list(pair) for pair in kb.qa_pairs],
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+        handle.write(json_text(payload) + "\n")
 
 
 def load_kb(path) -> KnowledgeBase:

@@ -57,8 +57,7 @@ def content_words(sentence: Sentence) -> list[str]:
             if low not in STOPWORDS and (low.isalnum() or any(c.isalnum() for c in low))]
 
 
-@dataclass(frozen=True, slots=True)
-class IndexedSentence:
+class IndexedSentence(NamedTuple):
     doc_id: str
     position: int  # sentence offset within its document
     text: str
@@ -121,9 +120,12 @@ def build_index(docs: list[Document]) -> Index:
     # shares its dict
     floats: dict[float, float] = {}
     single: dict[int, float] = {}
+    idfs: dict[int, float] = {}  # by document frequency
     for term, weights in postings.items():
         df = len(weights)
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        idf = idfs.get(df)
+        if idf is None:
+            idf = idfs[df] = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         for sid, tf in weights.items():
             weight = idf * tf * k1_plus_1 / (tf + norms[sid])
             weights[sid] = floats.setdefault(weight, weight)

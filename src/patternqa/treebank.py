@@ -9,6 +9,16 @@ Every sentence, question or document, is analysed once, when it is loaded:
 only what the later layers read (tokens in three spellings and the
 constituents by start offset). No tree object is built, and this is the
 only module that reads a parse.
+
+The pass splits the parse into brackets and atoms with ``str`` methods and
+reads a preterminal, ``(TAG token)``, in one step. Views are read-only, so
+the views of one load share what is equal: tokens and labels are interned
+strings, and a load passes one table to all its parses, through which
+equal constituent entries, equal per-leaf entry tuples and equal
+``constituents`` tuples become one object. Where a collection repeats
+parse shapes, most of its views hold a ``constituents`` tuple built once.
+The table is dropped when the load returns, so nothing kept grows with
+the input.
 """
 
 from __future__ import annotations
@@ -77,29 +87,47 @@ def _fail(text: str, message: str, item: int | None, after: int = 0):
     raise TreeFormatError(message, match.start() + after + 1)
 
 
-def parse_sentence(text: str) -> Sentence:
+def _interned(constituents: tuple, table: dict) -> tuple:
+    """``constituents``, or the equal tuple already in ``table``. A tuple
+    new to ``table`` enters it with each of its per-leaf tuples and entries
+    replaced by the equal one already there, or entered itself."""
+    found = table.get(constituents)
+    if found is None:
+        share = table.setdefault
+        found = tuple([share(at, at) for at in
+                       (tuple([share(entry, entry) for entry in at]) for at in constituents)])
+        table[found] = found
+    return found
+
+
+def parse_sentence(text: str, shared: dict | None = None) -> Sentence:
     """The :class:`Sentence` view of one bracketed parse, e.g.
     ``(NP (NNP Dante))``, read in one pass. Labels lose their decorations;
     tokens and labels are interned, so the views of a collection share their
-    strings.
+    strings. Equal constituent entries, equal per-leaf entry tuples and
+    equal ``constituents`` tuples become one object through ``shared``, a
+    table that the caller passes to every parse of one collection and drops
+    afterwards (by default a fresh one per call).
 
     Raises :class:`TreeFormatError` (with a 1-based character offset) on
     unbalanced parentheses, a missing label after ``(``, a node without
     children, text around the tree, or empty input.
     """
-    items = _ITEM.findall(text)
+    # the items of ``_ITEM.findall(text)``: str.split and re's \s agree on
+    # what is whitespace
+    items = text.replace("(", " ( ").replace(")", " ) ").split()
     if not items:
         _fail(text, "empty input", None)
     if items[0] != "(":
         _fail(text, "expected '('", 0)
     last = len(items) - 1
-    tokens: list[str] = []
+    leaves: list[str] = []
     by_start: list[list] = []  # the constituents starting at each leaf so far
     starting: list = []  # the constituents starting at the next leaf
     # An explicit stack of open nodes, so nesting depth is bounded by memory,
     # not by the interpreter's recursion limit. ``children`` is the open
     # node's: 0 none yet, 1 one leaf, 2 anything else.
-    open_nodes: list[tuple[list, int, str, int]] = []
+    open_nodes: list[tuple[list, int, str]] = []
     children = 0
     i = 0
     while True:
@@ -108,21 +136,33 @@ def parse_sentence(text: str) -> Sentence:
             if i == last:
                 _fail(text, "unexpected end of input", None)
             i += 1
-            if items[i] in "()":
+            label = items[i]
+            if label in "()":
                 _fail(text, "empty label", i)
-            open_nodes.append((starting, len(starting), _label(items[i]), 2))
-            starting.append(None)  # filled in when the node closes
-            children = 0
+            if i + 2 <= last and items[i + 2] == ")" and items[i + 1] not in "()":
+                # a preterminal, ``( TAG token )``, in one step
+                leaves.append(items[i + 1])
+                starting.append((len(leaves), _label(label), True))
+                by_start.append(starting)
+                starting = []
+                i += 2
+                if not open_nodes:
+                    break
+                children = 2
+            else:
+                open_nodes.append((starting, len(starting), _label(label)))
+                starting.append(None)  # filled in when the node closes
+                children = 0
         elif item == ")":
-            entries, slot, label, parent_children = open_nodes.pop()
+            entries, slot, label = open_nodes.pop()
             if not children:
                 _fail(text, "node without children", i, 1)
-            entries[slot] = (len(tokens), label, children == 1)
+            entries[slot] = (len(leaves), label, children == 1)
             if not open_nodes:
                 break
-            children = parent_children
+            children = 2
         else:
-            tokens.append(intern(item))
+            leaves.append(item)
             by_start.append(starting)
             starting = []
             children = 2 if children else 1
@@ -131,10 +171,14 @@ def parse_sentence(text: str) -> Sentence:
         i += 1
     if i < last:
         _fail(text, "trailing characters after tree", i + 1)
-    lowered = tuple(intern(token.lower()) for token in tokens)
+    tokens = tuple(map(intern, leaves))
+    # a lowercase token is its own lowercase form, and an alphanumeric one
+    # holds no punctuation to strip
+    lowered = tuple([token if token.islower() else intern(token.lower()) for token in tokens])
     return Sentence(
-        tokens=tuple(tokens),
+        tokens=tokens,
         lowered=lowered,
-        stripped=tuple(intern(PUNCTUATION.sub("", low)) for low in lowered),
-        constituents=tuple(map(tuple, by_start)),
+        stripped=tuple([low if low.isalnum() else intern(PUNCTUATION.sub("", low))
+                        for low in lowered]),
+        constituents=_interned(tuple(map(tuple, by_start)), {} if shared is None else shared),
     )

@@ -9,7 +9,8 @@ over log records (the package counts outcomes and rescues). BM25 scores
 every sentence and sorts them all (the package visits the posting lists
 and stops early). The question readers (POS pairs, signature, phrases,
 content words) are kept here as the tree walks they were before questions
-were read through their analysed view. The tree type, its parser and the
+were read through their analysed view. ``corpus.tokenize`` is kept as
+the per-chunk rules it replaced. The tree type, its parser and the
 walk that analysed a tree are kept here as the reference that the one-pass
 ``treebank.parse_sentence`` is checked against. Extraction is also kept
 without the run's memo, every unification and NER pass computed afresh.
@@ -464,6 +465,19 @@ def tokenize_oracle(text: str) -> list[str]:
         if word:
             out.append(word)
         out.extend(punct)
+    return out
+
+
+def tokenize_chunks_oracle(text: str) -> list[str]:
+    """``corpus.tokenize`` as it was before it became one regex: each
+    whitespace chunk with its terminal punctuation stripped, then that
+    punctuation one character at a time."""
+    out = []
+    for chunk in text.split():
+        word = chunk.rstrip(".,?!;:")
+        if word:
+            out.append(word)
+        out.extend(chunk[len(word):])
     return out
 
 

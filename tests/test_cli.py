@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patternqa import cli, pipeline
 from patternqa.cli import main
 from patternqa.knowledge import KnowledgeBase, save_kb
 
@@ -72,22 +73,102 @@ def test_run_with_revision_outputs(tmp_path):
 
 
 def test_run_turns_the_collector_back_on(tmp_path, monkeypatch):
-    """Loading pauses the cyclic collector; a run or tutor session that
-    ends, well or on a bad docs line, leaves it on for the caller. What a
-    successful load made is frozen; a failed load freezes nothing (the
-    count may still fall, as frozen objects are freed)."""
+    """A run or tutor session keeps the cyclic collector off from the start,
+    loading included; one that ends, well or on a bad docs line, leaves it
+    on for the caller."""
     bad_docs = tmp_path / "docs.jsonl"
     bad_docs.write_text(Path(DOCS).read_text("utf-8") + '{"doc_id": "x", "sentences": [3]}\n',
                         "utf-8")
     monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
+    collecting = []
+    load = cli.load_documents
+
+    def load_documents(path):
+        collecting.append(gc.isenabled())
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_documents", load_documents)
     for docs, code in ((DOCS, 0), (str(bad_docs), 2)):
         for argv in (["run", "--scenario", "1", "--corpus", CORPUS,
                       "--out-dir", str(tmp_path / f"out{code}")], ["tutor"]):
             assert gc.isenabled()
-            frozen = gc.get_freeze_count()
             assert main([*argv, "--docs", docs]) == code
             assert gc.isenabled()
-            assert (gc.get_freeze_count() > frozen) == (code == 0)
+    assert collecting == [False] * 4
+
+
+REVISION_RUN = ("run", "--scenario", "4", "--corpus", CORPUS, "--docs", DOCS,
+                "--revise-interval", "5")
+
+
+def test_run_makes_no_collection_after_loading(tmp_path, monkeypatch):
+    """From the end of loading (the index built) until ``cmd_run`` returns,
+    the cyclic collector runs not once, though a threshold of 1 would
+    start it at almost every allocation."""
+    loaded, collections = [], []
+    build = cli.build_index
+
+    def build_index(docs):
+        index = build(docs)
+        loaded.append(True)
+        return index
+
+    def seen(phase, info):
+        if loaded and phase == "start":
+            collections.append(info["generation"])
+
+    monkeypatch.setattr(cli, "build_index", build_index)
+    threshold = gc.get_threshold()
+    gc.callbacks.append(seen)  # the list the collector calls, so not replaced
+    gc.set_threshold(1)
+    try:
+        assert run_cli(*REVISION_RUN, "--out-dir", str(tmp_path / "run")) == 0
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(seen)
+    assert loaded and collections == []
+
+
+def _garbage_made(command, argv) -> int:
+    """What ``gc.collect()`` finds after ``command`` ran on ``argv`` with the
+    collector off; the arguments are parsed before, since argparse leaves
+    reference cycles of its own."""
+    args = cli._build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert command(args) == 0
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_run_leaves_no_garbage(tmp_path, monkeypatch, capsys):
+    """A revision run, a run with an error outcome and a tutor session free
+    all they make by reference counting, so keeping the collector off for
+    the whole command leaks nothing."""
+    assert _garbage_made(cli.cmd_run, [*REVISION_RUN, "--out-dir", str(tmp_path / "a"),
+                                       "--kb-out", str(tmp_path / "kb.json")]) == 0
+    retrieve, calls = pipeline.retrieve, []
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("index corrupted")
+        return retrieve(*args)
+
+    monkeypatch.setattr(pipeline, "retrieve", flaky)
+    assert _garbage_made(cli.cmd_run, ["run", "--scenario", "2", "--corpus", CORPUS,
+                                       "--docs", DOCS, "--out-dir", str(tmp_path / "b")]) == 0
+    assert '"error": "RuntimeError: index corrupted"' in \
+        (tmp_path / "b" / "outcomes.jsonl").read_text()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        f"ask {HAMLET_QUESTION_PARSE}\ny\nanswer Shakespeare\nn\nask (S\nanswer x\nquit\n"))
+    assert _garbage_made(cli.cmd_tutor, ["tutor", "--docs", DOCS, "--use-ner",
+                                         "--kb-out", str(tmp_path / "tutor.json")]) == 0
+    assert "learned" in capsys.readouterr().out
 
 
 def test_runs_are_byte_identical(tmp_path):
@@ -109,6 +190,18 @@ def test_rerun_from_metadata_reproduces_log(tmp_path):
     assert run_cli("run", "--from-metadata", str(first / "metadata.json"),
                    "--out-dir", str(second)) == 0
     assert (first / "outcomes.jsonl").read_bytes() == (second / "outcomes.jsonl").read_bytes()
+
+
+def test_rerun_from_metadata_checks_the_given_out_dir(tmp_path, monkeypatch):
+    """The recorded arguments hold no output path, so the default ``out``
+    is not checked against the current directory: here it is a file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").write_text("")
+    assert run_cli("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
+                   "--out-dir", "r1") == 0
+    assert run_cli("run", "--from-metadata", "r1/metadata.json", "--out-dir", "r2") == 0
+    assert (tmp_path / "r1" / "outcomes.jsonl").read_bytes() == \
+        (tmp_path / "r2" / "outcomes.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("changed, old, new", [
@@ -703,6 +796,43 @@ def test_malformed_input_is_one_line_data_error(tmp_path, capsys, command, conte
     lines = content.count(b"\n") if content else 0
     if lines > 1:  # a JSON Lines input, at fault on its last line
         assert err.startswith(f"data error: {path}: line {lines}: ")
+
+
+@pytest.mark.parametrize("argv, denied", [
+    (("ingest", "--corpus", CORPUS), CORPUS),
+    (("ingest", "--docs", DOCS), DOCS),
+    (("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS, "--kb-in", "{kb}",
+      "--out-dir", "{out}"), "{kb}"),
+    (("tutor", "--docs", DOCS, "--kb-in", "{kb}"), "{kb}"),
+    (("stats", "--kb-in", "{kb}"), "{kb}"),
+    (("stats", "--kb-in", "{kb}", "--outcomes", "{outcomes}"), "{outcomes}"),
+    (("run", "--from-metadata", "{meta}", "--out-dir", "{out}"), "{meta}"),
+    (("run", "--from-metadata", "{meta}", "--out-dir", "{out}"), CORPUS),
+], ids=["ingest-corpus", "ingest-docs", "run-kb-in", "tutor-kb-in", "stats-kb-in",
+        "stats-outcomes", "from-metadata", "from-metadata-recorded-corpus"])
+def test_unreadable_input_is_one_line_data_error(tmp_path, monkeypatch, capsys, argv, denied):
+    """An input that exists but cannot be read (here ``open`` is patched to
+    deny it, as file modes do not bind a superuser) is a data error naming
+    it; the last case denies the corpus a metadata file records a digest
+    of."""
+    paths = {"kb": tmp_path / "kb.json", "meta": tmp_path / "metadata.json",
+             "outcomes": tmp_path / "outcomes.jsonl", "out": tmp_path / "run"}
+    save_kb(KnowledgeBase(), paths["kb"])
+    paths["meta"].write_text(json.dumps({"config": {**RECORDED_CONFIG, "revise_interval": None},
+                                         "inputs": {"corpus_sha256": "0" * 64}}))
+    paths["outcomes"].write_text(json.dumps(GOOD_OUTCOME) + "\n")
+    denied = denied.format(**paths)
+    real_open = open
+
+    def deny(file, *args, **kwargs):
+        if str(file) == denied:
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", deny)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+    assert capsys.readouterr().err == f"data error: {denied}: Permission denied\n"
 
 
 GOOD_OUTCOME = {"correct": True, "final_strategy": "pattern", "relaxation_used": "none"}

@@ -1,12 +1,13 @@
 import json
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from patternqa.corpus import DataError, load_documents, load_qa_corpus, normalize_answer, tokenize
+from patternqa.corpus import (DataError, json_text, load_documents, load_qa_corpus,
+                              normalize_answer, tokenize)
 
 from .conftest import DANTE_QUESTION_PARSE
-from .oracles import tokenize_oracle
+from .oracles import tokenize_chunks_oracle, tokenize_oracle
 
 GOOD_RECORD = {
     "id": "q1",
@@ -95,6 +96,28 @@ def test_leaves_must_match_text(tmp_path):
         load_qa_corpus(path)
 
 
+def test_leaves_match_text_up_to_case(tmp_path):
+    lowered = dict(GOOD_RECORD, question="who wrote the divine comedy?")
+    [question] = load_qa_corpus(write_jsonl(tmp_path / "qa.jsonl", [lowered]))
+    assert question.parse.tokens[0] == "Who"
+
+
+def test_one_load_shares_equal_constituents(tmp_path):
+    """Equal entries, per-leaf tuples and whole ``constituents`` tuples of
+    the views of one load are one object each."""
+    sentences = [("Dante wrote.", "(S (NP (NNP Dante)) (VP (VBD wrote)) (. .))"),
+                 ("Homer sang songs.", "(S (NP (NNP Homer)) (VP (VBD sang) (NP (NNS songs))) "
+                                       "(. .))"),
+                 ("Virgil wrote.", "(S (NP (NNP Virgil)) (VP (VBD wrote)) (. .))")]
+    record = {"doc_id": "d1", "sentences": [{"text": t, "parse": p} for t, p in sentences]}
+    docs = load_documents(write_jsonl(tmp_path / "docs.jsonl", [record]))
+    first, second, third = (view.constituents for _, view in docs[0].sentences)
+    assert third is first
+    assert first[0] != second[0] and first[0][1:] == second[0][1:]
+    assert all(a is b for a, b in zip(first[0][1:], second[0][1:]))  # (1, NP), (1, NNP)
+    assert first[1][1] is second[1][1]  # (2, VBD, True)
+
+
 def test_load_documents_roundtrip(tmp_path):
     record = {
         "doc_id": "d1",
@@ -137,6 +160,24 @@ TOKENIZE_TEXTS = st.text(alphabet=".,?!;:-'aZΣ \t\r\n\x1c\u3000", max_size=24) 
 @given(TOKENIZE_TEXTS)
 def test_tokenize_matches_regex_split(text):
     assert tokenize(text) == tokenize_oracle(text)
+
+
+@example("a.b.. ..c !? x\u3000y\x85z.")
+@given(st.text())
+def test_tokenize_matches_chunk_rule(text):
+    """The one-regex tokenizer splits where ``str.split`` does: ``re``'s
+    whitespace class and ``str.isspace`` agree on every code point."""
+    assert tokenize(text) == tokenize_chunks_oracle(text)
+
+
+@settings(max_examples=50)
+@given(st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                    max_leaves=12),
+       st.booleans())
+def test_json_text_matches_json_dumps(value, sort_keys):
+    assert json_text(value, sort_keys) == json.dumps(value, indent=1, sort_keys=sort_keys)
 
 
 @pytest.mark.parametrize("raw,expected", [

@@ -213,6 +213,12 @@ def random_parse(rng: random.Random) -> str:
 @example("(NP-SBJ-1 (-NONE- *T*-1) (NNP=2 Dante))")
 @example("(S (VP (VP (VB go))))")
 @example("\x1c(S\x1cx\x1c)\x1c")
+@example("(S (NN a")
+@example("(NN a")
+@example("(S (NN a) b)")
+@example("( NN  a )")
+@example("(S (NN (")
+@example("(S (NN a)) (")
 @example(DEEP)
 @example(DEEP[:-1])
 def test_parse_sentence_matches_reference(text):
