@@ -1,12 +1,13 @@
 """Command-line interface: corpus validation, experiment runs, revision
 runs, KB inspection, and an interactive tutor loop.
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 output error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import hashlib
@@ -31,12 +32,19 @@ class UsageError(Exception):
     pass
 
 
+class OutputError(Exception):
+    """An output that could not be written: ``<path>: <the system's reason>``."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of the process: building one leaves reference cycles
+    that only the cyclic collector frees, and parsing leaves it as it was."""
     parser = _Parser(prog="patternqa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -221,7 +229,7 @@ def _recorded_run(meta: dict):
         for switch in _SWITCHES:
             if not check(config.get(switch), bool, "true or false", switch):
                 argv.append(f"--no-{switch.replace('_', '-')}")
-        recorded = _build_parser().parse_args(argv)
+        recorded = _parser().parse_args(argv)
         _check_run_values(recorded)  # output paths are not recorded
     except (UsageError, ValueError) as exc:
         raise ValueError(f"config: {exc}") from exc
@@ -235,6 +243,23 @@ def _check_digests(args, digests: dict[str, str]) -> None:
         if _sha256(_require_file(path, name.replace("_", "-"))) != digest:
             raise DataError(args.from_metadata, f"{path} does not match the recorded "
                             f"{name}_sha256; the input changed since the run")
+
+
+@contextlib.contextmanager
+def _output(path):
+    """Every output a command writes is written in this block: ``path`` is
+    the file, or the directory made, that the block writes. An ``OSError``
+    there, such as a full disk or a denied write, becomes an
+    :class:`OutputError` naming ``path``."""
+    try:
+        yield path
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _write_text(path, text: str) -> None:
+    with _output(path), open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _collector_off(command):
@@ -281,13 +306,15 @@ def cmd_run(args) -> int:
     state = _session(args, relax=relax)
     # made before any output is written: --dump-index and --kb-out may lie in it
     out_dir = Path(args.out_dir) if args.out_dir else Path("out") / time.strftime("%Y%m%d-%H%M%S")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _output(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     if args.dump_index:
-        Path(args.dump_index).write_text(serialize_index(state.index) + "\n", "utf-8")
+        _write_text(args.dump_index, serialize_index(state.index) + "\n")
     result = run_sequence(state, questions, scenario, args.revise_interval,
                           learn_on_revision=not args.no_learn_on_revision)
 
-    with open(out_dir / "outcomes.jsonl", "w", encoding="utf-8") as handle:
+    with (_output(out_dir / "outcomes.jsonl") as path,
+          open(path, "w", encoding="utf-8") as handle):
         _write_outcomes(result.outcomes, handle)
 
     series = [(f"scenario{scenario.id}_metrics.csv", ())]
@@ -295,7 +322,8 @@ def cmd_run(args) -> int:
         series.append((f"revision_i{args.revise_interval}.csv", result.revision))
     for name, revision in series:
         points, alt_points = running_metrics(result.outcomes, revision)
-        export_series(points, out_dir / name, alt_points)
+        with _output(out_dir / name) as path:
+            export_series(points, path, alt_points)
         final = points[-1] if points else None  # the last point of the last series
         del points, alt_points  # freed before the next series is counted
     if args.revise_interval:
@@ -304,8 +332,7 @@ def cmd_run(args) -> int:
             "checkpoints": [vars(r) for r in result.revision],
             "final_correct": 0 if final is None else final.correct,
         }
-        (out_dir / "revision_report.json").write_text(
-            json_text(report, sort_keys=True) + "\n", "utf-8")
+        _write_text(out_dir / "revision_report.json", json_text(report, sort_keys=True) + "\n")
 
     config = {key: getattr(args, key) for key in _RECORDED}
     config.update({switch: not getattr(args, f"no_{switch}") for switch in _SWITCHES})
@@ -320,11 +347,11 @@ def cmd_run(args) -> int:
         "inputs": {f"{name}_sha256": _sha256(getattr(args, name))
                    for name in _INPUTS if getattr(args, name) is not None},
     }
-    (out_dir / "metadata.json").write_text(
-        json_text(metadata, sort_keys=True) + "\n", "utf-8")
+    _write_text(out_dir / "metadata.json", json_text(metadata, sort_keys=True) + "\n")
 
     if args.kb_out:
-        save_kb(state.kb, args.kb_out)
+        with _output(args.kb_out):
+            save_kb(state.kb, args.kb_out)
 
     if final is not None:
         print(f"scenario {scenario.id}: {len(questions)} questions, "
@@ -400,7 +427,8 @@ def cmd_tutor(args) -> int:
         prompt()
     print()
     if args.kb_out:
-        save_kb(state.kb, args.kb_out)
+        with _output(args.kb_out):
+            save_kb(state.kb, args.kb_out)
         print(f"kb saved to {args.kb_out} "
               f"({state.kb.pattern_count()} patterns, {len(state.kb.qa_pairs)} qa pairs)")
     return 0
@@ -445,9 +473,8 @@ def cmd_stats(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         handler = {
             "ingest": cmd_ingest,
             "run": cmd_run,
@@ -461,6 +488,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -23,7 +23,8 @@ MAX_GAZETTEER_SPAN = 5
 class Gazetteer:
     """Per-category surface-form sets; forms are pre-normalized. The
     lookups NER reads are built once, here: each label's forms, the first
-    words of those forms, and each form's coarse classes."""
+    words of those forms, each form's coarse classes, and ``words``, the
+    words of every form."""
 
     def __init__(self, table: dict[str, set[str]]):
         self._forms = {label: frozenset(forms) for label, forms in table.items()}
@@ -34,6 +35,14 @@ class Gazetteer:
             for form in forms:
                 classes.setdefault(form, set()).add(label.split(":")[0])
         self._classes = {form: frozenset(coarse) for form, coarse in classes.items()}
+        # tokens whose stripped forms are all outside ``words`` normalize to
+        # no form: a non-empty form's words are all here, and the form ""
+        # (of a table form of articles and punctuation only) is met only by
+        # tokens that are articles or punctuation
+        words = {word for form in classes for word in form.split()}
+        if "" in classes:
+            words |= ARTICLES | {""}
+        self.words = frozenset(words)
 
     def forms(self, label: str) -> frozenset[str]:
         return self._forms.get(label, frozenset())
@@ -129,6 +138,8 @@ def _gazetteer_spans(stripped: tuple[str, ...], forms: frozenset[str],
     its text, since its first token is no article. Tokens hold no
     whitespace, so a window can equal a form only if its first token is in
     ``first_words``, the first words of ``forms``."""
+    if first_words.isdisjoint(stripped):
+        return []
     spans = []
     n = len(stripped)
     for start in range(n):
@@ -185,6 +196,7 @@ def extract_ner(category: Category, sentences: list[RetrievedSentence],
         regex_rules = load_regex_rules()
     label = str(category)
     forms, first_words = gazetteer.forms(label), gazetteer.first_words(label)
+    words = gazetteer.words
     out: list[CandidateAnswer] = []
     for sentence in sentences:
         key = (label, sentence.doc_id, sentence.position)
@@ -197,18 +209,23 @@ def extract_ner(category: Category, sentences: list[RetrievedSentence],
         if category.coarse == "NUM":
             spans = _regex_spans(tokens, regex_rules.get(label, []))
         elif category.coarse in ("HUM", "LOC", "ENTY"):
-            spans = _gazetteer_spans(stripped, forms, first_words)
+            runs = []
             for start, end in _capitalized_runs(tokens):
-                others = gazetteer.coarse_classes_of(normalized_form(stripped[start:end]))
-                if others and category.coarse not in others:
-                    continue
-                spans.append((start, end))
+                run = stripped[start:end]
+                if not words.isdisjoint(run):  # else its normalized form is no form
+                    others = gazetteer.coarse_classes_of(normalized_form(run))
+                    if others and category.coarse not in others:
+                        continue
+                runs.append((start, end))
+            spans = _gazetteer_spans(stripped, forms, first_words)
+            # runs are disjoint and in order, as is each other kind of span
+            spans = sorted(set(spans + runs)) if spans else runs
         elif category.coarse == "ABBR":
             spans = _abbreviation_spans(tokens)
         # DESC: no specific strategy
         found = tuple(CandidateAnswer(" ".join(tokens[span[0]:span[1]]), span, "ner", None,
                                       RELAX_NONE, sentence.doc_id, sentence.position)
-                      for span in sorted(set(spans)))
+                      for span in spans)
         if memo is not None:
             memo[key] = found
         out += found

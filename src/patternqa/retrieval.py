@@ -17,8 +17,16 @@ postings map each sentence that holds it to its weight. Each term also
 gets its own bound, its largest weight widened by a relative 1e-9 to cover
 rounding. :func:`retrieve` visits the query terms in descending bound
 order and stops once the k-th best score is strictly above the summed
-bounds of the terms it has not visited. Every idf is positive, since a document frequency never exceeds
-the number of sentences, so every weight and every score is positive.
+bounds of the terms it has not visited. A sentence first met at a term
+holds none of the terms visited before; if it holds none of the terms
+still to visit either, its score is exactly its weight for that term, at
+most the term's bound. Such sentences are scored after the others met
+there, and dropped unscored when k sentences already score strictly above
+that bound: none of them can enter the top k, not even by the tie-break,
+since the k-th best score only grows as sentences are scored, and none is
+met again.
+Every idf is positive, since a document frequency never exceeds the number
+of sentences, so every weight and every score is positive.
 Ties go to the lower ``(doc_id, position)``; the index keeps each
 sentence's place in that order, so a tie is settled by one integer.
 
@@ -33,8 +41,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import filterfalse, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -148,11 +157,13 @@ def retrieve(index: Index, query_terms: list[str], k: int = 20) -> list[Retrieve
 
     Terms are visited in descending order of their bound (see the module
     docstring). The sentences that a term meets first are scored in full
-    there: the terms visited before hold none of them. Before each term the
-    loop stops once k sentences are scored and the k-th best score is
-    strictly above the summed bounds of the terms not yet visited: a
+    there, or never: the terms visited before hold none of them. Before each
+    term the loop stops once k sentences are scored and the k-th best score
+    is strictly above the summed bounds of the terms not yet visited: a
     sentence not yet met holds none of the visited terms, so it scores at
     most that sum and cannot reach the top k, not even by the tie-break.
+    Those met at a term that hold no later term are scored last there, and
+    only while the k-th best score is not strictly above the term's bound.
     Every score is summed from 0.0 over the query terms in sorted order, a
     term the sentence lacks adding 0.0, which leaves a positive sum
     unchanged. So a score does not depend on the hash seed or the visiting
@@ -174,12 +185,20 @@ def retrieve(index: Index, query_terms: list[str], k: int = 20) -> list[Retrieve
     for i, current in enumerate(visiting):
         if len(scores) >= k and sorted(scores.values())[-k] > rest[i]:
             break
-        fresh = list(maps[current].keys() - scores.keys())
-        # 0.0, plus each term's weight (0.0 where it lacks the term), in term order
-        column = repeat(0.0)
-        for weights in maps:
-            column = map(add, column, map(weights.get, fresh, repeat(0.0)))
-        scores.update(zip(fresh, column))
+        fresh = maps[current].keys() - scores.keys()
+        # split only where it can drop a sentence, one lookup per sentence
+        # and later term at most
+        if i + 1 < len(visiting) and len(scores) + len(fresh) > k:
+            lone = iter(fresh)  # the fresh sentences that hold no later term
+            for j in visiting[i + 1:]:
+                lone = filterfalse(maps[j].__contains__, lone)
+            lone = list(lone)
+            if lone:
+                _score(maps, fresh.difference(lone), scores)
+                if len(scores) >= k and sorted(scores.values())[-k] > bounds[current]:
+                    continue  # each lone sentence scores at most bounds[current]
+                fresh = lone
+        _score(maps, fresh, scores)
     ranks = index.ranks
     top = list(scores)
     if len(top) > k:  # all above the k-th best score, then the first ties at it
@@ -193,6 +212,16 @@ def retrieve(index: Index, query_terms: list[str], k: int = 20) -> list[Retrieve
         sent = index.sentences[sid]
         out.append(RetrievedSentence(sent.text, sent.view, scores[sid], sent.doc_id, sent.position))
     return out
+
+
+def _score(maps: list[dict[int, float]], sids: Iterable[int], scores: dict[int, float]) -> None:
+    """Score ``sids`` in full into ``scores``: 0.0, plus each term's weight
+    (0.0 where the sentence lacks the term), in term order."""
+    sids = list(sids)
+    column = repeat(0.0)
+    for weights in maps:
+        column = map(add, column, map(weights.get, sids, repeat(0.0)))
+    scores.update(zip(sids, column))
 
 
 def serialize_index(index: Index) -> str:

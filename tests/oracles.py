@@ -528,6 +528,28 @@ def coarse_classes_oracle(table: dict[str, set[str]], form: str) -> set[str]:
     return {label.split(":")[0] for label, forms in table.items() if normalized in forms}
 
 
+def entity_spans_oracle(category, tokens: list[str], table: dict[str, set[str]]) -> list:
+    """The spans NER finds for a HUM, LOC or ENTY ``category`` in
+    ``tokens``, every lookup done in full: the gazetteer windows of its
+    label's forms, and every capitalized run (a sentence-initial stopword
+    opens none) unless the run's normalized text is a form of labels of
+    other coarse classes only. ``table`` maps labels to normalized forms."""
+    spans = gazetteer_spans_oracle(tokens, frozenset(table.get(str(category), ())))
+    i = 0
+    while i < len(tokens):
+        if tokens[i][:1].isupper() and not (i == 0 and tokens[i].lower() in STOPWORDS):
+            j = i + 1
+            while j < len(tokens) and tokens[j][:1].isupper():
+                j += 1
+            others = coarse_classes_oracle(table, " ".join(tokens[i:j]))
+            if not others or category.coarse in others:
+                spans.append((i, j))
+            i = j
+        else:
+            i += 1
+    return sorted(set(spans))
+
+
 def bm25_oracle(docs, query_terms: list[str], k: int) -> list[tuple[str, int, float]]:
     """BM25 (k1=1.2, b=0.75) the slow obvious way: ``(doc_id, position,
     score)`` of every sentence holding a query term, each score summed over

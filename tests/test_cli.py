@@ -131,9 +131,9 @@ def test_run_makes_no_collection_after_loading(tmp_path, monkeypatch):
 
 def _garbage_made(command, argv) -> int:
     """What ``gc.collect()`` finds after ``command`` ran on ``argv`` with the
-    collector off; the arguments are parsed before, since argparse leaves
-    reference cycles of its own."""
-    args = cli._build_parser().parse_args(argv)
+    collector off; the arguments are parsed before, since building the
+    parser, on its first use, leaves reference cycles of its own."""
+    args = cli._parser().parse_args(argv)
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -833,6 +833,75 @@ def test_unreadable_input_is_one_line_data_error(tmp_path, monkeypatch, capsys, 
     monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
     assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
     assert capsys.readouterr().err == f"data error: {denied}: Permission denied\n"
+
+
+REVISION_RUN_OUT = (*REVISION_RUN, "--out-dir", "{out}")
+
+
+@pytest.mark.parametrize("argv, failed", [
+    (REVISION_RUN_OUT, "{out}/outcomes.jsonl"),
+    (REVISION_RUN_OUT, "{out}/scenario4_metrics.csv"),
+    (REVISION_RUN_OUT, "{out}/revision_i5.csv"),
+    (REVISION_RUN_OUT, "{out}/revision_report.json"),
+    (REVISION_RUN_OUT, "{out}/metadata.json"),
+    ((*REVISION_RUN_OUT, "--kb-out", "{out}/kb.json"), "{out}/kb.json"),
+    ((*REVISION_RUN_OUT, "--dump-index", "{out}/index.json"), "{out}/index.json"),
+    (("tutor", "--docs", DOCS, "--kb-out", "{kb}"), "{kb}"),
+], ids=["outcomes", "metrics-csv", "revision-csv", "revision-report", "metadata", "kb-out",
+        "dump-index", "tutor-kb-out"])
+def test_unwritable_output_is_one_line_output_error(tmp_path, monkeypatch, capsys, argv, failed):
+    """An output that cannot be written (here ``open`` is patched to fail
+    with a full disk) ends the command with exit 3 and one line naming it,
+    whether the command writes it before the run, after it, or on ``quit``."""
+    paths = {"out": tmp_path / "run", "kb": tmp_path / "kb.json"}
+    failed = failed.format(**paths)
+    real_open = open
+
+    def full(file, *args, **kwargs):
+        if str(file) == failed:
+            raise OSError(28, "No space left on device", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", full)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 3
+    assert capsys.readouterr().err == f"output error: {failed}: No space left on device\n"
+
+
+def test_out_dir_that_cannot_be_made_is_one_line_output_error(tmp_path, monkeypatch, capsys):
+    """An out-dir that passes the start-up checks but cannot be made (a
+    denied ``mkdir``) is one line naming it."""
+    out = tmp_path / "run"
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", denied)
+    assert run_cli(*REVISION_RUN, "--out-dir", str(out)) == 3
+    assert capsys.readouterr().err == f"output error: {out}: Permission denied\n"
+
+
+def test_a_second_main_call_leaves_no_garbage(tmp_path):
+    """``main`` parses with the one parser of the process, so only the
+    first call builds it and the reference cycles that argparse makes;
+    later calls, failing ones included, leave nothing for the cyclic
+    collector."""
+    kb_path = tmp_path / "kb.json"
+    save_kb(KnowledgeBase(), kb_path)
+    enabled = gc.isenabled()
+    try:
+        for argv in (["stats", "--kb-in", str(kb_path)], ["stats"], ["ingest", "--corpus", CORPUS]):
+            main(argv)
+            gc.collect()
+            gc.disable()
+            main(argv)
+            assert gc.collect() == 0, argv
+            gc.enable()
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 GOOD_OUTCOME = {"correct": True, "final_strategy": "pattern", "relaxation_used": "none"}

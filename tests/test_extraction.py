@@ -7,7 +7,8 @@ from patternqa.extraction import (Gazetteer, _gazetteer_spans, extract_ner, load
 from patternqa.retrieval import RetrievedSentence
 from patternqa.treebank import PUNCTUATION, parse_sentence
 
-from .oracles import analyse, coarse_classes_oracle, gazetteer_spans_oracle, leaf, node
+from .oracles import (analyse, coarse_classes_oracle, entity_spans_oracle, gazetteer_spans_oracle,
+                      leaf, node)
 
 GAZETTEER = load_gazetteer()
 REGEX_RULES = load_regex_rules()
@@ -238,3 +239,40 @@ def test_shipped_gazetteer_lookups_match_scan():
     for label, forms in table.items():
         assert GAZETTEER.forms(label) == forms
         assert GAZETTEER.first_words(label) == {form.split()[0] for form in forms}
+
+
+# forms of several words, forms sharing words across coarse classes, and
+# forms that normalize to "" (an article, punctuation)
+ENTITY_FORMS = {
+    "LOC:city": ["New York", "Paris", "York Harbor", "the Bay of Pigs"],
+    "HUM:ind": ["Paris Hilton", "York", "New"],
+    "ENTY:other": ["Bay of Pigs", "The", ",", "Harbor"],
+    "LOC:country": ["France", "A"],
+}
+ENTITY_TOKENS = ["The", "the", "A", "New", "York", "Paris", "Hilton", "Harbor", "Bay", "of",
+                 "Pigs", "France", "Rome", "saw", "in", ",", ".", "-LRB-", "\u24b6"]
+ENTITY_CATEGORIES = [Category("HUM", "ind"), Category("LOC", "city"), Category("ENTY", "other"),
+                     Category("LOC", "country"), Category("HUM", "gr")]
+
+
+@example(["We", "saw", "Paris", "."], {"LOC:city": {"Paris"}}, Category("HUM", "ind"))
+@example(["in", "York", "Harbor", "Rome"], {"HUM:ind": {"York"}}, Category("LOC", "city"))
+@example(["The", "Bay", "of", "the", "Pigs", "New", "York"], ENTITY_FORMS, Category("ENTY", "other"))
+@example(["saw", "The", "\u24b6", "A", "Rome"], {"ENTY:other": {"The"}}, Category("HUM", "ind"))
+@example(["saw", "\u24b6", ","], {"ENTY:other": {","}}, Category("LOC", "city"))
+@example(["in", "A", "France"], {"LOC:country": {"A", "France"}}, Category("HUM", "ind"))
+@given(st.lists(st.sampled_from(ENTITY_TOKENS), min_size=1, max_size=10),
+       st.dictionaries(st.sampled_from(sorted(ENTITY_FORMS)), st.sets(st.sampled_from(
+           sorted({form for forms in ENTITY_FORMS.values() for form in forms}))), max_size=4),
+       st.sampled_from(ENTITY_CATEGORIES))
+def test_entity_extraction_matches_full_lookups(tokens, raw_table, category):
+    """NER skips the gazetteer scan of a sentence that holds no first word
+    of its label's forms, and the coarse-class lookup of a capitalized run
+    that holds no word of any form; it finds what full lookups find. A run
+    holding a word of a form of another coarse class is still looked up,
+    and so is one that normalizes to "" when a form does."""
+    table = {label: {normalize_answer(form) for form in forms} for label, forms in raw_table.items()}
+    sentence = rsent(" ".join(tokens), "(S " + " ".join(f"(X {t})" for t in tokens) + ")")
+    found = extract_ner(category, [sentence], Gazetteer(table), REGEX_RULES)
+    assert [c.span for c in found] == entity_spans_oracle(category, tokens, table)
+    assert texts(found) == [" ".join(tokens[s:e]) for s, e in (c.span for c in found)]

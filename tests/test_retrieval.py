@@ -231,6 +231,13 @@ def bm25_cases(draw):
     return docs, query, draw(st.integers(0, 3) | st.integers(0, len(sentences) + 1))
 
 
+# the first sentence holds one term only, and its weight equals the third
+# best score once the sentences that hold a later term are scored: it must
+# still be scored, and it wins the tie by its place
+@example(([Document("d", (flat(["beta", "kappa"]), flat(["alpha", "omega"]),
+                          flat(["alpha", "sigma"]), flat(["beta", "gamma"]),
+                          flat(["gamma", "delta"])))],
+          ["alpha", "beta", "gamma"], 3))
 # the middle sentence's score, summed in descending-idf order, differs from
 # the sorted-order sum in its last bit
 @example(([Document("d", (flat(["beta"]), flat(["beta", "delta", "gamma"]), flat(["beta"])))],
@@ -266,11 +273,11 @@ class Unscorable(dict):
         return super().get(sid, default)
 
 
-def rule_out(index, keep):
-    """Make every sentence whose lowered tokens hold none of ``keep``
-    unscorable, in every term's postings."""
+def rule_out(index, keep, needed=1):
+    """Make every sentence whose lowered tokens hold fewer than ``needed``
+    of ``keep`` unscorable, in every term's postings."""
     ruled_out = {sid for sid, sent in enumerate(index.sentences)
-                 if not keep & set(sent.view.lowered)}
+                 if len(keep & set(sent.view.lowered)) < needed}
     for term, weights in index.postings.items():
         index.postings[term] = Unscorable(weights, ruled_out)
 
@@ -299,6 +306,29 @@ def test_pruned_loop_stops_after_the_rare_term():
         assert got == bm25_oracle(docs, query, k)
     with pytest.raises(AssertionError, match="bound rules out"):
         retrieve(index, query, 4)  # a fourth sentence needs the common lists
+
+
+def test_one_term_sentences_of_two_long_lists_are_never_scored():
+    """The shape of an ``unanswerable`` ``search`` query: two terms of 240
+    sentences each, both held by 40 of them, among 600. Once the 40 are
+    scored, each of the 40th best scores is above what the first term
+    alone can add, so the sentences that hold one term only, 200 of each
+    list, are never scored: not those of the first list, met there, nor
+    those of the second, never met."""
+    sentences = [flat(["left", "right", f"name{i}", "plain"]) for i in range(40)]
+    sentences += [flat([term, f"name{i}", f"spot{i}", "plain"])
+                  for term in ("left", "right") for i in range(200)]
+    sentences += [flat([f"noun{i % 9}", f"site{i}", "quiet", "calm"]) for i in range(160)]
+    docs = [Document(f"d{d:02d}", tuple(sentences[d::12])) for d in range(12)]
+    index = build_index(docs)
+    assert [len(index.postings[t]) for t in ("left", "right")] == [240, 240]
+    rule_out(index, {"left", "right"}, needed=2)
+    query = ["right", "left"]
+    for k in (1, 20, 40):
+        got = [(r.doc_id, r.position, r.score) for r in retrieve(index, query, k)]
+        assert got == bm25_oracle(docs, query, k)
+    with pytest.raises(AssertionError, match="bound rules out"):
+        retrieve(index, query, 41)  # a 41st sentence holds one term only
 
 
 def global_bound(sentences):

@@ -2,7 +2,8 @@
 ``bench/workloads.py`` (imported, never edited) and run in-process through
 ``cli.main`` with the arguments ``bench/run.py`` gives ``patternqa run``.
 Every output but ``metadata.json`` (it records the input paths) must
-reproduce these digests byte for byte.
+reproduce these digests byte for byte, and the run must pass the ground-truth
+checks of ``bench/checks.py`` (imported too) that ``bench/run.py`` applies.
 
 The digests were recorded from the code before the split-based parser and
 load-wide sharing of constituents; the ``outcomes.jsonl`` ones equal those
@@ -40,22 +41,22 @@ PINNED = {
 }
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load_bench("workloads")
+checks = _load_bench("checks")
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_workload_outputs_match_pinned_digests(tmp_path, capsys, name):
     inputs, out_dir = tmp_path / "input", tmp_path / "out"
-    spec, _ = workloads.generate(name, 1, inputs)
+    spec, truth = workloads.generate(name, 1, inputs)
     argv = ["run", "--scenario", str(spec.scenario),
             "--corpus", str(inputs / "questions.jsonl"), "--docs", str(inputs / "docs.jsonl")]
     if spec.revise_interval:
@@ -65,3 +66,11 @@ def test_workload_outputs_match_pinned_digests(tmp_path, capsys, name):
     produced = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in sorted(out_dir.iterdir()) if path.name != "metadata.json"}
     assert produced == PINNED[name]
+    outcomes, rescued = checks.read_outcomes(out_dir), checks.rescued_ids(out_dir)
+    problems = checks.check_outcomes(outcomes, rescued, truth)
+    if spec.revise_interval:
+        problems += checks.check_revision(outcomes, rescued, out_dir)
+    if name == "search":
+        problems += checks.check_retrieval(truth, inputs / "questions.jsonl", inputs / "docs.jsonl",
+                                           ROOT / "src" / "patternqa" / "data" / "stopwords.txt", 1)
+    assert problems == []
