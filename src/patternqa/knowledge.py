@@ -16,6 +16,12 @@ question phrase it derives one pattern over the minimal covering span:
     (no preterminal above it), which stays Lexical;
   * every other token stays Lexical.
 
+The answer is found at its lowercased tokens, else (when it holds no
+article) at its normalized words. Either search can match only at a start
+holding its first word, so the learner first drops every sentence that
+holds neither first word; such a sentence teaches nothing, and the rest
+are learned from in the same order, so the patterns are the same.
+
 The knowledge base stores patterns per question signature (semantic
 category + wh-word + depth-limited label sequence) with set-union,
 provenance-merging insertion. It is single-writer: the pipeline mutates it
@@ -27,6 +33,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .classify import Category, tagged_leaves, wh_word
@@ -96,7 +103,8 @@ class Pattern:
     """Elements and signature identify a pattern. Its provenance is a set of
     (question id, sentence identifier) pairs, copied from the argument; the
     knowledge base grows a stored pattern's set in place, and
-    ``source_questions`` (the question ids) with it."""
+    ``source_questions`` (the question ids) with it. The elements are never
+    changed, so the forms derived from them are made once, when first read."""
 
     elements: tuple[PatternElement, ...]
     signature: Signature
@@ -112,8 +120,23 @@ class Pattern:
         self.provenances = set(self.provenances)
         self.source_questions = {qid for qid, _ in self.provenances}
 
-    def render(self) -> str:
+    @cached_property
+    def rendered(self) -> str:
+        """The pattern as text: the provenance its candidates carry."""
         return " ".join(e.render() for e in self.elements)
+
+    @cached_property
+    def lowered(self) -> tuple[tuple[str, str], ...]:
+        """``(kind, value)`` per element, a literal's value lowercased, as
+        it is compared with a sentence's lowercased tokens."""
+        return tuple((kind, value.lower() if kind == LEXICAL else value)
+                     for kind, value in self.elements)
+
+    @cached_property
+    def literals(self) -> tuple[str, ...]:
+        """The lowercased literal values: an exact alignment needs each of
+        them among the sentence's lowercased tokens."""
+        return tuple(value for kind, value in self.lowered if kind == LEXICAL)
 
 
 def question_signature(question: Question, category: Category) -> Signature:
@@ -250,8 +273,16 @@ def learn_patterns(question: Question, answer: str, sentences: Sequence[Retrieve
     ``signature``, every teaching sentence in its provenance; order is irrelevant."""
     if not answer:
         return []
-    answer_forms = (tuple(t.lower() for t in tokenize(answer)),
-                    tuple(normalize_answer(answer).split()))
+    raw, normalized = answer_forms = (tuple(t.lower() for t in tokenize(answer)),
+                                      tuple(normalize_answer(answer).split()))
+    # _answer_span matches only at a start holding the first word of a form
+    # it searches, so a sentence holding neither first word teaches nothing
+    first = raw[0] if raw else None
+    first_normalized = normalized[0] if normalized and ARTICLES.isdisjoint(normalized) else None
+    sentences = [s for s in sentences
+                 if first in s.view.lowered or first_normalized in s.view.stripped]
+    if not sentences:
+        return []
     phrases = _question_phrases(question)
     content_stems = {stem(w) for w in content_words(question.parse)}
     by_elements: dict[tuple, list[tuple[str, str]]] = {}

@@ -8,9 +8,17 @@ matching label. Candidate alignments are explored top-down, left-to-right,
 depth-first; every leaf offset at which the remaining sentence is long
 enough is tried. Relaxation (string-similarity token matching,
 superclass-compatible tags) applies only as far as the given config
-enables it; when to relax is decided by the caller. Without lexical
+enables it; when to relax is decided by the caller.
+
+Two exact pre-tests skip work that cannot succeed. Without lexical
 relaxation a pattern whose literal tokens are not all in the sentence
-cannot align, which is tested before any alignment is tried.
+cannot align, which is tested before any alignment is tried. With
+Levenshtein relaxation a token is first compared with a literal by length
+(:func:`length_rules_out`): the edit distance is at least the length
+difference, so a pair whose lengths alone put the similarity below the
+threshold is rejected without computing the distance, and no pair at or
+above it ever is. A pattern's lowercased elements, its literals and its
+rendered text are made once per :class:`~patternqa.knowledge.Pattern`.
 
 The module holds no state. Its functions are pure over immutable inputs
 (patterns, views and configs), except that :func:`unify` may be handed a
@@ -85,6 +93,17 @@ def lexical_similarity(a: str, b: str, measure: str = "levenshtein") -> float:
             return 1.0
         return len(ga & gb) / len(ga | gb)
     raise ValueError(f"unknown measure {measure!r}")
+
+
+def length_rules_out(a: str, b: str, threshold: float) -> bool:
+    """True when the lengths alone put ``lexical_similarity(a, b,
+    "levenshtein")`` below ``threshold``, so the distance need not be
+    computed. Exact (the length filter of Gravano et al., 2001): the
+    distance is at least the length difference, and float division and
+    subtraction are monotone, so ``1 - difference / longest`` is never
+    below the similarity, and a pair at the threshold is never ruled out."""
+    longest = max(len(a), len(b))
+    return longest > 0 and 1.0 - abs(len(a) - len(b)) / longest < threshold
 
 
 def load_tag_hierarchy(path=None) -> dict[str, str]:
@@ -178,12 +197,12 @@ def unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
 def _unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
            doc_id: str | None, position: int | None) -> tuple[CandidateAnswer, ...]:
     lowered = sentence.lowered
-    elements = [(e.kind, e.value.lower() if e.kind == LEXICAL else e.value)
-                for e in pattern.elements]
     lexical_on = config.enable_lexical
-    if not lexical_on and any(kind == LEXICAL and value not in lowered
-                              for kind, value in elements):
+    if not lexical_on and not all(map(lowered.__contains__, pattern.literals)):
         return ()
+    elements = pattern.lowered
+    measure, threshold = config.lexical_measure, config.lexical_threshold
+    bounded = measure == "levenshtein"
     constituents = sentence.constituents
     hierarchy = config.tag_hierarchy if config.enable_syntactic else None
     n, size = len(lowered), len(elements)
@@ -203,9 +222,8 @@ def _unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
             token = lowered[pos]
             if token == value:
                 match(idx + 1, pos + 1, captured, lex_used, syn_used)
-            elif lexical_on and lexical_similarity(
-                token, value, config.lexical_measure
-            ) >= config.lexical_threshold:
+            elif lexical_on and not (bounded and length_rules_out(token, value, threshold)) \
+                    and lexical_similarity(token, value, measure) >= threshold:
                 match(idx + 1, pos + 1, captured, True, syn_used)
             return
         for end, label, _ in constituents[pos]:
@@ -224,7 +242,7 @@ def _unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
     if not found:
         return ()
     tokens = sentence.tokens
-    provenance = pattern.render()
+    provenance = pattern.rendered
     return tuple(CandidateAnswer(" ".join(tokens[span[0] : span[1]]), span, "pattern",
                                  provenance, found[span], doc_id, position)
                  for span in sorted(found))

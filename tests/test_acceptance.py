@@ -76,7 +76,7 @@ def test_oracle_equivalence_exact_unification(make_state, fixture_questions):
         mine = {c.span for c in unify(pattern, analyse(tree), config)}
         oracle = brute_force_answer_spans(pattern, tree)
         if mine != oracle:
-            mismatches.append((pattern.render(), mine, oracle))
+            mismatches.append((pattern.rendered, mine, oracle))
     # also on every fixture tree against every pattern a fixture run learns
     state = make_state()
     run_sequence(state, fixture_questions, ScenarioConfig.from_id(2))
@@ -88,7 +88,7 @@ def test_oracle_equivalence_exact_unification(make_state, fixture_questions):
                 pairs += 1
                 mine = {c.span for c in unify(pattern, analyse(tree), config)}
                 if mine != brute_force_answer_spans(pattern, tree):
-                    mismatches.append((pattern.render(), tree, mine))
+                    mismatches.append((pattern.rendered, tree, mine))
     assert report("oracle-equivalence", not mismatches,
                   f"{pairs} pattern/tree pairs, {len(mismatches)} mismatches")
 

@@ -4,8 +4,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from patternqa import knowledge
 from patternqa.classify import Category, classify
 from patternqa.corpus import COARSE_CLASSES, Question, normalize_answer, tokenize
 from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, SYNTACTIC, KnowledgeBase, Pattern,
@@ -33,7 +34,7 @@ def test_worked_example_learns_expected_pattern(dante_question, dante_sentence):
     assert [(e.kind, e.value) for e in patterns[0].elements] == [
         ("answer", "NP"), ("lexical", "has"), ("syntactic", "VBN"), ("syntactic", "NP"),
     ]
-    assert patterns[0].render() == "NP_answer has VBN NP"
+    assert patterns[0].rendered == "NP_answer has VBN NP"
 
 
 def test_slots_take_the_lowest_of_stacked_constituents(dante_question):
@@ -43,12 +44,12 @@ def test_slots_take_the_lowest_of_stacked_constituents(dante_question):
                     "(S (UCP (NX (NNP Dante))) (VP (VBZ has) (VP (VBN written) "
                     "(FRAG (NP (DT The) (NNP Divine) (NNP Comedy))))))")
     patterns = learn_patterns(dante_question, "Dante", [stacked], signature_of(dante_question))
-    assert [p.render() for p in patterns] == ["NX_answer has VBN NP"]
+    assert [p.rendered for p in patterns] == ["NX_answer has VBN NP"]
     bare = rsent("Dante has written The Divine Comedy",
                  "(S (NNP Dante) (VP (VBZ has) (VP (VBN written) "
                  "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
     patterns = learn_patterns(dante_question, "Dante", [bare], signature_of(dante_question))
-    assert [p.render() for p in patterns] == ["NNP_answer has VBN NP"]
+    assert [p.rendered for p in patterns] == ["NNP_answer has VBN NP"]
 
 
 BARE_WROTE_PARSE = "(S (NP (NNP Dante)) wrote (NP (NNP Inferno)) (. .))"
@@ -62,8 +63,50 @@ def test_a_leaf_without_a_tag_stays_literal():
                         parse=parse_sentence(INFERNO_QUESTION_PARSE), answers=("Dante",))
     sentence = rsent("Dante wrote Inferno .", BARE_WROTE_PARSE, doc_id="d1")
     patterns = learn_patterns(question, "Dante", [sentence], signature_of(question))
-    assert [p.render() for p in patterns] == ["NP_answer wrote NP"]
+    assert [p.rendered for p in patterns] == ["NP_answer wrote NP"]
     assert patterns[0].provenances == {("q1", "d1:0")}
+
+
+def _wrote_inferno(subject, doc_id="d", position=0):
+    """A sentence whose subject NP holds the tokens ``subject``."""
+    words = " ".join(f"(NNP {token})" for token in subject)
+    return rsent(" ".join(subject) + " wrote Inferno",
+                 f"(S (NP {words}) (VP (VBD wrote) (NP (NNP Inferno))))", doc_id, position)
+
+
+@pytest.mark.parametrize("answer, searched", [
+    ("The Beatles", [["Beatles"], ["The", "band"]]),  # normalized first word, raw first word
+    ("O'Neill", [["ONeill"]]),  # normalized first word only
+    ("Dante", [["Dante"]]),
+])
+def test_only_sentences_holding_a_first_word_of_the_answer_are_searched(monkeypatch, answer,
+                                                                         searched):
+    """The answer's span is looked for only in sentences holding its first
+    lowercased token or, when it holds no article, its first normalized
+    word; no other sentence can hold it. The patterns stay those of the
+    learner that searched every sentence."""
+    subjects = [["Beatles"], ["ONeill"], ["Dante"], ["The", "band"], ["Dantes"]]
+    sentences = [_wrote_inferno(subject, position=i) for i, subject in enumerate(subjects)]
+    question = Question(id="q1", text="Who wrote Inferno ?",
+                        parse=parse_sentence(INFERNO_QUESTION_PARSE), answers=(answer,))
+    real, reached = knowledge._answer_span, []
+
+    def counted(sentence, forms):
+        reached.append(list(sentence.tokens[:-2]))
+        return real(sentence, forms)
+
+    monkeypatch.setattr(knowledge, "_answer_span", counted)
+    patterns = learn_patterns(question, answer, sentences, signature_of(question))
+    assert reached == searched
+    assert [p.rendered for p in patterns] == ["NP_answer VP"]
+    assert patterns == learn_patterns_oracle(question, answer, sentences, signature_of(question))
+
+
+# articles in any case, punctuation-only tokens, and words whose stripped
+# form differs from their lowercased one
+SPAN_TOKENS = st.sampled_from(["the", "The", "THE", "a", "A", "an", "An", "Dante", "dante",
+                               "Dantes", "Dante's", "U.S.", "us", "wrote", "Inferno", "Inferno.",
+                               "of", ".", ",", "--", "'s"])
 
 
 def test_empty_sentence_list(dante_question):
@@ -179,7 +222,7 @@ def test_closure_learned_patterns_extract_their_answer(fixture_questions, fixtur
             for pattern in learned:
                 candidates = unify(pattern, sentence.view, config.exact)
                 assert any(normalize_answer(c.text) == normalize_answer(answer)
-                           for c in candidates), (question.id, pattern.render())
+                           for c in candidates), (question.id, pattern.rendered)
                 checked += 1
     assert checked >= 30
 
@@ -313,7 +356,7 @@ def test_learner_closure_on_random_sentences():
         for pattern in learn_patterns(question, answer, [sentence], TEST_SIGNATURE):
             span = _taught_span(sentence.view.tokens, answer)
             assert span in {c.span for c in unify(pattern, sentence.view, config)}, \
-                (pattern.render(), answer, sentence.text)
+                (pattern.rendered, answer, sentence.text)
             assert pattern.provenances == {("q", "doc:3")}
             learned += 1
     assert learned >= 150
@@ -385,17 +428,29 @@ def test_learning_over_bare_leaves(taught, middle, asked, label, answer_first, d
     for pattern in learned:
         assert span in {c.span for c in unify(pattern, view, default_config().exact)}
         witnesses = _exact_alignments(pattern, view, span)
-        assert witnesses, pattern.render()
+        assert witnesses, pattern.rendered
         for spans in witnesses:
             for element, (start, end) in zip(pattern.elements, spans):
                 if end - start == 1 and start in untagged:
-                    assert element == lexical(view.tokens[start]), pattern.render()
+                    assert element == lexical(view.tokens[start]), pattern.rendered
 
 
-def test_learner_matches_the_per_sentence_oracle(fixture_questions, fixture_docs):
+@settings(max_examples=3, deadline=None)  # each example reruns the fixture and random batches
+@given(answer=st.lists(SPAN_TOKENS, min_size=1, max_size=3).map(" ".join),
+       subject=st.lists(SPAN_TOKENS, min_size=1, max_size=3))
+@example(answer="The Beatles", subject=["Beatles"])  # found only in normalized form
+@example(answer="O'Neill", subject=["ONeill"])
+def test_learner_matches_the_per_sentence_oracle(fixture_questions, fixture_docs, answer,
+                                                 subject):
     """Patterns, signatures, provenances and their order equal those of the
-    learner that built one Pattern per sentence, on the fixtures and on
-    random sentences taught together."""
+    learner that built one Pattern per sentence, on the fixtures, on random
+    sentences taught together, and on an answer taught from a sentence whose
+    subject reads ``subject``."""
+    question = Question(id="q1", text="Who wrote Inferno ?",
+                        parse=parse_sentence(INFERNO_QUESTION_PARSE), answers=(answer,))
+    sentence = [_wrote_inferno(subject)]
+    assert learn_patterns(question, answer, sentence, TEST_SIGNATURE) == \
+        learn_patterns_oracle(question, answer, sentence, TEST_SIGNATURE)
     sentences = [RetrievedSentence(text, view, 1.0, doc.doc_id, i)
                  for doc in fixture_docs for i, (text, view) in enumerate(doc.sentences)]
     learned = 0
@@ -461,13 +516,6 @@ def test_save_load_round_trips_random_kbs(kb):
                 [p.source_questions for p in kb.lookup(signature)]
         save_kb(loaded, second)
         assert second.read_bytes() == first.read_bytes()
-
-
-# articles in any case, punctuation-only tokens, and words whose stripped
-# form differs from their lowercased one
-SPAN_TOKENS = st.sampled_from(["the", "The", "THE", "a", "A", "an", "An", "Dante", "dante",
-                               "Dantes", "Dante's", "U.S.", "us", "wrote", "Inferno", "Inferno.",
-                               "of", ".", ",", "--", "'s"])
 
 
 @settings(max_examples=400, deadline=None)

@@ -14,7 +14,7 @@ from patternqa.pipeline import (Interpretation, PipelineState, ScenarioConfig,
                                 pattern_candidates, revise, run_sequence)
 from patternqa.retrieval import RetrievedSentence, build_index
 from patternqa.treebank import parse_sentence
-from patternqa.unification import default_config, unify
+from patternqa.unification import default_config, lexical_similarity, unify
 from patternqa import pipeline as pipeline_module
 
 from .conftest import DANTE_QUESTION_PARSE, HAMLET_QUESTION_PARSE, signature_of
@@ -257,7 +257,7 @@ def test_retry_reruns_only_when_its_signature_gains_a_pattern(monkeypatch):
                   record.signature, {("t3", "lit:0")})
     state.kb.insert([hit])
     assert checkpoint() == ["h"]
-    assert {pattern.render() for pattern in calls} == {miss.render(), hit.render()}
+    assert {pattern.rendered for pattern in calls} == {miss.rendered, hit.rendered}
 
 
 def test_monotone_learning_candidates_grow_with_kb(dante_question, dante_sentence,
@@ -352,6 +352,38 @@ def test_relaxed_match_recorded_in_outcome(fixture_questions, make_state):
     by_id = {o.question_id: o for o in result.outcomes}
     assert by_id["q10"].correct
     assert by_id["q10"].final.relaxation_used == "syntactic"
+
+
+AUTHOR_QUESTION_PARSE = ("(SBARQ (WHNP (WP Who)) (SQ (VBZ is) (NP (NP (DT the) (NN author)) "
+                         "(PP (IN of) (NP (NNP {}))))) (. ?))")
+
+
+def test_lexical_relaxation_at_the_threshold_answers_and_rescues():
+    """End to end at the Levenshtein boundary. Each question's only
+    supporting sentence spells the literal the other one taught at
+    similarity exactly the threshold and one letter shorter or longer
+    (``wrot``/``wrote``), so relaxation answers the second question, and a
+    revision retry rescues the first with the pattern the second taught."""
+    docs = [Document("epics", (
+        ("Homer wrot Odyssey.",
+         parse_sentence("(S (NP (NNP Homer)) (VP (VBD wrot) (NP (NNP Odyssey))) (. .))")),
+        ("Dante wrote Inferno.",
+         parse_sentence("(S (NP (NNP Dante)) (VP (VBD wrote) (NP (NNP Inferno))) (. .))")),
+    ))]
+    state = PipelineState(kb=KnowledgeBase(), index=build_index(docs), gazetteer=load_gazetteer())
+    homer, dante = (Question(id=name, text=f"Who is the author of {work} ?",
+                             parse=parse_sentence(AUTHOR_QUESTION_PARSE.format(work)),
+                             answers=(name,))
+                    for name, work in (("Homer", "Odyssey"), ("Dante", "Inferno")))
+    assert lexical_similarity("wrot", "wrote") == state.relax.lexical_threshold == 0.8
+    scenario = ScenarioConfig.from_id(2)
+
+    first = answer_question(state, homer, scenario)
+    assert not first.correct and first.fallback_used  # it teaches "NP_answer wrot NP"
+    second = answer_question(state, dante, scenario)
+    assert (second.final.text, second.final.relaxation_used) == ("Dante", "lexical")
+    assert second.patterns_learned == 1  # "NP_answer wrote NP"
+    assert revise(state, ["Homer"], 2).newly_correct == ["Homer"]
 
 
 @pytest.mark.parametrize("scenario_id, interval", [(1, None), (2, None), (3, None), (4, None),

@@ -2,13 +2,14 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from patternqa import unification
 from patternqa.knowledge import Pattern, answer_slot, lexical, syntactic
 from patternqa.treebank import parse_sentence
 from patternqa.unification import (RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE,
                                    RELAX_SYNTACTIC, RelaxConfig,
-                                   default_config, levenshtein_distance,
+                                   default_config, length_rules_out, levenshtein_distance,
                                    lexical_similarity, load_tag_hierarchy,
                                    tag_compatible, unify)
 
@@ -76,6 +77,47 @@ def test_distance_identity(a):
 
 
 HIERARCHY = load_tag_hierarchy()
+
+
+THRESHOLDS = st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("abcde", max_size=8), st.text("abcde", max_size=8), THRESHOLDS, st.booleans())
+@example("wrote", "wrot", 0.8, False)  # similarity exactly 0.8, lengths 5 and 4
+@example("abcde", "abcd", 0.8, False)
+@example("ab", "a", 0.5, False)
+@example("", "", 1.0, False)
+@example("", "a", 0.0, False)
+@example("", "a", 1.0, False)
+def test_length_bound_never_rules_out_a_similar_pair(a, b, threshold, at_similarity):
+    """The length pre-test rejects no pair whose Levenshtein similarity
+    reaches the threshold, a threshold equal to the similarity included."""
+    similarity = lexical_similarity(a, b, "levenshtein")
+    if at_similarity:
+        threshold = similarity
+    if similarity >= threshold:
+        assert not length_rules_out(a, b, threshold)
+
+
+def test_relaxed_matching_runs_no_distance_that_lengths_rule_out(monkeypatch):
+    """Only the token whose length is close enough to the literal's reaches
+    the edit-distance computation; the match it finds is unchanged."""
+    compared = []
+
+    def counted(a, b):
+        compared.append((a, b))
+        return levenshtein_distance(a, b)
+
+    monkeypatch.setattr(unification, "levenshtein_distance", counted)
+    pattern = Pattern((answer_slot("NP"), lexical("wrote"), syntactic("NP")), TEST_SIGNATURE,
+                      {("q", "doc:0")})
+    view = parse_sentence("(S (NP (NNP Homer)) (VP (VBD wrot) (NP (NNP Odyssey))) "
+                          "(PP (IN in) (NP (NNP Greece))) (CC and) (NP (NNS epics)) "
+                          "(VP (VBD composed) (NP (NNP Iliad))))")
+    found = unify(pattern, view, default_config())
+    assert [(c.text, c.relaxation_used) for c in found] == [("Homer", RELAX_LEXICAL)]
+    assert set(compared) == {("wrot", "wrote")}
 
 
 def test_tag_compatibility_table():
@@ -213,7 +255,7 @@ def test_relaxed_unification_matches_brute_force(measure):
                                 enable_lexical=rng.random() < 0.8,
                                 enable_syntactic=rng.random() < 0.8)
         got = {c.span: c.relaxation_used for c in unify(pattern, analyse(tree), config)}
-        assert got == brute_force_alignments(pattern, tree, config), pattern.render()
+        assert got == brute_force_alignments(pattern, tree, config), pattern.rendered
         labels.update(got.values())
     assert labels == {RELAX_NONE, RELAX_LEXICAL, RELAX_SYNTACTIC, RELAX_BOTH}
 
