@@ -1,7 +1,9 @@
 """Command-line interface: corpus validation, experiment runs, revision
 runs, KB inspection, and an interactive tutor loop.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 output error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 output error. Input
+paths are checked where :func:`~patternqa.corpus.opened` opens them; every
+output file is written by :func:`_write`, from text the modules render.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from pathlib import Path
 
 from .corpus import (DataError, Question, check, json_text, load_documents, load_qa_corpus,
                      normalize_answer, opened, read_json, read_jsonl)
-from .evaluation import export_series, running_metrics
+from .evaluation import running_metrics, series_lines
 from .extraction import load_gazetteer
-from .knowledge import MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase, load_kb, save_kb
+from .knowledge import MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase, kb_text, load_kb
 from .pipeline import (PipelineState, ScenarioConfig, apply_feedback, extract_candidates,
                        interpret, run_sequence)
 from .retrieval import build_index, serialize_index
@@ -90,21 +92,14 @@ def _sha256(path) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def _require_file(path, what) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(path or '""', f"{what} file not found")
-    return p
-
-
 def cmd_ingest(args) -> int:
     if args.corpus is None and args.docs is None:
         raise UsageError("nothing to ingest; pass --corpus and/or --docs")
     if args.corpus is not None:
-        questions = load_qa_corpus(_require_file(args.corpus, "corpus"))
+        questions = load_qa_corpus(args.corpus)
         print(f"corpus ok: {len(questions)} questions")
     if args.docs is not None:
-        docs = load_documents(_require_file(args.docs, "docs"))
+        docs = load_documents(args.docs)
         sentences = sum(len(d.sentences) for d in docs)
         print(f"docs ok: {len(docs)} documents, {sentences} sentences")
     return 0
@@ -126,13 +121,13 @@ def _candidate_json(cand) -> str:
             f'"text": {_string(cand.text)}}}')
 
 
-def _write_outcomes(outcomes, handle) -> None:
-    """Write one line per outcome: its record exactly as
+def _outcome_lines(outcomes):
+    """One line per outcome: its record exactly as
     ``json.dumps(record, sort_keys=True)`` writes it (keys sorted,
     ASCII-escaped), assembled straight from the outcome. The run's memo
     shares candidates between questions, so each candidate object is
-    encoded once per call; the outcomes keep every candidate alive until
-    the call returns, so no object id is reused while it is a key."""
+    encoded once per walk; the outcomes keep every candidate alive until
+    the walk ends, so no object id is reused while it is a key."""
     encoded: dict[int, str] = {}
     for outcome in outcomes:
         parts = []
@@ -142,7 +137,7 @@ def _write_outcomes(outcomes, handle) -> None:
                 text = encoded[id(cand)] = _candidate_json(cand)
             parts.append(text)
         final = outcome.final
-        handle.write(
+        yield (
             f'{{"answered": {_BOOL[outcome.answered]}, "candidates": [{", ".join(parts)}], '
             f'"category": {_string(outcome.category)}, "correct": {_BOOL[outcome.correct]}, '
             f'"error": {_nullable(outcome.error)}, '
@@ -167,14 +162,19 @@ _INPUTS = ("corpus", "docs", "kb_in")
 
 def _check_output_path(flag: str, path, directory: bool = False, created=None) -> None:
     """Reject an output path that cannot be written, before any input is
-    loaded: a file path that is a directory, a directory path that is a
-    file, a path below an existing file, or a file path whose parent
-    directory neither exists nor is ``created``, the directory the command
-    makes before writing."""
+    loaded: an empty path, one the system refuses to look up, a file path
+    that is a directory, a directory path that is a file, a path below an
+    existing file, or a file path whose parent directory neither exists nor
+    is ``created``, the directory the command makes before writing."""
     if path is None:
         return
+    if not path:
+        raise UsageError(f'{flag} "" names no {"directory" if directory else "file"}')
     target = Path(path)
-    existing = next(p for p in (target, *target.parents) if p.exists())
+    try:
+        existing = next(p for p in (target, *target.parents) if p.exists())
+    except OSError as exc:  # a name too long, or a directory that may not be searched
+        raise UsageError(f"{flag} {path}: {exc.strerror or exc}") from exc
     if existing == target and target.is_dir() != directory:
         raise UsageError(f"{flag} {path} is {'not ' if directory else ''}a directory")
     if existing != target and not existing.is_dir():
@@ -198,8 +198,9 @@ def _check_run_values(args) -> None:
 
 def _check_run_outputs(args) -> None:
     """Reject run output paths that cannot be written."""
-    _check_output_path("--out-dir", args.out_dir or "out", directory=True)  # out/<time> by default
-    out_dir = Path(args.out_dir) if args.out_dir else None
+    default = args.out_dir is None  # out/<time> then
+    _check_output_path("--out-dir", "out" if default else args.out_dir, directory=True)
+    out_dir = None if default else Path(args.out_dir)
     _check_output_path("--kb-out", args.kb_out, created=out_dir)
     _check_output_path("--dump-index", args.dump_index, created=out_dir)
 
@@ -207,8 +208,7 @@ def _check_run_outputs(args) -> None:
 def _restore_from_metadata(args) -> dict[str, str]:
     """Set the run arguments recorded in ``args.from_metadata`` and return
     the input digests it records, by input name."""
-    recorded, inputs = read_json(_require_file(args.from_metadata, "from-metadata"),
-                                 _recorded_run)
+    recorded, inputs = read_json(args.from_metadata, _recorded_run)
     for key in _RECORDED + tuple(f"no_{switch}" for switch in _SWITCHES):
         setattr(args, key, getattr(recorded, key))
     return {name: inputs[f"{name}_sha256"] for name in _INPUTS
@@ -240,26 +240,27 @@ def _check_digests(args, digests: dict[str, str]) -> None:
     """Refuse to re-run on an input that differs from the one recorded."""
     for name, digest in digests.items():
         path = getattr(args, name)
-        if _sha256(_require_file(path, name.replace("_", "-"))) != digest:
+        if _sha256(path) != digest:
             raise DataError(args.from_metadata, f"{path} does not match the recorded "
                             f"{name}_sha256; the input changed since the run")
 
 
 @contextlib.contextmanager
 def _output(path):
-    """Every output a command writes is written in this block: ``path`` is
-    the file, or the directory made, that the block writes. An ``OSError``
-    there, such as a full disk or a denied write, becomes an
-    :class:`OutputError` naming ``path``."""
+    """The out-dir is made, and every file written, in this block: ``path``
+    is the directory or file. An ``OSError`` there, such as a full disk or
+    a denied write, becomes an :class:`OutputError` naming ``path``."""
     try:
-        yield path
+        yield
     except OSError as exc:
         raise OutputError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _write_text(path, text: str) -> None:
-    with _output(path), open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+def _write(path, chunks) -> None:
+    """Write the strings ``chunks`` to the file ``path``, as they come and
+    as given, line breaks included: the one way a command writes a file."""
+    with _output(path), open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(chunks)
 
 
 def _collector_off(command):
@@ -283,8 +284,8 @@ def _collector_off(command):
 def _session(args, **settings) -> PipelineState:
     """The state a command answers in: the ``--docs`` collection indexed,
     the ``--kb-in`` knowledge base or an empty one, and ``settings``."""
-    docs = load_documents(_require_file(args.docs, "docs"))
-    kb = KnowledgeBase() if args.kb_in is None else load_kb(_require_file(args.kb_in, "kb-in"))
+    docs = load_documents(args.docs)
+    kb = KnowledgeBase() if args.kb_in is None else load_kb(args.kb_in)
     return PipelineState(kb=kb, index=build_index(docs), gazetteer=load_gazetteer(),
                          top_k=args.top_k, **settings)
 
@@ -302,28 +303,26 @@ def cmd_run(args) -> int:
         enable_lexical=not args.no_lexical_relax,
         enable_syntactic=not args.no_syntactic_relax,
     )
-    questions = load_qa_corpus(_require_file(args.corpus, "corpus"))
+    questions = load_qa_corpus(args.corpus)
     state = _session(args, relax=relax)
     # made before any output is written: --dump-index and --kb-out may lie in it
-    out_dir = Path(args.out_dir) if args.out_dir else Path("out") / time.strftime("%Y%m%d-%H%M%S")
+    out_dir = (Path("out") / time.strftime("%Y%m%d-%H%M%S") if args.out_dir is None
+               else Path(args.out_dir))
     with _output(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    if args.dump_index:
-        _write_text(args.dump_index, serialize_index(state.index) + "\n")
+    if args.dump_index is not None:
+        _write(args.dump_index, (serialize_index(state.index), "\n"))
     result = run_sequence(state, questions, scenario, args.revise_interval,
                           learn_on_revision=not args.no_learn_on_revision)
 
-    with (_output(out_dir / "outcomes.jsonl") as path,
-          open(path, "w", encoding="utf-8") as handle):
-        _write_outcomes(result.outcomes, handle)
+    _write(out_dir / "outcomes.jsonl", _outcome_lines(result.outcomes))
 
     series = [(f"scenario{scenario.id}_metrics.csv", ())]
     if args.revise_interval:  # the run's score then counts the rescued questions
         series.append((f"revision_i{args.revise_interval}.csv", result.revision))
     for name, revision in series:
         points, alt_points = running_metrics(result.outcomes, revision)
-        with _output(out_dir / name) as path:
-            export_series(points, path, alt_points)
+        _write(out_dir / name, series_lines(points, alt_points))
         final = points[-1] if points else None  # the last point of the last series
         del points, alt_points  # freed before the next series is counted
     if args.revise_interval:
@@ -332,7 +331,7 @@ def cmd_run(args) -> int:
             "checkpoints": [vars(r) for r in result.revision],
             "final_correct": 0 if final is None else final.correct,
         }
-        _write_text(out_dir / "revision_report.json", json_text(report, sort_keys=True) + "\n")
+        _write(out_dir / "revision_report.json", (json_text(report, sort_keys=True), "\n"))
 
     config = {key: getattr(args, key) for key in _RECORDED}
     config.update({switch: not getattr(args, f"no_{switch}") for switch in _SWITCHES})
@@ -347,11 +346,9 @@ def cmd_run(args) -> int:
         "inputs": {f"{name}_sha256": _sha256(getattr(args, name))
                    for name in _INPUTS if getattr(args, name) is not None},
     }
-    _write_text(out_dir / "metadata.json", json_text(metadata, sort_keys=True) + "\n")
-
-    if args.kb_out:
-        with _output(args.kb_out):
-            save_kb(state.kb, args.kb_out)
+    _write(out_dir / "metadata.json", (json_text(metadata, sort_keys=True), "\n"))
+    if args.kb_out is not None:
+        _write(args.kb_out, (kb_text(state.kb),))
 
     if final is not None:
         print(f"scenario {scenario.id}: {len(questions)} questions, "
@@ -426,9 +423,8 @@ def cmd_tutor(args) -> int:
             print("commands: ask <bracketed parse> | y | n | answer <text> | quit")
         prompt()
     print()
-    if args.kb_out:
-        with _output(args.kb_out):
-            save_kb(state.kb, args.kb_out)
+    if args.kb_out is not None:
+        _write(args.kb_out, (kb_text(state.kb),))
         print(f"kb saved to {args.kb_out} "
               f"({state.kb.pattern_count()} patterns, {len(state.kb.qa_pairs)} qa pairs)")
     return 0
@@ -457,7 +453,7 @@ def _exact_pattern_answer(record: dict) -> bool | None:
 
 
 def cmd_stats(args) -> int:
-    kb = load_kb(_require_file(args.kb_in, "kb-in"))
+    kb = load_kb(args.kb_in)
     print(f"signatures: {len(kb.signatures())}")
     for signature in kb.signatures():
         print(f"  {signature.category} | {signature.structure_key}: "
@@ -465,7 +461,7 @@ def cmd_stats(args) -> int:
     print(f"patterns total: {kb.pattern_count()}")
     print(f"qa pairs: {len(kb.qa_pairs)}")
     if args.outcomes is not None:
-        found = read_jsonl(_require_file(args.outcomes, "outcomes"), _exact_pattern_answer)
+        found = read_jsonl(args.outcomes, _exact_pattern_answer)
         exact, relaxed = found.count(True), found.count(False)
         print(f"pattern-extracted correct answers: {exact + relaxed} "
               f"(exact: {exact}, relaxed: {relaxed})")

@@ -11,17 +11,17 @@ Every parse, a question's or a document sentence's, is read once, straight
 into a :class:`~patternqa.treebank.Sentence` view; no tree is built.
 
 Every JSON input, these two and the knowledge base, outcome log and run
-metadata read elsewhere, is read through :func:`opened` and decoded by
-:func:`read_json` (a whole file) or :func:`read_jsonl` (one value per
+metadata read elsewhere, is checked and read by :func:`opened` and decoded
+by :func:`read_json` (a whole file) or :func:`read_jsonl` (one value per
 line), which hand each decoded object to a builder. Builders validate with
 :func:`check`, whose ``ValueError`` the reader turns into a
-:class:`DataError` naming the file and, for JSON Lines, the line; so is an
-``OSError`` raised while reading a file.
+:class:`DataError` naming the file and, for JSON Lines, the line.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -150,9 +150,13 @@ def _decoded(path, raw: bytes, build, line: int | None = None):
 
 @contextmanager
 def opened(path):
-    """The input file ``path``, open for reading bytes. An ``OSError``
-    opening or reading it, such as a permission denied, raises
+    """The input file ``path``, open for reading bytes. A path naming no
+    regular file (missing, empty, too long, a directory, a device or pipe:
+    tested before opening, so a pipe is not blocked on) and an ``OSError``
+    opening or reading the file, such as a permission denied, raise
     :class:`DataError`."""
+    if not os.path.isfile(path):
+        raise DataError(path or '""', "file not found")
     try:
         with open(path, "rb") as handle:
             yield handle

@@ -1,10 +1,9 @@
 """Running precision/recall/F-measure over an outcome sequence, with or
-without the questions rescued at revision checkpoints, and CSV export of
-the resulting series."""
+without the questions rescued at revision checkpoints, and the CSV text of
+the resulting series (written to a file by the command line)."""
 
 from __future__ import annotations
 
-import csv
 from typing import NamedTuple
 
 
@@ -67,21 +66,12 @@ def running_metrics(outcomes, revision=()) -> tuple[list[EvalPoint], list[EvalPo
     return points, alt_points
 
 
-def export_series(points: list[EvalPoint], path, alt_points: list[EvalPoint] | None = None) -> None:
-    """CSV with header i,P,R,F,correct,answered; reals at 4 decimal places.
-    When the alternate (fallback-as-answered) series is given, it is
-    appended as extra columns of the same file."""
-    header = ["i", "P", "R", "F", "correct", "answered"]
-    if alt_points is not None:
-        header += ["P_fallback_answered", "F_fallback_answered", "answered_fallback"]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for idx, point in enumerate(points):
-            row = [point.i, f"{point.p:.4f}", f"{point.r:.4f}", f"{point.f:.4f}",
-                   point.correct, point.answered]
-            if alt_points is not None:
-                alt = alt_points[idx]
-                row += [f"{alt.p:.4f}", f"{alt.f:.4f}", alt.answered]
-            writer.writerow(row)
-
+def series_lines(points: list[EvalPoint], alt_points: list[EvalPoint]):
+    """The lines of a series CSV: header i,P,R,F,correct,answered, then the
+    alternate (fallback-as-answered) series' P, F and answered as extra
+    columns; reals at 4 decimal places. Lines end in ``\\r\\n``, as a
+    ``csv`` writer ends them, and no field needs quoting."""
+    yield "i,P,R,F,correct,answered,P_fallback_answered,F_fallback_answered,answered_fallback\r\n"
+    for point, alt in zip(points, alt_points, strict=True):
+        yield (f"{point.i},{point.p:.4f},{point.r:.4f},{point.f:.4f},{point.correct},"
+               f"{point.answered},{alt.p:.4f},{alt.f:.4f},{alt.answered}\r\n")

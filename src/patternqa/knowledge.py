@@ -25,7 +25,9 @@ are learned from in the same order, so the patterns are the same.
 The knowledge base stores patterns per question signature (semantic
 category + wh-word + depth-limited label sequence) with set-union,
 provenance-merging insertion. It is single-writer: the pipeline mutates it
-only between questions, so extraction always sees a frozen snapshot.
+only between questions, so extraction always sees a frozen snapshot. A KB
+file is the text :func:`kb_text` renders, written by the command line and
+read back by :func:`load_kb`.
 """
 
 from __future__ import annotations
@@ -345,7 +347,9 @@ def _element_to_json(element: PatternElement) -> dict:
     return {"kind": element.kind, "value": element.value}
 
 
-def save_kb(kb: KnowledgeBase, path) -> None:
+def kb_text(kb: KnowledgeBase) -> str:
+    """The text of a KB file holding ``kb``: JSON with one-space indents,
+    each pattern's provenance sorted, and a final line break."""
     payload = {
         "signatures": [
             {
@@ -363,12 +367,12 @@ def save_kb(kb: KnowledgeBase, path) -> None:
         ],
         "qa_pairs": [list(pair) for pair in kb.qa_pairs],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json_text(payload) + "\n")
+    return json_text(payload) + "\n"
 
 
 def load_kb(path) -> KnowledgeBase:
-    """Inverse of :func:`save_kb`. Raises :class:`~patternqa.corpus.DataError`
+    """The knowledge base in the KB file ``path``, written from
+    :func:`kb_text`. Raises :class:`~patternqa.corpus.DataError`
     naming the file and the first signature or pattern that does not
     validate."""
     return read_json(path, _kb_from_json)

@@ -19,11 +19,14 @@ Pattern learning is kept as it was before it read tags in place: one
 list, then one per element sequence. Its answer span is found as it was
 before the search skipped needles that hold an article: in a token tuple
 rebuilt with every article blanked. An outcome's log line is kept as the
-record dict it was built from, dumped by ``json.dumps`` with sorted keys.
+record dict it was built from, dumped by ``json.dumps`` with sorted keys,
+and a series CSV as the ``csv.writer`` rows it was written as.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import random
@@ -728,3 +731,17 @@ def outcome_line_oracle(outcome) -> str:
         "candidates": [_candidate_record(c) for c in outcome.candidates],
     }
     return json.dumps(record, sort_keys=True) + "\n"
+
+
+def series_csv_oracle(points, alt_points) -> str:
+    """A series CSV, plain and alternate columns, as ``csv.writer`` wrote
+    it row by row before the series were rendered as lines."""
+    handle = io.StringIO()
+    writer = csv.writer(handle)
+    writer.writerow(["i", "P", "R", "F", "correct", "answered",
+                     "P_fallback_answered", "F_fallback_answered", "answered_fallback"])
+    for point, alt in zip(points, alt_points):
+        writer.writerow([point.i, f"{point.p:.4f}", f"{point.r:.4f}", f"{point.f:.4f}",
+                         point.correct, point.answered, f"{alt.p:.4f}", f"{alt.f:.4f}",
+                         alt.answered])
+    return handle.getvalue()

@@ -3,6 +3,7 @@ import functools
 import gc
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from patternqa import cli, pipeline
 from patternqa.cli import main
-from patternqa.knowledge import KnowledgeBase, save_kb
+from patternqa.knowledge import KnowledgeBase, kb_text
 
 from .conftest import (DANTE_QUESTION_PARSE, DANTE_SENTENCE_PARSE, FIXTURES,
                        HAMLET_QUESTION_PARSE, signature_of)
@@ -293,7 +294,7 @@ def test_stats_reports_counts(tmp_path, capsys):
 
 def test_stats_empty_kb(tmp_path, capsys):
     kb_path = tmp_path / "kb.json"
-    save_kb(KnowledgeBase(), kb_path)
+    kb_path.write_text(kb_text(KnowledgeBase()), "utf-8")
     assert run_cli("stats", "--kb-in", str(kb_path)) == 0
     out = capsys.readouterr().out
     assert "patterns total: 0" in out
@@ -317,7 +318,7 @@ def test_empty_input_path_is_data_error(tmp_path, monkeypatch, capsys, argv):
     """An empty path names no file: it is checked like any other, not taken
     as the flag left out."""
     kb_path = tmp_path / "kb.json"
-    save_kb(KnowledgeBase(), kb_path)
+    kb_path.write_text(kb_text(KnowledgeBase()), "utf-8")
     monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
     out_dir = tmp_path / "run"
     extra = ("--out-dir", str(out_dir)) if argv[0] == "run" else ()
@@ -325,6 +326,52 @@ def test_empty_input_path_is_data_error(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith('data error: "": ') and err.endswith(" file not found\n")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("kind", ["too-long", "directory", "device"])
+@pytest.mark.parametrize("argv", [
+    ("ingest", "--corpus", "{bad}"),
+    ("stats", "--kb-in", "{bad}"),
+    ("stats", "--kb-in", "{kb}", "--outcomes", "{bad}"),
+    ("run", "--from-metadata", "{bad}", "--out-dir", "{out}"),
+    ("run", "--from-metadata", "{meta}", "--out-dir", "{out}"),
+], ids=["ingest-corpus", "stats-kb-in", "stats-outcomes", "from-metadata", "recorded-corpus"])
+def test_path_naming_no_regular_file_is_one_line_data_error(tmp_path, capsys, argv, kind):
+    """An input path that is too long to look up, a directory, or a device
+    is refused where the input is opened, whether the input is read or
+    only hashed for the digest a metadata file records (the last case).
+    No pipe is made here: a reader that opened one would block."""
+    bad = {"too-long": str(tmp_path / ("x" * 5000)), "directory": str(tmp_path),
+           "device": os.devnull}[kind]
+    paths = {"bad": bad, "kb": tmp_path / "kb.json", "meta": tmp_path / "metadata.json",
+             "out": tmp_path / "run"}
+    paths["kb"].write_text(kb_text(KnowledgeBase()), "utf-8")
+    paths["meta"].write_text(json.dumps({
+        "config": {**RECORDED_CONFIG, "corpus": bad, "revise_interval": None},
+        "inputs": {"corpus_sha256": "0" * 64}}))
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+    assert capsys.readouterr().err == f"data error: {bad}: file not found\n"
+    assert not paths["out"].exists()
+
+
+def test_every_file_a_run_leaves_is_written_by_the_one_writer(tmp_path, monkeypatch):
+    """Every file a revision run leaves, in its out-dir or named by
+    ``--kb-out`` and ``--dump-index``, was written by ``cli._write``, once."""
+    written = []
+    write = cli._write
+
+    def recording(path, chunks):
+        written.append(Path(path))
+        write(path, chunks)
+
+    monkeypatch.setattr(cli, "_write", recording)
+    kb, index = tmp_path / "kb.json", tmp_path / "index.json"
+    assert run_cli("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
+                   "--revise-interval", "10", "--out-dir", str(tmp_path / "run"),
+                   "--kb-out", str(kb), "--dump-index", str(index)) == 0
+    left = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert sorted(written) == left
+    assert kb in left and index in left and len(left) == 7
 
 
 def _run_tutor(monkeypatch, capsys, transcript, *argv):
@@ -342,7 +389,7 @@ def test_tutor_quit_preserves_kb(tmp_path, monkeypatch, capsys, dante_question,
                              signature_of(dante_question)))
     kb_in = tmp_path / "in.json"
     kb_out = tmp_path / "out.json"
-    save_kb(kb, kb_in)
+    kb_in.write_text(kb_text(kb), "utf-8")
     code, _ = _run_tutor(monkeypatch, capsys, "quit\n",
                          "--docs", DOCS, "--kb-in", str(kb_in), "--kb-out", str(kb_out))
     assert code == 0
@@ -654,20 +701,49 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv
      "--dump-index {dir}/missing/idx.json: directory {dir}/missing does not exist"),
     (("run", "--out-dir", "{out}", "--kb-out", "{dir}/other/kb.json"),
      "--kb-out {dir}/other/kb.json: directory {dir}/other does not exist"),
+    (("run", "--out-dir", "{long}"), "--out-dir {long}: File name too long"),
+    (("run", "--out-dir", "{denied}/run"), "--out-dir {denied}/run: Permission denied"),
+    (("run", "--out-dir", "{out}", "--kb-out", "{long}"), "--kb-out {long}: File name too long"),
+    (("run", "--out-dir", "{out}", "--kb-out", "{denied}/kb.json"),
+     "--kb-out {denied}/kb.json: Permission denied"),
+    (("run", "--out-dir", "{out}", "--dump-index", "{long}"),
+     "--dump-index {long}: File name too long"),
+    (("run", "--out-dir", "{out}", "--dump-index", "{denied}/idx.json"),
+     "--dump-index {denied}/idx.json: Permission denied"),
+    (("tutor", "--kb-out", "{long}"), "--kb-out {long}: File name too long"),
+    (("tutor", "--kb-out", "{denied}/kb.json"), "--kb-out {denied}/kb.json: Permission denied"),
+    (("run", "--out-dir", ""), '--out-dir "" names no directory'),
+    (("run", "--out-dir", "{out}", "--kb-out", ""), '--kb-out "" names no file'),
+    (("run", "--out-dir", "{out}", "--dump-index", ""), '--dump-index "" names no file'),
+    (("tutor", "--kb-out", ""), '--kb-out "" names no file'),
 ], ids=["run-out-dir-is-a-file", "run-out-dir-under-a-file", "run-kb-out-is-a-directory",
         "run-kb-out-under-a-file", "run-dump-index-is-a-directory",
         "rerun-out-dir-is-a-file", "tutor-kb-out-is-a-directory",
         "tutor-kb-out-parent-missing", "run-dump-index-parent-missing",
-        "run-kb-out-parent-missing"])
+        "run-kb-out-parent-missing", "run-out-dir-too-long", "run-out-dir-denied",
+        "run-kb-out-too-long", "run-kb-out-denied", "run-dump-index-too-long",
+        "run-dump-index-denied", "tutor-kb-out-too-long", "tutor-kb-out-denied",
+        "run-out-dir-empty", "run-kb-out-empty", "run-dump-index-empty", "tutor-kb-out-empty"])
 def test_unwritable_output_path_is_usage_error_before_loading(tmp_path, monkeypatch, capsys,
                                                               argv, message):
     """A bad output path is reported before any input is read: the inputs
-    named here do not exist, so reading one would be a data error."""
+    named here do not exist, so reading one would be a data error. A path
+    below ``denied`` cannot be looked up (``os.stat`` is patched to deny
+    it, as file modes do not bind a superuser)."""
     paths = {"file": tmp_path / "file", "dir": tmp_path, "out": tmp_path / "run",
-             "meta": tmp_path / "metadata.json"}
+             "meta": tmp_path / "metadata.json", "long": tmp_path / ("x" * 5000),
+             "denied": tmp_path / "denied"}
     paths["file"].write_text("")
     paths["meta"].write_text(json.dumps({"config": {**RECORDED_CONFIG, "corpus": "missing.jsonl",
                                                     "docs": "missing.jsonl"}}))
+    real_stat = os.stat
+
+    def deny(path, *args, **kwargs):
+        if str(path).startswith(f"{paths['denied']}/"):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", deny)
     monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
     inputs = () if "--from-metadata" in argv else (
         ("--scenario", "2", "--corpus", "missing.jsonl", "--docs", "missing.jsonl")
@@ -782,7 +858,7 @@ def test_malformed_input_is_one_line_data_error(tmp_path, capsys, command, conte
     """``content`` None makes the input a directory. The one line names the
     input, and a JSON Lines input's line."""
     kb_path = tmp_path / "kb.json"
-    save_kb(KnowledgeBase(), kb_path)
+    kb_path.write_text(kb_text(KnowledgeBase()), "utf-8")
     path = tmp_path / "input"
     if content is None:
         path.mkdir()
@@ -817,7 +893,7 @@ def test_unreadable_input_is_one_line_data_error(tmp_path, monkeypatch, capsys, 
     of."""
     paths = {"kb": tmp_path / "kb.json", "meta": tmp_path / "metadata.json",
              "outcomes": tmp_path / "outcomes.jsonl", "out": tmp_path / "run"}
-    save_kb(KnowledgeBase(), paths["kb"])
+    paths["kb"].write_text(kb_text(KnowledgeBase()), "utf-8")
     paths["meta"].write_text(json.dumps({"config": {**RECORDED_CONFIG, "revise_interval": None},
                                          "inputs": {"corpus_sha256": "0" * 64}}))
     paths["outcomes"].write_text(json.dumps(GOOD_OUTCOME) + "\n")
@@ -887,7 +963,7 @@ def test_a_second_main_call_leaves_no_garbage(tmp_path):
     later calls, failing ones included, leave nothing for the cyclic
     collector."""
     kb_path = tmp_path / "kb.json"
-    save_kb(KnowledgeBase(), kb_path)
+    kb_path.write_text(kb_text(KnowledgeBase()), "utf-8")
     enabled = gc.isenabled()
     try:
         for argv in (["stats", "--kb-in", str(kb_path)], ["stats"], ["ingest", "--corpus", CORPUS]):
@@ -920,7 +996,7 @@ GOOD_OUTCOME = {"correct": True, "final_strategy": "pattern", "relaxation_used":
         "relaxation-unknown", "relaxation-null", "relaxation-list"])
 def test_stats_rejects_mistyped_outcome_fields(tmp_path, capsys, record, key):
     kb_path = tmp_path / "kb.json"
-    save_kb(KnowledgeBase(), kb_path)
+    kb_path.write_text(kb_text(KnowledgeBase()), "utf-8")
     outcomes = tmp_path / "outcomes.jsonl"
     outcomes.write_bytes(_jsonl(GOOD_OUTCOME) + _jsonl(record))
     capsys.readouterr()
@@ -933,7 +1009,7 @@ def test_stats_rejects_mistyped_outcome_fields(tmp_path, capsys, record, key):
 
 def test_stats_reads_outcomes_without_the_checked_keys(tmp_path, capsys):
     kb_path = tmp_path / "kb.json"
-    save_kb(KnowledgeBase(), kb_path)
+    kb_path.write_text(kb_text(KnowledgeBase()), "utf-8")
     outcomes = tmp_path / "outcomes.jsonl"
     outcomes.write_bytes(_jsonl({"id": "q1"}) + _jsonl(GOOD_OUTCOME)
                          + _jsonl({"correct": True, "final_strategy": "pattern"})
@@ -1007,13 +1083,13 @@ def test_mutated_kb_and_outcome_records_never_print_a_traceback(data):
     --kb-in``, or a fixture outcome log with one line broken, read by
     ``stats --outcomes``: each command exits 0, or with one error line that
     names the broken file."""
-    kb_text, outcome_lines = _fixture_run_files()
+    kb_json, outcome_lines = _fixture_run_files()
     with tempfile.TemporaryDirectory() as tmp:
         kb, outcomes = Path(tmp) / "kb.json", Path(tmp) / "outcomes.jsonl"
         lines = list(outcome_lines)
         if data.draw(st.booleans()):
             broken = kb
-            kb_text = data.draw(mutated_record(json.loads(kb_text))) + "\n"
+            kb_json = data.draw(mutated_record(json.loads(kb_json))) + "\n"
             commands = [["stats", "--kb-in", str(kb)],
                         ["run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
                          "--kb-in", str(kb), "--out-dir", str(Path(tmp) / "run")]]
@@ -1022,7 +1098,7 @@ def test_mutated_kb_and_outcome_records_never_print_a_traceback(data):
             at = data.draw(st.integers(0, len(lines) - 1))
             lines[at] = data.draw(mutated_record(json.loads(lines[at])))
             commands = [["stats", "--kb-in", str(kb), "--outcomes", str(outcomes)]]
-        kb.write_text(kb_text)
+        kb.write_text(kb_json)
         outcomes.write_text("\n".join(lines) + "\n")
         for argv in commands:
             err = io.StringIO()

@@ -1,23 +1,24 @@
 import csv
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from patternqa.evaluation import EvalPoint, export_series, f_measure, make_point, running_metrics
+from patternqa.evaluation import EvalPoint, f_measure, make_point, running_metrics, series_lines
 from patternqa.pipeline import CheckpointReport, Outcome
 from patternqa.unification import CandidateAnswer
 
-from .oracles import count_metrics_oracle
+from .oracles import count_metrics_oracle, series_csv_oracle
+
+HEADER = "i,P,R,F,correct,answered,P_fallback_answered,F_fallback_answered,answered_fallback\r\n"
 
 
-def read_series(path) -> list[EvalPoint]:
-    """The primary columns of a CSV written by ``export_series``."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        return [
-            EvalPoint(i=int(row["i"]), p=float(row["P"]), r=float(row["R"]), f=float(row["F"]),
-                      correct=int(row["correct"]), answered=int(row["answered"]))
-            for row in csv.DictReader(handle)
-        ]
+def read_series(lines) -> list[EvalPoint]:
+    """The primary columns of the CSV lines that ``series_lines`` renders."""
+    return [
+        EvalPoint(i=int(row["i"]), p=float(row["P"]), r=float(row["R"]), f=float(row["F"]),
+                  correct=int(row["correct"]), answered=int(row["answered"]))
+        for row in csv.DictReader(lines)
+    ]
 
 
 def outcome(qid, correct, answered, fallback=False):
@@ -114,13 +115,12 @@ def test_make_point_zero_answered_convention():
     assert point.answered == 0  # the exported flag for the convention
 
 
-def test_export_roundtrip(tmp_path):
+def test_export_roundtrip():
     points = [make_point(1, 1, 1), make_point(2, 1, 2), make_point(3, 2, 3)]
-    path = tmp_path / "series.csv"
-    export_series(points, path)
-    parsed = read_series(path)
+    lines = list(series_lines(points, points))
+    parsed = read_series(lines)
     assert len(parsed) == 3
-    assert path.read_text().splitlines()[0] == "i,P,R,F,correct,answered"
+    assert lines[0] == HEADER
     for original, loaded in zip(points, parsed):
         assert loaded.i == original.i
         assert loaded.correct == original.correct
@@ -130,18 +130,38 @@ def test_export_roundtrip(tmp_path):
         assert loaded.f == pytest.approx(original.f, abs=5e-5)
 
 
-def test_export_three_points_is_four_lines(tmp_path):
-    path = tmp_path / "series.csv"
-    export_series([make_point(1, 0, 0), make_point(2, 1, 1), make_point(3, 1, 2)], path)
-    assert len(path.read_text().splitlines()) == 4
+def test_export_three_points_is_four_lines():
+    points = [make_point(1, 0, 0), make_point(2, 1, 1), make_point(3, 1, 2)]
+    assert len(list(series_lines(points, points))) == 4
 
 
-def test_export_with_alternate_series(tmp_path):
+def test_export_with_alternate_series():
     points = [make_point(1, 0, 0)]
     alt = [make_point(1, 0, 1)]
-    path = tmp_path / "series.csv"
-    export_series(points, path, alt)
-    header, row = path.read_text().splitlines()
+    header, row = "".join(series_lines(points, alt)).splitlines()
     assert header.startswith("i,P,R,F,correct,answered")
     assert "P_fallback_answered" in header
     assert row.split(",")[6] == "0.0000"
+
+
+@st.composite
+def series_pairs(draw) -> tuple[list[EvalPoint], list[EvalPoint]]:
+    """A series and its alternate, as ``running_metrics`` counts them: at
+    each point no more correct than answered, and the alternate answered
+    count at least the plain one; the answered count is often 0."""
+    points, alt_points = [], []
+    for i in range(1, draw(st.integers(0, 8)) + 1):
+        answered = draw(st.integers(0, i))
+        correct = draw(st.integers(0, answered))
+        points.append(make_point(i, correct, answered))
+        alt_points.append(make_point(i, correct, draw(st.integers(answered, i))))
+    return points, alt_points
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_pairs())
+@example(([make_point(1, 0, 0)], [make_point(1, 0, 0)]))
+@example(([make_point(20000, 19999, 20000)], [make_point(20000, 1, 3)]))  # rounds up to 1.0000
+def test_series_lines_match_the_csv_writer_oracle(pair):
+    points, alt_points = pair
+    assert "".join(series_lines(points, alt_points)) == series_csv_oracle(points, alt_points)

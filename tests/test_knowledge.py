@@ -11,8 +11,8 @@ from patternqa.classify import Category, classify
 from patternqa.corpus import COARSE_CLASSES, Question, normalize_answer, tokenize
 from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, SYNTACTIC, KnowledgeBase, Pattern,
                                  PatternElement, Signature, _answer_span, answer_slot,
-                                 learn_patterns, lexical, load_kb, question_signature,
-                                 save_kb, syntactic)
+                                 kb_text, learn_patterns, lexical, load_kb,
+                                 question_signature, syntactic)
 from patternqa.retrieval import RetrievedSentence
 from patternqa.treebank import parse_sentence
 from patternqa.unification import default_config, unify
@@ -289,7 +289,7 @@ def test_save_load_roundtrip(tmp_path, dante_question, dante_sentence):
                              signature_of(dante_question)))
     kb.record_qa("dante", "Dante")
     path = tmp_path / "kb.json"
-    save_kb(kb, path)
+    path.write_text(kb_text(kb), "utf-8")
     loaded = load_kb(path)
     assert loaded.qa_pairs == kb.qa_pairs
     assert loaded.signatures() == kb.signatures()
@@ -297,7 +297,7 @@ def test_save_load_roundtrip(tmp_path, dante_question, dante_sentence):
         assert loaded.lookup(sig) == kb.lookup(sig)
     # canonical dump: save(load(f)) is byte-identical to f
     second = tmp_path / "kb2.json"
-    save_kb(loaded, second)
+    second.write_text(kb_text(loaded), "utf-8")
     assert second.read_bytes() == path.read_bytes()
 
 
@@ -307,7 +307,7 @@ def test_save_writes_provenance_sorted(tmp_path):
         "provenance": [["q2", "d:0"], ["q1", "d:5"], ["q1", "d:1"]]}]}
     path = tmp_path / "kb.json"
     path.write_text(json.dumps({"signatures": [entry], "qa_pairs": []}))
-    save_kb(load_kb(path), path)
+    path.write_text(kb_text(load_kb(path)), "utf-8")
     saved = json.loads(path.read_text())["signatures"][0]["patterns"][0]["provenance"]
     assert saved == [["q1", "d:1"], ["q1", "d:5"], ["q2", "d:0"]]
 
@@ -506,7 +506,7 @@ def knowledge_bases(draw):
 def test_save_load_round_trips_random_kbs(kb):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "kb.json", Path(tmp) / "kb2.json"
-        save_kb(kb, first)
+        first.write_text(kb_text(kb), "utf-8")
         loaded = load_kb(first)
         assert loaded.qa_pairs == kb.qa_pairs
         assert loaded.signatures() == kb.signatures()
@@ -514,7 +514,7 @@ def test_save_load_round_trips_random_kbs(kb):
             assert loaded.lookup(signature) == kb.lookup(signature)
             assert [p.source_questions for p in loaded.lookup(signature)] == \
                 [p.source_questions for p in kb.lookup(signature)]
-        save_kb(loaded, second)
+        second.write_text(kb_text(loaded), "utf-8")
         assert second.read_bytes() == first.read_bytes()
 
 

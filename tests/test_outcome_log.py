@@ -1,11 +1,9 @@
-"""The ``outcomes.jsonl`` writer against its oracle: the record dict each
+"""The ``outcomes.jsonl`` lines against their oracle: the record dict each
 line was once built from, dumped by ``json.dumps`` with sorted keys."""
-
-import io
 
 from hypothesis import given, settings, strategies as st
 
-from patternqa.cli import _write_outcomes
+from patternqa.cli import _outcome_lines
 from patternqa.pipeline import Outcome
 from patternqa.unification import (RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE, RELAX_SYNTACTIC,
                                    CandidateAnswer)
@@ -50,9 +48,7 @@ def outcome_logs(draw) -> list[Outcome]:
 @settings(max_examples=150, deadline=None)
 @given(outcomes=outcome_logs())
 def test_outcome_lines_match_the_json_dumps_oracle(outcomes):
-    handle = io.StringIO()
-    _write_outcomes(outcomes, handle)
-    assert handle.getvalue() == "".join(outcome_line_oracle(o) for o in outcomes)
+    assert "".join(_outcome_lines(outcomes)) == "".join(outcome_line_oracle(o) for o in outcomes)
 
 
 def test_shared_and_equal_candidates_are_written_in_place():
@@ -68,7 +64,6 @@ def test_shared_and_equal_candidates_are_written_in_place():
     outcomes = [Outcome("q1", "HUM:ind", [shared, other], shared),
                 Outcome("q2", "HUM:ind", [other, shared, shared._replace(), *variants]),
                 Outcome("q3", "", error="ValueError: bad")]
-    handle = io.StringIO()
-    _write_outcomes(outcomes, handle)
-    assert handle.getvalue() == "".join(outcome_line_oracle(o) for o in outcomes)
-    assert '"text": "caf\\u00e9"' in handle.getvalue()
+    written = "".join(_outcome_lines(outcomes))
+    assert written == "".join(outcome_line_oracle(o) for o in outcomes)
+    assert '"text": "caf\\u00e9"' in written

@@ -10,7 +10,7 @@ import pytest
 from patternqa.classify import Category
 from patternqa.evaluation import EvalPoint
 from patternqa.extraction import extract_ner, load_gazetteer, load_regex_rules
-from patternqa.knowledge import ANSWER_SLOT, PatternElement, Signature, lexical, load_kb, save_kb
+from patternqa.knowledge import ANSWER_SLOT, PatternElement, Signature, kb_text, lexical, load_kb
 from patternqa.pipeline import ScenarioConfig, run_sequence
 from patternqa.treebank import parse_sentence
 from patternqa.unification import CandidateAnswer, default_config, unify
@@ -78,9 +78,9 @@ def test_learned_kb_survives_save_load_save(tmp_path, make_state, fixture_questi
     run_sequence(state, fixture_questions, ScenarioConfig.from_id(4))
     assert state.kb.pattern_count() > 0
     first, second = tmp_path / "kb.json", tmp_path / "kb2.json"
-    save_kb(state.kb, first)
+    first.write_text(kb_text(state.kb), "utf-8")
     loaded = load_kb(first)
     assert loaded.signatures() == state.kb.signatures()
     assert all(loaded.lookup(s) == state.kb.lookup(s) for s in state.kb.signatures())
-    save_kb(loaded, second)
+    second.write_text(kb_text(loaded), "utf-8")
     assert second.read_bytes() == first.read_bytes()
