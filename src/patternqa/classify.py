@@ -76,12 +76,11 @@ def _head_noun(tagged: list[tuple[str, str]], wh_index: int) -> str | None:
     return None
 
 
-def classify(question: Question, hints: dict[str, Category] | None = None) -> Category:
-    """Total function; deterministic for a given question text/parse."""
+def classify(question: Question, hints: dict[str, Category]) -> Category:
+    """Total function; deterministic for a given question text/parse.
+    ``hints`` is a head-noun table, as :func:`load_hint_table` loads."""
     if question.category:
         return Category.parse(question.category)
-    if hints is None:
-        hints = load_hint_table()
     tagged = tagged_leaves(question.parse)
     wh, wh_index = wh_word(tagged)
     follower = tagged[wh_index + 1][0].lower() if 0 <= wh_index + 1 < len(tagged) else ""

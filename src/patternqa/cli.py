@@ -21,13 +21,13 @@ from pathlib import Path
 from .corpus import (DataError, Question, check, json_text, load_documents, load_qa_corpus,
                      normalize_answer, opened, read_json, read_jsonl)
 from .evaluation import running_metrics, series_lines
-from .extraction import load_gazetteer
 from .knowledge import MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase, kb_text, load_kb
-from .pipeline import (PipelineState, ScenarioConfig, apply_feedback, extract_candidates,
-                       interpret, run_sequence)
-from .retrieval import build_index, serialize_index
+from .pipeline import (SCENARIOS, PipelineState, ScenarioConfig, apply_feedback,
+                       extract_candidates, interpret, run_sequence)
+from .retrieval import TOP_K, build_index, serialize_index
 from .treebank import TreeFormatError, parse_sentence
-from .unification import RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE, RELAX_SYNTACTIC, default_config
+from .unification import (DEFAULT_THRESHOLDS, RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE,
+                          RELAX_SYNTACTIC, default_config)
 
 
 class UsageError(Exception):
@@ -55,16 +55,15 @@ def _parser() -> _Parser:
     ingest.add_argument("--docs")
 
     run = sub.add_parser("run", help="run an experiment scenario")
-    run.add_argument("--scenario", type=int, choices=(1, 2, 3, 4))
+    run.add_argument("--scenario", type=int, choices=tuple(SCENARIOS))
     run.add_argument("--corpus")
     run.add_argument("--docs")
     run.add_argument("--revise-interval", type=int, default=None)
     run.add_argument("--no-learn-on-revision", action="store_true")
     run.add_argument("--kb-in", default=None)
     run.add_argument("--kb-out", default=None)
-    run.add_argument("--top-k", type=int, default=20)
-    run.add_argument("--relax-measure", choices=("levenshtein", "overlap", "jaccard"),
-                     default="levenshtein")
+    run.add_argument("--top-k", type=int, default=TOP_K)
+    run.add_argument("--relax-measure", choices=tuple(DEFAULT_THRESHOLDS), default="levenshtein")
     run.add_argument("--relax-threshold", type=float, default=None)
     run.add_argument("--no-lexical-relax", action="store_true")
     run.add_argument("--no-syntactic-relax", action="store_true")
@@ -79,17 +78,12 @@ def _parser() -> _Parser:
     tutor.add_argument("--kb-in", default=None)
     tutor.add_argument("--kb-out", default=None)
     tutor.add_argument("--use-ner", action="store_true")
-    tutor.add_argument("--top-k", type=int, default=20)
+    tutor.add_argument("--top-k", type=int, default=TOP_K)
 
     stats = sub.add_parser("stats", help="inspect a knowledge base / outcome log")
     stats.add_argument("--kb-in", required=True)
     stats.add_argument("--outcomes", default=None)
     return parser
-
-
-def _sha256(path) -> str:
-    with opened(path) as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def cmd_ingest(args) -> int:
@@ -156,8 +150,6 @@ def _outcome_lines(outcomes):
 _RECORDED = ("scenario", "corpus", "docs", "top_k", "relax_measure", "relax_threshold",
              "revise_interval", "kb_in")
 _SWITCHES = ("lexical_relax", "syntactic_relax", "learn_on_revision")
-# input files whose digests metadata.json records, as inputs.<name>_sha256
-_INPUTS = ("corpus", "docs", "kb_in")
 
 
 def _check_output_path(flag: str, path, directory: bool = False, created=None) -> None:
@@ -190,10 +182,15 @@ def _check_run_values(args) -> None:
             raise UsageError(f"--{required} is required")
     if args.revise_interval is not None and args.revise_interval < 1:
         raise UsageError("--revise-interval must be >= 1")
-    if args.top_k < 1:
-        raise UsageError("--top-k must be >= 1")
+    _check_top_k(args)
     if args.relax_threshold is not None and not 0.0 <= args.relax_threshold <= 1.0:
         raise UsageError("--relax-threshold must be in [0, 1]")
+
+
+def _check_top_k(args) -> None:
+    """The retrieval depth check of ``run`` and ``tutor``."""
+    if args.top_k < 1:
+        raise UsageError("--top-k must be >= 1")
 
 
 def _check_run_outputs(args) -> None:
@@ -205,14 +202,13 @@ def _check_run_outputs(args) -> None:
     _check_output_path("--dump-index", args.dump_index, created=out_dir)
 
 
-def _restore_from_metadata(args) -> dict[str, str]:
+def _restore_from_metadata(args) -> dict:
     """Set the run arguments recorded in ``args.from_metadata`` and return
-    the input digests it records, by input name."""
+    the input digests it records, as ``<input>_sha256`` entries."""
     recorded, inputs = read_json(args.from_metadata, _recorded_run)
     for key in _RECORDED + tuple(f"no_{switch}" for switch in _SWITCHES):
         setattr(args, key, getattr(recorded, key))
-    return {name: inputs[f"{name}_sha256"] for name in _INPUTS
-            if getattr(args, name) is not None and f"{name}_sha256" in inputs}
+    return inputs
 
 
 def _recorded_run(meta: dict):
@@ -234,15 +230,6 @@ def _recorded_run(meta: dict):
     except (UsageError, ValueError) as exc:
         raise ValueError(f"config: {exc}") from exc
     return recorded, check(meta.get("inputs", {}), dict, "an object", "inputs")
-
-
-def _check_digests(args, digests: dict[str, str]) -> None:
-    """Refuse to re-run on an input that differs from the one recorded."""
-    for name, digest in digests.items():
-        path = getattr(args, name)
-        if _sha256(path) != digest:
-            raise DataError(args.from_metadata, f"{path} does not match the recorded "
-                            f"{name}_sha256; the input changed since the run")
 
 
 @contextlib.contextmanager
@@ -281,30 +268,43 @@ def _collector_off(command):
     return paused
 
 
-def _session(args, **settings) -> PipelineState:
+def _session(args, loading=lambda name: None, **settings) -> PipelineState:
     """The state a command answers in: the ``--docs`` collection indexed,
-    the ``--kb-in`` knowledge base or an empty one, and ``settings``."""
+    the ``--kb-in`` knowledge base or an empty one, and ``settings``.
+    ``loading(name)`` is called just before the input ``name`` is loaded."""
+    loading("docs")
     docs = load_documents(args.docs)
-    kb = KnowledgeBase() if args.kb_in is None else load_kb(args.kb_in)
-    return PipelineState(kb=kb, index=build_index(docs), gazetteer=load_gazetteer(),
-                         top_k=args.top_k, **settings)
+    kb = KnowledgeBase()
+    if args.kb_in is not None:
+        loading("kb_in")
+        kb = load_kb(args.kb_in)
+    return PipelineState(kb=kb, index=build_index(docs), top_k=args.top_k, **settings)
 
 
 @_collector_off
 def cmd_run(args) -> int:
-    digests = {} if args.from_metadata is None else _restore_from_metadata(args)
+    recorded = {} if args.from_metadata is None else _restore_from_metadata(args)
     _check_run_values(args)
     _check_run_outputs(args)
-    _check_digests(args, digests)
+    inputs: dict[str, str] = {}  # metadata.json's input digests
+
+    def loading(name: str) -> None:
+        """Take the SHA-256 of the input ``name`` as it is about to be
+        loaded, and refuse one that differs from the digest recorded."""
+        key, path = f"{name}_sha256", getattr(args, name)
+        with opened(path) as handle:
+            digest = inputs[key] = hashlib.sha256(handle.read()).hexdigest()
+        if recorded.get(key, digest) != digest:
+            raise DataError(args.from_metadata, f"{path} does not match the recorded {key}; "
+                            "the input changed since the run")
+
     scenario = ScenarioConfig.from_id(args.scenario)
-    relax = default_config(
-        measure=args.relax_measure,
-        threshold=args.relax_threshold,
-        enable_lexical=not args.no_lexical_relax,
-        enable_syntactic=not args.no_syntactic_relax,
-    )
+    relax = default_config(args.relax_measure, args.relax_threshold,
+                           enable_lexical=not args.no_lexical_relax,
+                           enable_syntactic=not args.no_syntactic_relax)
+    loading("corpus")
     questions = load_qa_corpus(args.corpus)
-    state = _session(args, relax=relax)
+    state = _session(args, loading, relax=relax)
     # made before any output is written: --dump-index and --kb-out may lie in it
     out_dir = (Path("out") / time.strftime("%Y%m%d-%H%M%S") if args.out_dir is None
                else Path(args.out_dir))
@@ -341,11 +341,7 @@ def cmd_run(args) -> int:
         signature_depth=SIGNATURE_DEPTH,
         oracle_tie_break="first candidate in (pattern-before-ner, sentence rank, span) order",
     )
-    metadata = {
-        "config": config,
-        "inputs": {f"{name}_sha256": _sha256(getattr(args, name))
-                   for name in _INPUTS if getattr(args, name) is not None},
-    }
+    metadata = {"config": config, "inputs": inputs}
     _write(out_dir / "metadata.json", (json_text(metadata, sort_keys=True), "\n"))
     if args.kb_out is not None:
         _write(args.kb_out, (kb_text(state.kb),))
@@ -360,8 +356,7 @@ def cmd_run(args) -> int:
 
 @_collector_off
 def cmd_tutor(args) -> int:
-    if args.top_k < 1:
-        raise UsageError("--top-k must be >= 1")
+    _check_top_k(args)
     _check_output_path("--kb-out", args.kb_out)
     state = _session(args)
     counter = 0

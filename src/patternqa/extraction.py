@@ -178,7 +178,7 @@ def _abbreviation_spans(tokens: tuple[str, ...]) -> list[tuple[int, int]]:
 
 
 def extract_ner(category: Category, sentences: list[RetrievedSentence],
-                gazetteer: Gazetteer, regex_rules: dict[str, list[re.Pattern]] | None = None,
+                gazetteer: Gazetteer, regex_rules: dict[str, list[re.Pattern]],
                 memo: dict | None = None) -> list[CandidateAnswer]:
     """Category-dispatched extraction over the retrieved sentences.
 
@@ -186,14 +186,13 @@ def extract_ner(category: Category, sentences: list[RetrievedSentence],
     gazetteer hits for the fine class plus capitalized-token sequences
     (suppressed when the gazetteer knows the span under a different coarse
     class); ABBR finds parenthesized uppercase runs; DESC has no strategy.
-    Output is deterministic, ordered by (sentence index, span start).
+    Output is deterministic, ordered by (sentence index, span start). The
+    tables are those :func:`load_gazetteer` and :func:`load_regex_rules` load.
 
     With a ``memo``, a dict the caller owns, each sentence's candidates are
     looked up under ``(label, doc_id, position)`` and computed only when
     absent. One memo may therefore serve one index, gazetteer and rule set.
     """
-    if regex_rules is None:
-        regex_rules = load_regex_rules()
     label = str(category)
     forms, first_words = gazetteer.forms(label), gazetteer.first_words(label)
     words = gazetteer.words

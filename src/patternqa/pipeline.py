@@ -28,36 +28,38 @@ from dataclasses import dataclass, field
 
 from .classify import Category, classify, load_hint_table
 from .corpus import Question, normalize_answer
-from .extraction import Gazetteer, extract_ner, load_regex_rules
+from .extraction import Gazetteer, extract_ner, load_gazetteer, load_regex_rules
 from .knowledge import KnowledgeBase, Pattern, Signature, learn_patterns, question_signature
-from .retrieval import Index, RetrievedSentence, content_words, retrieve
+from .retrieval import TOP_K, Index, RetrievedSentence, content_words, retrieve
 from .unification import CandidateAnswer, RelaxConfig, default_config, unify
+
+
+# the paper's four scenarios: id -> (use_ner, use_patterns, reference_fallback)
+SCENARIOS = {
+    1: (True, False, False),
+    2: (False, True, True),
+    3: (True, True, False),
+    4: (True, True, True),
+}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    id: int
-    use_ner: bool
-    use_patterns: bool
-    reference_fallback: bool
+    """A scenario, named by its id; its switches are read from :data:`SCENARIOS`."""
 
-    _TABLE = {
-        1: (True, False, False),
-        2: (False, True, True),
-        3: (True, True, False),
-        4: (True, True, True),
-    }
+    id: int
 
     def __post_init__(self):
-        if self._TABLE.get(self.id) != (self.use_ner, self.use_patterns, self.reference_fallback):
-            raise ValueError(f"flags do not match scenario {self.id}")
+        if self.id not in SCENARIOS:
+            raise ValueError(f"scenario must be 1..4, got {self.id}")
 
     @classmethod
     def from_id(cls, scenario_id: int) -> "ScenarioConfig":
-        if scenario_id not in cls._TABLE:
-            raise ValueError(f"scenario must be 1..4, got {scenario_id}")
-        ner, patterns, fallback = cls._TABLE[scenario_id]
-        return cls(scenario_id, ner, patterns, fallback)
+        return cls(scenario_id)
+
+    use_ner = property(lambda self: SCENARIOS[self.id][0])
+    use_patterns = property(lambda self: SCENARIOS[self.id][1])
+    reference_fallback = property(lambda self: SCENARIOS[self.id][2])
 
 
 @dataclass
@@ -85,13 +87,15 @@ class Outcome:
 
 @dataclass
 class PipelineState:
+    """What a run or tutor session answers with; its defaults load each shipped table."""
+
     kb: KnowledgeBase
     index: Index
-    gazetteer: Gazetteer
+    gazetteer: Gazetteer = field(default_factory=load_gazetteer)
     hints: dict[str, Category] = field(default_factory=load_hint_table)
     regex_rules: dict = field(default_factory=load_regex_rules)
     relax: RelaxConfig = field(default_factory=default_config)
-    top_k: int = 20
+    top_k: int = TOP_K
     interpretations: dict[str, "Interpretation"] = field(default_factory=dict)
     # question id -> patterns under its signature at its last failed retry
     retry_counts: dict[str, int] = field(default_factory=dict)

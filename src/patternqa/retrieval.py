@@ -52,6 +52,7 @@ from .treebank import Sentence
 
 BM25_K1 = 1.2
 BM25_B = 0.75
+TOP_K = 20  # the default retrieval depth of runs and tutor sessions
 
 
 STOPWORDS = frozenset(word for word, _ in read_table("stopwords.txt"))
@@ -151,7 +152,7 @@ def build_index(docs: list[Document]) -> Index:
     return index
 
 
-def retrieve(index: Index, query_terms: list[str], k: int = 20) -> list[RetrievedSentence]:
+def retrieve(index: Index, query_terms: list[str], k: int) -> list[RetrievedSentence]:
     """Top-k sentences by BM25; ties broken by (doc_id, position) ascending.
     k=0 yields an empty list; fewer than k are returned when fewer match.
 

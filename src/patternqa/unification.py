@@ -33,7 +33,7 @@ over one index only, under one relax config and its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -121,17 +121,20 @@ def tag_compatible(a: str, b: str, hierarchy: dict[str, str]) -> bool:
 
 @dataclass(frozen=True)
 class RelaxConfig:
-    enable_lexical: bool = True
-    lexical_measure: str = "levenshtein"
-    lexical_threshold: float = 0.8
-    enable_syntactic: bool = True
-    tag_hierarchy: dict[str, str] = field(default_factory=dict)
+    """A pass's relaxation settings, without defaults: :func:`default_config` has them."""
+
+    enable_lexical: bool
+    lexical_measure: str
+    lexical_threshold: float
+    enable_syntactic: bool
+    tag_hierarchy: dict[str, str]
 
     def __post_init__(self):
-        if not 0.0 <= self.lexical_threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
+        # the measure first: an unknown one has no default threshold
         if self.lexical_measure not in DEFAULT_THRESHOLDS:
             raise ValueError(f"unknown measure {self.lexical_measure!r}")
+        if not 0.0 <= self.lexical_threshold <= 1.0:
+            raise ValueError("threshold must be in [0, 1]")
 
     @cached_property
     def exact(self) -> "RelaxConfig":
@@ -141,15 +144,12 @@ class RelaxConfig:
 
 def default_config(measure: str = "levenshtein", threshold: float | None = None,
                    enable_lexical: bool = True, enable_syntactic: bool = True) -> RelaxConfig:
+    """A config under ``measure``, at ``threshold`` or else the measure's
+    default, with the shipped tag hierarchy. An unknown measure, or a
+    threshold outside [0, 1], is a ``ValueError``."""
     if threshold is None:
-        threshold = DEFAULT_THRESHOLDS[measure]
-    return RelaxConfig(
-        enable_lexical=enable_lexical,
-        lexical_measure=measure,
-        lexical_threshold=threshold,
-        enable_syntactic=enable_syntactic,
-        tag_hierarchy=load_tag_hierarchy(),
-    )
+        threshold = DEFAULT_THRESHOLDS.get(measure)
+    return RelaxConfig(enable_lexical, measure, threshold, enable_syntactic, load_tag_hierarchy())
 
 
 class CandidateAnswer(NamedTuple):

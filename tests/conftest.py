@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from patternqa.classify import classify
+from patternqa.classify import classify, load_hint_table
 from patternqa.corpus import Question, load_documents, load_qa_corpus
 from patternqa.extraction import load_gazetteer
 from patternqa.knowledge import KnowledgeBase, question_signature
@@ -25,9 +25,12 @@ HAMLET_QUESTION_PARSE = (
 )
 
 
+HINTS = load_hint_table()
+
+
 def signature_of(question):
     """The signature the pipeline files a question under, default hints."""
-    return question_signature(question, classify(question))
+    return question_signature(question, classify(question, HINTS))
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ from patternqa.classify import Category, classify, load_hint_table, tagged_leave
 from patternqa.corpus import Question
 from patternqa.treebank import parse_sentence
 
+from .conftest import HINTS
+
 
 def make_question(text, parse, category=None):
     return Question(id="t", text=text, parse=parse_sentence(parse),
@@ -19,11 +21,11 @@ FRANCE = make_question(
 
 def test_misclassification_is_preserved():
     # the true answer is a country, but the wh-rule says person
-    assert classify(FRANCE) == Category("HUM", "ind")
+    assert classify(FRANCE, HINTS) == Category("HUM", "ind")
 
 
 def test_who_wrote_is_hum_ind(dante_question):
-    assert classify(dante_question) == Category("HUM", "ind")
+    assert classify(dante_question, HINTS) == Category("HUM", "ind")
 
 
 def test_gold_label_wins_over_rules():
@@ -31,7 +33,7 @@ def test_gold_label_wins_over_rules():
                          "(NP (NNP France)) (VP (VB beat) (PP (IN for) "
                          "(NP (DT the) (NNP World) (NNP Cup))))) (. ?))",
                          category="LOC:country")
-    assert classify(gold) == Category("LOC", "country")
+    assert classify(gold, HINTS) == Category("LOC", "country")
 
 
 @pytest.mark.parametrize("text,parse,expected", [
@@ -58,7 +60,7 @@ def test_gold_label_wins_over_rules():
      Category("ENTY", "other")),
 ])
 def test_rule_table(text, parse, expected):
-    assert classify(make_question(text, parse)) == expected
+    assert classify(make_question(text, parse), HINTS) == expected
 
 
 def test_classification_is_deterministic(dante_question):

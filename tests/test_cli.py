@@ -1,12 +1,14 @@
 import contextlib
 import functools
 import gc
+import hashlib
 import io
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +242,60 @@ def test_rerun_refuses_an_input_changed_since_the_run(tmp_path, capsys, changed,
         f"data error: {first / 'metadata.json'}: {inputs[changed]} does not match the "
         f"recorded {name}_sha256; the input changed since the run\n")
     assert not rerun.exists()
+
+
+def test_metadata_records_the_digest_of_the_bytes_loaded(tmp_path, monkeypatch, capsys):
+    """Each input is hashed once, just before it is loaded: a ``--docs``
+    file rewritten (valid, other bytes) while the run answers is recorded
+    with the bytes the run loaded, so ``--from-metadata`` refuses it."""
+    docs = tmp_path / "docs.jsonl"
+    loaded = Path(DOCS).read_bytes()
+    docs.write_bytes(loaded)
+    rewritten = loaded.replace(b'"doc_id": "history"', b'"doc_id": "historz"')
+    assert rewritten != loaded
+    real_run_sequence = cli.run_sequence
+
+    def rewrite_then_run(*args, **kwargs):
+        docs.write_bytes(rewritten)
+        return real_run_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sequence", rewrite_then_run)
+    first = tmp_path / "first"
+    assert run_cli("run", "--scenario", "2", "--corpus", CORPUS, "--docs", str(docs),
+                   "--out-dir", str(first)) == 0
+    meta = first / "metadata.json"
+    recorded = json.loads(meta.read_text())["inputs"]
+    assert recorded["docs_sha256"] == hashlib.sha256(loaded).hexdigest()
+    capsys.readouterr()
+    assert run_cli("run", "--from-metadata", str(meta), "--out-dir", str(tmp_path / "rerun")) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {meta}: {docs} does not match the recorded docs_sha256; "
+        "the input changed since the run\n")
+
+
+def test_a_rerun_reads_each_input_once_to_hash_and_once_to_load(tmp_path, monkeypatch):
+    assert run_cli("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
+                   "--out-dir", str(tmp_path / "first")) == 0
+    real_open = open
+    opens = []
+
+    def counted(file, *args, **kwargs):
+        opens.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted)
+    assert run_cli("run", "--from-metadata", str(tmp_path / "first" / "metadata.json"),
+                   "--out-dir", str(tmp_path / "rerun")) == 0
+    assert (opens.count(CORPUS), opens.count(DOCS)) == (2, 2)
+
+
+@pytest.mark.parametrize("measure, threshold", [
+    ("levenshtein", 0.8), ("overlap", 0.6), ("jaccard", 0.5)])
+def test_a_measure_without_a_threshold_records_its_default(tmp_path, measure, threshold):
+    assert run_cli("run", "--scenario", "1", "--corpus", CORPUS, "--docs", DOCS,
+                   "--relax-measure", measure, "--out-dir", str(tmp_path)) == 0
+    config = json.loads((tmp_path / "metadata.json").read_text())["config"]
+    assert (config["relax_measure"], config["relax_threshold"]) == (measure, threshold)
 
 
 def test_metadata_records_no_kb_digest_without_kb_in(tmp_path):
@@ -1065,15 +1121,16 @@ def mutated_record(draw, record: dict) -> str:
 
 
 @functools.cache
-def _fixture_run_files() -> tuple[str, tuple[str, ...]]:
-    """The ``--kb-out`` file and the ``outcomes.jsonl`` lines of a scenario-2
-    run over the fixtures."""
+def _fixture_run_files() -> tuple[str, tuple[str, ...], str]:
+    """The ``--kb-out`` file, the ``outcomes.jsonl`` lines and the
+    ``metadata.json`` file of a scenario-2 run over the fixtures."""
     with tempfile.TemporaryDirectory() as tmp:
         kb, out_dir = Path(tmp) / "kb.json", Path(tmp) / "run"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
                          "--out-dir", str(out_dir), "--kb-out", str(kb)]) == 0
-        return kb.read_text(), tuple((out_dir / "outcomes.jsonl").read_text().splitlines())
+        return (kb.read_text(), tuple((out_dir / "outcomes.jsonl").read_text().splitlines()),
+                (out_dir / "metadata.json").read_text())
 
 
 @settings(max_examples=40, deadline=None)
@@ -1083,7 +1140,7 @@ def test_mutated_kb_and_outcome_records_never_print_a_traceback(data):
     --kb-in``, or a fixture outcome log with one line broken, read by
     ``stats --outcomes``: each command exits 0, or with one error line that
     names the broken file."""
-    kb_json, outcome_lines = _fixture_run_files()
+    kb_json, outcome_lines, _ = _fixture_run_files()
     with tempfile.TemporaryDirectory() as tmp:
         kb, outcomes = Path(tmp) / "kb.json", Path(tmp) / "outcomes.jsonl"
         lines = list(outcome_lines)
@@ -1135,3 +1192,86 @@ def test_mutated_fixture_records_never_print_a_traceback(data):
             if code == 2:
                 assert err.getvalue().startswith("data error: ")
                 assert err.getvalue().count("\n") == 1
+
+
+def _exits_cleanly(argv, stdin="") -> int:
+    """``main(argv)``, with ``stdin`` as standard input: it raises nothing
+    and returns 0 to 3, and a non-zero exit writes exactly one error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().startswith(("data error: ", "usage error: ", "output error: "))
+        assert err.getvalue().count("\n") == 1
+    return code
+
+
+@contextlib.contextmanager
+def _failing_open(path):
+    """``open`` raising a full-disk ``OSError`` for the file ``path`` (for
+    none when None), and opening every other file as usual."""
+    real_open = open
+
+    def fail(file, *args, **kwargs):
+        if path is not None and str(file) == str(path):
+            raise OSError(28, "No space left on device", str(file))
+        return real_open(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", fail):
+        yield
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_mutated_kb_through_the_tutor_never_prints_a_traceback(data):
+    """A fixture KB broken in one place, read by ``tutor --kb-in``."""
+    kb_json, _, _ = _fixture_run_files()
+    with tempfile.TemporaryDirectory() as tmp:
+        kb = Path(tmp) / "kb.json"
+        kb.write_text(data.draw(mutated_record(json.loads(kb_json))) + "\n")
+        code = _exits_cleanly(["tutor", "--docs", DOCS, "--kb-in", str(kb)],
+                              "ask " + DANTE_QUESTION_PARSE + "\ny\nquit\n")
+        assert code in (0, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_mutated_metadata_never_prints_a_traceback(data):
+    """A fixture ``metadata.json`` broken in one place, re-run by ``run
+    --from-metadata``; sometimes with the metadata file, or an output of the
+    re-run, failing to open."""
+    _, _, metadata = _fixture_run_files()
+    with tempfile.TemporaryDirectory() as tmp:
+        meta, out_dir = Path(tmp) / "metadata.json", Path(tmp) / "run"
+        meta.write_text(data.draw(mutated_record(json.loads(metadata))) + "\n")
+        failing = data.draw(st.sampled_from([None, meta, out_dir / "outcomes.jsonl",
+                                             out_dir / "metadata.json"]))
+        with _failing_open(failing):
+            _exits_cleanly(["run", "--from-metadata", str(meta), "--out-dir", str(out_dir)])
+
+
+TUTOR_LINES = st.one_of(
+    st.sampled_from(["y", "n", "quit", "", "ask", "answer", "answer Dante", "answer ?"]),
+    st.tuples(st.integers(0, len(DANTE_QUESTION_PARSE)), st.text(max_size=8)).map(
+        lambda cut: "ask " + DANTE_QUESTION_PARSE[:cut[0]] + cut[1]),
+    st.integers(0, 1500).map(lambda depth: "ask " + "(S " * depth + HAMLET_QUESTION_PARSE
+                             + ")" * depth),
+    st.text(max_size=12).map("answer ".__add__),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lines=st.lists(TUTOR_LINES, max_size=6), use_ner=st.booleans(),
+       fail_kb_out=st.booleans())
+def test_any_tutor_input_never_prints_a_traceback(lines, use_ner, fail_kb_out):
+    """Any lines on the tutor's standard input; sometimes with its
+    ``--kb-out`` failing to open."""
+    with tempfile.TemporaryDirectory() as tmp:
+        kb_out = Path(tmp) / "kb.json"
+        argv = ["tutor", "--docs", DOCS, "--kb-out", str(kb_out)] + ["--use-ner"] * use_ner
+        with _failing_open(kb_out if fail_kb_out else None):
+            code = _exits_cleanly(argv, "\n".join(lines) + "\n")
+        assert code == (3 if fail_kb_out else 0)

@@ -17,7 +17,7 @@ from patternqa.retrieval import RetrievedSentence
 from patternqa.treebank import parse_sentence
 from patternqa.unification import default_config, unify
 
-from .conftest import signature_of
+from .conftest import HINTS, signature_of
 from .oracles import (PHRASE_LABELS, PRETERM_LABELS, TEST_SIGNATURE, VOCAB, analyse,
                       answer_span_oracle, dfs_nodes, learn_patterns_oracle, leaf, leaves, node,
                       random_tree, trees)
@@ -142,9 +142,9 @@ def test_signature_differs_for_other_shapes(dante_question):
 
 
 def test_signature_ignores_deep_leaf_material(dante_question, hamlet_question):
-    cat = classify(dante_question)
+    cat = classify(dante_question, HINTS)
     sig_a = question_signature(dante_question, cat)
-    sig_b = question_signature(hamlet_question, classify(hamlet_question))
+    sig_b = question_signature(hamlet_question, classify(hamlet_question, HINTS))
     assert sig_a.structure_key == sig_b.structure_key == "who|SBARQ WHNP WP SQ VP ."
 
 
@@ -200,7 +200,7 @@ def test_dante_pattern_applies_to_hamlet_lookup(dante_question, dante_sentence, 
     learned = learn_patterns(dante_question, "Dante", [dante_sentence],
                              signature_of(dante_question))
     kb.insert(learned)
-    sig = question_signature(hamlet_question, classify(hamlet_question))
+    sig = question_signature(hamlet_question, classify(hamlet_question, HINTS))
     assert kb.lookup(sig) == learned
 
 

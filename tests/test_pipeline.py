@@ -17,19 +17,20 @@ from patternqa.treebank import parse_sentence
 from patternqa.unification import default_config, lexical_similarity, unify
 from patternqa import pipeline as pipeline_module
 
-from .conftest import DANTE_QUESTION_PARSE, HAMLET_QUESTION_PARSE, signature_of
+from .conftest import DANTE_QUESTION_PARSE, HAMLET_QUESTION_PARSE, HINTS, signature_of
 from .oracles import count_metrics_oracle, extract_candidates_oracle, naive_revise
 
 
 def test_scenario_table():
-    assert ScenarioConfig.from_id(1) == ScenarioConfig(1, True, False, False)
-    assert ScenarioConfig.from_id(2) == ScenarioConfig(2, False, True, True)
-    assert ScenarioConfig.from_id(3) == ScenarioConfig(3, True, True, False)
-    assert ScenarioConfig.from_id(4) == ScenarioConfig(4, True, True, True)
+    switches = {sid: (s.use_ner, s.use_patterns, s.reference_fallback)
+                for sid in (1, 2, 3, 4) for s in [ScenarioConfig.from_id(sid)]}
+    assert switches == {1: (True, False, False), 2: (False, True, True),
+                        3: (True, True, False), 4: (True, True, True)}
+    assert ScenarioConfig.from_id(2) == ScenarioConfig.from_id(2) != ScenarioConfig.from_id(4)
     with pytest.raises(ValueError):
         ScenarioConfig.from_id(5)
     with pytest.raises(ValueError):
-        ScenarioConfig(1, True, True, False)
+        ScenarioConfig(0)
 
 
 def points_of(result, fallback_as_answered=False):
@@ -114,7 +115,7 @@ def test_scenario1_malcolm_x_is_unanswered(fixture_questions, make_state):
 
 
 def dante_record(question, sentence):
-    return Interpretation(question, classify(question), signature_of(question), (sentence,))
+    return Interpretation(question, classify(question, HINTS), signature_of(question), (sentence,))
 
 
 def test_apply_feedback_worked_example(dante_question, dante_sentence):

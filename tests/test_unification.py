@@ -262,8 +262,22 @@ def test_relaxed_unification_matches_brute_force(measure):
 
 def test_relax_config_validation():
     with pytest.raises(ValueError):
-        RelaxConfig(lexical_threshold=1.5)
+        default_config(threshold=1.5)
     with pytest.raises(ValueError):
-        RelaxConfig(lexical_measure="cosine")
+        default_config("cosine")
+    with pytest.raises(ValueError):
+        default_config("cosine", threshold=0.5)
     assert default_config("overlap").lexical_threshold == 0.6
     assert default_config("jaccard").lexical_threshold == 0.5
+
+
+def test_default_config_is_the_one_source_of_defaults():
+    """A config has no defaults of its own: one built without a tag
+    hierarchy is refused, not left unable to relax a tag."""
+    with pytest.raises(TypeError):
+        RelaxConfig(True, "levenshtein", 0.8, True)
+    with pytest.raises(TypeError):
+        RelaxConfig()
+    config = default_config()
+    assert (config.lexical_measure, config.lexical_threshold) == ("levenshtein", 0.8)
+    assert config.tag_hierarchy == load_tag_hierarchy() and config.tag_hierarchy
