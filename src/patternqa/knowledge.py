@@ -23,11 +23,12 @@ holds neither first word; such a sentence teaches nothing, and the rest
 are learned from in the same order, so the patterns are the same.
 
 The knowledge base stores patterns per question signature (semantic
-category + wh-word + depth-limited label sequence) with set-union,
-provenance-merging insertion. It is single-writer: the pipeline mutates it
-only between questions, so extraction always sees a frozen snapshot. A KB
-file is the text :func:`kb_text` renders, written by the command line and
-read back by :func:`load_kb`.
+category + wh-word + depth-limited label sequence), the one place a
+pattern's signature is kept, with set-union, provenance-merging insertion.
+It is single-writer: the pipeline mutates it only between questions, so
+extraction always sees a frozen snapshot. A KB file is the text
+:func:`kb_text` renders, written by the command line and read back by
+:func:`load_kb`.
 """
 
 from __future__ import annotations
@@ -102,14 +103,14 @@ class Signature(NamedTuple):
 
 @dataclass
 class Pattern:
-    """Elements and signature identify a pattern. Its provenance is a set of
-    (question id, sentence identifier) pairs, copied from the argument; the
-    knowledge base grows a stored pattern's set in place, and
-    ``source_questions`` (the question ids) with it. The elements are never
-    changed, so the forms derived from them are made once, when first read."""
+    """Its elements identify a pattern; the knowledge base files it under a
+    signature. Its provenance is a set of (question id, sentence identifier)
+    pairs, copied from the argument; the knowledge base grows a stored
+    pattern's set in place, and ``source_questions`` (the question ids) with
+    it. The elements are never changed, so the forms derived from them are
+    made once, when first read."""
 
     elements: tuple[PatternElement, ...]
-    signature: Signature
     provenances: set[tuple[str, str]]
     source_questions: set[str] = field(init=False, repr=False, compare=False)
 
@@ -269,12 +270,11 @@ def _pattern_elements(sentence: Sentence, answer_forms, phrases: list[tuple[str,
     return tuple(elements) if len(elements) <= MAX_PATTERN_ELEMENTS else None
 
 
-def learn_patterns(question: Question, answer: str, sentences: Sequence[RetrievedSentence],
-                   signature: Signature) -> list[Pattern]:
-    """One pattern per element sequence the sentences teach, filed under
-    ``signature``, every teaching sentence in its provenance; order is irrelevant."""
-    if not answer:
-        return []
+def learn_patterns(question: Question, answer: str,
+                   sentences: Sequence[RetrievedSentence]) -> list[Pattern]:
+    """One pattern per element sequence the sentences teach, every teaching
+    sentence in its provenance; order is irrelevant. An answer without a
+    word teaches nothing."""
     raw, normalized = answer_forms = (tuple(t.lower() for t in tokenize(answer)),
                                       tuple(normalize_answer(answer).split()))
     # _answer_span matches only at a start holding the first word of a form
@@ -293,7 +293,7 @@ def learn_patterns(question: Question, answer: str, sentences: Sequence[Retrieve
         if elements is not None:
             by_elements.setdefault(elements, []).append(
                 (question.id, f"{sentence.doc_id}:{sentence.position}"))
-    return [Pattern(elements, signature, provs) for elements, provs in by_elements.items()]
+    return [Pattern(elements, provs) for elements, provs in by_elements.items()]
 
 
 class KnowledgeBase:
@@ -303,18 +303,19 @@ class KnowledgeBase:
         self._patterns: dict[Signature, dict[tuple[PatternElement, ...], Pattern]] = {}
         self.qa_pairs: list[tuple[str, str]] = []
 
-    def insert(self, patterns: list[Pattern]) -> int:
-        """Set-union insertion: same-element patterns merge their provenance
-        into the stored pattern, at a cost linear in the new provenance only.
-        Returns how many of ``patterns`` told the KB something new, either a
-        fresh element sequence or fresh provenance on a stored one."""
+    def insert(self, signature: Signature, patterns: list[Pattern]) -> int:
+        """Set-union insertion under ``signature``. A pattern with a fresh
+        element sequence is stored as given, not copied, so later merges grow
+        its provenance; a same-element pattern merges its provenance into the
+        stored one, at a cost linear in the new provenance only. Returns how
+        many of ``patterns`` told the KB something new, either a fresh
+        element sequence or fresh provenance on a stored one."""
         learned = 0
         for pattern in patterns:
-            bucket = self._patterns.setdefault(pattern.signature, {})
+            bucket = self._patterns.setdefault(signature, {})
             stored = bucket.get(pattern.elements)
-            if stored is None:  # stored as a copy, so later merges leave ``pattern`` alone
-                bucket[pattern.elements] = Pattern(pattern.elements, pattern.signature,
-                                                   pattern.provenances)
+            if stored is None:
+                bucket[pattern.elements] = pattern
             else:
                 fresh = pattern.provenances - stored.provenances
                 if not fresh:
@@ -339,13 +340,6 @@ class KnowledgeBase:
     def pattern_count(self) -> int:
         return sum(len(bucket) for bucket in self._patterns.values())
 
-    def record_qa(self, question_id: str, answer: str) -> None:
-        self.qa_pairs.append((question_id, answer))
-
-
-def _element_to_json(element: PatternElement) -> dict:
-    return {"kind": element.kind, "value": element.value}
-
 
 def kb_text(kb: KnowledgeBase) -> str:
     """The text of a KB file holding ``kb``: JSON with one-space indents,
@@ -357,7 +351,7 @@ def kb_text(kb: KnowledgeBase) -> str:
                 "structure_key": signature.structure_key,
                 "patterns": [
                     {
-                        "elements": [_element_to_json(e) for e in p.elements],
+                        "elements": [e._asdict() for e in p.elements],
                         "provenance": [list(pair) for pair in sorted(p.provenances)],
                     }
                     for p in kb.lookup(signature)
@@ -401,11 +395,11 @@ def _kb_from_json(payload: dict) -> KnowledgeBase:
                 provenances = check(item.get("provenance"), [(str, str)],
                                     "[question id, sentence] string pairs", "provenance")
                 elements = tuple(PatternElement(e["kind"], e["value"]) for e in elements)
-                kb.insert([Pattern(elements, signature, {tuple(pair) for pair in provenances})])
+                kb.insert(signature, [Pattern(elements, {tuple(pair) for pair in provenances})])
         where = "qa_pairs"
         for n, pair in enumerate(qa_pairs):
-            kb.record_qa(*check(pair, (str, str), "a [question id, answer] string pair",
-                                f"pair {n}"))
+            kb.qa_pairs.append(tuple(check(pair, (str, str), "a [question id, answer] string pair",
+                                           f"pair {n}")))
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
     return kb

@@ -23,13 +23,12 @@ knowledge base holds, so no insertion, or later pruning, makes one stale.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .classify import Category, classify, load_hint_table
 from .corpus import Question, normalize_answer
 from .extraction import Gazetteer, extract_ner, load_gazetteer, load_regex_rules
-from .knowledge import KnowledgeBase, Pattern, Signature, learn_patterns, question_signature
+from .knowledge import KnowledgeBase, Signature, learn_patterns, question_signature
 from .retrieval import TOP_K, Index, RetrievedSentence, content_words, retrieve
 from .unification import CandidateAnswer, RelaxConfig, default_config, unify
 
@@ -121,58 +120,45 @@ def interpret(state: PipelineState, question: Question) -> Interpretation:
                           tuple(sentences))
 
 
-def pattern_candidates(patterns: list[Pattern], sentences: Sequence[RetrievedSentence],
-                       config: RelaxConfig, memo: dict | None = None) -> list[CandidateAnswer]:
-    """Union of pattern extractions over the sentences, deduplicated on
-    (doc_id, position, span).
+def extract_candidates(state: PipelineState, record: Interpretation, use_patterns: bool,
+                       use_ner: bool, exclude_own: bool = False) -> list[CandidateAnswer]:
+    """The extraction step shared by batch runs, revision and the tutor:
+    pattern candidates first, then NER candidates, each kept only when no
+    earlier one was found at the same (doc_id, position, span). With
+    ``exclude_own``, patterns whose provenance includes the question itself
+    are skipped.
 
     This is the one place that decides when to relax. The exact pass runs
     first, over every (sentence, pattern) pair; relaxation (string-similarity
     token matching, superclass-compatible tags) applies only when exact
     unification produced nothing anywhere, which is precisely its trigger.
-    ``memo`` is handed to every :func:`unify` call.
+    Every :func:`unify` and :func:`extract_ner` call shares the run's memo.
     """
-
-    def collect(cfg: RelaxConfig) -> list[CandidateAnswer]:
-        found = []
-        seen = set()
-        for sentence in sentences:
-            for pattern in patterns:
-                for cand in unify(pattern, sentence.view, cfg, sentence.doc_id, sentence.position,
-                                  memo):
-                    key = (sentence.doc_id, sentence.position, cand.span)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    found.append(cand)
-        return found
-
-    exact = collect(config.exact)
-    if exact or not (config.enable_lexical or config.enable_syntactic):
-        return exact
-    return collect(config)
-
-
-def extract_candidates(state: PipelineState, record: Interpretation, use_patterns: bool,
-                       use_ner: bool, exclude_own: bool = False) -> list[CandidateAnswer]:
-    """The extraction step shared by batch runs, revision and the tutor:
-    pattern candidates first, then the NER candidates not already found at
-    the same (doc_id, position, span). With ``exclude_own``, patterns whose
-    provenance includes the question itself are skipped."""
-    candidates: list[CandidateAnswer] = []
+    found: list[CandidateAnswer] = []
+    seen: set[tuple] = set()
     if use_patterns:
-        applicable = state.kb.lookup(record.signature)
+        patterns = state.kb.lookup(record.signature)
         if exclude_own:
-            applicable = [p for p in applicable if record.question.id not in p.source_questions]
-        candidates = pattern_candidates(applicable, record.sentences, state.relax, state.memo)
+            patterns = [p for p in patterns if record.question.id not in p.source_questions]
+        relax = state.relax
+        for config in (relax.exact, relax):
+            for sentence in record.sentences:
+                for pattern in patterns:
+                    for cand in unify(pattern, sentence.view, config, sentence.doc_id,
+                                      sentence.position, state.memo):
+                        key = (sentence.doc_id, sentence.position, cand.span)
+                        if key not in seen:
+                            seen.add(key)
+                            found.append(cand)
+            if found or not (relax.enable_lexical or relax.enable_syntactic):
+                break
     if use_ner:
         ner = extract_ner(record.category, record.sentences, state.gazetteer, state.regex_rules,
                           state.memo)
-        if candidates:
-            seen = {(c.doc_id, c.position, c.span) for c in candidates}
-            ner = [c for c in ner if (c.doc_id, c.position, c.span) not in seen]
-        candidates += ner
-    return candidates
+        if not found:  # nothing to deduplicate against: no per-candidate keys
+            return ner
+        found += [c for c in ner if (c.doc_id, c.position, c.span) not in seen]
+    return found
 
 
 def oracle_select(candidates: list[CandidateAnswer], references) -> CandidateAnswer | None:
@@ -191,9 +177,9 @@ def apply_feedback(state: PipelineState, record: Interpretation, answer: str) ->
     number of learned patterns that told the KB anything new (see
     :meth:`KnowledgeBase.insert`); repeating identical feedback yields 0.
     """
-    learned = state.kb.insert(learn_patterns(record.question, answer, record.sentences,
-                                             record.signature))
-    state.kb.record_qa(record.question.id, answer)
+    learned = state.kb.insert(record.signature,
+                              learn_patterns(record.question, answer, record.sentences))
+    state.kb.qa_pairs.append((record.question.id, answer))
     return learned
 
 

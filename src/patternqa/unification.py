@@ -6,9 +6,13 @@ element consumes one leaf whose token matches it, a Syntactic or
 AnswerSlot element consumes a preterminal or constituent carrying a
 matching label. Candidate alignments are explored top-down, left-to-right,
 depth-first; every leaf offset at which the remaining sentence is long
-enough is tried. Relaxation (string-similarity token matching,
-superclass-compatible tags) applies only as far as the given config
-enables it; when to relax is decided by the caller.
+enough is tried. A search state at a Syntactic or AnswerSlot element, the
+only ones that branch, is explored once per pass, as its completions
+depend on it alone (memoized backtracking, as in packrat parsing): deep
+stacks of same-label constituents cost polynomial, not exponential, time.
+Relaxation (string-similarity token matching, superclass-compatible tags)
+applies only as far as the given config enables it; when to relax is
+decided by :func:`~patternqa.pipeline.extract_candidates`.
 
 Two exact pre-tests skip work that cannot succeed. Without lexical
 relaxation a pattern whose literal tokens are not all in the sentence
@@ -207,6 +211,7 @@ def _unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
     hierarchy = config.tag_hierarchy if config.enable_syntactic else None
     n, size = len(lowered), len(elements)
     found: dict[tuple[int, int], str] = {}
+    tried: set[tuple] = set()
 
     # depth-first over the elements from leaf offset ``pos``; an alignment
     # of all of them records its answer span
@@ -226,6 +231,10 @@ def _unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
                     and lexical_similarity(token, value, measure) >= threshold:
                 match(idx + 1, pos + 1, captured, True, syn_used)
             return
+        state = (idx, pos, captured, lex_used, syn_used)
+        if state in tried:  # its completions are in ``found`` already
+            return
+        tried.add(state)
         for end, label, _ in constituents[pos]:
             if label == value:
                 relaxed = False

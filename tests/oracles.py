@@ -13,7 +13,8 @@ were read through their analysed view. ``corpus.tokenize`` is kept as
 the per-chunk rules it replaced. The tree type, its parser and the
 walk that analysed a tree are kept here as the reference that the one-pass
 ``treebank.parse_sentence`` is checked against. Extraction is also kept
-without the run's memo, every unification and NER pass computed afresh.
+without the run's memo, every unification and NER pass computed afresh,
+and with its own exact pass and relax-only-on-failure decision.
 Pattern learning is kept as it was before it read tags in place: one
 ``Pattern`` per sentence from a whole-sentence tag dict and a sorted region
 list, then one per element sequence. Its answer span is found as it was
@@ -44,11 +45,11 @@ from patternqa.knowledge import (ANSWER_SLOT, LEXICAL, MAX_PATTERN_ELEMENTS, SIG
                                  _find_subsequence, _question_phrases, answer_slot, lexical,
                                  syntactic)
 from patternqa.classify import Category, wh_word
-from patternqa.pipeline import CheckpointReport, apply_feedback, oracle_select, pattern_candidates
+from patternqa.pipeline import CheckpointReport, apply_feedback, oracle_select
 from patternqa.retrieval import BM25_B, BM25_K1, STOPWORDS, content_words
 from patternqa.stem import stem
 from patternqa.treebank import PUNCTUATION, Sentence, TreeFormatError, strip_decorations
-from patternqa.unification import RELAX_NONE, RelaxConfig
+from patternqa.unification import RELAX_NONE, RelaxConfig, unify
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,7 +418,7 @@ def random_pattern(rng: random.Random, tree: ParseTree) -> Pattern:
         else:
             pool = tree_labels if rng.random() < 0.8 else PHRASE_LABELS + PRETERM_LABELS
             elements.append(syntactic(rng.choice(pool)))
-    return Pattern(tuple(elements), TEST_SIGNATURE, (("gen", "gen:0"),))
+    return Pattern(tuple(elements), (("gen", "gen:0"),))
 
 
 def misspell(rng: random.Random, pattern: Pattern) -> Pattern:
@@ -431,7 +432,30 @@ def misspell(rng: random.Random, pattern: Pattern) -> Pattern:
             value = value[:at] + rng.choice("aeioxz") + value[at + rng.randint(0, 1):]
             element = lexical(value)
         elements.append(element)
-    return Pattern(tuple(elements), pattern.signature, pattern.provenances)
+    return Pattern(tuple(elements), pattern.provenances)
+
+
+def pattern_candidates_oracle(patterns, sentences, relax: RelaxConfig) -> list:
+    """Reference for the pattern half of ``pipeline.extract_candidates``,
+    with no memo: an exact pass over every (sentence, pattern) pair, and a
+    relaxed one only when the exact pass found nothing and ``relax``
+    enables a relaxation. Within a pass the first candidate found at a
+    (doc_id, position, span) is kept."""
+
+    def one_pass(config: RelaxConfig) -> list:
+        found = {}
+        for sentence in sentences:
+            for pattern in patterns:
+                for cand in unify(pattern, sentence.view, config, sentence.doc_id,
+                                  sentence.position):
+                    found.setdefault((cand.doc_id, cand.position, cand.span), cand)
+        return list(found.values())
+
+    exact = one_pass(RelaxConfig(False, relax.lexical_measure, relax.lexical_threshold, False,
+                                 relax.tag_hierarchy))
+    if exact or not (relax.enable_lexical or relax.enable_syntactic):
+        return exact
+    return one_pass(relax)
 
 
 def naive_revise(state, pending: list[str], checkpoint: int,
@@ -446,7 +470,7 @@ def naive_revise(state, pending: list[str], checkpoint: int,
             continue
         applicable = [p for p in state.kb.lookup(record.signature)
                       if all(source != qid for source, _ in p.provenances)]
-        final = oracle_select(pattern_candidates(applicable, record.sentences, state.relax),
+        final = oracle_select(pattern_candidates_oracle(applicable, record.sentences, state.relax),
                               record.question.answers)
         if final is None:
             continue
@@ -495,7 +519,7 @@ def extract_candidates_oracle(state, record, use_patterns: bool, use_ner: bool,
         applicable = [p for p in state.kb.lookup(record.signature)
                       if not exclude_own
                       or all(source != record.question.id for source, _ in p.provenances)]
-        candidates = pattern_candidates(applicable, record.sentences, state.relax)
+        candidates = pattern_candidates_oracle(applicable, record.sentences, state.relax)
     if use_ner:
         found = {(c.doc_id, c.position, c.span) for c in candidates}
         candidates += [c for c in extract_ner(record.category, record.sentences,
@@ -623,7 +647,7 @@ def answer_span_oracle(sentence: Sentence, forms) -> tuple[int, int] | None:
 
 
 def _pattern_from_sentence_oracle(question_id: str, answer_forms, retrieved,
-                                  signature: Signature, phrases: list[tuple[str, ...]],
+                                  phrases: list[tuple[str, ...]],
                                   content_stems: set[str]) -> Pattern | None:
     sentence = retrieved.view
     ans = answer_span_oracle(sentence, answer_forms)
@@ -679,10 +703,10 @@ def _pattern_from_sentence_oracle(question_id: str, answer_forms, retrieved,
     if len(elements) > MAX_PATTERN_ELEMENTS:
         return None
     sentence_id = f"{retrieved.doc_id}:{retrieved.position}"
-    return Pattern(tuple(elements), signature, ((question_id, sentence_id),))
+    return Pattern(tuple(elements), ((question_id, sentence_id),))
 
 
-def learn_patterns_oracle(question, answer: str, sentences, signature: Signature) -> list[Pattern]:
+def learn_patterns_oracle(question, answer: str, sentences) -> list[Pattern]:
     """Reference for ``knowledge.learn_patterns``: one ``Pattern`` per
     learnable sentence, then one per element sequence, provenances merged."""
     if not answer:
@@ -693,12 +717,12 @@ def learn_patterns_oracle(question, answer: str, sentences, signature: Signature
     content_stems = {stem(w) for w in content_words(question.parse)}
     by_elements: dict[tuple, list[tuple[str, str]]] = {}
     for sentence in sorted(sentences, key=lambda s: (s.doc_id, s.position)):
-        pattern = _pattern_from_sentence_oracle(question.id, answer_forms, sentence, signature,
-                                                phrases, content_stems)
+        pattern = _pattern_from_sentence_oracle(question.id, answer_forms, sentence, phrases,
+                                                content_stems)
         if pattern is None:
             continue
         by_elements.setdefault(pattern.elements, []).extend(pattern.provenances)
-    return [Pattern(elements, signature, provs) for elements, provs in by_elements.items()]
+    return [Pattern(elements, provs) for elements, provs in by_elements.items()]
 
 
 def _candidate_record(cand) -> dict:

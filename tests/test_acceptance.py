@@ -23,8 +23,7 @@ from patternqa.treebank import parse_sentence
 from patternqa.unification import (default_config, levenshtein_distance,
                                    unify)
 
-from .conftest import (DANTE_QUESTION_PARSE, FIXTURES,
-                       HAMLET_QUESTION_PARSE, signature_of)
+from .conftest import DANTE_QUESTION_PARSE, FIXTURES, HAMLET_QUESTION_PARSE
 from .oracles import (analyse, brute_force_answer_spans, levenshtein_oracle, parse_bracketed,
                       random_pattern, random_tree)
 
@@ -37,8 +36,7 @@ def report(name: str, ok: bool, detail: str = "") -> bool:
 
 
 def test_worked_example_fidelity(dante_question, dante_sentence):
-    patterns = learn_patterns(dante_question, "Dante", [dante_sentence],
-                              signature_of(dante_question))
+    patterns = learn_patterns(dante_question, "Dante", [dante_sentence])
     expected = [("answer", "NP"), ("lexical", "has"),
                 ("syntactic", "VBN"), ("syntactic", "NP")]
     got = [[(e.kind, e.value) for e in p.elements] for p in patterns]
@@ -50,8 +48,7 @@ def test_worked_example_fidelity(dante_question, dante_sentence):
 
 
 def test_relaxation_fidelity(dante_question, dante_sentence):
-    pattern = learn_patterns(dante_question, "Dante", [dante_sentence],
-                             signature_of(dante_question))[0]
+    pattern = learn_patterns(dante_question, "Dante", [dante_sentence])[0]
     nn_subject = parse_sentence(
         "(S (NN poet) (VP (VBZ has) (VP (VBN written) "
         "(NP (DT The) (NNP Divine) (NNP Comedy)))))")

@@ -441,8 +441,8 @@ def test_tutor_quit_preserves_kb(tmp_path, monkeypatch, capsys, dante_question,
     from patternqa.knowledge import learn_patterns
 
     kb = KnowledgeBase()
-    kb.insert(learn_patterns(dante_question, "Dante", [dante_sentence],
-                             signature_of(dante_question)))
+    kb.insert(signature_of(dante_question),
+              learn_patterns(dante_question, "Dante", [dante_sentence]))
     kb_in = tmp_path / "in.json"
     kb_out = tmp_path / "out.json"
     kb_in.write_text(kb_text(kb), "utf-8")

@@ -28,8 +28,7 @@ def rsent(text, parse, doc_id="doc", position=0):
 
 
 def test_worked_example_learns_expected_pattern(dante_question, dante_sentence):
-    patterns = learn_patterns(dante_question, "Dante", [dante_sentence],
-                              signature_of(dante_question))
+    patterns = learn_patterns(dante_question, "Dante", [dante_sentence])
     assert len(patterns) == 1
     assert [(e.kind, e.value) for e in patterns[0].elements] == [
         ("answer", "NP"), ("lexical", "has"), ("syntactic", "VBN"), ("syntactic", "NP"),
@@ -43,12 +42,12 @@ def test_slots_take_the_lowest_of_stacked_constituents(dante_question):
     stacked = rsent("Dante has written The Divine Comedy",
                     "(S (UCP (NX (NNP Dante))) (VP (VBZ has) (VP (VBN written) "
                     "(FRAG (NP (DT The) (NNP Divine) (NNP Comedy))))))")
-    patterns = learn_patterns(dante_question, "Dante", [stacked], signature_of(dante_question))
+    patterns = learn_patterns(dante_question, "Dante", [stacked])
     assert [p.rendered for p in patterns] == ["NX_answer has VBN NP"]
     bare = rsent("Dante has written The Divine Comedy",
                  "(S (NNP Dante) (VP (VBZ has) (VP (VBN written) "
                  "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
-    patterns = learn_patterns(dante_question, "Dante", [bare], signature_of(dante_question))
+    patterns = learn_patterns(dante_question, "Dante", [bare])
     assert [p.rendered for p in patterns] == ["NNP_answer has VBN NP"]
 
 
@@ -62,7 +61,7 @@ def test_a_leaf_without_a_tag_stays_literal():
     question = Question(id="q1", text="Who wrote Inferno ?",
                         parse=parse_sentence(INFERNO_QUESTION_PARSE), answers=("Dante",))
     sentence = rsent("Dante wrote Inferno .", BARE_WROTE_PARSE, doc_id="d1")
-    patterns = learn_patterns(question, "Dante", [sentence], signature_of(question))
+    patterns = learn_patterns(question, "Dante", [sentence])
     assert [p.rendered for p in patterns] == ["NP_answer wrote NP"]
     assert patterns[0].provenances == {("q1", "d1:0")}
 
@@ -96,10 +95,10 @@ def test_only_sentences_holding_a_first_word_of_the_answer_are_searched(monkeypa
         return real(sentence, forms)
 
     monkeypatch.setattr(knowledge, "_answer_span", counted)
-    patterns = learn_patterns(question, answer, sentences, signature_of(question))
+    patterns = learn_patterns(question, answer, sentences)
     assert reached == searched
     assert [p.rendered for p in patterns] == ["NP_answer VP"]
-    assert patterns == learn_patterns_oracle(question, answer, sentences, signature_of(question))
+    assert patterns == learn_patterns_oracle(question, answer, sentences)
 
 
 # articles in any case, punctuation-only tokens, and words whose stripped
@@ -110,7 +109,13 @@ SPAN_TOKENS = st.sampled_from(["the", "The", "THE", "a", "A", "an", "An", "Dante
 
 
 def test_empty_sentence_list(dante_question):
-    assert learn_patterns(dante_question, "Dante", [], signature_of(dante_question)) == []
+    assert learn_patterns(dante_question, "Dante", []) == []
+
+
+def test_an_answer_without_a_word_teaches_nothing(dante_question, dante_sentence):
+    """No first word means no sentence to search, so the learner needs no
+    guard of its own for an empty answer."""
+    assert learn_patterns(dante_question, "", [dante_sentence]) == []
 
 
 def test_answer_without_question_phrase_learns_nothing(dante_question):
@@ -118,7 +123,7 @@ def test_answer_without_question_phrase_learns_nothing(dante_question):
         "Dante has composed many works",
         "(S (NP (NNP Dante)) (VP (VBZ has) (VP (VBN composed) (NP (JJ many) (NNS works)))))",
     )
-    assert learn_patterns(dante_question, "Dante", [sentence], signature_of(dante_question)) == []
+    assert learn_patterns(dante_question, "Dante", [sentence]) == []
 
 
 def test_signatures_shared_across_same_shape(dante_question, hamlet_question):
@@ -149,14 +154,14 @@ def test_signature_ignores_deep_leaf_material(dante_question, hamlet_question):
 
 
 def make_pattern(*elements):
-    return Pattern(tuple(elements), TEST_SIGNATURE, (("q", "d:0"),))
+    return Pattern(tuple(elements), (("q", "d:0"),))
 
 
 def test_kb_insert_idempotent():
     kb = KnowledgeBase()
     pattern = make_pattern(answer_slot("NP"), lexical("has"))
-    assert kb.insert([pattern]) == 1
-    assert kb.insert([pattern]) == 0
+    assert kb.insert(TEST_SIGNATURE, [pattern]) == 1
+    assert kb.insert(TEST_SIGNATURE, [pattern]) == 0
     assert len(kb.lookup(TEST_SIGNATURE)) == 1
 
 
@@ -167,17 +172,17 @@ def test_kb_insert_three_distinct():
         make_pattern(answer_slot("NP"), lexical("was")),
         make_pattern(answer_slot("NN"), syntactic("VBD")),
     ]
-    assert kb.insert(patterns) == 3
+    assert kb.insert(TEST_SIGNATURE, patterns) == 3
     assert kb.lookup(TEST_SIGNATURE) == patterns
 
 
 def test_same_elements_merge_provenance():
     kb = KnowledgeBase()
-    a = Pattern((answer_slot("NP"), lexical("has")), TEST_SIGNATURE, (("q1", "d:0"),))
-    b = Pattern((answer_slot("NP"), lexical("has")), TEST_SIGNATURE, (("q2", "d:1"),))
-    assert kb.insert([a]) == 1
-    assert kb.insert([b]) == 1  # fresh provenance on stored elements
-    assert kb.insert([b]) == 0
+    a = Pattern((answer_slot("NP"), lexical("has")), (("q1", "d:0"),))
+    b = Pattern((answer_slot("NP"), lexical("has")), (("q2", "d:1"),))
+    assert kb.insert(TEST_SIGNATURE, [a]) == 1
+    assert kb.insert(TEST_SIGNATURE, [b]) == 1  # fresh provenance on stored elements
+    assert kb.insert(TEST_SIGNATURE, [b]) == 0
     stored = kb.lookup(TEST_SIGNATURE)
     assert len(stored) == 1
     assert stored[0].provenances == {("q1", "d:0"), ("q2", "d:1")}
@@ -190,16 +195,15 @@ def test_lookup_unseen_signature():
 
 def test_lookup_does_not_cross_signatures(dante_question):
     kb = KnowledgeBase()
-    kb.insert([make_pattern(answer_slot("NP"), lexical("has"))])
+    kb.insert(TEST_SIGNATURE, [make_pattern(answer_slot("NP"), lexical("has"))])
     other = question_signature(dante_question, Category("HUM", "ind"))
     assert kb.lookup(other) == []
 
 
 def test_dante_pattern_applies_to_hamlet_lookup(dante_question, dante_sentence, hamlet_question):
     kb = KnowledgeBase()
-    learned = learn_patterns(dante_question, "Dante", [dante_sentence],
-                             signature_of(dante_question))
-    kb.insert(learned)
+    learned = learn_patterns(dante_question, "Dante", [dante_sentence])
+    kb.insert(signature_of(dante_question), learned)
     sig = question_signature(hamlet_question, classify(hamlet_question, HINTS))
     assert kb.lookup(sig) == learned
 
@@ -218,7 +222,7 @@ def test_closure_learned_patterns_extract_their_answer(fixture_questions, fixtur
     for question in fixture_questions:
         answer = question.answers[0]
         for sentence in sentences.values():
-            learned = learn_patterns(question, answer, [sentence], signature_of(question))
+            learned = learn_patterns(question, answer, [sentence])
             for pattern in learned:
                 candidates = unify(pattern, sentence.view, config.exact)
                 assert any(normalize_answer(c.text) == normalize_answer(answer)
@@ -232,10 +236,8 @@ def test_learning_is_sentence_order_independent(dante_question, dante_sentence):
                   "(S (NP (NNP Dante)) (VP (VBZ has) (VP (VBN written) "
                   "(NP (DT The) (NNP Divine) (NNP Comedy)))))",
                   doc_id="other", position=3)
-    forward = learn_patterns(dante_question, "Dante", [dante_sentence, other],
-                             signature_of(dante_question))
-    backward = learn_patterns(dante_question, "Dante", [other, dante_sentence],
-                              signature_of(dante_question))
+    forward = learn_patterns(dante_question, "Dante", [dante_sentence, other])
+    backward = learn_patterns(dante_question, "Dante", [other, dante_sentence])
     assert forward == backward
     assert len(forward) == 1
     assert forward[0].provenances == {("dante", "doc:0"), ("dante", "other:3")}
@@ -243,11 +245,11 @@ def test_learning_is_sentence_order_independent(dante_question, dante_sentence):
 
 def test_pattern_validation():
     with pytest.raises(ValueError):
-        Pattern((lexical("has"), syntactic("NP")), TEST_SIGNATURE, ())  # no slot
+        Pattern((lexical("has"), syntactic("NP")), ())  # no slot
     with pytest.raises(ValueError):
-        Pattern((answer_slot("NP"), answer_slot("NN")), TEST_SIGNATURE, ())  # two slots
+        Pattern((answer_slot("NP"), answer_slot("NN")), ())  # two slots
     with pytest.raises(ValueError):
-        Pattern((answer_slot("NP"),), TEST_SIGNATURE, ())  # bare slot
+        Pattern((answer_slot("NP"),), ())  # bare slot
     with pytest.raises(ValueError):
         PatternElement("bogus", "x")
     with pytest.raises(ValueError):
@@ -260,14 +262,13 @@ def test_pattern_length_cap(dante_question):
         "Dante " + " ".join(f"w{i}" for i in range(11)) + " The Divine Comedy",
         f"(S (NP (NNP Dante)) {filler} (NP (DT The) (NNP Divine) (NNP Comedy)))",
     )
-    assert learn_patterns(dante_question, "Dante", [too_long], signature_of(dante_question)) == []
+    assert learn_patterns(dante_question, "Dante", [too_long]) == []
     filler_ok = " ".join(f"(NN w{i})" for i in range(9))
     long_but_ok = rsent(
         "Dante " + " ".join(f"w{i}" for i in range(9)) + " The Divine Comedy",
         f"(S (NP (NNP Dante)) {filler_ok} (NP (DT The) (NNP Divine) (NNP Comedy)))",
     )
-    assert len(learn_patterns(dante_question, "Dante", [long_but_ok],
-                              signature_of(dante_question))) == 1
+    assert len(learn_patterns(dante_question, "Dante", [long_but_ok])) == 1
 
 
 def test_kb_monotone_lookup_never_shrinks():
@@ -277,7 +278,7 @@ def test_kb_monotone_lookup_never_shrinks():
     for i in range(20):
         tag = rng.choice(["NP", "NN", "VP"])
         token = rng.choice(["has", "was", "did"])
-        kb.insert([make_pattern(answer_slot(tag), lexical(token))])
+        kb.insert(TEST_SIGNATURE, [make_pattern(answer_slot(tag), lexical(token))])
         size = len(kb.lookup(TEST_SIGNATURE))
         assert size >= seen
         seen = size
@@ -285,9 +286,9 @@ def test_kb_monotone_lookup_never_shrinks():
 
 def test_save_load_roundtrip(tmp_path, dante_question, dante_sentence):
     kb = KnowledgeBase()
-    kb.insert(learn_patterns(dante_question, "Dante", [dante_sentence],
-                             signature_of(dante_question)))
-    kb.record_qa("dante", "Dante")
+    kb.insert(signature_of(dante_question),
+              learn_patterns(dante_question, "Dante", [dante_sentence]))
+    kb.qa_pairs.append(("dante", "Dante"))
     path = tmp_path / "kb.json"
     path.write_text(kb_text(kb), "utf-8")
     loaded = load_kb(path)
@@ -353,7 +354,7 @@ def test_learner_closure_on_random_sentences():
         if rng.random() < 0.2:
             answer = rng.choice(["The ", "", "a "]) + answer.upper() + rng.choice(["", "."])
         sentence = RetrievedSentence(" ".join(leaves(tree)), analyse(tree), 1.0, "doc", 3)
-        for pattern in learn_patterns(question, answer, [sentence], TEST_SIGNATURE):
+        for pattern in learn_patterns(question, answer, [sentence]):
             span = _taught_span(sentence.view.tokens, answer)
             assert span in {c.span for c in unify(pattern, sentence.view, config)}, \
                 (pattern.rendered, answer, sentence.text)
@@ -420,8 +421,8 @@ def test_learning_over_bare_leaves(taught, middle, asked, label, answer_first, d
     answer = " ".join(leaves(data.draw(st.sampled_from(_phrases(taught)))))
     sentence = RetrievedSentence(" ".join(leaves(tree)), analyse(tree), 1.0, "doc", 2)
     view = sentence.view
-    learned = learn_patterns(question, answer, [sentence], TEST_SIGNATURE)
-    assert learned == learn_patterns_oracle(question, answer, [sentence], TEST_SIGNATURE)
+    learned = learn_patterns(question, answer, [sentence])
+    assert learned == learn_patterns_oracle(question, answer, [sentence])
     untagged = {i for i, nodes in enumerate(view.constituents)
                 if not any(is_preterminal for _, _, is_preterminal in nodes)}
     span = _taught_span(view.tokens, answer)
@@ -442,23 +443,22 @@ def test_learning_over_bare_leaves(taught, middle, asked, label, answer_first, d
 @example(answer="O'Neill", subject=["ONeill"])
 def test_learner_matches_the_per_sentence_oracle(fixture_questions, fixture_docs, answer,
                                                  subject):
-    """Patterns, signatures, provenances and their order equal those of the
+    """Patterns, provenances and their order equal those of the
     learner that built one Pattern per sentence, on the fixtures, on random
     sentences taught together, and on an answer taught from a sentence whose
     subject reads ``subject``."""
     question = Question(id="q1", text="Who wrote Inferno ?",
                         parse=parse_sentence(INFERNO_QUESTION_PARSE), answers=(answer,))
     sentence = [_wrote_inferno(subject)]
-    assert learn_patterns(question, answer, sentence, TEST_SIGNATURE) == \
-        learn_patterns_oracle(question, answer, sentence, TEST_SIGNATURE)
+    assert learn_patterns(question, answer, sentence) == \
+        learn_patterns_oracle(question, answer, sentence)
     sentences = [RetrievedSentence(text, view, 1.0, doc.doc_id, i)
                  for doc in fixture_docs for i, (text, view) in enumerate(doc.sentences)]
     learned = 0
     for question in fixture_questions:
-        signature = signature_of(question)
         for answer in question.answers:
-            patterns = learn_patterns(question, answer, sentences[::-1], signature)
-            assert patterns == learn_patterns_oracle(question, answer, sentences, signature)
+            patterns = learn_patterns(question, answer, sentences[::-1])
+            assert patterns == learn_patterns_oracle(question, answer, sentences)
             learned += len(patterns)
     rng = random.Random(7)
     for _ in range(300):
@@ -471,8 +471,8 @@ def test_learner_matches_the_per_sentence_oracle(fixture_questions, fixture_docs
         question = Question(id="q", text=" ".join(leaves(parse)), parse=analyse(parse),
                             answers=("x",))
         answer = " ".join(leaves(rng.choice(subtrees)))
-        patterns = learn_patterns(question, answer, batch, TEST_SIGNATURE)
-        assert patterns == learn_patterns_oracle(question, answer, batch, TEST_SIGNATURE)
+        patterns = learn_patterns(question, answer, batch)
+        assert patterns == learn_patterns_oracle(question, answer, batch)
         learned += len(patterns)
     assert learned >= 100
 
@@ -494,10 +494,10 @@ def knowledge_bases(draw):
                         answer_slot(draw(st.text(min_size=1, max_size=3))))
         provenances = draw(st.sets(st.tuples(st.text(max_size=3), st.text(max_size=3)),
                                    min_size=1, max_size=4))
-        kb.insert([Pattern(tuple(elements), draw(SIGNATURES), provenances)])
+        kb.insert(draw(SIGNATURES), [Pattern(tuple(elements), provenances)])
     for qid, answer in draw(st.lists(st.tuples(st.text(max_size=3), st.text(max_size=5)),
                                      max_size=4)):
-        kb.record_qa(qid, answer)
+        kb.qa_pairs.append((qid, answer))
     return kb
 
 

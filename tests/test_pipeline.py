@@ -10,8 +10,8 @@ from patternqa.extraction import Gazetteer, extract_ner, load_gazetteer, load_re
 from patternqa.knowledge import (KnowledgeBase, Pattern, answer_slot, lexical,
                                  question_signature, syntactic)
 from patternqa.pipeline import (Interpretation, PipelineState, ScenarioConfig,
-                                answer_question, apply_feedback, interpret,
-                                pattern_candidates, revise, run_sequence)
+                                answer_question, apply_feedback, extract_candidates,
+                                interpret, revise, run_sequence)
 from patternqa.retrieval import RetrievedSentence, build_index
 from patternqa.treebank import parse_sentence
 from patternqa.unification import default_config, lexical_similarity, unify
@@ -118,6 +118,18 @@ def dante_record(question, sentence):
     return Interpretation(question, classify(question, HINTS), signature_of(question), (sentence,))
 
 
+def pattern_extraction(question, patterns, sentences, memo=None):
+    """What ``extract_candidates`` finds with patterns alone, under the
+    default relax config, when the KB holds ``patterns`` under the
+    question's signature."""
+    state = PipelineState(kb=KnowledgeBase(), index=build_index([]), gazetteer=load_gazetteer(),
+                          memo={} if memo is None else memo)
+    record = Interpretation(question, classify(question, HINTS), signature_of(question),
+                            tuple(sentences))
+    state.kb.insert(record.signature, patterns)
+    return extract_candidates(state, record, use_patterns=True, use_ner=False)
+
+
 def test_apply_feedback_worked_example(dante_question, dante_sentence):
     state = PipelineState(kb=KnowledgeBase(), index=build_index([]),
                           gazetteer=load_gazetteer())
@@ -212,6 +224,55 @@ def test_self_taught_patterns_cannot_rescue(fixture_questions, make_state):
         assert "q01" not in report.newly_correct
 
 
+def test_a_question_whose_interpretation_raised_is_retried_but_never_rescued(
+        monkeypatch, fixture_questions, make_state):
+    """q07 is rescued at the first checkpoint of the scenario-2 run. When
+    classifying it raises, it keeps no interpretation: its outcome is an
+    error, the checkpoint lists it as retried but not rescued, and the run
+    goes on."""
+    real = pipeline_module.classify
+
+    def classify_failing_q07(question, hints):
+        if question.id == "q07":
+            raise RuntimeError("no category")
+        return real(question, hints)
+
+    monkeypatch.setattr(pipeline_module, "classify", classify_failing_q07)
+    state = make_state()
+    result = run_sequence(state, fixture_questions, ScenarioConfig.from_id(2), 10)
+    assert result.outcomes[6].error == "RuntimeError: no category"
+    assert "q07" not in state.interpretations
+    assert all("q07" in report.retried and "q07" not in report.newly_correct
+               for report in result.revision)
+    assert len(result.outcomes) == 30 and result.revision
+
+
+def test_the_kb_stores_learned_patterns_without_copying_them(monkeypatch, fixture_questions,
+                                                             make_state):
+    """On the scenario-4 fixture run, every ``Pattern`` built is one the
+    learner returned, and each stored pattern is one of those objects."""
+    built, learned = [], []
+    post_init = Pattern.__post_init__
+    real_learn = pipeline_module.learn_patterns
+
+    def counted_post_init(pattern):
+        built.append(pattern)
+        post_init(pattern)
+
+    def recorded_learn(*args):
+        patterns = real_learn(*args)
+        learned.extend(patterns)
+        return patterns
+
+    monkeypatch.setattr(Pattern, "__post_init__", counted_post_init)
+    monkeypatch.setattr(pipeline_module, "learn_patterns", recorded_learn)
+    state = make_state()
+    run_sequence(state, fixture_questions, ScenarioConfig.from_id(4))
+    stored = [p for signature in state.kb.signatures() for p in state.kb.lookup(signature)]
+    assert stored and len(built) == len(learned)
+    assert {id(p) for p in stored} <= {id(p) for p in learned}
+
+
 def kb_content(kb):
     return [(signature, kb.lookup(signature)) for signature in kb.signatures()]
 
@@ -248,15 +309,15 @@ def test_retry_reruns_only_when_its_signature_gains_a_pattern(monkeypatch):
         calls.clear()
         return revise(state, [hamlet.id], 1).newly_correct
 
-    miss = Pattern((answer_slot("NP"), lexical("zzzz")), record.signature, {("t1", "lit:0")})
-    state.kb.insert([miss])
+    miss = Pattern((answer_slot("NP"), lexical("zzzz")), {("t1", "lit:0")})
+    state.kb.insert(record.signature, [miss])
     assert checkpoint() == [] and calls  # the first retry always runs
     assert checkpoint() == [] and calls == []  # nothing new under the signature
-    state.kb.insert([Pattern(miss.elements, record.signature, {("t2", "lit:1")})])
+    state.kb.insert(record.signature, [Pattern(miss.elements, {("t2", "lit:1")})])
     assert checkpoint() == [] and calls == []  # new provenance, no new pattern
     hit = Pattern((answer_slot("NP"), lexical("has"), syntactic("VBN"), syntactic("NP")),
-                  record.signature, {("t3", "lit:0")})
-    state.kb.insert([hit])
+                  {("t3", "lit:0")})
+    state.kb.insert(record.signature, [hit])
     assert checkpoint() == ["h"]
     assert {pattern.rendered for pattern in calls} == {miss.rendered, hit.rendered}
 
@@ -264,42 +325,34 @@ def test_retry_reruns_only_when_its_signature_gains_a_pattern(monkeypatch):
 def test_monotone_learning_candidates_grow_with_kb(dante_question, dante_sentence,
                                                    hamlet_question):
     from patternqa.knowledge import learn_patterns
-    from patternqa.unification import default_config
 
-    learned = learn_patterns(dante_question, "Dante", [dante_sentence],
-                             signature_of(dante_question))
+    learned = learn_patterns(dante_question, "Dante", [dante_sentence])
     sh_sentence = dante_sentence.__class__(
         text="Shakespeare has written Hamlet",
         view=parse_sentence("(S (NP (NNP Shakespeare)) (VP (VBZ has) "
                             "(VP (VBN written) (NP (NNP Hamlet)))))"),
         score=1.0, doc_id="doc", position=1)
-    config = default_config()
-    small = pattern_candidates(learned, [sh_sentence], config)
-    extra = learn_patterns(hamlet_question, "Shakespeare", [sh_sentence],
-                           signature_of(hamlet_question))
-    large = pattern_candidates(learned + extra, [sh_sentence], config)
+    small = pattern_extraction(dante_question, learned, [sh_sentence])
+    extra = learn_patterns(hamlet_question, "Shakespeare", [sh_sentence])
+    large = pattern_extraction(dante_question, learned + extra, [sh_sentence])
     assert {(c.span, c.doc_id, c.position) for c in small} <= \
         {(c.span, c.doc_id, c.position) for c in large}
 
 
-
-def test_pattern_candidates_relax_only_when_nothing_matches_exactly(dante_question,
+def test_extract_candidates_relax_only_when_nothing_matches_exactly(dante_question,
                                                                     dante_sentence):
     from patternqa.knowledge import learn_patterns
-    from patternqa.unification import default_config
 
-    learned = learn_patterns(dante_question, "Dante", [dante_sentence],
-                             signature_of(dante_question))
+    learned = learn_patterns(dante_question, "Dante", [dante_sentence])
     flat_subject = dante_sentence.__class__(
         text="poet has written The Divine Comedy",
         view=parse_sentence("(S (NN poet) (VP (VBZ has) (VP (VBN written) "
                             "(NP (DT The) (NNP Divine) (NNP Comedy)))))"),
         score=1.0, doc_id="doc", position=1)
-    config = default_config()
     # the exact pass covers every sentence before any relaxation is tried
-    both = pattern_candidates(learned, [flat_subject, dante_sentence], config)
+    both = pattern_extraction(dante_question, learned, [flat_subject, dante_sentence])
     assert [(c.text, c.position, c.relaxation_used) for c in both] == [("Dante", 0, "none")]
-    alone = pattern_candidates(learned, [flat_subject], config)
+    alone = pattern_extraction(dante_question, learned, [flat_subject])
     assert [(c.text, c.position, c.relaxation_used) for c in alone] == \
         [("poet", 1, "syntactic")]
 
@@ -419,8 +472,7 @@ def test_memo_keeps_passes_labels_and_positions_apart(dante_question, dante_sent
     from patternqa.knowledge import learn_patterns
 
     memo = {}
-    learned = learn_patterns(dante_question, "Dante", [dante_sentence],
-                             signature_of(dante_question))
+    learned = learn_patterns(dante_question, "Dante", [dante_sentence])
     flat_subject = RetrievedSentence(
         "poet has written The Divine Comedy",
         parse_sentence("(S (NN poet) (VP (VBZ has) (VP (VBN written) "
@@ -430,7 +482,8 @@ def test_memo_keeps_passes_labels_and_positions_apart(dante_question, dante_sent
     assert [c.text for c in unify(learned[0], flat_subject.view, config, "doc", 0, memo)] == \
         ["poet"]
     assert [(c.text, c.relaxation_used) for c in
-            pattern_candidates(learned, [flat_subject], config, memo)] == [("poet", "syntactic")]
+            pattern_extraction(dante_question, learned, [flat_subject], memo)] == \
+        [("poet", "syntactic")]
 
     sentences = [
         RetrievedSentence("he played the trumpet to a rabbit .",
@@ -460,8 +513,7 @@ def test_memo_keeps_a_syntactic_only_pass_apart(dante_question, dante_sentence):
     from patternqa.knowledge import learn_patterns
 
     memo = {}
-    learned = learn_patterns(dante_question, "Dante", [dante_sentence],
-                             signature_of(dante_question))
+    learned = learn_patterns(dante_question, "Dante", [dante_sentence])
     view = parse_sentence("(S (NN poet) (VP (VBZ has) (VP (VBN written) "
                           "(NP (DT The) (NNP Divine) (NNP Comedy)))))")
     config = default_config(enable_lexical=False)

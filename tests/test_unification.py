@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,13 +14,11 @@ from patternqa.unification import (RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE,
                                    lexical_similarity, load_tag_hierarchy,
                                    tag_compatible, unify)
 
-from .oracles import (TEST_SIGNATURE, analyse, brute_force_alignments,
-                      brute_force_answer_spans, leaves, levenshtein_oracle, misspell,
-                      random_pattern, random_tree)
+from .oracles import (analyse, brute_force_alignments, brute_force_answer_spans, leaves,
+                      levenshtein_oracle, misspell, random_pattern, random_tree)
 
 DANTE_PATTERN = Pattern(
     (answer_slot("NP"), lexical("has"), syntactic("VBN"), syntactic("NP")),
-    TEST_SIGNATURE,
     (("dante", "doc:0"),),
 )
 
@@ -110,8 +109,7 @@ def test_relaxed_matching_runs_no_distance_that_lengths_rule_out(monkeypatch):
         return levenshtein_distance(a, b)
 
     monkeypatch.setattr(unification, "levenshtein_distance", counted)
-    pattern = Pattern((answer_slot("NP"), lexical("wrote"), syntactic("NP")), TEST_SIGNATURE,
-                      {("q", "doc:0")})
+    pattern = Pattern((answer_slot("NP"), lexical("wrote"), syntactic("NP")), {("q", "doc:0")})
     view = parse_sentence("(S (NP (NNP Homer)) (VP (VBD wrot) (NP (NNP Odyssey))) "
                           "(PP (IN in) (NP (NNP Greece))) (CC and) (NP (NNS epics)) "
                           "(VP (VBD composed) (NP (NNP Iliad))))")
@@ -281,3 +279,63 @@ def test_default_config_is_the_one_source_of_defaults():
     config = default_config()
     assert (config.lexical_measure, config.lexical_threshold) == ("levenshtein", 0.8)
     assert config.tag_hierarchy == load_tag_hierarchy() and config.tag_hierarchy
+
+
+def test_alignments_through_one_state_keep_each_answer_span():
+    """From ``a`` and from ``b`` the pattern reaches ``d`` at its last element
+    holding different answer spans: a state is told apart by its span, so
+    skipping a state already explored loses neither."""
+    view = parse_sentence("(S (NN a) (X (NN b) (X (NN c))) (NN d))")
+    pattern = Pattern((answer_slot("NN"), syntactic("X"), syntactic("NN")), {("q", "d:0")})
+    assert [c.span for c in unify(pattern, view, default_config().exact)] == [(0, 1), (1, 2)]
+
+
+class _TooManyCalls(Exception):
+    pass
+
+
+def match_calls(pattern, view, config, cap: int) -> int:
+    """How many times one ``unify`` call enters its inner ``match``, counted by
+    a profile hook that raises once the count passes ``cap``, so that an
+    exponential search fails at once instead of running for hours."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_name == "match" \
+                and frame.f_code.co_filename == unification.__file__:
+            count += 1
+            if count > cap:
+                raise _TooManyCalls(f"{pattern.rendered}: over {cap} match calls")
+
+    sys.setprofile(hook)
+    try:
+        unify(pattern, view, config)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_alignment_is_polynomial_on_stacked_constituents():
+    """Each of 12 tokens sits under 8 NPs, so a pattern of k NP slots has
+    8^k alignments at each start, and exploring each (about 4 * 10^8 calls
+    at k = 12) would take hours. Each search state is explored once per
+    pass, so the count of ``match`` calls stays within a polynomial bound in
+    the sentence length, the pattern length and the stack depth, in the
+    exact pass and in the relaxed one, where NN and NP share a superclass."""
+    n, depth = 12, 8
+
+    def stacked(i):
+        tree = f"(NN w{i})"
+        for _ in range(depth):
+            tree = f"(NP {tree})"
+        return tree
+
+    view = parse_sentence(f"(S {' '.join(stacked(i) for i in range(n))})")
+    for k in range(3, 13):
+        pattern = Pattern((*[syntactic("NP")] * (k - 1), answer_slot("NP")), {("q", "d:0")})
+        bound = 2 * (n + 1) * k * (depth + 1)
+        for config in (default_config().exact, default_config()):
+            assert match_calls(pattern, view, config, cap=bound) <= bound
+            assert [c.span for c in unify(pattern, view, config)] == \
+                [(i + k - 1, i + k) for i in range(n - k + 1)]
