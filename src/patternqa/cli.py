@@ -93,7 +93,7 @@ def cmd_ingest(args) -> int:
         questions = load_qa_corpus(args.corpus)
         print(f"corpus ok: {len(questions)} questions")
     if args.docs is not None:
-        docs = load_documents(args.docs)
+        docs = load_documents(args.docs, structure=False)
         sentences = sum(len(d.sentences) for d in docs)
         print(f"docs ok: {len(docs)} documents, {sentences} sentences")
     return 0
@@ -268,12 +268,14 @@ def _collector_off(command):
     return paused
 
 
-def _session(args, loading=lambda name: None, **settings) -> PipelineState:
+def _session(args, loading=lambda name: None, structure: bool = True,
+             **settings) -> PipelineState:
     """The state a command answers in: the ``--docs`` collection indexed,
-    the ``--kb-in`` knowledge base or an empty one, and ``settings``.
-    ``loading(name)`` is called just before the input ``name`` is loaded."""
+    its sentences' constituents kept only with ``structure``, the ``--kb-in``
+    knowledge base or an empty one, and ``settings``. ``loading(name)`` is
+    called just before the input ``name`` is loaded."""
     loading("docs")
-    docs = load_documents(args.docs)
+    docs = load_documents(args.docs, structure=structure)
     kb = KnowledgeBase()
     if args.kb_in is not None:
         loading("kb_in")
@@ -304,7 +306,10 @@ def cmd_run(args) -> int:
                            enable_syntactic=not args.no_syntactic_relax)
     loading("corpus")
     questions = load_qa_corpus(args.corpus)
-    state = _session(args, loading, relax=relax)
+    # only aligning and learning a pattern read a document's constituents
+    structure = scenario.use_patterns or scenario.reference_fallback \
+        or args.revise_interval is not None
+    state = _session(args, loading, structure, relax=relax)
     # made before any output is written: --dump-index and --kb-out may lie in it
     out_dir = (Path("out") / time.strftime("%Y%m%d-%H%M%S") if args.out_dir is None
                else Path(args.out_dir))

@@ -8,7 +8,12 @@ File formats (JSON Lines, UTF-8):
   documents: {"doc_id", "sentences": [{"text", "parse"}, ...]}
 
 Every parse, a question's or a document sentence's, is read once, straight
-into a :class:`~patternqa.treebank.Sentence` view; no tree is built.
+into a :class:`~patternqa.treebank.Sentence` view; no tree is built. A
+question's view is always full, since classifying and signing it read its
+constituents. A document load without structure (``structure=False``, for
+a run that never aligns or learns a pattern, and for ``ingest``) checks
+each parse just as strictly but keeps only its tokens (see
+:func:`~patternqa.treebank.read_leaves`).
 
 Every JSON input, these two and the knowledge base, outcome log and run
 metadata read elsewhere, is checked and read by :func:`opened` and decoded
@@ -30,7 +35,7 @@ from itertools import repeat
 from pathlib import Path
 from types import UnionType
 
-from .treebank import PUNCTUATION, Sentence, TreeFormatError, parse_sentence
+from .treebank import PUNCTUATION, Sentence, TreeFormatError, parse_sentence, read_leaves
 
 
 # the Li & Roth coarse question classes; a gold category is "coarse:fine"
@@ -196,12 +201,14 @@ def json_text(value, sort_keys: bool = False, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _analysed_parse(raw: str, text: str, what: str, shared: dict) -> Sentence:
+def _analysed_parse(raw: str, text: str, what: str, shared: dict,
+                    structure: bool = True) -> Sentence:
     """The :class:`Sentence` view of the bracketed parse ``raw``, whose
     leaves must be the tokens of ``text`` up to case; ``shared`` is the
-    load's sharing table (see :func:`~patternqa.treebank.parse_sentence`)."""
+    load's sharing table (see :func:`~patternqa.treebank.parse_sentence`).
+    Without ``structure`` the view holds no constituents."""
     try:
-        view = parse_sentence(raw, shared)
+        view = parse_sentence(raw, shared) if structure else read_leaves(raw)
     except TreeFormatError as exc:
         raise ValueError(f"bad parse: {exc}") from exc
     words = tokenize(text)
@@ -239,9 +246,10 @@ def load_qa_corpus(path) -> list[Question]:
     return read_jsonl(path, question)
 
 
-def load_documents(path) -> list[Document]:
+def load_documents(path, structure: bool = True) -> list[Document]:
     """Load documents in file order, each sentence's parse read into a
-    :class:`Sentence` view."""
+    :class:`Sentence` view, whose ``constituents`` are None without
+    ``structure``."""
     seen = set()
     shared: dict = {}
 
@@ -253,7 +261,8 @@ def load_documents(path) -> list[Document]:
         sentences = check(record.get("sentences"), [{"text": str, "parse": str}],
                           'a list of {"text": string, "parse": string} objects', "sentences")
         return Document(doc_id=doc_id, sentences=tuple(
-            (s["text"], _analysed_parse(s["parse"], s["text"], "sentence text", shared))
+            (s["text"],
+             _analysed_parse(s["parse"], s["text"], "sentence text", shared, structure))
             for s in sentences))
 
     return read_jsonl(path, document)

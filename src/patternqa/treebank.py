@@ -19,6 +19,13 @@ equal constituent entries, equal per-leaf entry tuples and equal
 parse shapes, most of its views hold a ``constituents`` tuple built once.
 The table is dropped when the load returns, so nothing kept grows with
 the input.
+
+Only aligning a pattern and learning one read the constituents. A load
+whose sentences will never be aligned or learned from reads them with
+:func:`read_leaves`, which checks the same grammar, keeps only the three
+token tuples and leaves ``constituents`` None. A parse it rejects is
+handed to :func:`parse_sentence`, so every :class:`TreeFormatError`, its
+message and its offset, comes from one place.
 """
 
 from __future__ import annotations
@@ -69,12 +76,13 @@ class Sentence:
     lowercased with punctuation removed ("" for a punctuation-only token).
     ``constituents[i]`` lists the internal nodes whose span starts at leaf
     ``i`` as ``(end, label, is_preterminal)``, in preorder, so a node comes
-    before the nodes below it."""
+    before the nodes below it; ``constituents`` is None in a view read
+    without structure (:func:`read_leaves`)."""
 
     tokens: tuple[str, ...]
     lowered: tuple[str, ...]
     stripped: tuple[str, ...]
-    constituents: tuple[tuple[tuple[int, str, bool], ...], ...]
+    constituents: tuple[tuple[tuple[int, str, bool], ...], ...] | None
 
 
 def _fail(text: str, message: str, item: int | None, after: int = 0):
@@ -171,14 +179,66 @@ def parse_sentence(text: str, shared: dict | None = None) -> Sentence:
         i += 1
     if i < last:
         _fail(text, "trailing characters after tree", i + 1)
+    return _view(leaves, _interned(tuple(map(tuple, by_start)),
+                                   {} if shared is None else shared))
+
+
+def read_leaves(text: str) -> Sentence:
+    """The :class:`Sentence` view of one bracketed parse without its
+    structure: ``tokens``, ``lowered`` and ``stripped`` as
+    :func:`parse_sentence` gives them, and ``constituents`` None. It accepts
+    exactly the parses :func:`parse_sentence` accepts, checked in one pass
+    that keeps only how many nodes are open and whether the innermost one
+    has a child yet; a parse it rejects goes to :func:`parse_sentence`,
+    which raises the :class:`TreeFormatError`."""
+    items = text.replace("(", " ( ").replace(")", " ) ").split()
+    leaves: list[str] = []
+    depth = 0
+    has_child = False
+    i = 0
+    try:
+        while True:
+            item = items[i]
+            if item == "(":
+                label, token = items[i + 1], items[i + 2]
+                if label in "()":
+                    break
+                if items[i + 3] == ")" and token not in "()":  # a preterminal
+                    leaves.append(token)
+                    i += 4
+                    if not depth:
+                        break
+                    has_child = True
+                else:
+                    depth += 1
+                    has_child = False
+                    i += 2
+            elif item == ")":
+                if not has_child:
+                    break
+                i += 1
+                depth -= 1
+                if not depth:
+                    break
+            elif depth:
+                leaves.append(item)
+                has_child = True
+                i += 1
+            else:
+                break
+    except IndexError:  # the input ends inside the tree
+        pass
+    if depth or not leaves or i != len(items):  # a tree holds a leaf
+        return parse_sentence(text)
+    return _view(leaves, None)
+
+
+def _view(leaves: list[str], constituents: tuple | None) -> Sentence:
+    """The view of a parse with the leaves ``leaves`` and ``constituents``."""
     tokens = tuple(map(intern, leaves))
     # a lowercase token is its own lowercase form, and an alphanumeric one
     # holds no punctuation to strip
     lowered = tuple([token if token.islower() else intern(token.lower()) for token in tokens])
-    return Sentence(
-        tokens=tokens,
-        lowered=lowered,
-        stripped=tuple([low if low.isalnum() else intern(PUNCTUATION.sub("", low))
-                        for low in lowered]),
-        constituents=_interned(tuple(map(tuple, by_start)), {} if shared is None else shared),
-    )
+    stripped = tuple([low if low.isalnum() else intern(PUNCTUATION.sub("", low))
+                      for low in lowered])
+    return Sentence(tokens, lowered, stripped, constituents)

@@ -21,8 +21,10 @@ Levenshtein relaxation a token is first compared with a literal by length
 (:func:`length_rules_out`): the edit distance is at least the length
 difference, so a pair whose lengths alone put the similarity below the
 threshold is rejected without computing the distance, and no pair at or
-above it ever is. A pattern's lowercased elements, its literals and its
-rendered text are made once per :class:`~patternqa.knowledge.Pattern`.
+above it ever is. For the other pairs only the diagonal band of the
+largest passing distance is filled (:func:`levenshtein_reaches`). A
+pattern's lowercased elements, its literals and its rendered text are made
+once per :class:`~patternqa.knowledge.Pattern`.
 
 The module holds no state. Its functions are pure over immutable inputs
 (patterns, views and configs), except that :func:`unify` may be handed a
@@ -53,21 +55,59 @@ RELAX_BOTH = "both"
 DEFAULT_THRESHOLDS = {"levenshtein": 0.8, "overlap": 0.6, "jaccard": 0.5}
 
 
-def levenshtein_distance(a: str, b: str) -> int:
-    """Classic edit distance over characters (insert/delete/substitute)."""
+def levenshtein_distance(a: str, b: str, limit: int | None = None) -> int:
+    """Edit distance over characters (insert/delete/substitute). With a
+    ``limit``, the distance when it is at most ``limit``, else ``limit + 1``.
+
+    Only the cells through which a path of cost at most ``limit`` can pass
+    are filled, and the fill stops once a whole row exceeds it (Ukkonen,
+    1985). A cell ``j - i`` columns off the diagonal, in a table whose last
+    cell lies ``len(a) - len(b)`` off it, lies on no such path when the two
+    offsets add up to more than ``limit``: the distance so far is at least
+    the first, and the rest at least the difference. Without a limit, it is
+    the longer length, which no distance exceeds."""
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
+    n, m = len(a), len(b)
+    if limit is None:
+        limit = n
+    over = limit + 1
+    if n - m > limit:
+        return over
+    # the band: from ``below`` columns left of the diagonal to ``above`` right of it
+    below, above = (limit + n - m) // 2, (limit - n + m) // 2
+    # row 0; a cell right of every band filled so far keeps its row-0 value,
+    # its column number, which no distance to it exceeds
+    row = list(range(m + 1))
     for i, ca in enumerate(a, 1):
-        current = [i]
-        for j, cb in enumerate(b, 1):
-            current.append(min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb),
-            ))
-        previous = current
-    return previous[-1]
+        first, last = i - below, min(m, i + above)
+        if first > 1:
+            diagonal, left = row[first - 1], over  # the cell left of the band lies outside it
+        else:
+            first, diagonal, left = 0, row[0], i
+            row[0] = i
+        for j in range(max(first, 1), last + 1):
+            up = row[j]
+            row[j] = left = min(up + 1, left + 1, diagonal + (ca != b[j - 1]))
+            diagonal = up
+        if min(row[first : last + 1]) > limit:
+            return over
+    return min(row[m], over)
+
+
+def distance_limit(longest: int, threshold: float) -> int:
+    """The largest edit distance ``d`` between two strings, the longer
+    ``longest`` characters long, whose Levenshtein similarity
+    ``1.0 - d / longest``, the float expression :func:`lexical_similarity`
+    computes, reaches ``threshold`` (in [0, 1]). That expression never
+    rises as ``d`` grows, so a pair passes exactly when its distance is at
+    most this."""
+    if longest == 0:
+        return 0
+    limit = min(longest, int((1.0 - threshold) * longest) + 1)
+    while 1.0 - limit / longest < threshold:
+        limit -= 1
+    return limit
 
 
 def _bigrams(s: str) -> set[str]:
@@ -108,6 +148,16 @@ def length_rules_out(a: str, b: str, threshold: float) -> bool:
     below the similarity, and a pair at the threshold is never ruled out."""
     longest = max(len(a), len(b))
     return longest > 0 and 1.0 - abs(len(a) - len(b)) / longest < threshold
+
+
+def levenshtein_reaches(a: str, b: str, threshold: float) -> bool:
+    """``lexical_similarity(a, b, "levenshtein") >= threshold``, computing
+    no distance for a pair that lengths rule out and, for the others, only
+    the band of the largest distance that passes (:func:`distance_limit`)."""
+    if length_rules_out(a, b, threshold):
+        return False
+    limit = distance_limit(max(len(a), len(b)), threshold)
+    return levenshtein_distance(a, b, limit) <= limit
 
 
 def load_tag_hierarchy(path=None) -> dict[str, str]:
@@ -227,8 +277,8 @@ def _unify(pattern: Pattern, sentence: Sentence, config: RelaxConfig,
             token = lowered[pos]
             if token == value:
                 match(idx + 1, pos + 1, captured, lex_used, syn_used)
-            elif lexical_on and not (bounded and length_rules_out(token, value, threshold)) \
-                    and lexical_similarity(token, value, measure) >= threshold:
+            elif lexical_on and (levenshtein_reaches(token, value, threshold) if bounded
+                                 else lexical_similarity(token, value, measure) >= threshold):
                 match(idx + 1, pos + 1, captured, True, syn_used)
             return
         state = (idx, pos, captured, lex_used, syn_used)

@@ -58,6 +58,14 @@ def test_gold_label_wins_over_rules():
     ("What is the Playboy logo?",
      "(SBARQ (WHNP (WP What)) (SQ (VBZ is) (NP (DT the) (NNP Playboy) (NN logo))) (. ?))",
      Category("ENTY", "other")),
+    ("Why did Dante write?",
+     "(SBARQ (WHADVP (WRB Why)) (SQ (VBD did) (NP (NNP Dante)) (VP (VB write))) (. ?))",
+     Category("DESC", "reason")),
+    # no common noun follows the wh-word, so the first proper noun is the head
+    ("Which City hosts the Louvre?",
+     "(SBARQ (WHNP (WDT Which) (NNP City)) (SQ (VP (VBZ hosts) (NP (DT the) (NNP Louvre)))) "
+     "(. ?))",
+     Category("LOC", "city")),
 ])
 def test_rule_table(text, parse, expected):
     assert classify(make_question(text, parse), HINTS) == expected

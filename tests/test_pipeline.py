@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -320,6 +321,23 @@ def test_retry_reruns_only_when_its_signature_gains_a_pattern(monkeypatch):
     state.kb.insert(record.signature, [hit])
     assert checkpoint() == ["h"]
     assert {pattern.rendered for pattern in calls} == {miss.rendered, hit.rendered}
+
+
+def test_an_id_asked_again_is_retried_again():
+    """One state asks one id twice, across a checkpoint. Asked first with a
+    reference no pattern can find, its retry fails and is remembered; asked
+    again with one they find, it is retried at the next checkpoint, though
+    its signature holds no new pattern, and rescued."""
+    state = mini_state()
+    _, hamlet = mini_questions()
+    scenario = ScenarioConfig.from_id(1)  # no pattern is learned on answering
+    hit = Pattern((answer_slot("NP"), lexical("has"), syntactic("VBN"), syntactic("NP")),
+                  {("t", "lit:0")})
+    state.kb.insert(interpret(state, hamlet).signature, [hit])
+    assert not answer_question(state, replace(hamlet, answers=("Marlowe",)), scenario).correct
+    assert revise(state, [hamlet.id], 1).newly_correct == []
+    answer_question(state, hamlet, scenario)
+    assert revise(state, [hamlet.id], 2).newly_correct == [hamlet.id]
 
 
 def test_monotone_learning_candidates_grow_with_kb(dante_question, dante_sentence,

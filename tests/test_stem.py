@@ -33,3 +33,12 @@ def test_unrelated_forms_do_not_match(a, b):
 
 def test_case_insensitive():
     assert stem("Written") == stem("wrote")
+
+
+@pytest.mark.parametrize("word, expected", [
+    ("seed", "see"),  # "-eed" drops only its "d", and the word is then too short to lose "e"
+    ("proceed", "proce"),  # not "proc", as "-ed" then "-e" would make it
+    ("proceeds", "proce"),
+])
+def test_eed_keeps_its_double_e(word, expected):
+    assert stem(word) == expected

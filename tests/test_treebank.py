@@ -1,10 +1,11 @@
+import contextlib
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from patternqa.corpus import ARTICLES, normalize_answer
-from patternqa.treebank import TreeFormatError, parse_sentence, strip_decorations
+from patternqa.treebank import TreeFormatError, parse_sentence, read_leaves, strip_decorations
 
 from .conftest import DANTE_SENTENCE_PARSE
 from .oracles import (ParseTree, analyse, dfs_nodes, leaf, leaves, node_spans, parse_bracketed,
@@ -226,3 +227,51 @@ def test_parse_sentence_matches_reference(text):
     walk give, or raises the same error at the same offset."""
     assert reference_or_error(parse_sentence, text) == \
         reference_or_error(lambda raw: analyse(parse_bracketed(raw)), text)
+
+
+def leaves_or_error(parse, text):
+    """The three token tuples of ``parse(text)``, or the message and offset
+    of its TreeFormatError."""
+    try:
+        view = parse(text)
+    except TreeFormatError as exc:
+        return str(exc), exc.offset
+    return view.tokens, view.lowered, view.stripped
+
+
+# strings of brackets, atoms and whitespace, most of them no tree
+BRACKET_SOUP = st.lists(st.sampled_from(["(", ")", "(", ")", "S", "NP", "x", "é", " ", "  ",
+                                         "\n", "\x1c"]), max_size=14).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES.map(serialize) | st.randoms(use_true_random=True).map(random_parse) | BRACKET_SOUP)
+@example("")
+@example(")")
+@example(") (S (NN x)")
+@example("x")
+@example("x (NN y)")
+@example("(NN x)")
+@example("(NN x) (NN y)")
+@example("(NN x) )")
+@example("(S (NN x)")
+@example("(S x y)")
+@example("(S (NN x)) (")
+@example("((NN x))")
+@example("(S ( ))")
+@example("(S (NN (")
+@example("(S (NN x) ())")
+@example("(S")
+@example("(")
+@example("(S (( x) y)")  # a bracket where a label belongs, balanced by the rest
+@example("(S ( ) x ) y )")
+@example(DEEP)
+@example(DEEP[:-1])
+def test_read_leaves_agrees_with_parse_sentence(text):
+    """The reader without structure accepts exactly the parses
+    ``parse_sentence`` accepts, gives the same tokens in all three
+    spellings and no constituents, and on a parse it rejects raises the
+    same error at the same offset."""
+    assert leaves_or_error(read_leaves, text) == leaves_or_error(parse_sentence, text)
+    with contextlib.suppress(TreeFormatError):
+        assert read_leaves(text).constituents is None

@@ -1,5 +1,6 @@
 import gc
 import random
+import string
 import sys
 
 import pytest
@@ -10,12 +11,14 @@ from patternqa.knowledge import Pattern, answer_slot, lexical, syntactic
 from patternqa.treebank import parse_sentence
 from patternqa.unification import (RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE,
                                    RELAX_SYNTACTIC, RelaxConfig,
-                                   default_config, length_rules_out, levenshtein_distance,
+                                   default_config, distance_limit, length_rules_out,
+                                   levenshtein_distance, levenshtein_reaches,
                                    lexical_similarity, load_tag_hierarchy,
                                    tag_compatible, unify)
 
 from .oracles import (analyse, brute_force_alignments, brute_force_answer_spans, leaves,
-                      levenshtein_oracle, misspell, random_pattern, random_tree)
+                      levenshtein_oracle, misspell, random_pattern, random_tree,
+                      similarity_oracle)
 
 DANTE_PATTERN = Pattern(
     (answer_slot("NP"), lexical("has"), syntactic("VBN"), syntactic("NP")),
@@ -99,14 +102,77 @@ def test_length_bound_never_rules_out_a_similar_pair(a, b, threshold, at_similar
         assert not length_rules_out(a, b, threshold)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.text("abcd", max_size=12), st.text("abcd", max_size=12), st.integers(0, 13))
+@example("kitten", "sitting", 3)
+@example("kitten", "sitting", 2)
+@example("", "abc", 2)
+@example("abc", "", 3)
+@example("abcdef", "badcfe", 0)
+def test_bounded_distance_is_exact_up_to_its_limit(a, b, limit):
+    """With a limit, the distance is exact when it is at most the limit, and
+    reads ``limit + 1`` when it is larger."""
+    assert levenshtein_distance(a, b, limit) == min(levenshtein_oracle(a, b), limit + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60), THRESHOLDS)
+@example(5, 0.8)  # 1 - 1/5 == 0.8 exactly
+@example(10, 0.7)  # 1 - 3/10 < 0.7 in floats
+@example(0, 1.0)
+def test_distance_limit_is_the_largest_passing_distance(longest, threshold):
+    passing = [d for d in range(longest + 1) if longest == 0 or 1.0 - d / longest >= threshold]
+    assert distance_limit(longest, threshold) == max(passing)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("abcde", max_size=10), st.text("abcde", max_size=10), THRESHOLDS, st.booleans())
+@example("wrote", "wrot", 0.8, False)
+@example("", "", 1.0, False)
+def test_the_band_decides_as_the_similarity_does(a, b, threshold, at_similarity):
+    """The banded test passes a pair exactly when its Levenshtein similarity
+    reaches the threshold, a threshold equal to the similarity included."""
+    similarity = similarity_oracle(a, b, "levenshtein")
+    if at_similarity:
+        threshold = similarity
+    assert levenshtein_reaches(a, b, threshold) == (similarity >= threshold)
+
+
+def test_the_band_fills_a_small_share_of_the_table(monkeypatch):
+    """Two 4,000-character tokens have a 16,000,000-cell table. At the
+    default threshold a pair passes within distance 800, so only cells at
+    most 400 columns off the diagonal are filled, and two unrelated tokens
+    exceed 800 in a whole row long before the last: under 10% of the table
+    is filled. A pair within the threshold fills its whole band, at most
+    ``limit + 1`` cells a row. The fill takes the least of three
+    neighbours, once per cell, so counting those calls counts the cells."""
+    cells = 0
+
+    def counting_min(*args):
+        nonlocal cells
+        cells += len(args) == 3
+        return min(*args)
+
+    monkeypatch.setattr(unification, "min", counting_min, raising=False)
+    rng = random.Random(4000)
+    a, b = ("".join(rng.choices(string.ascii_lowercase, k=4000)) for _ in range(2))
+    assert distance_limit(4000, 0.8) == 800
+    assert not levenshtein_reaches(a, b, 0.8)
+    assert 0 < cells < 0.1 * 4000 * 4000
+    cells = 0
+    close = "".join("z" if i % 10 == 0 else c for i, c in enumerate(a[:300]))
+    assert levenshtein_reaches(a[:300], close, 0.8)
+    assert cells <= 300 * (distance_limit(300, 0.8) + 1)
+
+
 def test_relaxed_matching_runs_no_distance_that_lengths_rule_out(monkeypatch):
     """Only the token whose length is close enough to the literal's reaches
     the edit-distance computation; the match it finds is unchanged."""
     compared = []
 
-    def counted(a, b):
+    def counted(a, b, limit=None):
         compared.append((a, b))
-        return levenshtein_distance(a, b)
+        return levenshtein_distance(a, b, limit)
 
     monkeypatch.setattr(unification, "levenshtein_distance", counted)
     pattern = Pattern((answer_slot("NP"), lexical("wrote"), syntactic("NP")), {("q", "doc:0")})
