@@ -13,6 +13,7 @@ import contextlib
 import functools
 import gc
 import hashlib
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _string
@@ -194,12 +195,27 @@ def _check_top_k(args) -> None:
 
 
 def _check_run_outputs(args) -> None:
-    """Reject run output paths that cannot be written."""
+    """Reject run output paths that cannot be written, and a ``--kb-out`` or
+    ``--dump-index`` path that resolves to the other's or to a file the run
+    writes in ``--out-dir``, which one output would overwrite with another."""
     default = args.out_dir is None  # out/<time> then
     _check_output_path("--out-dir", "out" if default else args.out_dir, directory=True)
     out_dir = None if default else Path(args.out_dir)
     _check_output_path("--kb-out", args.kb_out, created=out_dir)
     _check_output_path("--dump-index", args.dump_index, created=out_dir)
+    names = ["outcomes.jsonl", f"scenario{args.scenario}_metrics.csv", "metadata.json"]
+    if args.revise_interval:
+        names += [f"revision_i{args.revise_interval}.csv", "revision_report.json"]
+    # os.path.realpath, unlike Path.resolve, does not raise on a symlink loop
+    written = {} if default else {
+        os.path.realpath(out_dir / name): f"the {name} the run writes in --out-dir"
+        for name in names}
+    for flag, path in (("--dump-index", args.dump_index), ("--kb-out", args.kb_out)):
+        if path is not None:
+            target = os.path.realpath(path)
+            if target in written:
+                raise UsageError(f"{flag} {path} is also {written[target]}")
+            written[target] = f"the {flag} path"
 
 
 def _restore_from_metadata(args) -> dict:

@@ -11,9 +11,9 @@ Every parse, a question's or a document sentence's, is read once, straight
 into a :class:`~patternqa.treebank.Sentence` view; no tree is built. A
 question's view is always full, since classifying and signing it read its
 constituents. A document load without structure (``structure=False``, for
-a run that never aligns or learns a pattern, and for ``ingest``) checks
-each parse just as strictly but keeps only its tokens (see
-:func:`~patternqa.treebank.read_leaves`).
+a run that never aligns or learns a pattern, and for ``ingest``) passes
+the choice to :func:`~patternqa.treebank.parse_sentence`, which checks
+each parse just as strictly but keeps only its tokens.
 
 Every JSON input, these two and the knowledge base, outcome log and run
 metadata read elsewhere, is checked and read by :func:`opened` and decoded
@@ -35,7 +35,7 @@ from itertools import repeat
 from pathlib import Path
 from types import UnionType
 
-from .treebank import PUNCTUATION, Sentence, TreeFormatError, parse_sentence, read_leaves
+from .treebank import PUNCTUATION, Sentence, TreeFormatError, parse_sentence
 
 
 # the Li & Roth coarse question classes; a gold category is "coarse:fine"
@@ -208,7 +208,7 @@ def _analysed_parse(raw: str, text: str, what: str, shared: dict,
     load's sharing table (see :func:`~patternqa.treebank.parse_sentence`).
     Without ``structure`` the view holds no constituents."""
     try:
-        view = parse_sentence(raw, shared) if structure else read_leaves(raw)
+        view = parse_sentence(raw, shared, structure)
     except TreeFormatError as exc:
         raise ValueError(f"bad parse: {exc}") from exc
     words = tokenize(text)

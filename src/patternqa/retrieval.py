@@ -20,15 +20,17 @@ order and stops once the k-th best score is strictly above the summed
 bounds of the terms it has not visited. A sentence first met at a term
 holds none of the terms visited before; if it holds none of the terms
 still to visit either, its score is exactly its weight for that term, at
-most the term's bound. Such sentences are scored after the others met
-there, and dropped unscored when k sentences already score strictly above
-that bound: none of them can enter the top k, not even by the tie-break,
-since the k-th best score only grows as sentences are scored, and none is
-met again.
+most the term's bound. So at each term the sentences that also hold a
+later term (found by intersecting the terms' key sets) are scored first,
+and the rest are dropped unscored when k sentences already score strictly
+above that bound: none of them can enter the top k, not even by the
+tie-break, since the k-th best score only grows as sentences are scored,
+and none is met again.
 Every idf is positive, since a document frequency never exceeds the number
 of sentences, so every weight and every score is positive.
 Ties go to the lower ``(doc_id, position)``; the index keeps each
-sentence's place in that order, so a tie is settled by one integer.
+sentence's place in that order, so the scored sentences are sorted by
+their places and then, stably, by descending score.
 
 A precomputed weight is the very float that scoring computed on the fly,
 from the same expression and the same idf, and each score is still summed
@@ -43,7 +45,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import filterfalse, repeat
+from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
@@ -186,30 +188,21 @@ def retrieve(index: Index, query_terms: list[str], k: int) -> list[RetrievedSent
     for i, current in enumerate(visiting):
         if len(scores) >= k and sorted(scores.values())[-k] > rest[i]:
             break
-        fresh = maps[current].keys() - scores.keys()
-        # split only where it can drop a sentence, one lookup per sentence
-        # and later term at most
-        if i + 1 < len(visiting) and len(scores) + len(fresh) > k:
-            lone = iter(fresh)  # the fresh sentences that hold no later term
-            for j in visiting[i + 1:]:
-                lone = filterfalse(maps[j].__contains__, lone)
-            lone = list(lone)
-            if lone:
-                _score(maps, fresh.difference(lone), scores)
-                if len(scores) >= k and sorted(scores.values())[-k] > bounds[current]:
-                    continue  # each lone sentence scores at most bounds[current]
-                fresh = lone
-        _score(maps, fresh, scores)
+        keys = maps[current].keys()
+        # where k sentences may be scored, first those that hold a later term
+        if i + 1 < len(visiting) and len(scores) + len(keys) > k:
+            held = set().union(*[keys & maps[j].keys() for j in visiting[i + 1:]])
+            _score(maps, held - scores.keys(), scores)
+            # none is left, or each one left scores at most bounds[current]
+            if len(held) == len(keys) \
+                    or len(scores) >= k and sorted(scores.values())[-k] > bounds[current]:
+                continue
+        _score(maps, keys - scores.keys(), scores)
     ranks = index.ranks
-    top = list(scores)
-    if len(top) > k:  # all above the k-th best score, then the first ties at it
-        cut = sorted(scores.values())[-k]
-        top = [sid for sid, score in scores.items() if score > cut]
-        tied = sorted((sid for sid, score in scores.items() if score == cut), key=ranks.__getitem__)
-        top += tied[:k - len(top)]
-    top.sort(key=lambda sid: (-scores[sid], ranks[sid]))
+    top = sorted(scores, key=ranks.__getitem__)
+    top.sort(key=scores.__getitem__, reverse=True)  # stable: ties stay in rank order
     out = []
-    for sid in top:
+    for sid in top[:k]:
         sent = index.sentences[sid]
         out.append(RetrievedSentence(sent.text, sent.view, scores[sid], sent.doc_id, sent.position))
     return out

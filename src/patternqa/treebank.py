@@ -21,11 +21,11 @@ The table is dropped when the load returns, so nothing kept grows with
 the input.
 
 Only aligning a pattern and learning one read the constituents. A load
-whose sentences will never be aligned or learned from reads them with
-:func:`read_leaves`, which checks the same grammar, keeps only the three
-token tuples and leaves ``constituents`` None. A parse it rejects is
-handed to :func:`parse_sentence`, so every :class:`TreeFormatError`, its
-message and its offset, comes from one place.
+whose sentences will never be aligned or learned from asks
+:func:`parse_sentence` for no structure: the same pass checks the same
+grammar but records no constituent, keeps only the three token tuples and
+leaves ``constituents`` None. Either way a parse is read once, and every
+:class:`TreeFormatError`, its message and its offset, comes from one place.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class Sentence:
     ``constituents[i]`` lists the internal nodes whose span starts at leaf
     ``i`` as ``(end, label, is_preterminal)``, in preorder, so a node comes
     before the nodes below it; ``constituents`` is None in a view read
-    without structure (:func:`read_leaves`)."""
+    without structure (see :func:`parse_sentence`)."""
 
     tokens: tuple[str, ...]
     lowered: tuple[str, ...]
@@ -90,9 +90,9 @@ def _fail(text: str, message: str, item: int | None, after: int = 0):
     (``after`` characters past its start), or at the end of the input when
     ``item`` is None."""
     if item is None:
-        raise TreeFormatError(message, len(text) + 1)
+        raise TreeFormatError(message, len(text) + 1) from None
     match = next(islice(_ITEM.finditer(text), item, None))
-    raise TreeFormatError(message, match.start() + after + 1)
+    raise TreeFormatError(message, match.start() + after + 1) from None
 
 
 def _interned(constituents: tuple, table: dict) -> tuple:
@@ -108,14 +108,16 @@ def _interned(constituents: tuple, table: dict) -> tuple:
     return found
 
 
-def parse_sentence(text: str, shared: dict | None = None) -> Sentence:
+def parse_sentence(text: str, shared: dict | None = None, structure: bool = True) -> Sentence:
     """The :class:`Sentence` view of one bracketed parse, e.g.
     ``(NP (NNP Dante))``, read in one pass. Labels lose their decorations;
     tokens and labels are interned, so the views of a collection share their
     strings. Equal constituent entries, equal per-leaf entry tuples and
     equal ``constituents`` tuples become one object through ``shared``, a
     table that the caller passes to every parse of one collection and drops
-    afterwards (by default a fresh one per call).
+    afterwards (by default a fresh one per call). Without ``structure`` the
+    parse is checked just as strictly, but no constituent is recorded and
+    ``constituents`` is None.
 
     Raises :class:`TreeFormatError` (with a 1-based character offset) on
     unbalanced parentheses, a missing label after ``(``, a node without
@@ -128,117 +130,72 @@ def parse_sentence(text: str, shared: dict | None = None) -> Sentence:
         _fail(text, "empty input", None)
     if items[0] != "(":
         _fail(text, "expected '('", 0)
-    last = len(items) - 1
     leaves: list[str] = []
     by_start: list[list] = []  # the constituents starting at each leaf so far
     starting: list = []  # the constituents starting at the next leaf
-    # An explicit stack of open nodes, so nesting depth is bounded by memory,
-    # not by the interpreter's recursion limit. ``children`` is the open
-    # node's: 0 none yet, 1 one leaf, 2 anything else.
+    # Open nodes are counted and, with ``structure``, kept on an explicit
+    # stack, so nesting depth is bounded by memory, not by the interpreter's
+    # recursion limit. A node with one leaf child is a preterminal, always
+    # read in one step, so a node that closes here has other children.
     open_nodes: list[tuple[list, int, str]] = []
-    children = 0
+    depth = 0  # how many nodes are open
+    has_child = False  # whether the innermost open node has a child yet
     i = 0
-    while True:
-        item = items[i]
-        if item == "(":
-            if i == last:
-                _fail(text, "unexpected end of input", None)
-            i += 1
-            label = items[i]
-            if label in "()":
-                _fail(text, "empty label", i)
-            if i + 2 <= last and items[i + 2] == ")" and items[i + 1] not in "()":
-                # a preterminal, ``( TAG token )``, in one step
-                leaves.append(items[i + 1])
-                starting.append((len(leaves), _label(label), True))
-                by_start.append(starting)
-                starting = []
-                i += 2
-                if not open_nodes:
-                    break
-                children = 2
-            else:
-                open_nodes.append((starting, len(starting), _label(label)))
-                starting.append(None)  # filled in when the node closes
-                children = 0
-        elif item == ")":
-            entries, slot, label = open_nodes.pop()
-            if not children:
-                _fail(text, "node without children", i, 1)
-            entries[slot] = (len(leaves), label, children == 1)
-            if not open_nodes:
-                break
-            children = 2
-        else:
-            leaves.append(item)
-            by_start.append(starting)
-            starting = []
-            children = 2 if children else 1
-        if i == last:
-            _fail(text, "unexpected end of input", None)
-        i += 1
-    if i < last:
-        _fail(text, "trailing characters after tree", i + 1)
-    return _view(leaves, _interned(tuple(map(tuple, by_start)),
-                                   {} if shared is None else shared))
-
-
-def read_leaves(text: str) -> Sentence:
-    """The :class:`Sentence` view of one bracketed parse without its
-    structure: ``tokens``, ``lowered`` and ``stripped`` as
-    :func:`parse_sentence` gives them, and ``constituents`` None. It accepts
-    exactly the parses :func:`parse_sentence` accepts, checked in one pass
-    that keeps only how many nodes are open and whether the innermost one
-    has a child yet; a parse it rejects goes to :func:`parse_sentence`,
-    which raises the :class:`TreeFormatError`."""
-    items = text.replace("(", " ( ").replace(")", " ) ").split()
-    leaves: list[str] = []
-    depth = 0
-    has_child = False
-    i = 0
-    try:
+    try:  # an item read past the last one means the input ends inside the tree
         while True:
             item = items[i]
             if item == "(":
-                label, token = items[i + 1], items[i + 2]
+                label = items[i + 1]
                 if label in "()":
-                    break
-                if items[i + 3] == ")" and token not in "()":  # a preterminal
+                    _fail(text, "empty label", i + 1)
+                token = items[i + 2]
+                if token not in "()" and items[i + 3] == ")":
+                    # a preterminal, ``( TAG token )``, in one step
                     leaves.append(token)
+                    if structure:
+                        starting.append((len(leaves), _label(label), True))
+                        by_start.append(starting)
+                        starting = []
                     i += 4
                     if not depth:
                         break
                     has_child = True
                 else:
+                    if structure:
+                        open_nodes.append((starting, len(starting), label))
+                        starting.append(None)  # filled in when the node closes
                     depth += 1
                     has_child = False
                     i += 2
             elif item == ")":
                 if not has_child:
-                    break
+                    _fail(text, "node without children", i, 1)
+                if structure:
+                    entries, slot, label = open_nodes.pop()
+                    entries[slot] = (len(leaves), _label(label), False)
                 i += 1
                 depth -= 1
                 if not depth:
                     break
-            elif depth:
+                has_child = True
+            else:
                 leaves.append(item)
+                if structure:
+                    by_start.append(starting)
+                    starting = []
                 has_child = True
                 i += 1
-            else:
-                break
-    except IndexError:  # the input ends inside the tree
-        pass
-    if depth or not leaves or i != len(items):  # a tree holds a leaf
-        return parse_sentence(text)
-    return _view(leaves, None)
-
-
-def _view(leaves: list[str], constituents: tuple | None) -> Sentence:
-    """The view of a parse with the leaves ``leaves`` and ``constituents``."""
+    except IndexError:
+        _fail(text, "unexpected end of input", None)
+    if i < len(items):
+        _fail(text, "trailing characters after tree", i)
     tokens = tuple(map(intern, leaves))
     # a lowercase token is its own lowercase form, and an alphanumeric one
     # holds no punctuation to strip
     lowered = tuple([token if token.islower() else intern(token.lower()) for token in tokens])
     stripped = tuple([low if low.isalnum() else intern(PUNCTUATION.sub("", low))
                       for low in lowered])
-    return Sentence(tokens, lowered, stripped, constituents)
+    if structure:
+        return Sentence(tokens, lowered, stripped, _interned(tuple(map(tuple, by_start)),
+                                                             {} if shared is None else shared))
+    return Sentence(tokens, lowered, stripped, None)

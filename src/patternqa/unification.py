@@ -17,14 +17,13 @@ decided by :func:`~patternqa.pipeline.extract_candidates`.
 Two exact pre-tests skip work that cannot succeed. Without lexical
 relaxation a pattern whose literal tokens are not all in the sentence
 cannot align, which is tested before any alignment is tried. With
-Levenshtein relaxation a token is first compared with a literal by length
-(:func:`length_rules_out`): the edit distance is at least the length
-difference, so a pair whose lengths alone put the similarity below the
-threshold is rejected without computing the distance, and no pair at or
-above it ever is. For the other pairs only the diagonal band of the
-largest passing distance is filled (:func:`levenshtein_reaches`). A
-pattern's lowercased elements, its literals and its rendered text are made
-once per :class:`~patternqa.knowledge.Pattern`.
+Levenshtein relaxation a token is compared with a literal only up to the
+largest edit distance that still passes (:func:`levenshtein_reaches`): a
+pair whose lengths differ by more is rejected before any cell is filled,
+since the distance is at least the length difference, and for the others
+only the diagonal band of that distance is filled. A pattern's lowercased
+elements, its literals and its rendered text are made once per
+:class:`~patternqa.knowledge.Pattern`.
 
 The module holds no state. Its functions are pure over immutable inputs
 (patterns, views and configs), except that :func:`unify` may be handed a
@@ -139,23 +138,12 @@ def lexical_similarity(a: str, b: str, measure: str = "levenshtein") -> float:
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def length_rules_out(a: str, b: str, threshold: float) -> bool:
-    """True when the lengths alone put ``lexical_similarity(a, b,
-    "levenshtein")`` below ``threshold``, so the distance need not be
-    computed. Exact (the length filter of Gravano et al., 2001): the
-    distance is at least the length difference, and float division and
-    subtraction are monotone, so ``1 - difference / longest`` is never
-    below the similarity, and a pair at the threshold is never ruled out."""
-    longest = max(len(a), len(b))
-    return longest > 0 and 1.0 - abs(len(a) - len(b)) / longest < threshold
-
-
 def levenshtein_reaches(a: str, b: str, threshold: float) -> bool:
-    """``lexical_similarity(a, b, "levenshtein") >= threshold``, computing
-    no distance for a pair that lengths rule out and, for the others, only
-    the band of the largest distance that passes (:func:`distance_limit`)."""
-    if length_rules_out(a, b, threshold):
-        return False
+    """``lexical_similarity(a, b, "levenshtein") >= threshold``, filling only
+    the band of the largest distance that passes (:func:`distance_limit`).
+    A pair whose lengths alone differ by more than that distance is
+    rejected before any cell is filled (the length filter of Gravano et
+    al., 2001)."""
     limit = distance_limit(max(len(a), len(b)), threshold)
     return levenshtein_distance(a, b, limit) <= limit
 

@@ -821,6 +821,24 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv
     (("run", "--out-dir", "{out}", "--kb-out", ""), '--kb-out "" names no file'),
     (("run", "--out-dir", "{out}", "--dump-index", ""), '--dump-index "" names no file'),
     (("tutor", "--kb-out", ""), '--kb-out "" names no file'),
+    (("run", "--out-dir", "{out}", "--kb-out", "{out}/metadata.json"),
+     "--kb-out {out}/metadata.json is also the metadata.json the run writes in --out-dir"),
+    (("run", "--out-dir", "{out}", "--dump-index", "{out}/outcomes.jsonl"),
+     "--dump-index {out}/outcomes.jsonl is also the outcomes.jsonl the run writes in --out-dir"),
+    (("run", "--out-dir", "{out}", "--kb-out", "{out}/scenario2_metrics.csv"),
+     "--kb-out {out}/scenario2_metrics.csv is also the scenario2_metrics.csv the run writes "
+     "in --out-dir"),
+    (("run", "--out-dir", "{out}", "--revise-interval", "5", "--dump-index",
+      "{out}/revision_i5.csv"),
+     "--dump-index {out}/revision_i5.csv is also the revision_i5.csv the run writes in --out-dir"),
+    (("run", "--out-dir", "{out}", "--revise-interval", "5", "--kb-out",
+      "{out}/revision_report.json"),
+     "--kb-out {out}/revision_report.json is also the revision_report.json the run writes "
+     "in --out-dir"),
+    (("run", "--out-dir", "{dir}", "--kb-out", "{sub}/../metadata.json"),
+     "--kb-out {sub}/../metadata.json is also the metadata.json the run writes in --out-dir"),
+    (("run", "--out-dir", "{out}", "--dump-index", "{dir}/both.json", "--kb-out",
+      "{dir}/both.json"), "--kb-out {dir}/both.json is also the --dump-index path"),
 ], ids=["run-out-dir-is-a-file", "run-out-dir-under-a-file", "run-kb-out-is-a-directory",
         "run-kb-out-under-a-file", "run-dump-index-is-a-directory",
         "rerun-out-dir-is-a-file", "tutor-kb-out-is-a-directory",
@@ -828,7 +846,10 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv
         "run-kb-out-parent-missing", "run-out-dir-too-long", "run-out-dir-denied",
         "run-kb-out-too-long", "run-kb-out-denied", "run-dump-index-too-long",
         "run-dump-index-denied", "tutor-kb-out-too-long", "tutor-kb-out-denied",
-        "run-out-dir-empty", "run-kb-out-empty", "run-dump-index-empty", "tutor-kb-out-empty"])
+        "run-out-dir-empty", "run-kb-out-empty", "run-dump-index-empty", "tutor-kb-out-empty",
+        "run-kb-out-is-metadata", "run-dump-index-is-outcomes", "run-kb-out-is-metrics",
+        "run-dump-index-is-revision-series", "run-kb-out-is-revision-report",
+        "run-kb-out-resolves-to-metadata", "run-kb-out-is-dump-index"])
 def test_unwritable_output_path_is_usage_error_before_loading(tmp_path, monkeypatch, capsys,
                                                               argv, message):
     """A bad output path is reported before any input is read: the inputs
@@ -837,8 +858,9 @@ def test_unwritable_output_path_is_usage_error_before_loading(tmp_path, monkeypa
     it, as file modes do not bind a superuser)."""
     paths = {"file": tmp_path / "file", "dir": tmp_path, "out": tmp_path / "run",
              "meta": tmp_path / "metadata.json", "long": tmp_path / ("x" * 5000),
-             "denied": tmp_path / "denied"}
+             "denied": tmp_path / "denied", "sub": tmp_path / "sub"}
     paths["file"].write_text("")
+    paths["sub"].mkdir()
     paths["meta"].write_text(json.dumps({"config": {**RECORDED_CONFIG, "corpus": "missing.jsonl",
                                                     "docs": "missing.jsonl"}}))
     real_stat = os.stat
@@ -857,6 +879,23 @@ def test_unwritable_output_path_is_usage_error_before_loading(tmp_path, monkeypa
     err = capsys.readouterr().err
     assert err == f"usage error: {message.format(**paths)}\n"
     assert not paths["out"].exists()
+
+
+def test_no_other_output_may_name_a_file_the_run_writes(tmp_path, capsys):
+    """Each file a revision run writes in its out-dir is refused as the
+    ``--kb-out`` or ``--dump-index`` path of the same run, so the check
+    names every file the run writes."""
+    argv = ("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
+            "--revise-interval", "10", "--out-dir", str(tmp_path))
+    assert run_cli(*argv) == 0
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert len(written) == 5
+    capsys.readouterr()
+    for name in written:
+        for flag in ("--kb-out", "--dump-index"):
+            assert run_cli(*argv, flag, str(tmp_path / name)) == 1
+            assert capsys.readouterr().err == (f"usage error: {flag} {tmp_path / name} is also "
+                                               f"the {name} the run writes in --out-dir\n")
 
 
 def test_default_out_dir_below_a_file_is_usage_error(tmp_path, monkeypatch, capsys):

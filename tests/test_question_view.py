@@ -1,13 +1,15 @@
 """Questions are read through the same analysed ``Sentence`` view as
 document sentences. The view-based readers must equal the tree walks they
-replaced (kept in ``oracles``), and no module of the package may build a
-tree. The package's structure is guarded the same way: only ``evaluation``
-counts running metrics."""
+replaced (kept in ``oracles``), no module of the package may build a tree,
+and only ``treebank.parse_sentence`` splits a parse into its items. The
+package's structure is guarded the same way: only ``evaluation`` counts
+running metrics."""
 
 import ast
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from patternqa.classify import Category, tagged_leaves
@@ -99,6 +101,84 @@ def test_trees_do_not_outlive_loading():
         if parsers != ({"parse_sentence"} if path.stem == "treebank" else set()):
             offenders.append((path.stem, sorted(parsers)))
     assert offenders == []
+
+
+SPLITTERS = {"treebank.parse_sentence"}
+
+
+def _pads_a_bracket(call: ast.Call) -> bool:
+    """Whether ``call`` is a ``replace`` call that pads a bracket with
+    whitespace, as ``text.replace("(", " ( ")`` or ``str.replace(text, ")", ") ")``."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "replace"):
+        return False
+    return any(isinstance(old, ast.Constant) and old.value in ("(", ")")
+               and isinstance(new, ast.Constant) and isinstance(new.value, str)
+               and new.value != old.value and new.value.strip() == old.value
+               for old, new in zip(call.args, call.args[1:]))
+
+
+def item_splits(source: str, module: str, allowed=SPLITTERS) -> list[str]:
+    """``<module>.<function>`` (dotted through classes, nested functions and
+    lambdas; the bare module name at module level) of each call in
+    ``source`` that pads a bracket to split a parse into items, made outside
+    ``allowed``, in source order."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Lambda):
+                visit(child, f"{where}.<lambda>")
+                continue
+            if isinstance(child, ast.Call) and _pads_a_bracket(child) and where not in allowed:
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_only_parse_sentence_splits_a_parse_into_items():
+    """One reader reads a parse: no other function splits one into brackets
+    and atoms, and ``parse_sentence`` itself does, so the scan sees it."""
+    sources = {path.stem: path.read_text("utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert [where for module, source in sources.items()
+            for where in item_splits(source, module)] == []
+    assert item_splits(sources["treebank"], "treebank", allowed=set()) \
+        == ["treebank.parse_sentence", "treebank.parse_sentence"]
+
+
+SPLIT = 'text.replace("(", " ( ").replace(")", " ) ").split()'
+
+
+@pytest.mark.parametrize("source, module, flagged", [
+    (f"def read_leaves(text):\n    items = {SPLIT}", "treebank",
+     ["treebank.read_leaves", "treebank.read_leaves"]),
+    (f"def parse_sentence(text):\n    items = {SPLIT}", "corpus",
+     ["corpus.parse_sentence", "corpus.parse_sentence"]),
+    (f"ITEMS = {SPLIT}", "treebank", ["treebank", "treebank"]),
+    ("def f(t):\n    return t.replace(')', ' ) ')", "m", ["m.f"]),
+    ("def f(t):\n    return t.replace('(', ' (')", "m", ["m.f"]),
+    ("def f(t):\n    return t.replace('(', '\\t(\\n')", "m", ["m.f"]),
+    ("def f(t):\n    return str.replace(t, '(', ' ( ')", "m", ["m.f"]),
+    ("class C:\n    def g(self, t):\n        return t.replace('(', ' ( ')", "m", ["m.C.g"]),
+    ("def f(t):\n    return lambda: t.replace('(', ' ( ')", "m", ["m.f.<lambda>"]),
+    ("def parse_sentence(text):\n    def inner():\n        return text.replace('(', ' ( ')",
+     "treebank", ["treebank.parse_sentence.inner"]),
+    (f"def parse_sentence(text):\n    items = {SPLIT}", "treebank", []),
+    ("def f(t):\n    return t.replace('(', '')", "m", []),
+    ("def f(t):\n    return t.replace('(', '-LRB-')", "m", []),
+    ("def f(t):\n    return t.replace('(', '(')", "m", []),
+    ("def f(t):\n    return t.replace('x', ' x ')", "m", []),
+    ("def f(t, a, b):\n    return t.replace(a, b)", "m", []),
+    ("def f(t):\n    return t.split()", "m", []),
+    ("def replace(t):\n    return t", "m", []),
+])
+def test_the_scan_tells_item_splits_from_other_code(source, module, flagged):
+    assert item_splits(source, module) == flagged
 
 
 def test_only_evaluation_builds_metric_points():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from patternqa.corpus import ARTICLES, normalize_answer
-from patternqa.treebank import TreeFormatError, parse_sentence, read_leaves, strip_decorations
+from patternqa.treebank import TreeFormatError, parse_sentence, strip_decorations
 
 from .conftest import DANTE_SENTENCE_PARSE
 from .oracles import (ParseTree, analyse, dfs_nodes, leaf, leaves, node_spans, parse_bracketed,
@@ -229,11 +229,11 @@ def test_parse_sentence_matches_reference(text):
         reference_or_error(lambda raw: analyse(parse_bracketed(raw)), text)
 
 
-def leaves_or_error(parse, text):
-    """The three token tuples of ``parse(text)``, or the message and offset
-    of its TreeFormatError."""
+def leaves_or_error(text, structure):
+    """The three token tuples of ``text`` read with or without structure,
+    or the message and offset of its TreeFormatError."""
     try:
-        view = parse(text)
+        view = parse_sentence(text, structure=structure)
     except TreeFormatError as exc:
         return str(exc), exc.offset
     return view.tokens, view.lowered, view.stripped
@@ -265,13 +265,15 @@ BRACKET_SOUP = st.lists(st.sampled_from(["(", ")", "(", ")", "S", "NP", "x", "é
 @example("(")
 @example("(S (( x) y)")  # a bracket where a label belongs, balanced by the rest
 @example("(S ( ) x ) y )")
+@example("(S ((")  # a bracket where a label belongs, then the end of the input
+@example("(S )")  # a node without children, then the end of the input
 @example(DEEP)
 @example(DEEP[:-1])
-def test_read_leaves_agrees_with_parse_sentence(text):
-    """The reader without structure accepts exactly the parses
-    ``parse_sentence`` accepts, gives the same tokens in all three
-    spellings and no constituents, and on a parse it rejects raises the
-    same error at the same offset."""
-    assert leaves_or_error(read_leaves, text) == leaves_or_error(parse_sentence, text)
+def test_reading_without_structure_agrees_with_reading_with_it(text):
+    """Read without structure, a parse is accepted exactly when it is
+    accepted with structure, with the same tokens in all three spellings
+    and no constituents, and rejected with the same error at the same
+    offset."""
+    assert leaves_or_error(text, False) == leaves_or_error(text, True)
     with contextlib.suppress(TreeFormatError):
-        assert read_leaves(text).constituents is None
+        assert parse_sentence(text, structure=False).constituents is None

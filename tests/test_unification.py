@@ -2,6 +2,7 @@ import gc
 import random
 import string
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,7 @@ from patternqa.knowledge import Pattern, answer_slot, lexical, syntactic
 from patternqa.treebank import parse_sentence
 from patternqa.unification import (RELAX_BOTH, RELAX_LEXICAL, RELAX_NONE,
                                    RELAX_SYNTACTIC, RelaxConfig,
-                                   default_config, distance_limit, length_rules_out,
+                                   default_config, distance_limit,
                                    levenshtein_distance, levenshtein_reaches,
                                    lexical_similarity, load_tag_hierarchy,
                                    tag_compatible, unify)
@@ -85,24 +86,6 @@ THRESHOLDS = st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]) | st.floats(0.0, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text("abcde", max_size=8), st.text("abcde", max_size=8), THRESHOLDS, st.booleans())
-@example("wrote", "wrot", 0.8, False)  # similarity exactly 0.8, lengths 5 and 4
-@example("abcde", "abcd", 0.8, False)
-@example("ab", "a", 0.5, False)
-@example("", "", 1.0, False)
-@example("", "a", 0.0, False)
-@example("", "a", 1.0, False)
-def test_length_bound_never_rules_out_a_similar_pair(a, b, threshold, at_similarity):
-    """The length pre-test rejects no pair whose Levenshtein similarity
-    reaches the threshold, a threshold equal to the similarity included."""
-    similarity = lexical_similarity(a, b, "levenshtein")
-    if at_similarity:
-        threshold = similarity
-    if similarity >= threshold:
-        assert not length_rules_out(a, b, threshold)
-
-
-@settings(max_examples=300, deadline=None)
 @given(st.text("abcd", max_size=12), st.text("abcd", max_size=12), st.integers(0, 13))
 @example("kitten", "sitting", 3)
 @example("kitten", "sitting", 2)
@@ -127,8 +110,12 @@ def test_distance_limit_is_the_largest_passing_distance(longest, threshold):
 
 @settings(max_examples=300, deadline=None)
 @given(st.text("abcde", max_size=10), st.text("abcde", max_size=10), THRESHOLDS, st.booleans())
-@example("wrote", "wrot", 0.8, False)
+@example("wrote", "wrot", 0.8, False)  # similarity exactly 0.8, lengths 5 and 4
+@example("abcde", "abcd", 0.8, False)
+@example("ab", "a", 0.5, False)
 @example("", "", 1.0, False)
+@example("", "a", 0.0, False)
+@example("", "a", 1.0, False)
 def test_the_band_decides_as_the_similarity_does(a, b, threshold, at_similarity):
     """The banded test passes a pair exactly when its Levenshtein similarity
     reaches the threshold, a threshold equal to the similarity included."""
@@ -166,22 +153,33 @@ def test_the_band_fills_a_small_share_of_the_table(monkeypatch):
 
 
 def test_relaxed_matching_runs_no_distance_that_lengths_rule_out(monkeypatch):
-    """Only the token whose length is close enough to the literal's reaches
-    the edit-distance computation; the match it finds is unchanged."""
+    """Only the token whose length is close enough to the literal's fills
+    any cell of an edit-distance table; the match it finds is unchanged.
+    The fill takes the least of three neighbours, once per cell, so
+    counting those calls, each under the pair being compared, counts the
+    cells each pair fills."""
     compared = []
+    filled = Counter()
 
-    def counted(a, b, limit=None):
+    def noting(a, b, limit=None):
         compared.append((a, b))
         return levenshtein_distance(a, b, limit)
 
-    monkeypatch.setattr(unification, "levenshtein_distance", counted)
+    def counting_min(*args):
+        if len(args) == 3:
+            filled[compared[-1]] += 1
+        return min(*args)
+
+    monkeypatch.setattr(unification, "levenshtein_distance", noting)
+    monkeypatch.setattr(unification, "min", counting_min, raising=False)
     pattern = Pattern((answer_slot("NP"), lexical("wrote"), syntactic("NP")), {("q", "doc:0")})
     view = parse_sentence("(S (NP (NNP Homer)) (VP (VBD wrot) (NP (NNP Odyssey))) "
                           "(PP (IN in) (NP (NNP Greece))) (CC and) (NP (NNS epics)) "
                           "(VP (VBD composed) (NP (NNP Iliad))))")
     found = unify(pattern, view, default_config())
     assert [(c.text, c.relaxation_used) for c in found] == [("Homer", RELAX_LEXICAL)]
-    assert set(compared) == {("wrot", "wrote")}
+    assert len(set(compared)) > 1  # other tokens are compared, and fill nothing
+    assert set(filled) == {("wrot", "wrote")}
 
 
 def test_tag_compatibility_table():
