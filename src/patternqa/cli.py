@@ -195,9 +195,10 @@ def _check_top_k(args) -> None:
 
 
 def _check_run_outputs(args) -> None:
-    """Reject run output paths that cannot be written, and a ``--kb-out`` or
+    """Reject run output paths that cannot be written, a ``--kb-out`` or
     ``--dump-index`` path that resolves to the other's or to a file the run
-    writes in ``--out-dir``, which one output would overwrite with another."""
+    writes in ``--out-dir``, which one output would overwrite with another,
+    and an output that would overwrite an input."""
     default = args.out_dir is None  # out/<time> then
     _check_output_path("--out-dir", "out" if default else args.out_dir, directory=True)
     out_dir = None if default else Path(args.out_dir)
@@ -216,6 +217,28 @@ def _check_run_outputs(args) -> None:
             if target in written:
                 raise UsageError(f"{flag} {path} is also {written[target]}")
             written[target] = f"the {flag} path"
+    _check_inputs_kept(args, written)
+
+
+# the one output each input may be: the file it was read from, rewritten in place
+_REWRITES = {"--kb-in": "the --kb-out path",
+             "--from-metadata": "the metadata.json the run writes in --out-dir"}
+
+
+def _check_inputs_kept(args, written: dict) -> None:
+    """Reject an input path that resolves to an output, which the command
+    would overwrite, save the rewrites in ``_REWRITES``. ``written`` maps
+    each output's real path to what the output is."""
+    for flag in ("--corpus", "--docs", "--kb-in", "--from-metadata"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is None:
+            continue
+        try:
+            output = written.get(os.path.realpath(path))
+        except ValueError:  # a NUL byte, read from a metadata file: no output holds one
+            continue
+        if output is not None and output != _REWRITES.get(flag):
+            raise UsageError(f"{flag} {path} is also {output}")
 
 
 def _restore_from_metadata(args) -> dict:
@@ -379,6 +402,8 @@ def cmd_run(args) -> int:
 def cmd_tutor(args) -> int:
     _check_top_k(args)
     _check_output_path("--kb-out", args.kb_out)
+    _check_inputs_kept(args, {} if args.kb_out is None
+                       else {os.path.realpath(args.kb_out): "the --kb-out path"})
     state = _session(args)
     counter = 0
     last = None

@@ -839,6 +839,22 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv
      "--kb-out {sub}/../metadata.json is also the metadata.json the run writes in --out-dir"),
     (("run", "--out-dir", "{out}", "--dump-index", "{dir}/both.json", "--kb-out",
       "{dir}/both.json"), "--kb-out {dir}/both.json is also the --dump-index path"),
+    (("run", "--out-dir", "{out}", "--corpus", "{dir}/q.jsonl", "--dump-index", "{dir}/q.jsonl"),
+     "--corpus {dir}/q.jsonl is also the --dump-index path"),
+    (("run", "--out-dir", "{out}", "--docs", "{sub}/../d.jsonl", "--kb-out", "{dir}/d.jsonl"),
+     "--docs {sub}/../d.jsonl is also the --kb-out path"),
+    (("run", "--out-dir", "{dir}", "--corpus", "{dir}/outcomes.jsonl"),
+     "--corpus {dir}/outcomes.jsonl is also the outcomes.jsonl the run writes in --out-dir"),
+    (("run", "--out-dir", "{out}", "--kb-in", "{dir}/kb.json", "--dump-index", "{dir}/kb.json"),
+     "--kb-in {dir}/kb.json is also the --dump-index path"),
+    (("run", "--out-dir", "{dir}", "--kb-in", "{dir}/metadata.json"),
+     "--kb-in {dir}/metadata.json is also the metadata.json the run writes in --out-dir"),
+    (("run", "--from-metadata", "{meta}", "--out-dir", "{out}", "--kb-out", "{meta}"),
+     "--from-metadata {meta} is also the --kb-out path"),
+    (("run", "--from-metadata", "{meta}", "--out-dir", "{out}", "--dump-index", "missing.jsonl"),
+     "--corpus missing.jsonl is also the --dump-index path"),
+    (("tutor", "--docs", "{dir}/d.jsonl", "--kb-out", "{dir}/d.jsonl"),
+     "--docs {dir}/d.jsonl is also the --kb-out path"),
 ], ids=["run-out-dir-is-a-file", "run-out-dir-under-a-file", "run-kb-out-is-a-directory",
         "run-kb-out-under-a-file", "run-dump-index-is-a-directory",
         "rerun-out-dir-is-a-file", "tutor-kb-out-is-a-directory",
@@ -849,13 +865,17 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv
         "run-out-dir-empty", "run-kb-out-empty", "run-dump-index-empty", "tutor-kb-out-empty",
         "run-kb-out-is-metadata", "run-dump-index-is-outcomes", "run-kb-out-is-metrics",
         "run-dump-index-is-revision-series", "run-kb-out-is-revision-report",
-        "run-kb-out-resolves-to-metadata", "run-kb-out-is-dump-index"])
+        "run-kb-out-resolves-to-metadata", "run-kb-out-is-dump-index",
+        "run-corpus-is-dump-index", "run-docs-resolves-to-kb-out", "run-corpus-is-outcomes",
+        "run-kb-in-is-dump-index", "run-kb-in-is-metadata", "rerun-metadata-is-kb-out",
+        "rerun-recorded-corpus-is-dump-index", "tutor-docs-is-kb-out"])
 def test_unwritable_output_path_is_usage_error_before_loading(tmp_path, monkeypatch, capsys,
                                                               argv, message):
-    """A bad output path is reported before any input is read: the inputs
-    named here do not exist, so reading one would be a data error. A path
-    below ``denied`` cannot be looked up (``os.stat`` is patched to deny
-    it, as file modes do not bind a superuser)."""
+    """A bad output path, or one that is also an input, is reported before
+    any input is read: the inputs named here do not exist, so reading one
+    would be a data error. A path below ``denied`` cannot be looked up
+    (``os.stat`` is patched to deny it, as file modes do not bind a
+    superuser)."""
     paths = {"file": tmp_path / "file", "dir": tmp_path, "out": tmp_path / "run",
              "meta": tmp_path / "metadata.json", "long": tmp_path / ("x" * 5000),
              "denied": tmp_path / "denied", "sub": tmp_path / "sub"}
@@ -875,7 +895,8 @@ def test_unwritable_output_path_is_usage_error_before_loading(tmp_path, monkeypa
     inputs = () if "--from-metadata" in argv else (
         ("--scenario", "2", "--corpus", "missing.jsonl", "--docs", "missing.jsonl")
         if argv[0] == "run" else ("--docs", "missing.jsonl"))
-    assert run_cli(*(arg.format(**paths) for arg in argv), *inputs) == 1
+    command, *flags = (arg.format(**paths) for arg in argv)
+    assert run_cli(command, *inputs, *flags) == 1  # a row's input flag comes last, so wins
     err = capsys.readouterr().err
     assert err == f"usage error: {message.format(**paths)}\n"
     assert not paths["out"].exists()
@@ -896,6 +917,19 @@ def test_no_other_output_may_name_a_file_the_run_writes(tmp_path, capsys):
             assert run_cli(*argv, flag, str(tmp_path / name)) == 1
             assert capsys.readouterr().err == (f"usage error: {flag} {tmp_path / name} is also "
                                                f"the {name} the run writes in --out-dir\n")
+
+
+def test_an_output_may_rewrite_the_input_it_updates(tmp_path):
+    """``--kb-out`` may be the ``--kb-in`` path, and the out-dir's
+    metadata.json the ``--from-metadata`` file: each rewrites in place the
+    file it was read from."""
+    kb, first = tmp_path / "kb.json", tmp_path / "first"
+    argv = ("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS)
+    assert run_cli(*argv, "--out-dir", str(first), "--kb-out", str(kb)) == 0
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "second"), "--kb-in", str(kb),
+                   "--kb-out", str(kb)) == 0
+    assert run_cli("run", "--from-metadata", str(first / "metadata.json"),
+                   "--out-dir", str(first)) == 0
 
 
 def test_default_out_dir_below_a_file_is_usage_error(tmp_path, monkeypatch, capsys):
