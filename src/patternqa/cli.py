@@ -2,8 +2,17 @@
 runs, KB inspection, and an interactive tutor loop.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 output error. Input
-paths are checked where :func:`~patternqa.corpus.opened` opens them; every
-output file is written by :func:`_write`, from text the modules render.
+paths are checked where :func:`~patternqa.corpus.read_bytes` reads them;
+every output file is written by :func:`_write`, from text the modules
+render.
+
+``run`` and ``tutor`` read each input once (:func:`_input`): the bytes
+hashed for ``metadata.json`` and checked against a ``--from-metadata``
+digest are the bytes parsed. The question corpus and the indexed document
+collection then come from the load cache (:mod:`patternqa.cache`), keyed by
+those digests; on a miss they are loaded through this module's
+``load_qa_corpus``, ``load_documents`` and ``build_index``. ``ingest``
+validates without the cache.
 """
 
 from __future__ import annotations
@@ -19,8 +28,9 @@ import time
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
+from . import cache
 from .corpus import (DataError, Question, check, json_text, load_documents, load_qa_corpus,
-                     normalize_answer, opened, read_json, read_jsonl)
+                     normalize_answer, read_bytes, read_json, read_jsonl)
 from .evaluation import running_metrics, series_lines
 from .knowledge import MAX_PATTERN_ELEMENTS, SIGNATURE_DEPTH, KnowledgeBase, kb_text, load_kb
 from .pipeline import (SCENARIOS, PipelineState, ScenarioConfig, apply_feedback,
@@ -307,19 +317,35 @@ def _collector_off(command):
     return paused
 
 
-def _session(args, loading=lambda name: None, structure: bool = True,
+def _input(args, name: str, inputs: dict, recorded: dict) -> tuple[bytes, str]:
+    """The bytes of the input ``name`` (the ``--<name>`` path), read once,
+    and their SHA-256, which ``inputs`` records as ``<name>_sha256``. Bytes
+    whose digest differs from the one ``recorded`` for them are refused."""
+    path, key = getattr(args, name), f"{name}_sha256"
+    raw = read_bytes(path)
+    digest = inputs[key] = hashlib.sha256(raw).hexdigest()
+    if recorded.get(key, digest) != digest:
+        raise DataError(args.from_metadata, f"{path} does not match the recorded {key}; "
+                        "the input changed since the run")
+    return raw, digest
+
+
+def _session(args, inputs: dict, recorded: dict, structure: bool = True,
              **settings) -> PipelineState:
     """The state a command answers in: the ``--docs`` collection indexed,
     its sentences' constituents kept only with ``structure``, the ``--kb-in``
-    knowledge base or an empty one, and ``settings``. ``loading(name)`` is
-    called just before the input ``name`` is loaded."""
-    loading("docs")
-    docs = load_documents(args.docs, structure=structure)
+    knowledge base or an empty one, and ``settings``. Inputs are read by
+    :func:`_input`."""
+    raw, digest = _input(args, "docs", inputs, recorded)
+
+    def indexed():
+        return build_index(load_documents(args.docs, structure=structure, raw=raw))
+
+    index = cache.collection(digest, structure, indexed)
     kb = KnowledgeBase()
     if args.kb_in is not None:
-        loading("kb_in")
-        kb = load_kb(args.kb_in)
-    return PipelineState(kb=kb, index=build_index(docs), top_k=args.top_k, **settings)
+        kb = load_kb(args.kb_in, raw=_input(args, "kb_in", inputs, recorded)[0])
+    return PipelineState(kb=kb, index=index, top_k=args.top_k, **settings)
 
 
 @_collector_off
@@ -328,27 +354,16 @@ def cmd_run(args) -> int:
     _check_run_values(args)
     _check_run_outputs(args)
     inputs: dict[str, str] = {}  # metadata.json's input digests
-
-    def loading(name: str) -> None:
-        """Take the SHA-256 of the input ``name`` as it is about to be
-        loaded, and refuse one that differs from the digest recorded."""
-        key, path = f"{name}_sha256", getattr(args, name)
-        with opened(path) as handle:
-            digest = inputs[key] = hashlib.sha256(handle.read()).hexdigest()
-        if recorded.get(key, digest) != digest:
-            raise DataError(args.from_metadata, f"{path} does not match the recorded {key}; "
-                            "the input changed since the run")
-
     scenario = ScenarioConfig.from_id(args.scenario)
     relax = default_config(args.relax_measure, args.relax_threshold,
                            enable_lexical=not args.no_lexical_relax,
                            enable_syntactic=not args.no_syntactic_relax)
-    loading("corpus")
-    questions = load_qa_corpus(args.corpus)
+    raw, digest = _input(args, "corpus", inputs, recorded)
+    questions = cache.questions(digest, lambda: load_qa_corpus(args.corpus, raw=raw))
     # only aligning and learning a pattern read a document's constituents
     structure = scenario.use_patterns or scenario.reference_fallback \
         or args.revise_interval is not None
-    state = _session(args, loading, structure, relax=relax)
+    state = _session(args, inputs, recorded, structure, relax=relax)
     # made before any output is written: --dump-index and --kb-out may lie in it
     out_dir = (Path("out") / time.strftime("%Y%m%d-%H%M%S") if args.out_dir is None
                else Path(args.out_dir))
@@ -404,7 +419,7 @@ def cmd_tutor(args) -> int:
     _check_output_path("--kb-out", args.kb_out)
     _check_inputs_kept(args, {} if args.kb_out is None
                        else {os.path.realpath(args.kb_out): "the --kb-out path"})
-    state = _session(args)
+    state = _session(args, {}, {})
     counter = 0
     last = None
     last_answer: str | None = None

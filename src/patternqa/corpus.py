@@ -16,11 +16,14 @@ the choice to :func:`~patternqa.treebank.parse_sentence`, which checks
 each parse just as strictly but keeps only its tokens.
 
 Every JSON input, these two and the knowledge base, outcome log and run
-metadata read elsewhere, is checked and read by :func:`opened` and decoded
-by :func:`read_json` (a whole file) or :func:`read_jsonl` (one value per
-line), which hand each decoded object to a builder. Builders validate with
-:func:`check`, whose ``ValueError`` the reader turns into a
-:class:`DataError` naming the file and, for JSON Lines, the line.
+metadata read elsewhere, is checked and read whole by :func:`read_bytes`
+and decoded by :func:`read_json` (a whole file) or :func:`read_jsonl` (one
+value per line), which hand each decoded object to a builder. Builders
+validate with :func:`check`, whose ``ValueError`` the reader turns into a
+:class:`DataError` naming the file and, for JSON Lines, the line. A caller
+that has read an input's bytes already, to hash them as ``run`` does,
+passes them on as ``raw``, so the bytes it hashed are the bytes parsed and
+the file is opened once.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from __future__ import annotations
 import json
 import os
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
+from io import BytesIO
 from itertools import repeat
 from pathlib import Path
 from types import UnionType
@@ -153,35 +156,34 @@ def _decoded(path, raw: bytes, build, line: int | None = None):
         raise DataError(path, str(exc), line) from exc
 
 
-@contextmanager
-def opened(path):
-    """The input file ``path``, open for reading bytes. A path naming no
-    regular file (missing, empty, too long, a directory, a device or pipe:
-    tested before opening, so a pipe is not blocked on) and an ``OSError``
-    opening or reading the file, such as a permission denied, raise
-    :class:`DataError`."""
+def read_bytes(path) -> bytes:
+    """The bytes of the input file ``path``: the one way an input is read.
+    A path naming no regular file (missing, empty, too long, a directory,
+    a device or pipe: tested before opening, so a pipe is not blocked on)
+    and an ``OSError`` opening or reading the file, such as a permission
+    denied, raise :class:`DataError`."""
     if not os.path.isfile(path):
         raise DataError(path or '""', "file not found")
     try:
         with open(path, "rb") as handle:
-            yield handle
+            return handle.read()
     except OSError as exc:
         raise DataError(path, exc.strerror or str(exc)) from exc
 
 
-def read_json(path, build):
-    """``build(value)`` of the JSON object in the file ``path``."""
-    with opened(path) as handle:
-        raw = handle.read()
-    return _decoded(path, raw, build)
+def read_json(path, build, raw: bytes | None = None):
+    """``build(value)`` of the JSON object in the file ``path``, whose
+    bytes are ``raw`` when the caller has read them already."""
+    return _decoded(path, read_bytes(path) if raw is None else raw, build)
 
 
-def read_jsonl(path, build) -> list:
+def read_jsonl(path, build, raw: bytes | None = None) -> list:
     """``build(record)`` of the JSON object on each non-blank line of the
-    JSON Lines file ``path``, in file order."""
-    with opened(path) as handle:
-        return [_decoded(path, raw, build, line)
-                for line, raw in enumerate(handle, 1) if raw.strip()]
+    JSON Lines file ``path`` (its bytes ``raw`` when read already), in file
+    order. Lines end at each newline byte, as a binary file iterates."""
+    lines = BytesIO(read_bytes(path) if raw is None else raw)
+    return [_decoded(path, line, build, number)
+            for number, line in enumerate(lines, 1) if line.strip()]
 
 
 def json_text(value, sort_keys: bool = False, indent: str = "\n") -> str:
@@ -218,9 +220,10 @@ def _analysed_parse(raw: str, text: str, what: str, shared: dict,
     return view
 
 
-def load_qa_corpus(path) -> list[Question]:
+def load_qa_corpus(path, raw: bytes | None = None) -> list[Question]:
     """Load questions in file order (order matters for running metrics),
-    each parse read into a :class:`Sentence` view."""
+    each parse read into a :class:`Sentence` view. ``raw`` is the file's
+    bytes, when the caller has read them already."""
     seen = set()
     shared: dict = {}
 
@@ -243,13 +246,13 @@ def load_qa_corpus(path) -> list[Question]:
         view = _analysed_parse(parse, text, "tokenized question", shared)
         return Question(id=qid, text=text, parse=view, category=category, answers=tuple(answers))
 
-    return read_jsonl(path, question)
+    return read_jsonl(path, question, raw)
 
 
-def load_documents(path, structure: bool = True) -> list[Document]:
+def load_documents(path, structure: bool = True, raw: bytes | None = None) -> list[Document]:
     """Load documents in file order, each sentence's parse read into a
     :class:`Sentence` view, whose ``constituents`` are None without
-    ``structure``."""
+    ``structure``. ``raw`` is the file's bytes, when read already."""
     seen = set()
     shared: dict = {}
 
@@ -265,4 +268,4 @@ def load_documents(path, structure: bool = True) -> list[Document]:
              _analysed_parse(s["parse"], s["text"], "sentence text", shared, structure))
             for s in sentences))
 
-    return read_jsonl(path, document)
+    return read_jsonl(path, document, raw)

@@ -364,12 +364,12 @@ def kb_text(kb: KnowledgeBase) -> str:
     return json_text(payload) + "\n"
 
 
-def load_kb(path) -> KnowledgeBase:
-    """The knowledge base in the KB file ``path``, written from
-    :func:`kb_text`. Raises :class:`~patternqa.corpus.DataError`
-    naming the file and the first signature or pattern that does not
-    validate."""
-    return read_json(path, _kb_from_json)
+def load_kb(path, raw: bytes | None = None) -> KnowledgeBase:
+    """The knowledge base in the KB file ``path`` (its bytes ``raw``, when
+    read already), written from :func:`kb_text`. Raises
+    :class:`~patternqa.corpus.DataError` naming the file and the first
+    signature or pattern that does not validate."""
+    return read_json(path, _kb_from_json, raw)
 
 
 def _kb_from_json(payload: dict) -> KnowledgeBase:

@@ -28,6 +28,16 @@ HAMLET_QUESTION_PARSE = (
 HINTS = load_hint_table()
 
 
+@pytest.fixture(autouse=True)
+def cold_cache(tmp_path_factory, monkeypatch):
+    """Every test starts with an empty load cache of its own, outside its
+    ``tmp_path`` (which some tests list whole); processes a test starts
+    inherit it. No test reads or writes the user's cache."""
+    directory = tmp_path_factory.mktemp("cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(directory))
+    return directory / "patternqa"
+
+
 def signature_of(question):
     """The signature the pipeline files a question under, default hints."""
     return question_signature(question, classify(question, HINTS))

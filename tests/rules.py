@@ -7,7 +7,7 @@ at module level; a definition is in the scope around it, its decorators,
 defaults and body in its own. A hit test returns the name it hit, or None,
 and a hit is allowed when ``<scope>:<name>`` matches an ``allowed`` pattern
 (``fnmatch``). A form row ``(source, module, flagged)`` gives the scopes,
-or the lines, of the hits flagged in ``source`` read as ``module``; the
+or the lines, of the hits flagged in ``source`` read as ``module``; each
 fault ``(module, source)``, appended to that module, must be flagged."""
 
 import ast
@@ -35,7 +35,7 @@ class Rule(NamedTuple):
     allowed: tuple[str, ...]
     why: str
     rows: tuple
-    fault: tuple[str, str]
+    faults: tuple[tuple[str, str], ...]
 
 
 def walk(source: str, module: str):
@@ -173,6 +173,24 @@ def _tree_name(node, ancestors):
     return name if name in TREE_NAMES or name.startswith("parse_") else None
 
 
+UNSAFE_DECODERS = ("marshal", "pickle")
+
+
+def _decoder(node, ancestors):
+    """``load`` or ``loads`` of ``marshal`` or ``pickle`` read as an
+    attribute of the module's name, imported from the module, or an aliased
+    import of either module, which would hide such a read."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id in UNSAFE_DECODERS and node.attr in ("load", "loads"):
+        return f"{node.value.id}.{node.attr}"
+    if isinstance(node, ast.ImportFrom) and node.module in UNSAFE_DECODERS:
+        return next((f"{node.module}.{a.name}" for a in node.names
+                     if a.name in ("load", "loads", "*")), None)
+    if isinstance(node, ast.Import):
+        return next((a.name for a in node.names
+                     if a.name in UNSAFE_DECODERS and a.asname), None)
+
+
 def _metric_point(node, ancestors):
     """A call of ``make_point`` or ``EvalPoint``, or ``make_point`` imported
     or read as an attribute."""
@@ -220,10 +238,10 @@ RULES = (
           ("def f():\n    return map(extract_ner, cs)", "m", []),
           ("def f():\n    return map(_unify, ps)", "m", []),
           ("def f():\n    return unify_all(p) or extract_ner_fast(c)", "m", [])),
-         ("pipeline", "def second_site(state, pattern, sentence):\n"
-                      "    return unify(pattern, sentence, state.config)")),
+         (("pipeline", "def second_site(state, pattern, sentence):\n"
+                       "    return unify(pattern, sentence, state.config)"),)),
     Rule("constituents", _constituents_use,
-         within("treebank", "classify", "knowledge", "unification"),
+         (*within("treebank", "classify", "knowledge", "unification"), "cache._fields:*"),
          """A document sentence's constituents are read only to align a pattern
          or to learn one, and a run that does neither loads its documents
          without them (``cli.cmd_run``, where a view's ``constituents`` is
@@ -231,7 +249,8 @@ RULES = (
          reads a question's (always loaded in full), and ``knowledge`` and
          ``unification``, which learn and align, use a ``constituents``
          attribute. A new reader elsewhere, in NER or retrieval say, would
-         meet None in a scenario-1 run.""",
+         meet None in a scenario-1 run. ``cache._fields`` copies the field,
+         None or not, into a load cache entry, and reads nothing in it.""",
          (("view.constituents", "m", [1]),
           ("x = 1\nstarts = record.view.constituents[0]", "m", [2]),
           ("def f(s):\n    return [e for at in s.constituents for e in at]", "m", [2]),
@@ -250,13 +269,17 @@ RULES = (
           ("getattr(view, 'tokens')", "m", []),
           ("getattr(view, name)", "m", []),
           ("view.constituent", "m", []),
-          ("view.constituents_count", "m", [])),
-         ("extraction", "def spans(sentence):\n    return sentence.view.constituents")),
+          ("view.constituents_count", "m", []),
+          ("def _fields(view):\n    return view.tokens, view.constituents", "cache", []),
+          ("def f(view):\n    return view.constituents", "cache", [2])),
+         (("extraction", "def spans(sentence):\n    return sentence.view.constituents"),)),
     Rule("writes", _file_write,
-         ("cli._write:*",),
+         ("cli._write:*", "cache._store:*"),
          """Only ``cli._write`` writes files, so a module that writes its own
          file again (and a write error that escapes the one ``output error:``
-         line with it) is flagged.""",
+         line with it) is flagged. The one exception is the load cache's
+         ``cache._store``, which writes an entry best effort: a write error
+         there must not end the run.""",
          (('def f():\n    open(p, "w")', "m", ["m.f"]),
           ('def f():\n    open(p, mode="a", encoding="utf-8")', "m", ["m.f"]),
           ('def f():\n    open(p, "r+b")', "m", ["m.f"]),
@@ -273,8 +296,11 @@ RULES = (
           ('def f():\n    p.open("rb")', "m", []),
           ('def f():\n    handle.write("")', "m", []),
           ('def f():\n    open(p, "w")', "cli", ["cli.f"]),
-          ('def _write(p):\n    open(p, "w")', "cli", [])),
-         ("knowledge", "def save(kb, path):\n    Path(path).write_text(kb_text(kb))")),
+          ('def _write(p):\n    open(p, "w")', "cli", []),
+          ('def f(p):\n    open(p, "wb")', "cache", ["cache.f"]),
+          ('def _store(p):\n    open(p, "wb")', "cache", [])),
+         (("knowledge", "def save(kb, path):\n    Path(path).write_text(kb_text(kb))"),
+          ("cache", "def _clear(path):\n    path.write_bytes(b'')"))),
     Rule("table-loads", _table_load,
          within(*(f"*.{name}" for name in (*LOADERS, "default_config"))),
          """Each shipped table is loaded in one place: no function calls
@@ -302,8 +328,8 @@ RULES = (
            []),
           ("def f(path):\n    return load_kb(path)", "m", []),
           ("def f():\n    return load_gazetteer", "m", [])),
-         ("extraction", "def find_entities(sentence, gazetteer=None):\n"
-                        "    return gazetteer or load_gazetteer()")),
+         (("extraction", "def find_entities(sentence, gazetteer=None):\n"
+                         "    return gazetteer or load_gazetteer()"),)),
     Rule("item-splits", _item_split,
          ("treebank.parse_sentence:*",),
          """One reader reads a parse: only ``treebank.parse_sentence`` splits
@@ -329,7 +355,7 @@ RULES = (
           ("def f(t, a, b):\n    return t.replace(a, b)", "m", []),
           ("def f(t):\n    return t.split()", "m", []),
           ("def replace(t):\n    return t", "m", [])),
-         ("treebank", f"def read_leaves(text):\n    return {SPLIT}")),
+         (("treebank", f"def read_leaves(text):\n    return {SPLIT}"),)),
     Rule("tree-names", _tree_name,
          ("treebank:parse_sentence",),
          """Trees do not outlive loading: no module defines, imports or reads a
@@ -346,7 +372,7 @@ RULES = (
           ("def parse_rows(text):\n    pass", "treebank", ["treebank"]),
           ("def parse_sentence(text):\n    pass", "treebank", []),
           ("def f(analyse):\n    return parse_bracketed", "m", [])),
-         ("corpus", "from .treebank import ParseTree")),
+         (("corpus", "from .treebank import ParseTree"),)),
     Rule("metric-points", _metric_point,
          within("evaluation"),
          """``evaluation.running_metrics`` is the one accumulator of a run's
@@ -358,8 +384,33 @@ RULES = (
           ("def f():\n    return EvalPoint(1, 0.5, 0.5, 0.5, 1, 2)", "m", ["m.f"]),
           ("def f():\n    return make_point(i, correct, answered)", "evaluation", []),
           ("from .evaluation import EvalPoint", "m", [])),
-         ("pipeline", "def point(i, correct, answered):\n"
-                      "    return make_point(i, correct, answered)")),
+         (("pipeline", "def point(i, correct, answered):\n"
+                       "    return make_point(i, correct, answered)"),)),
+    Rule("decoders", _decoder,
+         ("cache._read:marshal.loads",),
+         """Bytes become objects without a parser in one place only: the load
+         cache's reader ``cache._read``, which calls ``marshal.loads`` once
+         it has checked the entry's code digest and payload digest. Any other
+         ``marshal`` or ``pickle`` load, a reference to one, an import of one
+         by name and an aliased import of either module are flagged.""",
+         (("def f(b):\n    return marshal.loads(b)", "m", ["m.f"]),
+          ("def f(h):\n    return marshal.load(h)", "m", ["m.f"]),
+          ("def f(b):\n    return pickle.loads(b)", "m", ["m.f"]),
+          ("def _read(h):\n    return pickle.load(h)", "cache", ["cache._read"]),
+          ("LOAD = marshal.loads", "m", ["m"]),
+          ("from marshal import loads", "m", ["m"]),
+          ("from pickle import load as unpickle", "m", ["m"]),
+          ("import marshal as m", "m", ["m"]),
+          ("def _read(b):\n    return marshal.loads(b)", "cache", []),
+          ("def _read(b):\n    def later():\n        return marshal.loads(b)", "cache",
+           ["cache._read.later"]),
+          ("def f(b):\n    return marshal.loads(b)", "cache", ["cache.f"]),
+          ("import marshal", "m", []),
+          ("def f(v):\n    return marshal.dumps(v)", "m", []),
+          ("def f(s):\n    return json.loads(s)", "m", []),
+          ("def f(s):\n    return loads(s)", "m", [])),
+         (("retrieval", "def index_from(raw):\n    return marshal.loads(raw)"),
+          ("cache", "def _peek(path):\n    return marshal.loads(path.read_bytes())"))),
 )
 
 
@@ -379,7 +430,8 @@ def test_the_package_keeps_every_rule():
     for rule in RULES:
         assert [f"{s.scope}:{s.line}" for s in sites[rule.name] if not s.allowed] == [], rule.why
     seen = {name: [s.scope for s in found if s.allowed] for name, found in sites.items()}
-    assert seen["writes"] == ["cli._write"]
+    assert seen["writes"] == ["cache._store", "cli._write"]
+    assert seen["decoders"] == ["cache._read"]
     assert seen["item-splits"] == ["treebank.parse_sentence"] * 2
     assert seen["tree-names"] == ["treebank"]
     assert {scope.split(".")[0] for scope in seen["constituents"]} \
@@ -396,8 +448,8 @@ def test_each_form_row_flags_its_sites(rule, source, module, flagged):
 
 @pytest.mark.parametrize("rule", RULES, ids=[rule.name for rule in RULES])
 def test_each_rule_flags_its_fault_in_the_real_module(rule):
-    module, fault = rule.fault
-    source = _package()[module]
-    first = source.count("\n") + 3
-    found = violations(rule, f"{source}\n\n{fault}\n", module)
-    assert found and all(site.line >= first for site in found)
+    for module, fault in rule.faults:
+        source = _package()[module]
+        first = source.count("\n") + 3
+        found = violations(rule, f"{source}\n\n{fault}\n", module)
+        assert found and all(site.line >= first for site in found), fault

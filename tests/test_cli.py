@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patternqa import cli, pipeline
+from patternqa import cache, cli, pipeline
 from patternqa.cli import main
 from patternqa.knowledge import KnowledgeBase, kb_text
 
@@ -322,20 +322,30 @@ def test_metadata_records_the_digest_of_the_bytes_loaded(tmp_path, monkeypatch, 
         "the input changed since the run\n")
 
 
-def test_a_rerun_reads_each_input_once_to_hash_and_once_to_load(tmp_path, monkeypatch):
-    assert run_cli("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
-                   "--out-dir", str(tmp_path / "first")) == 0
+def test_a_run_opens_each_input_once(tmp_path, monkeypatch):
+    """A run, cold or warm, and a re-run from its metadata open each input
+    once: the bytes hashed are the bytes parsed or looked up in the cache."""
+    kb = tmp_path / "kb.json"
+    kb.write_text(kb_text(KnowledgeBase()), "utf-8")
     real_open = open
     opens = []
 
-    def counted(file, *args, **kwargs):
-        opens.append(str(file))
-        return real_open(file, *args, **kwargs)
+    def counted(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            opens.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", counted)
-    assert run_cli("run", "--from-metadata", str(tmp_path / "first" / "metadata.json"),
-                   "--out-dir", str(tmp_path / "rerun")) == 0
-    assert (opens.count(CORPUS), opens.count(DOCS)) == (2, 2)
+    meta = str(tmp_path / "cold" / "metadata.json")
+    for argv in (("--scenario", "2", "--corpus", CORPUS, "--docs", DOCS, "--kb-in", str(kb),
+                  "--out-dir", str(tmp_path / "cold")),
+                 ("--scenario", "2", "--corpus", CORPUS, "--docs", DOCS, "--kb-in", str(kb),
+                  "--out-dir", str(tmp_path / "warm")),
+                 ("--from-metadata", meta, "--out-dir", str(tmp_path / "rerun"))):
+        opens.clear()
+        assert run_cli("run", *argv) == 0
+        assert [opens.count(path) for path in (CORPUS, DOCS, str(kb), meta)] \
+            == [1, 1, 1, argv[0] == "--from-metadata"]
 
 
 @pytest.mark.parametrize("measure, threshold", [
@@ -461,22 +471,29 @@ def test_path_naming_no_regular_file_is_one_line_data_error(tmp_path, capsys, ar
 
 def test_every_file_a_run_leaves_is_written_by_the_one_writer(tmp_path, monkeypatch):
     """Every file a revision run leaves, in its out-dir or named by
-    ``--kb-out`` and ``--dump-index``, was written by ``cli._write``, once."""
+    ``--kb-out`` and ``--dump-index``, was written by ``cli._write``, once,
+    and each load cache entry by ``cache._store``, once."""
     written = []
-    write = cli._write
+    write, store = cli._write, cache._store
 
     def recording(path, chunks):
         written.append(Path(path))
         write(path, chunks)
 
+    def storing(path, payload):
+        written.append(path)
+        store(path, payload)
+
     monkeypatch.setattr(cli, "_write", recording)
+    monkeypatch.setattr(cache, "_store", storing)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     kb, index = tmp_path / "kb.json", tmp_path / "index.json"
     assert run_cli("run", "--scenario", "2", "--corpus", CORPUS, "--docs", DOCS,
                    "--revise-interval", "10", "--out-dir", str(tmp_path / "run"),
                    "--kb-out", str(kb), "--dump-index", str(index)) == 0
     left = sorted(p for p in tmp_path.rglob("*") if p.is_file())
     assert sorted(written) == left
-    assert kb in left and index in left and len(left) == 7
+    assert kb in left and index in left and len(left) == 9
 
 
 def _run_tutor(monkeypatch, capsys, transcript, *argv):
