@@ -2,9 +2,9 @@
 the SHA-256 of the file's bytes, so a run over a collection loaded before
 skips parsing and indexing it.
 
-Two loads are kept: the question corpus (:func:`questions`) and the
-document collection with its BM25 index (:func:`collection`, one entry
-with and one without constituents). Entries live in
+Two loads are kept, one entry each, which every command that reads the
+file shares: the question corpus (:func:`questions`) and the document
+collection with its BM25 index (:func:`collection`). Entries live in
 ``$XDG_CACHE_HOME/patternqa/``, or ``~/.cache/patternqa/`` when that is
 unset or not absolute, one file each, named by the input digest and the
 load. An entry holds a header, the digest of this package's code and
@@ -115,11 +115,10 @@ def questions(digest: str, load) -> list[Question]:
     return loaded
 
 
-def collection(digest: str, structure: bool, load) -> Index:
+def collection(digest: str, load) -> Index:
     """The index of the document file whose bytes have the SHA-256
-    ``digest``, its views holding constituents with ``structure``: from its
-    entry, or ``load()``, which is then entered."""
-    path = _entry(digest, "index" if structure else "index-flat")
+    ``digest``: from its entry, or ``load()``, which is then entered."""
+    path = _entry(digest, "index")
     entry = _read(path)
     if entry is not None:
         rows, postings, bounds, ranks, avg_length = entry

@@ -11,8 +11,9 @@ hashed for ``metadata.json`` and checked against a ``--from-metadata``
 digest are the bytes parsed. The question corpus and the indexed document
 collection then come from the load cache (:mod:`patternqa.cache`), keyed by
 those digests; on a miss they are loaded through this module's
-``load_qa_corpus``, ``load_documents`` and ``build_index``. ``ingest``
-validates without the cache.
+``load_qa_corpus``, ``load_documents`` and ``build_index``. Every command
+loads a collection alike, so ``run`` in any scenario and ``tutor`` share
+its one entry. ``ingest`` validates without the cache.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def cmd_ingest(args) -> int:
         questions = load_qa_corpus(args.corpus)
         print(f"corpus ok: {len(questions)} questions")
     if args.docs is not None:
-        docs = load_documents(args.docs, structure=False)
+        docs = load_documents(args.docs)
         sentences = sum(len(d.sentences) for d in docs)
         print(f"docs ok: {len(docs)} documents, {sentences} sentences")
     return 0
@@ -330,18 +331,12 @@ def _input(args, name: str, inputs: dict, recorded: dict) -> tuple[bytes, str]:
     return raw, digest
 
 
-def _session(args, inputs: dict, recorded: dict, structure: bool = True,
-             **settings) -> PipelineState:
+def _session(args, inputs: dict, recorded: dict, **settings) -> PipelineState:
     """The state a command answers in: the ``--docs`` collection indexed,
-    its sentences' constituents kept only with ``structure``, the ``--kb-in``
-    knowledge base or an empty one, and ``settings``. Inputs are read by
-    :func:`_input`."""
+    the ``--kb-in`` knowledge base or an empty one, and ``settings``.
+    Inputs are read by :func:`_input`."""
     raw, digest = _input(args, "docs", inputs, recorded)
-
-    def indexed():
-        return build_index(load_documents(args.docs, structure=structure, raw=raw))
-
-    index = cache.collection(digest, structure, indexed)
+    index = cache.collection(digest, lambda: build_index(load_documents(args.docs, raw=raw)))
     kb = KnowledgeBase()
     if args.kb_in is not None:
         kb = load_kb(args.kb_in, raw=_input(args, "kb_in", inputs, recorded)[0])
@@ -354,16 +349,13 @@ def cmd_run(args) -> int:
     _check_run_values(args)
     _check_run_outputs(args)
     inputs: dict[str, str] = {}  # metadata.json's input digests
-    scenario = ScenarioConfig.from_id(args.scenario)
+    scenario = ScenarioConfig(args.scenario)
     relax = default_config(args.relax_measure, args.relax_threshold,
                            enable_lexical=not args.no_lexical_relax,
                            enable_syntactic=not args.no_syntactic_relax)
     raw, digest = _input(args, "corpus", inputs, recorded)
     questions = cache.questions(digest, lambda: load_qa_corpus(args.corpus, raw=raw))
-    # only aligning and learning a pattern read a document's constituents
-    structure = scenario.use_patterns or scenario.reference_fallback \
-        or args.revise_interval is not None
-    state = _session(args, inputs, recorded, structure, relax=relax)
+    state = _session(args, inputs, recorded, relax=relax)
     # made before any output is written: --dump-index and --kb-out may lie in it
     out_dir = (Path("out") / time.strftime("%Y%m%d-%H%M%S") if args.out_dir is None
                else Path(args.out_dir))

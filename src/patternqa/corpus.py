@@ -8,12 +8,8 @@ File formats (JSON Lines, UTF-8):
   documents: {"doc_id", "sentences": [{"text", "parse"}, ...]}
 
 Every parse, a question's or a document sentence's, is read once, straight
-into a :class:`~patternqa.treebank.Sentence` view; no tree is built. A
-question's view is always full, since classifying and signing it read its
-constituents. A document load without structure (``structure=False``, for
-a run that never aligns or learns a pattern, and for ``ingest``) passes
-the choice to :func:`~patternqa.treebank.parse_sentence`, which checks
-each parse just as strictly but keeps only its tokens.
+into a :class:`~patternqa.treebank.Sentence` view with its tokens and its
+constituents; no tree is built.
 
 Every JSON input, these two and the knowledge base, outcome log and run
 metadata read elsewhere, is checked and read whole by :func:`read_bytes`
@@ -203,14 +199,12 @@ def json_text(value, sort_keys: bool = False, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _analysed_parse(raw: str, text: str, what: str, shared: dict,
-                    structure: bool = True) -> Sentence:
+def _analysed_parse(raw: str, text: str, what: str, shared: dict) -> Sentence:
     """The :class:`Sentence` view of the bracketed parse ``raw``, whose
     leaves must be the tokens of ``text`` up to case; ``shared`` is the
-    load's sharing table (see :func:`~patternqa.treebank.parse_sentence`).
-    Without ``structure`` the view holds no constituents."""
+    load's sharing table (see :func:`~patternqa.treebank.parse_sentence`)."""
     try:
-        view = parse_sentence(raw, shared, structure)
+        view = parse_sentence(raw, shared)
     except TreeFormatError as exc:
         raise ValueError(f"bad parse: {exc}") from exc
     words = tokenize(text)
@@ -249,10 +243,9 @@ def load_qa_corpus(path, raw: bytes | None = None) -> list[Question]:
     return read_jsonl(path, question, raw)
 
 
-def load_documents(path, structure: bool = True, raw: bytes | None = None) -> list[Document]:
+def load_documents(path, raw: bytes | None = None) -> list[Document]:
     """Load documents in file order, each sentence's parse read into a
-    :class:`Sentence` view, whose ``constituents`` are None without
-    ``structure``. ``raw`` is the file's bytes, when read already."""
+    :class:`Sentence` view. ``raw`` is the file's bytes, when read already."""
     seen = set()
     shared: dict = {}
 
@@ -264,8 +257,7 @@ def load_documents(path, structure: bool = True, raw: bytes | None = None) -> li
         sentences = check(record.get("sentences"), [{"text": str, "parse": str}],
                           'a list of {"text": string, "parse": string} objects', "sentences")
         return Document(doc_id=doc_id, sentences=tuple(
-            (s["text"],
-             _analysed_parse(s["parse"], s["text"], "sentence text", shared, structure))
+            (s["text"], _analysed_parse(s["parse"], s["text"], "sentence text", shared))
             for s in sentences))
 
     return read_jsonl(path, document, raw)

@@ -52,10 +52,6 @@ class ScenarioConfig:
         if self.id not in SCENARIOS:
             raise ValueError(f"scenario must be 1..4, got {self.id}")
 
-    @classmethod
-    def from_id(cls, scenario_id: int) -> "ScenarioConfig":
-        return cls(scenario_id)
-
     use_ner = property(lambda self: SCENARIOS[self.id][0])
     use_patterns = property(lambda self: SCENARIOS[self.id][1])
     reference_fallback = property(lambda self: SCENARIOS[self.id][2])

@@ -18,14 +18,8 @@ equal constituent entries, equal per-leaf entry tuples and equal
 ``constituents`` tuples become one object. Where a collection repeats
 parse shapes, most of its views hold a ``constituents`` tuple built once.
 The table is dropped when the load returns, so nothing kept grows with
-the input.
-
-Only aligning a pattern and learning one read the constituents. A load
-whose sentences will never be aligned or learned from asks
-:func:`parse_sentence` for no structure: the same pass checks the same
-grammar but records no constituent, keeps only the three token tuples and
-leaves ``constituents`` None. Either way a parse is read once, and every
-:class:`TreeFormatError`, its message and its offset, comes from one place.
+the input. Every :class:`TreeFormatError`, its message and its offset,
+comes from this one pass.
 """
 
 from __future__ import annotations
@@ -76,13 +70,12 @@ class Sentence:
     lowercased with punctuation removed ("" for a punctuation-only token).
     ``constituents[i]`` lists the internal nodes whose span starts at leaf
     ``i`` as ``(end, label, is_preterminal)``, in preorder, so a node comes
-    before the nodes below it; ``constituents`` is None in a view read
-    without structure (see :func:`parse_sentence`)."""
+    before the nodes below it."""
 
     tokens: tuple[str, ...]
     lowered: tuple[str, ...]
     stripped: tuple[str, ...]
-    constituents: tuple[tuple[tuple[int, str, bool], ...], ...] | None
+    constituents: tuple[tuple[tuple[int, str, bool], ...], ...]
 
 
 def _fail(text: str, message: str, item: int | None, after: int = 0):
@@ -108,16 +101,14 @@ def _interned(constituents: tuple, table: dict) -> tuple:
     return found
 
 
-def parse_sentence(text: str, shared: dict | None = None, structure: bool = True) -> Sentence:
+def parse_sentence(text: str, shared: dict | None = None) -> Sentence:
     """The :class:`Sentence` view of one bracketed parse, e.g.
     ``(NP (NNP Dante))``, read in one pass. Labels lose their decorations;
     tokens and labels are interned, so the views of a collection share their
     strings. Equal constituent entries, equal per-leaf entry tuples and
     equal ``constituents`` tuples become one object through ``shared``, a
     table that the caller passes to every parse of one collection and drops
-    afterwards (by default a fresh one per call). Without ``structure`` the
-    parse is checked just as strictly, but no constituent is recorded and
-    ``constituents`` is None.
+    afterwards (by default a fresh one per call).
 
     Raises :class:`TreeFormatError` (with a 1-based character offset) on
     unbalanced parentheses, a missing label after ``(``, a node without
@@ -133,12 +124,11 @@ def parse_sentence(text: str, shared: dict | None = None, structure: bool = True
     leaves: list[str] = []
     by_start: list[list] = []  # the constituents starting at each leaf so far
     starting: list = []  # the constituents starting at the next leaf
-    # Open nodes are counted and, with ``structure``, kept on an explicit
-    # stack, so nesting depth is bounded by memory, not by the interpreter's
-    # recursion limit. A node with one leaf child is a preterminal, always
-    # read in one step, so a node that closes here has other children.
+    # Open nodes are kept on an explicit stack, so nesting depth is bounded
+    # by memory, not by the interpreter's recursion limit. A node with one
+    # leaf child is a preterminal, always read in one step, so a node that
+    # closes here has other children.
     open_nodes: list[tuple[list, int, str]] = []
-    depth = 0  # how many nodes are open
     has_child = False  # whether the innermost open node has a child yet
     i = 0
     try:  # an item read past the last one means the input ends inside the tree
@@ -152,37 +142,31 @@ def parse_sentence(text: str, shared: dict | None = None, structure: bool = True
                 if token not in "()" and items[i + 3] == ")":
                     # a preterminal, ``( TAG token )``, in one step
                     leaves.append(token)
-                    if structure:
-                        starting.append((len(leaves), _label(label), True))
-                        by_start.append(starting)
-                        starting = []
+                    starting.append((len(leaves), _label(label), True))
+                    by_start.append(starting)
+                    starting = []
                     i += 4
-                    if not depth:
+                    if not open_nodes:
                         break
                     has_child = True
                 else:
-                    if structure:
-                        open_nodes.append((starting, len(starting), label))
-                        starting.append(None)  # filled in when the node closes
-                    depth += 1
+                    open_nodes.append((starting, len(starting), label))
+                    starting.append(None)  # filled in when the node closes
                     has_child = False
                     i += 2
             elif item == ")":
                 if not has_child:
                     _fail(text, "node without children", i, 1)
-                if structure:
-                    entries, slot, label = open_nodes.pop()
-                    entries[slot] = (len(leaves), _label(label), False)
+                entries, slot, label = open_nodes.pop()
+                entries[slot] = (len(leaves), _label(label), False)
                 i += 1
-                depth -= 1
-                if not depth:
+                if not open_nodes:
                     break
                 has_child = True
             else:
                 leaves.append(item)
-                if structure:
-                    by_start.append(starting)
-                    starting = []
+                by_start.append(starting)
+                starting = []
                 has_child = True
                 i += 1
     except IndexError:
@@ -195,7 +179,5 @@ def parse_sentence(text: str, shared: dict | None = None, structure: bool = True
     lowered = tuple([token if token.islower() else intern(token.lower()) for token in tokens])
     stripped = tuple([low if low.isalnum() else intern(PUNCTUATION.sub("", low))
                       for low in lowered])
-    if structure:
-        return Sentence(tokens, lowered, stripped, _interned(tuple(map(tuple, by_start)),
-                                                             {} if shared is None else shared))
-    return Sentence(tokens, lowered, stripped, None)
+    return Sentence(tokens, lowered, stripped, _interned(tuple(map(tuple, by_start)),
+                                                         {} if shared is None else shared))

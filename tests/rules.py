@@ -90,18 +90,6 @@ def _extractor_call(node, ancestors):
     return name if name in ("unify", "extract_ner", "_unify") else None
 
 
-def _constituents_use(node, ancestors):
-    """``x.constituents`` read, written or deleted, or a ``getattr`` or
-    ``attrgetter`` call that names it in a string, alone or in a dotted
-    path. A name, a parameter or a keyword argument called ``constituents``
-    is no use of the attribute."""
-    if isinstance(node, ast.Attribute) and node.attr == "constituents" or \
-            _callee(node) in ("getattr", "attrgetter") and any(
-                isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-                and "constituents" in arg.value.split(".") for arg in node.args):
-        return "constituents"
-
-
 # modules whose ``open`` takes the file first and the mode (or flags) second
 FILE_FIRST = {"builtins", "codecs", "io", "os"}
 
@@ -240,39 +228,6 @@ RULES = (
           ("def f():\n    return unify_all(p) or extract_ner_fast(c)", "m", [])),
          (("pipeline", "def second_site(state, pattern, sentence):\n"
                        "    return unify(pattern, sentence, state.config)"),)),
-    Rule("constituents", _constituents_use,
-         (*within("treebank", "classify", "knowledge", "unification"), "cache._fields:*"),
-         """A document sentence's constituents are read only to align a pattern
-         or to learn one, and a run that does neither loads its documents
-         without them (``cli.cmd_run``, where a view's ``constituents`` is
-         None). So only ``treebank``, which builds it, ``classify``, which
-         reads a question's (always loaded in full), and ``knowledge`` and
-         ``unification``, which learn and align, use a ``constituents``
-         attribute. A new reader elsewhere, in NER or retrieval say, would
-         meet None in a scenario-1 run. ``cache._fields`` copies the field,
-         None or not, into a load cache entry, and reads nothing in it.""",
-         (("view.constituents", "m", [1]),
-          ("x = 1\nstarts = record.view.constituents[0]", "m", [2]),
-          ("def f(s):\n    return [e for at in s.constituents for e in at]", "m", [2]),
-          ("view.constituents = None", "m", [1]),
-          ("del view.constituents", "m", [1]),
-          ("getattr(view, 'constituents')", "m", [1]),
-          ("getattr(view, 'constituents', None)", "m", [1]),
-          ("operator.attrgetter('view.constituents')(sentence)", "m", [1]),
-          ("f = attrgetter('tokens', 'constituents')", "m", [1]),
-          ("a.constituents\nb.constituents", "m", [1, 2]),
-          ("constituents = 1", "m", []),
-          ("def f(constituents):\n    return constituents", "m", []),
-          ("Sentence(tokens, lowered, stripped, constituents=None)", "m", []),
-          ("'constituents'", "m", []),
-          ("print('constituents')", "m", []),
-          ("getattr(view, 'tokens')", "m", []),
-          ("getattr(view, name)", "m", []),
-          ("view.constituent", "m", []),
-          ("view.constituents_count", "m", []),
-          ("def _fields(view):\n    return view.tokens, view.constituents", "cache", []),
-          ("def f(view):\n    return view.constituents", "cache", [2])),
-         (("extraction", "def spans(sentence):\n    return sentence.view.constituents"),)),
     Rule("writes", _file_write,
          ("cli._write:*", "cache._store:*"),
          """Only ``cli._write`` writes files, so a module that writes its own
@@ -420,9 +375,9 @@ def _package() -> dict[str, str]:
 
 def test_the_package_keeps_every_rule():
     """No rule flags the package (a failure shows the rule's why), and each
-    scan still sees the sites it allows: ``cli._write`` writes,
-    ``parse_sentence`` splits twice and is the one parser, and the aligning,
-    learning and classifying modules read constituents."""
+    scan still sees the sites it allows: ``cli._write`` and ``cache._store``
+    write, ``cache._read`` decodes, and ``parse_sentence`` splits twice and
+    is the one parser."""
     sites = {rule.name: [] for rule in RULES}
     for module, source in _package().items():
         for name, found in scan(source, module, RULES).items():
@@ -434,8 +389,6 @@ def test_the_package_keeps_every_rule():
     assert seen["decoders"] == ["cache._read"]
     assert seen["item-splits"] == ["treebank.parse_sentence"] * 2
     assert seen["tree-names"] == ["treebank"]
-    assert {scope.split(".")[0] for scope in seen["constituents"]} \
-        >= {"classify", "knowledge", "unification"}
 
 
 @pytest.mark.parametrize("rule, source, module, flagged", [

@@ -76,7 +76,7 @@ def test_oracle_equivalence_exact_unification(make_state, fixture_questions):
             mismatches.append((pattern.rendered, mine, oracle))
     # also on every fixture tree against every pattern a fixture run learns
     state = make_state()
-    run_sequence(state, fixture_questions, ScenarioConfig.from_id(2))
+    run_sequence(state, fixture_questions, ScenarioConfig(2))
     learned = [p for sig in state.kb.signatures() for p in state.kb.lookup(sig)]
     for line in (FIXTURES / "docs.jsonl").read_text().splitlines():
         for sentence in json.loads(line)["sentences"]:
@@ -137,7 +137,7 @@ def _fixture_runs(make_state, fixture_questions):
     runs = {}
     for sid in (1, 2, 3):
         runs[sid] = run_sequence(make_state(), fixture_questions,
-                                 ScenarioConfig.from_id(sid))
+                                 ScenarioConfig(sid))
     return runs
 
 
@@ -154,10 +154,10 @@ def test_learning_curve_property(make_state, fixture_questions):
 
 
 def test_revision_properties(make_state, fixture_questions):
-    base = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
+    base = run_sequence(make_state(), fixture_questions, ScenarioConfig(2))
     ten_state = make_state()
-    ten = run_sequence(ten_state, fixture_questions, ScenarioConfig.from_id(2), 10)
-    five = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2), 5)
+    ten = run_sequence(ten_state, fixture_questions, ScenarioConfig(2), 10)
+    five = run_sequence(make_state(), fixture_questions, ScenarioConfig(2), 5)
     final = {name: running_metrics(run.outcomes, run.revision)[0][-1].correct
              for name, run in (("base", base), ("ten", ten), ("five", five))}
     rescued_ten = sum(len(r.newly_correct) for r in ten.revision)

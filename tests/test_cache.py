@@ -1,8 +1,9 @@
 """The load cache: a hit gives what a fresh load gives, shared as a fresh
-load shares it; a run writes the same bytes cold and warm; a damaged or
-foreign entry is a miss that is written again; and a cache that cannot be
-used changes nothing a run writes or prints. Every test starts with an
-empty cache of its own (``conftest.cold_cache``)."""
+load shares it; a run writes the same bytes cold and warm; every scenario
+shares one collection entry; a damaged or foreign entry is a miss that is
+written again; and a cache that cannot be used changes nothing a run
+writes or prints. Every test starts with an empty cache of its own
+(``conftest.cold_cache``)."""
 
 import hashlib
 import json
@@ -33,7 +34,7 @@ def _loads() -> dict:
         return cache.questions(_digest(CORPUS), load)
 
     def index(load):
-        return cache.collection(_digest(DOCS), True, load)
+        return cache.collection(_digest(DOCS), load)
 
     return {"questions": (questions, lambda: load_qa_corpus(CORPUS)),
             "index": (index, lambda: build_index(load_documents(DOCS)))}
@@ -55,12 +56,11 @@ def _shared_objects(values) -> tuple[int, int]:
 
 def _sharing(index) -> dict:
     """How the views and postings of ``index`` share objects."""
-    views = [s.view for s in index.sentences]
-    structured = [v.constituents for v in views if v.constituents is not None]
+    constituents = [s.view.constituents for s in index.sentences]
     return {
-        "constituents": _shared_objects(structured),
-        "at": _shared_objects(at for c in structured for at in c),
-        "entries": _shared_objects(e for c in structured for at in c for e in at),
+        "constituents": _shared_objects(constituents),
+        "at": _shared_objects(at for c in constituents for at in c),
+        "entries": _shared_objects(e for c in constituents for at in c for e in at),
         "weights": _shared_objects(w for m in index.postings.values() for w in m.values()),
         "maps": _shared_objects(index.postings.values()),
     }
@@ -68,18 +68,14 @@ def _sharing(index) -> dict:
 
 def test_a_hit_equals_a_fresh_load():
     """A hit gives the questions, and the indexed sentences (each document's
-    views, with or without constituents, each kept in its own entry),
-    postings, bounds, ranks and average length, that a fresh load gives."""
-    for structure in (True, False):
-        cache.collection(_digest(DOCS), structure,
-                         lambda: build_index(load_documents(DOCS, structure)))
-    for structure in (True, False):
-        hit = cache.collection(_digest(DOCS), structure, _fresh_only)
-        assert _index_fields(hit) == _index_fields(build_index(load_documents(DOCS, structure)))
-        assert [(s.doc_id, s.position, s.text, s.view) for s in hit.sentences] == [
-            (doc.doc_id, position, text, view) for doc in load_documents(DOCS, structure)
-            for position, (text, view) in enumerate(doc.sentences)]
-        assert {s.view.constituents is None for s in hit.sentences} == {not structure}
+    views), postings, bounds, ranks and average length, that a fresh load
+    gives."""
+    cache.collection(_digest(DOCS), lambda: build_index(load_documents(DOCS)))
+    hit = cache.collection(_digest(DOCS), _fresh_only)
+    assert _index_fields(hit) == _index_fields(build_index(load_documents(DOCS)))
+    assert [(s.doc_id, s.position, s.text, s.view) for s in hit.sentences] == [
+        (doc.doc_id, position, text, view) for doc in load_documents(DOCS)
+        for position, (text, view) in enumerate(doc.sentences)]
     cache.questions(_digest(CORPUS), lambda: load_qa_corpus(CORPUS))
     assert cache.questions(_digest(CORPUS), _fresh_only) == load_qa_corpus(CORPUS)
 
@@ -88,8 +84,8 @@ def test_a_hit_shares_what_a_fresh_load_shares():
     """After a hit, tokens and labels are interned, equal ``constituents``
     tuples, per-leaf tuples and entries are each one object, and the index
     shares weights and one-sentence maps, as after a fresh load."""
-    cache.collection(_digest(DOCS), True, lambda: build_index(load_documents(DOCS)))
-    hit = cache.collection(_digest(DOCS), True, _fresh_only)
+    cache.collection(_digest(DOCS), lambda: build_index(load_documents(DOCS)))
+    hit = cache.collection(_digest(DOCS), _fresh_only)
     fresh = build_index(load_documents(DOCS))
     assert _sharing(hit) == _sharing(fresh)
     counts = _sharing(hit)["constituents"]
@@ -125,6 +121,22 @@ def test_a_warm_run_writes_what_a_cold_run_writes(tmp_path, monkeypatch, argv):
     assert warm == cold
     assert "metadata.json" in warm and "kb.json" in warm
     assert ("revision_report.json" in warm) == ("--revise-interval" in argv)
+
+
+def test_every_scenario_shares_one_collection_entry(tmp_path, monkeypatch, cold_cache):
+    """A scenario-1 run, which aligns and learns nothing, leaves the one
+    collection entry, and a scenario-2 run over the same documents then
+    loads them from it and writes what a cold scenario-2 run writes."""
+    heuristics, patterns = ("--scenario", "1"), ("--scenario", "2")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))
+    cold = _run(tmp_path / "cold", patterns)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cold_cache.parent))
+    _run(tmp_path / "heuristics", heuristics)
+    assert {p.name for p in cold_cache.iterdir()} == {
+        f"{_digest(CORPUS)}-questions.marshal", f"{_digest(DOCS)}-index.marshal"}
+    for name in ("load_documents", "build_index"):
+        monkeypatch.setattr(cli, name, _fresh_only)
+    assert _run(tmp_path / "patterns", patterns) == cold
 
 
 def _damaged(entry: bytes, how: str) -> bytes:

@@ -78,7 +78,8 @@ def test_run_with_revision_outputs(tmp_path):
 def test_run_turns_the_collector_back_on(tmp_path, monkeypatch):
     """A run or tutor session keeps the cyclic collector off from the start,
     loading included; one that ends, well or on a bad docs line, leaves it
-    on for the caller."""
+    on for the caller. Each command has a cold cache of its own, so each
+    loads the documents."""
     bad_docs = tmp_path / "docs.jsonl"
     bad_docs.write_text(Path(DOCS).read_text("utf-8") + '{"doc_id": "x", "sentences": [3]}\n',
                         "utf-8")
@@ -94,48 +95,17 @@ def test_run_turns_the_collector_back_on(tmp_path, monkeypatch):
     for docs, code in ((DOCS, 0), (str(bad_docs), 2)):
         for argv in (["run", "--scenario", "1", "--corpus", CORPUS,
                       "--out-dir", str(tmp_path / f"out{code}")], ["tutor"]):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache-{argv[0]}{code}"))
             assert gc.isenabled()
             assert main([*argv, "--docs", docs]) == code
             assert gc.isenabled()
     assert collecting == [False] * 4
 
 
-@pytest.mark.parametrize("argv, structure", [
-    (("run", "--scenario", "1"), False),
-    (("run", "--scenario", "1", "--revise-interval", "10"), True),
-    (("run", "--scenario", "2"), True),
-    (("run", "--scenario", "3"), True),
-    (("run", "--scenario", "4"), True),
-    (("ingest",), False),
-    (("tutor",), True),
-])
-def test_only_commands_that_align_or_learn_keep_constituents(tmp_path, monkeypatch, argv,
-                                                              structure):
-    """A document's constituents are read only to align or learn a pattern:
-    a scenario-1 run without revision and ``ingest`` load the documents
-    without them; the pattern scenarios, a run that revises and the tutor
-    keep them."""
-    monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
-    loaded = []
-    load = cli.load_documents
-
-    def load_documents(path, **options):
-        loaded.append(load(path, **options))
-        return loaded[-1]
-
-    monkeypatch.setattr(cli, "load_documents", load_documents)
-    corpus = ("--corpus", CORPUS, "--out-dir", str(tmp_path)) if argv[0] == "run" else ()
-    assert main([*argv, *corpus, "--docs", DOCS]) == 0
-    [docs] = loaded
-    assert {view.constituents is not None for doc in docs for _, view in doc.sentences} \
-        == {structure}
-
-
 @pytest.mark.parametrize("parse", ["(S (NP x)", "(S (NN x)) y", "()", "(S (NN x) ())", ""])
 def test_a_bad_document_parse_reads_alike_with_and_without_structure(tmp_path, capsys, parse):
-    """``ingest`` and a scenario-1 run read documents without structure, a
-    scenario-2 run with it; a parse that is no tree is the same one-line
-    data error through each."""
+    """A parse that is no tree is the same one-line data error through
+    ``ingest``, a scenario-1 run and a scenario-2 run."""
     docs = tmp_path / "docs.jsonl"
     docs.write_text(Path(DOCS).read_text("utf-8") + json.dumps(
         {"doc_id": "bad", "sentences": [{"text": "x", "parse": parse}]}) + "\n", "utf-8")

@@ -122,10 +122,9 @@ def test_duplicate_doc_id_rejected(tmp_path):
     record = {"doc_id": "d1", "sentences": [
         {"text": "Dante wrote.", "parse": "(S (NP (NNP Dante)) (VP (VBD wrote)) (. .))"}]}
     path = write_jsonl(tmp_path / "docs.jsonl", [record, record | {"doc_id": "d2"}, record])
-    for structure in (True, False):
-        with pytest.raises(DataError) as err:
-            load_documents(path, structure)
-        assert str(err.value) == f"{path}: line 3: duplicate doc_id 'd1'"
+    with pytest.raises(DataError) as err:
+        load_documents(path)
+    assert str(err.value) == f"{path}: line 3: duplicate doc_id 'd1'"
 
 
 def test_load_documents_roundtrip(tmp_path):

@@ -24,12 +24,12 @@ from .oracles import count_metrics_oracle, extract_candidates_oracle, naive_revi
 
 def test_scenario_table():
     switches = {sid: (s.use_ner, s.use_patterns, s.reference_fallback)
-                for sid in (1, 2, 3, 4) for s in [ScenarioConfig.from_id(sid)]}
+                for sid in (1, 2, 3, 4) for s in [ScenarioConfig(sid)]}
     assert switches == {1: (True, False, False), 2: (False, True, True),
                         3: (True, True, False), 4: (True, True, True)}
-    assert ScenarioConfig.from_id(2) == ScenarioConfig.from_id(2) != ScenarioConfig.from_id(4)
+    assert ScenarioConfig(2) == ScenarioConfig(2) != ScenarioConfig(4)
     with pytest.raises(ValueError):
-        ScenarioConfig.from_id(5)
+        ScenarioConfig(5)
     with pytest.raises(ValueError):
         ScenarioConfig(0)
 
@@ -41,7 +41,7 @@ def points_of(result, fallback_as_answered=False):
 
 def test_revision_checkpoints_strictly_below_total(fixture_questions, make_state):
     def checkpoints(interval):
-        result = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(1),
+        result = run_sequence(make_state(), fixture_questions, ScenarioConfig(1),
                               interval)
         return [report.checkpoint for report in result.revision]
 
@@ -77,7 +77,7 @@ def mini_questions():
 
 def test_scenario2_learns_then_answers_structural_twin():
     state = mini_state()
-    scenario = ScenarioConfig.from_id(2)
+    scenario = ScenarioConfig(2)
     dante, hamlet = mini_questions()
 
     first = answer_question(state, dante, scenario)
@@ -96,7 +96,7 @@ def test_scenario2_learns_then_answers_structural_twin():
 
 def test_scenario2_empty_kb_fallback_fires(dante_question, make_state):
     state = make_state()
-    outcome = answer_question(state, dante_question, ScenarioConfig.from_id(2))
+    outcome = answer_question(state, dante_question, ScenarioConfig(2))
     assert outcome.candidates == []
     assert outcome.fallback_used
     assert not outcome.correct
@@ -107,7 +107,7 @@ def test_scenario1_malcolm_x_is_unanswered(fixture_questions, make_state):
     state = make_state()
     malcolm = fixture_questions[0]
     assert malcolm.id == "q01"
-    outcome = answer_question(state, malcolm, ScenarioConfig.from_id(1))
+    outcome = answer_question(state, malcolm, ScenarioConfig(1))
     assert outcome.candidates == []
     assert outcome.final is None
     assert not outcome.correct
@@ -150,12 +150,12 @@ def test_apply_feedback_without_answer_in_sentences(dante_question, dante_senten
 def test_run_sequence_empty():
     state = PipelineState(kb=KnowledgeBase(), index=build_index([]),
                           gazetteer=load_gazetteer())
-    result = run_sequence(state, [], ScenarioConfig.from_id(2))
+    result = run_sequence(state, [], ScenarioConfig(2))
     assert result.outcomes == [] and points_of(result) == []
 
 
 def test_recall_grows_with_signature_reuse(fixture_questions, make_state):
-    result = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
+    result = run_sequence(make_state(), fixture_questions, ScenarioConfig(2))
     points = points_of(result)
     assert points[29].r > points[9].r
     # strictly increasing across the fixture's group boundaries
@@ -164,8 +164,8 @@ def test_recall_grows_with_signature_reuse(fixture_questions, make_state):
 
 
 def test_scenario3_recall_dominates_scenario1(fixture_questions, make_state):
-    r1 = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(1))
-    r3 = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(3))
+    r1 = run_sequence(make_state(), fixture_questions, ScenarioConfig(1))
+    r3 = run_sequence(make_state(), fixture_questions, ScenarioConfig(3))
     for p1, p3 in zip(points_of(r1), points_of(r3)):
         assert p3.r >= p1.r
 
@@ -173,37 +173,37 @@ def test_scenario3_recall_dominates_scenario1(fixture_questions, make_state):
 def test_fallback_outcomes_are_never_correct(fixture_questions, make_state):
     for scenario_id in (2, 4):
         result = run_sequence(make_state(), fixture_questions,
-                              ScenarioConfig.from_id(scenario_id))
+                              ScenarioConfig(scenario_id))
         for outcome in result.outcomes:
             if outcome.fallback_used:
                 assert not outcome.correct
 
 
 def test_revision_rescues_group_teacher(fixture_questions, make_state):
-    result = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2), 10)
+    result = run_sequence(make_state(), fixture_questions, ScenarioConfig(2), 10)
     assert [r.checkpoint for r in result.revision] == [10, 20]
     assert "q07" in result.revision[0].newly_correct
     assert "q15" in result.revision[1].newly_correct
     # rescued questions count from the point after their checkpoint
-    no_revision = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
+    no_revision = run_sequence(make_state(), fixture_questions, ScenarioConfig(2))
     assert points_of(result)[-1].correct > points_of(no_revision)[-1].correct
     assert points_of(result)[9].correct == points_of(no_revision)[9].correct  # log unchanged at cp
 
 
 def test_smaller_interval_rescues_at_least_as_many(fixture_questions, make_state):
-    base = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
+    base = run_sequence(make_state(), fixture_questions, ScenarioConfig(2))
     by_interval = {}
     for interval in (5, 10):
-        result = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2),
+        result = run_sequence(make_state(), fixture_questions, ScenarioConfig(2),
                               interval)
         by_interval[interval] = points_of(result)[-1].correct
     assert by_interval[5] >= by_interval[10] >= points_of(base)[-1].correct
 
 
 def test_revision_learning_ablation_switch(fixture_questions, make_state):
-    learning = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2),
+    learning = run_sequence(make_state(), fixture_questions, ScenarioConfig(2),
                             10, learn_on_revision=True)
-    frozen = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2),
+    frozen = run_sequence(make_state(), fixture_questions, ScenarioConfig(2),
                           10, learn_on_revision=False)
     # rescues are identical on this fixture; only checkpoint learning differs
     assert [r.newly_correct for r in learning.revision] == \
@@ -213,7 +213,7 @@ def test_revision_learning_ablation_switch(fixture_questions, make_state):
 
 def test_self_taught_patterns_cannot_rescue(fixture_questions, make_state):
     state = make_state()
-    result = run_sequence(state, fixture_questions, ScenarioConfig.from_id(2), 10)
+    result = run_sequence(state, fixture_questions, ScenarioConfig(2), 10)
     # q01 fallback-learned a pattern under its own unique signature...
     malcolm = fixture_questions[0]
     signature = question_signature(malcolm, classify(malcolm, state.hints))
@@ -240,7 +240,7 @@ def test_a_question_whose_interpretation_raised_is_retried_but_never_rescued(
 
     monkeypatch.setattr(pipeline_module, "classify", classify_failing_q07)
     state = make_state()
-    result = run_sequence(state, fixture_questions, ScenarioConfig.from_id(2), 10)
+    result = run_sequence(state, fixture_questions, ScenarioConfig(2), 10)
     assert result.outcomes[6].error == "RuntimeError: no category"
     assert "q07" not in state.interpretations
     assert all("q07" in report.retried and "q07" not in report.newly_correct
@@ -268,7 +268,7 @@ def test_the_kb_stores_learned_patterns_without_copying_them(monkeypatch, fixtur
     monkeypatch.setattr(Pattern, "__post_init__", counted_post_init)
     monkeypatch.setattr(pipeline_module, "learn_patterns", recorded_learn)
     state = make_state()
-    run_sequence(state, fixture_questions, ScenarioConfig.from_id(4))
+    run_sequence(state, fixture_questions, ScenarioConfig(4))
     stored = [p for signature in state.kb.signatures() for p in state.kb.lookup(signature)]
     assert stored and len(built) == len(learned)
     assert {id(p) for p in stored} <= {id(p) for p in learned}
@@ -284,7 +284,7 @@ def test_revision_matches_naive_retries(data, fixture_questions, fixture_docs):
     """Skipping retries changes no outcome, checkpoint report or learned
     pattern, with and without learning at checkpoints."""
     questions = data.draw(st.permutations(fixture_questions))[:data.draw(st.integers(2, 30))]
-    scenario = ScenarioConfig.from_id(data.draw(st.sampled_from([2, 3, 4])))
+    scenario = ScenarioConfig(data.draw(st.sampled_from([2, 3, 4])))
     interval = data.draw(st.integers(1, 6))
     learn = data.draw(st.booleans())
     states = [PipelineState(kb=KnowledgeBase(), index=build_index(fixture_docs),
@@ -330,7 +330,7 @@ def test_an_id_asked_again_is_retried_again():
     its signature holds no new pattern, and rescued."""
     state = mini_state()
     _, hamlet = mini_questions()
-    scenario = ScenarioConfig.from_id(1)  # no pattern is learned on answering
+    scenario = ScenarioConfig(1)  # no pattern is learned on answering
     hit = Pattern((answer_slot("NP"), lexical("has"), syntactic("VBN"), syntactic("NP")),
                   {("t", "lit:0")})
     state.kb.insert(interpret(state, hamlet).signature, [hit])
@@ -386,7 +386,7 @@ def test_error_isolation(monkeypatch, fixture_questions, make_state):
         return original(index, query, k)
 
     monkeypatch.setattr(pipeline_module, "retrieve", flaky)
-    result = run_sequence(state, fixture_questions[:4], ScenarioConfig.from_id(1))
+    result = run_sequence(state, fixture_questions[:4], ScenarioConfig(1))
     assert len(result.outcomes) == 4
     assert result.outcomes[1].error is not None
     assert not result.outcomes[1].correct
@@ -394,8 +394,8 @@ def test_error_isolation(monkeypatch, fixture_questions, make_state):
 
 
 def test_determinism_across_runs(fixture_questions, make_state):
-    a = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
-    b = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
+    a = run_sequence(make_state(), fixture_questions, ScenarioConfig(2))
+    b = run_sequence(make_state(), fixture_questions, ScenarioConfig(2))
     assert [repr(o) for o in a.outcomes] == [repr(o) for o in b.outcomes]
     assert points_of(a) == points_of(b)
 
@@ -407,7 +407,7 @@ def test_revision_series_match_id_set_oracle(data, fixture_questions, fixture_do
     equal the question-id sets counted by the oracle, under both answered
     conventions."""
     questions = data.draw(st.permutations(fixture_questions))[:data.draw(st.integers(1, 30))]
-    scenario = ScenarioConfig.from_id(data.draw(st.sampled_from([2, 3, 4])))
+    scenario = ScenarioConfig(data.draw(st.sampled_from([2, 3, 4])))
     state = PipelineState(kb=KnowledgeBase(), index=build_index(fixture_docs),
                           gazetteer=load_gazetteer())
     result = run_sequence(state, questions, scenario, data.draw(st.integers(1, 6)))
@@ -420,7 +420,7 @@ def test_revision_series_match_id_set_oracle(data, fixture_questions, fixture_do
 
 
 def test_relaxed_match_recorded_in_outcome(fixture_questions, make_state):
-    result = run_sequence(make_state(), fixture_questions, ScenarioConfig.from_id(2))
+    result = run_sequence(make_state(), fixture_questions, ScenarioConfig(2))
     by_id = {o.question_id: o for o in result.outcomes}
     assert by_id["q10"].correct
     assert by_id["q10"].final.relaxation_used == "syntactic"
@@ -448,7 +448,7 @@ def test_lexical_relaxation_at_the_threshold_answers_and_rescues():
                              answers=(name,))
                     for name, work in (("Homer", "Odyssey"), ("Dante", "Inferno")))
     assert lexical_similarity("wrot", "wrote") == state.relax.lexical_threshold == 0.8
-    scenario = ScenarioConfig.from_id(2)
+    scenario = ScenarioConfig(2)
 
     first = answer_question(state, homer, scenario)
     assert not first.correct and first.fallback_used  # it teaches "NP_answer wrot NP"
@@ -467,7 +467,7 @@ def test_memoized_run_matches_unmemoized_oracle(fixture_questions, make_state, s
     (pattern, sentence, pass) or (label, sentence) pair comes up twice, so
     the corpus is asked a second time on the same state, against the grown
     knowledge base, and the memo must then serve repeated work."""
-    scenario = ScenarioConfig.from_id(scenario_id)
+    scenario = ScenarioConfig(scenario_id)
     state, reference = make_state(), make_state()
     with mock.patch.object(pipeline_module, "unify", wraps=unify) as unified, \
             mock.patch.object(pipeline_module, "extract_ner", wraps=extract_ner) as ner:

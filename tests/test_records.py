@@ -75,7 +75,7 @@ def test_learned_kb_survives_save_load_save(tmp_path, make_state, fixture_questi
     """A knowledge base grown by a whole scenario-4 run on the fixtures is
     written, read back and written again byte-identical."""
     state = make_state()
-    run_sequence(state, fixture_questions, ScenarioConfig.from_id(4))
+    run_sequence(state, fixture_questions, ScenarioConfig(4))
     assert state.kb.pattern_count() > 0
     first, second = tmp_path / "kb.json", tmp_path / "kb2.json"
     first.write_text(kb_text(state.kb), "utf-8")

@@ -1,4 +1,3 @@
-import contextlib
 import random
 
 import pytest
@@ -196,9 +195,28 @@ def random_parse(rng: random.Random) -> str:
     return text
 
 
+# strings of brackets, atoms and whitespace, most of them no tree
+BRACKET_SOUP = st.lists(st.sampled_from(["(", ")", "(", ")", "S", "NP", "x", "é", " ", "  ",
+                                         "\n", "\x1c"]), max_size=14).map("".join)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.randoms(use_true_random=True).map(random_parse))
+@given(TREES.map(serialize) | st.randoms(use_true_random=True).map(random_parse) | BRACKET_SOUP)
 @example("")
+@example("(")
+@example(")")
+@example(") (S (NN x)")
+@example("x")
+@example("(NN x)")
+@example("(NN x) (NN y)")
+@example("(NN x) )")
+@example("(S")
+@example("(S )")  # a node without children, then the end of the input
+@example("(S x y)")
+@example("(S ( ))")
+@example("(S ((")  # a bracket where a label belongs, then the end of the input
+@example("(S (( x) y)")  # a bracket where a label belongs, balanced by the rest
+@example("(S ( ) x ) y )")
 @example(" \x1c\n ")
 @example("()")
 @example("(S)")
@@ -227,53 +245,3 @@ def test_parse_sentence_matches_reference(text):
     walk give, or raises the same error at the same offset."""
     assert reference_or_error(parse_sentence, text) == \
         reference_or_error(lambda raw: analyse(parse_bracketed(raw)), text)
-
-
-def leaves_or_error(text, structure):
-    """The three token tuples of ``text`` read with or without structure,
-    or the message and offset of its TreeFormatError."""
-    try:
-        view = parse_sentence(text, structure=structure)
-    except TreeFormatError as exc:
-        return str(exc), exc.offset
-    return view.tokens, view.lowered, view.stripped
-
-
-# strings of brackets, atoms and whitespace, most of them no tree
-BRACKET_SOUP = st.lists(st.sampled_from(["(", ")", "(", ")", "S", "NP", "x", "é", " ", "  ",
-                                         "\n", "\x1c"]), max_size=14).map("".join)
-
-
-@settings(max_examples=300, deadline=None)
-@given(TREES.map(serialize) | st.randoms(use_true_random=True).map(random_parse) | BRACKET_SOUP)
-@example("")
-@example(")")
-@example(") (S (NN x)")
-@example("x")
-@example("x (NN y)")
-@example("(NN x)")
-@example("(NN x) (NN y)")
-@example("(NN x) )")
-@example("(S (NN x)")
-@example("(S x y)")
-@example("(S (NN x)) (")
-@example("((NN x))")
-@example("(S ( ))")
-@example("(S (NN (")
-@example("(S (NN x) ())")
-@example("(S")
-@example("(")
-@example("(S (( x) y)")  # a bracket where a label belongs, balanced by the rest
-@example("(S ( ) x ) y )")
-@example("(S ((")  # a bracket where a label belongs, then the end of the input
-@example("(S )")  # a node without children, then the end of the input
-@example(DEEP)
-@example(DEEP[:-1])
-def test_reading_without_structure_agrees_with_reading_with_it(text):
-    """Read without structure, a parse is accepted exactly when it is
-    accepted with structure, with the same tokens in all three spellings
-    and no constituents, and rejected with the same error at the same
-    offset."""
-    assert leaves_or_error(text, False) == leaves_or_error(text, True)
-    with contextlib.suppress(TreeFormatError):
-        assert parse_sentence(text, structure=False).constituents is None
