@@ -2,9 +2,12 @@
 the SHA-256 of the file's bytes, so a run over a collection loaded before
 skips parsing and indexing it.
 
-Two loads are kept, one entry each, which every command that reads the
-file shares: the question corpus (:func:`questions`) and the document
-collection with its BM25 index (:func:`collection`). Entries live in
+Three loads are kept, which every command that reads the file shares:
+the question corpus (:func:`questions`) and the document collection with
+its BM25 index (:func:`collection`), one entry each, and the top k that
+:func:`~patternqa.retrieval.retrieve` found for each query over that
+collection (:func:`retrieved`), one entry per depth k, so that a rerun
+over the collection scores nothing. Entries live in
 ``$XDG_CACHE_HOME/patternqa/``, or ``~/.cache/patternqa/`` when that is
 unset or not absolute, one file each, named by the input digest and the
 load. An entry holds a header, the digest of this package's code and
@@ -16,7 +19,9 @@ met twice one object, so a hit shares what a fresh load shares.
 An entry that is missing, truncated, written by other code or Python, or
 whose payload does not match its digest or does not decode is a miss: the
 load runs as without the cache, and its result is written as the entry,
-best effort (a temporary file, then :func:`os.replace`). A cache that cannot
+best effort (a temporary file, then :func:`os.replace`). A top-k memo
+starts empty on a miss, and is written at the end of a session only when
+it gained a key there, so a warm run writes nothing. A cache that cannot
 be read or written changes nothing but the time a run takes; outputs never
 depend on it, and deleting the directory is always safe.
 """
@@ -27,6 +32,7 @@ import hashlib
 import marshal
 import os
 import sys
+from collections.abc import Callable
 from functools import cache
 from pathlib import Path
 
@@ -130,3 +136,19 @@ def collection(digest: str, load) -> Index:
                            for s in index.sentences],
                           index.postings, index.bounds, index.ranks, index.avg_length))
     return index
+
+
+def retrieved(digest: str, k: int) -> tuple[dict, Callable[[], None]]:
+    """The memo of :func:`~patternqa.retrieval.retrieve`'s top ``k`` over
+    the document file whose bytes have the SHA-256 ``digest``: the entry's,
+    or an empty one. Also returns the function that, once a session has
+    retrieved, enters the memo if it has gained a key since."""
+    path = _entry(digest, f"top{k}")
+    memo = _read(path) or {}
+    known = len(memo)
+
+    def keep() -> None:
+        if len(memo) > known:
+            _store(path, lambda: memo)
+
+    return memo, keep

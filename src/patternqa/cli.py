@@ -13,7 +13,9 @@ collection then come from the load cache (:mod:`patternqa.cache`), keyed by
 those digests; on a miss they are loaded through this module's
 ``load_qa_corpus``, ``load_documents`` and ``build_index``. Every command
 loads a collection alike, so ``run`` in any scenario and ``tutor`` share
-its one entry. ``ingest`` validates without the cache.
+its one entry, and, at one ``--top-k``, its one entry of retrieved top k,
+which a command writes back once it has answered if it retrieved anything
+new. ``ingest`` validates without the cache.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import hashlib
 import os
 import sys
 import time
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
@@ -331,16 +334,21 @@ def _input(args, name: str, inputs: dict, recorded: dict) -> tuple[bytes, str]:
     return raw, digest
 
 
-def _session(args, inputs: dict, recorded: dict, **settings) -> PipelineState:
-    """The state a command answers in: the ``--docs`` collection indexed,
-    the ``--kb-in`` knowledge base or an empty one, and ``settings``.
-    Inputs are read by :func:`_input`."""
+def _session(args, inputs: dict, recorded: dict,
+             **settings) -> tuple[PipelineState, Callable[[], None]]:
+    """The state a command answers in: the ``--docs`` collection indexed
+    with its retrieval memo, the ``--kb-in`` knowledge base or an empty
+    one, and ``settings``; and the function that keeps the memo in the load
+    cache, called once the command has answered. Inputs are read by
+    :func:`_input`."""
     raw, digest = _input(args, "docs", inputs, recorded)
     index = cache.collection(digest, lambda: build_index(load_documents(args.docs, raw=raw)))
     kb = KnowledgeBase()
     if args.kb_in is not None:
         kb = load_kb(args.kb_in, raw=_input(args, "kb_in", inputs, recorded)[0])
-    return PipelineState(kb=kb, index=index, top_k=args.top_k, **settings)
+    retrieved, keep = cache.retrieved(digest, args.top_k)
+    return PipelineState(kb=kb, index=index, top_k=args.top_k, retrieved=retrieved,
+                         **settings), keep
 
 
 @_collector_off
@@ -355,7 +363,7 @@ def cmd_run(args) -> int:
                            enable_syntactic=not args.no_syntactic_relax)
     raw, digest = _input(args, "corpus", inputs, recorded)
     questions = cache.questions(digest, lambda: load_qa_corpus(args.corpus, raw=raw))
-    state = _session(args, inputs, recorded, relax=relax)
+    state, keep = _session(args, inputs, recorded, relax=relax)
     # made before any output is written: --dump-index and --kb-out may lie in it
     out_dir = (Path("out") / time.strftime("%Y%m%d-%H%M%S") if args.out_dir is None
                else Path(args.out_dir))
@@ -396,6 +404,7 @@ def cmd_run(args) -> int:
     _write(out_dir / "metadata.json", (json_text(metadata, sort_keys=True), "\n"))
     if args.kb_out is not None:
         _write(args.kb_out, (kb_text(state.kb),))
+    keep()
 
     if final is not None:
         print(f"scenario {scenario.id}: {len(questions)} questions, "
@@ -411,7 +420,7 @@ def cmd_tutor(args) -> int:
     _check_output_path("--kb-out", args.kb_out)
     _check_inputs_kept(args, {} if args.kb_out is None
                        else {os.path.realpath(args.kb_out): "the --kb-out path"})
-    state = _session(args, {}, {})
+    state, keep = _session(args, {}, {})
     counter = 0
     last = None
     last_answer: str | None = None
@@ -475,6 +484,7 @@ def cmd_tutor(args) -> int:
         _write(args.kb_out, (kb_text(state.kb),))
         print(f"kb saved to {args.kb_out} "
               f"({state.kb.pattern_count()} patterns, {len(state.kb.qa_pairs)} qa pairs)")
+    keep()
     return 0
 
 

@@ -19,6 +19,10 @@ that meets the pair again.
 The memo lives as long as the state, whose index, gazetteer, rules and
 relax config are set once. No entry depends on which patterns the
 knowledge base holds, so no insertion, or later pruning, makes one stale.
+:attr:`PipelineState.retrieved` is retrieval's own memo, the top k of each
+query's terms (see :func:`~patternqa.retrieval.retrieve`), which a command
+may read from and keep in the load cache; it does not depend on the
+knowledge base either.
 """
 
 from __future__ import annotations
@@ -96,6 +100,9 @@ class PipelineState:
     retry_counts: dict[str, int] = field(default_factory=dict)
     # unify and extract_ner results of this run, keyed as the module says
     memo: dict[tuple, tuple[CandidateAnswer, ...]] = field(default_factory=dict)
+    # retrieve's memo of the top_k over index (see retrieval.retrieve)
+    retrieved: dict[tuple[str, ...], tuple[tuple[int, ...], tuple[float, ...]]] = field(
+        default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,8 @@ class Interpretation:
 def interpret(state: PipelineState, question: Question) -> Interpretation:
     """Classify, sign and retrieve: the question's share of the answer path."""
     category = classify(question, state.hints)
-    sentences = retrieve(state.index, content_words(question.parse), state.top_k)
+    sentences = retrieve(state.index, content_words(question.parse), state.top_k,
+                         state.retrieved)
     return Interpretation(question, category, question_signature(question, category),
                           tuple(sentences))
 

@@ -21,11 +21,14 @@ bounds of the terms it has not visited. A sentence first met at a term
 holds none of the terms visited before; if it holds none of the terms
 still to visit either, its score is exactly its weight for that term, at
 most the term's bound. So at each term the sentences that also hold a
-later term (found by intersecting the terms' key sets) are scored first,
-and the rest are dropped unscored when k sentences already score strictly
-above that bound: none of them can enter the top k, not even by the
-tie-break, since the k-th best score only grows as sentences are scored,
-and none is met again.
+later term are scored first, and the rest are dropped unscored when k
+sentences already score strictly above that bound: none of them can enter
+the top k, not even by the tie-break, since the k-th best score only grows
+as sentences are scored, and none is met again. Which of them hold a later
+term is read from the later terms' postings, or, where the term meets
+fewer sentences than there are terms still to visit, from those
+sentences' own words; so the search costs the sentences met, not their
+number times the query's length.
 Every idf is positive, since a document frequency never exceeds the number
 of sentences, so every weight and every score is positive.
 Ties go to the lower ``(doc_id, position)``; the index keeps each
@@ -36,6 +39,12 @@ A precomputed weight is the very float that scoring computed on the fly,
 from the same expression and the same idf, and each score is still summed
 from 0.0 over the query terms in sorted order. So ranks and scores are
 bit-identical to scoring every sentence, whatever the visiting order.
+
+The top k of a query depends only on the index, k, and the query's sorted,
+distinct terms that the index holds. So :func:`retrieve` can keep the ids
+and scores of each top k in a memo under those terms, and answer the same
+terms again from it with no scoring. A run keeps one memo in its state,
+and the load cache (:mod:`patternqa.cache`) keeps it from run to run.
 """
 
 from __future__ import annotations
@@ -43,9 +52,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -154,9 +162,36 @@ def build_index(docs: list[Document]) -> Index:
     return index
 
 
-def retrieve(index: Index, query_terms: list[str], k: int) -> list[RetrievedSentence]:
+def retrieve(index: Index, query_terms: list[str], k: int,
+             memo: dict | None = None) -> list[RetrievedSentence]:
     """Top-k sentences by BM25; ties broken by (doc_id, position) ascending.
     k=0 yields an empty list; fewer than k are returned when fewer match.
+
+    With ``memo``, the ids and scores of the top k are kept there under the
+    sorted, distinct query terms that the index holds, and a later query with
+    those terms is answered from it with no scoring: the same sentences and
+    the same floats in the same order. A memo serves one index and one k.
+    """
+    if k <= 0:
+        return []
+    postings = index.postings
+    terms = tuple([term for term in sorted({t.lower() for t in query_terms}) if term in postings])
+    top = None if memo is None else memo.get(terms)
+    if top is None:
+        top = _top(index, terms, k)
+        if memo is not None:
+            memo[terms] = top
+    sentences = index.sentences
+    out = []
+    for sid, score in zip(*top):
+        sent = sentences[sid]
+        out.append(RetrievedSentence(sent.text, sent.view, score, sent.doc_id, sent.position))
+    return out
+
+
+def _top(index: Index, terms: tuple[str, ...], k: int) -> tuple[tuple[int, ...],
+                                                                 tuple[float, ...]]:
+    """The ids and scores of the top k sentences for ``terms``, best first.
 
     Terms are visited in descending order of their bound (see the module
     docstring). The sentences that a term meets first are scored in full
@@ -173,49 +208,58 @@ def retrieve(index: Index, query_terms: list[str], k: int) -> list[RetrievedSent
     order (float addition is not associative), and the result equals
     scoring every sentence.
     """
-    if k <= 0:
-        return []
-    postings = index.postings
-    terms = [term for term in sorted({t.lower() for t in query_terms}) if term in postings]
-    maps = [postings[term] for term in terms]  # summed in this order
+    maps = [index.postings[term] for term in terms]  # summed in this order
     bounds = [index.bounds[term] for term in terms]
-    visiting = sorted(range(len(terms)), key=lambda i: -bounds[i])
-    # rest[i] sums the bounds from the i-th visited term on
-    rest = [0.0] * (len(visiting) + 1)
-    for i in range(len(visiting) - 1, -1, -1):
-        rest[i] = rest[i + 1] + bounds[visiting[i]]
+    # reverse=True keeps equal bounds in term order
+    visiting = sorted(range(len(terms)), key=bounds.__getitem__, reverse=True)
+    # rest[i] sums the bounds from the i-th visited term on, added smallest first
+    rest = list(accumulate(sorted(bounds)))[::-1]
+    sentences = index.sentences
+    unvisited = set(terms)
     scores: dict[int, float] = {}
+    best: list[float] = []  # the k best scores so far, ascending
     for i, current in enumerate(visiting):
-        if len(scores) >= k and sorted(scores.values())[-k] > rest[i]:
+        if len(best) == k and best[0] > rest[i]:
             break
+        unvisited.remove(terms[current])
         keys = maps[current].keys()
-        # where k sentences may be scored, first those that hold a later term
-        if i + 1 < len(visiting) and len(scores) + len(keys) > k:
-            held = set().union(*[keys & maps[j].keys() for j in visiting[i + 1:]])
-            _score(maps, held - scores.keys(), scores)
-            # none is left, or each one left scores at most bounds[current]
-            if len(held) == len(keys) \
-                    or len(scores) >= k and sorted(scores.values())[-k] > bounds[current]:
+        # where more than k may be scored, first those that hold a later term,
+        # found through the fewer of the sentences' words and the later terms
+        if unvisited and len(scores) + len(keys) > k:
+            if len(keys) < len(unvisited):
+                held = {sid for sid in keys if sid not in scores
+                        and not unvisited.isdisjoint(sentences[sid].view.lowered)}
+            else:
+                held = set().union(*[keys & maps[j].keys()
+                                     for j in visiting[i + 1:]]).difference(scores)
+            best = _score(maps, held, scores, best, k)
+            # each one left scores at most bounds[current]
+            if len(best) == k and best[0] > bounds[current]:
                 continue
-        _score(maps, keys - scores.keys(), scores)
+        best = _score(maps, keys - scores.keys(), scores, best, k)
     ranks = index.ranks
     top = sorted(scores, key=ranks.__getitem__)
     top.sort(key=scores.__getitem__, reverse=True)  # stable: ties stay in rank order
-    out = []
-    for sid in top[:k]:
-        sent = index.sentences[sid]
-        out.append(RetrievedSentence(sent.text, sent.view, scores[sid], sent.doc_id, sent.position))
-    return out
+    del top[k:]
+    return tuple(top), tuple(map(scores.__getitem__, top))
 
 
-def _score(maps: list[dict[int, float]], sids: Iterable[int], scores: dict[int, float]) -> None:
+def _score(maps: list[dict[int, float]], sids: set[int], scores: dict[int, float],
+           best: list[float], k: int) -> list[float]:
     """Score ``sids`` in full into ``scores``: 0.0, plus each term's weight
-    (0.0 where the sentence lacks the term), in term order."""
+    (0.0 where the sentence lacks the term), in term order. Returns the k
+    best of ``best`` and the new scores, ascending."""
+    if not sids:
+        return best
     sids = list(sids)
     column = repeat(0.0)
     for weights in maps:
         column = map(add, column, map(weights.get, sids, repeat(0.0)))
-    scores.update(zip(sids, column))
+    new = list(column)
+    scores.update(zip(sids, new))
+    new += best
+    new.sort()
+    return new[-k:]
 
 
 def serialize_index(index: Index) -> str:

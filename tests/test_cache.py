@@ -1,18 +1,20 @@
 """The load cache: a hit gives what a fresh load gives, shared as a fresh
-load shares it; a run writes the same bytes cold and warm; every scenario
-shares one collection entry; a damaged or foreign entry is a miss that is
-written again; and a cache that cannot be used changes nothing a run
-writes or prints. Every test starts with an empty cache of its own
-(``conftest.cold_cache``)."""
+load shares it; a run writes the same bytes cold and warm, and a warm run
+scores no sentence and writes no entry; every scenario and the tutor share
+one collection entry and one top-k entry per depth; a damaged or foreign
+entry is a miss that is written again; and a cache that cannot be used
+changes nothing a run writes or prints. Every test starts with an empty
+cache of its own (``conftest.cold_cache``)."""
 
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from patternqa import cache, cli
+from patternqa import cache, cli, retrieval
 from patternqa.cli import main
 from patternqa.corpus import load_documents, load_qa_corpus
 from patternqa.retrieval import build_index
@@ -42,6 +44,17 @@ def _loads() -> dict:
 
 def _fresh_only():
     raise AssertionError("a hit must not load")
+
+
+def _unscored(*args):
+    raise AssertionError("a hit must not score")
+
+
+def _entries(directory: Path) -> dict:
+    """Each entry file under ``directory``, by name, with its bytes and the
+    inode and modification time that a rewrite would change."""
+    return {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in sorted(directory.iterdir())}
 
 
 def _index_fields(index):
@@ -113,29 +126,37 @@ def _run(out_dir: Path, argv) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("argv", RUNS, ids=" ".join)
-def test_a_warm_run_writes_what_a_cold_run_writes(tmp_path, monkeypatch, argv):
+def test_a_warm_run_writes_what_a_cold_run_writes(tmp_path, monkeypatch, cold_cache, argv):
+    """A warm run loads nothing and scores no sentence, writes what the
+    cold run wrote, and leaves every entry as it found it."""
     cold = _run(tmp_path / "cold", argv)
+    entries = _entries(cold_cache)
     for name in ("load_qa_corpus", "load_documents", "build_index"):
         monkeypatch.setattr(cli, name, _fresh_only)
+    monkeypatch.setattr(retrieval, "_score", _unscored)
     warm = _run(tmp_path / "warm", argv)
     assert warm == cold
     assert "metadata.json" in warm and "kb.json" in warm
     assert ("revision_report.json" in warm) == ("--revise-interval" in argv)
+    assert _entries(cold_cache) == entries
 
 
 def test_every_scenario_shares_one_collection_entry(tmp_path, monkeypatch, cold_cache):
     """A scenario-1 run, which aligns and learns nothing, leaves the one
-    collection entry, and a scenario-2 run over the same documents then
-    loads them from it and writes what a cold scenario-2 run writes."""
+    collection entry and the one top-20 entry, and a scenario-2 run over
+    the same documents then loads them from it and writes what a cold
+    scenario-2 run writes."""
     heuristics, patterns = ("--scenario", "1"), ("--scenario", "2")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))
     cold = _run(tmp_path / "cold", patterns)
     monkeypatch.setenv("XDG_CACHE_HOME", str(cold_cache.parent))
     _run(tmp_path / "heuristics", heuristics)
     assert {p.name for p in cold_cache.iterdir()} == {
-        f"{_digest(CORPUS)}-questions.marshal", f"{_digest(DOCS)}-index.marshal"}
+        f"{_digest(CORPUS)}-questions.marshal", f"{_digest(DOCS)}-index.marshal",
+        f"{_digest(DOCS)}-top20.marshal"}
     for name in ("load_documents", "build_index"):
         monkeypatch.setattr(cli, name, _fresh_only)
+    monkeypatch.setattr(retrieval, "_score", _unscored)
     assert _run(tmp_path / "patterns", patterns) == cold
 
 
@@ -172,6 +193,78 @@ def test_a_damaged_or_foreign_entry_is_a_miss_and_is_written_again(cold_cache, h
     assert len(loaded) == 1
     assert through_cache(_fresh_only) == expected
     assert [p.name for p in cold_cache.iterdir()] == [entry.name]
+
+
+@pytest.mark.parametrize("how", ["truncated", "payload-byte", "other-code", "undecodable",
+                                 "empty"])
+def test_a_damaged_or_foreign_top_k_entry_is_a_miss_and_is_written_again(
+        tmp_path, monkeypatch, cold_cache, how):
+    expected = _run(tmp_path / "cold", RUNS[1])
+    entry = cold_cache / f"{_digest(DOCS)}-top20.marshal"
+    memo = cache._read(entry)
+    assert len(memo) == 30  # the fixture questions' terms are distinct
+    entry.write_bytes(_damaged(entry.read_bytes(), how))
+    scored = []
+    score = retrieval._score
+
+    def counted(maps, sids, *rest):
+        scored.append(len(sids))
+        return score(maps, sids, *rest)
+
+    monkeypatch.setattr(retrieval, "_score", counted)
+    assert _run(tmp_path / "miss", RUNS[1]) == expected
+    assert scored and cache._read(entry) == memo
+    monkeypatch.setattr(retrieval, "_score", _unscored)
+    assert _run(tmp_path / "hit", RUNS[1]) == expected
+
+
+def test_each_depth_has_its_own_top_k_entry(tmp_path, monkeypatch, cold_cache):
+    """A ``--top-k 5`` run never reads the top-20 entry that a default run
+    left, writes what it writes over an empty cache, and leaves its own
+    entry."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))
+    alone = _run(tmp_path / "alone", (*RUNS[3], "--top-k", "5"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cold_cache.parent))
+    _run(tmp_path / "default", RUNS[3])
+    read = []
+    read_entry = cache._read
+
+    def recording(path):
+        read.append(path.name)
+        return read_entry(path)
+
+    monkeypatch.setattr(cache, "_read", recording)
+    assert _run(tmp_path / "five", (*RUNS[3], "--top-k", "5")) == alone
+    assert f"{_digest(DOCS)}-top5.marshal" in read
+    assert not [name for name in read if name.endswith("-top20.marshal")]
+    assert {p.name for p in cold_cache.iterdir()} >= {
+        f"{_digest(DOCS)}-top5.marshal", f"{_digest(DOCS)}-top20.marshal"}
+
+
+def _tutor(monkeypatch, capsys, transcript: str) -> str:
+    monkeypatch.setattr(sys, "stdin", io.StringIO(transcript))
+    assert main(["tutor", "--docs", DOCS]) == 0
+    return capsys.readouterr().out
+
+
+def test_the_tutor_reuses_the_top_k_entry_a_run_wrote(tmp_path, monkeypatch, capsys,
+                                                      cold_cache):
+    """The tutor answers the corpus questions from the entry a run left,
+    scoring nothing, prints what a tutor over an empty cache prints, and
+    leaves the entry as it was."""
+    with open(CORPUS, encoding="utf-8") as handle:
+        asks = "".join(f"ask {json.loads(line)['parse']}\n" for line in handle)
+    transcript = asks + "quit\n"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))
+    alone = _tutor(monkeypatch, capsys, transcript)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cold_cache.parent))
+    _run(tmp_path / "run", RUNS[1])
+    capsys.readouterr()
+    entries = _entries(cold_cache)
+    monkeypatch.setattr(retrieval, "_score", _unscored)
+    assert _tutor(monkeypatch, capsys, transcript) == alone
+    assert alone.count("category: ") == 30
+    assert _entries(cold_cache) == entries
 
 
 @pytest.mark.parametrize("flag", ["--corpus", "--docs"])

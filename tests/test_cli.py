@@ -463,7 +463,7 @@ def test_every_file_a_run_leaves_is_written_by_the_one_writer(tmp_path, monkeypa
                    "--kb-out", str(kb), "--dump-index", str(index)) == 0
     left = sorted(p for p in tmp_path.rglob("*") if p.is_file())
     assert sorted(written) == left
-    assert kb in left and index in left and len(left) == 9
+    assert kb in left and index in left and len(left) == 10
 
 
 def _run_tutor(monkeypatch, capsys, transcript, *argv):

@@ -379,11 +379,11 @@ def test_error_isolation(monkeypatch, fixture_questions, make_state):
     original = pipeline_module.retrieve
     calls = {"n": 0}
 
-    def flaky(index, query, k):
+    def flaky(index, query, k, memo=None):
         calls["n"] += 1
         if calls["n"] == 2:
             raise RuntimeError("index corrupted")
-        return original(index, query, k)
+        return original(index, query, k, memo)
 
     monkeypatch.setattr(pipeline_module, "retrieve", flaky)
     result = run_sequence(state, fixture_questions[:4], ScenarioConfig(1))

@@ -1,15 +1,18 @@
 import hashlib
 import json
+import marshal
 import math
 import os
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from patternqa import retrieval
 from patternqa.corpus import Document, load_documents
 from patternqa.retrieval import (BM25_B, BM25_K1, STOPWORDS, build_index, content_words,
                                  retrieve, serialize_index)
@@ -249,6 +252,80 @@ def test_retrieve_equals_brute_force_bm25(case):
     docs, query, k = case
     got = [(r.doc_id, r.position, r.score) for r in retrieve(build_index(docs), query, k)]
     assert got == bm25_oracle(docs, query, k)
+
+
+@settings(max_examples=100)
+@given(bm25_cases(), st.data())
+def test_a_memo_hit_equals_a_fresh_retrieve(case, data):
+    """A query whose terms the memo holds is answered with no scoring, with
+    the sentences and the very floats that a fresh retrieve gives, also from
+    a memo that went through ``marshal`` as the load cache keeps it. The
+    drawn queries hold terms the index lacks, k may exceed the sentences
+    that match, and k=0 leaves the memo empty."""
+    docs, query, k = case
+    index = build_index(docs)
+    memo = {}
+    fresh = retrieve(index, query, k)
+    assert retrieve(index, query, k, memo) == fresh
+    assert len(memo) == (k > 0)
+    # the same terms, reordered, repeated and recased
+    again = data.draw(st.permutations(query + query[:1]))
+    again = [term.swapcase() if i % 2 else term for i, term in enumerate(again)]
+    with mock.patch.object(retrieval, "_top", side_effect=AssertionError("scored a hit")):
+        for kept in (memo, marshal.loads(marshal.dumps(memo))):
+            hit = retrieve(index, again, k, kept)
+            assert hit == fresh
+            assert [r.score.hex() for r in hit] == [r.score.hex() for r in fresh]
+    assert len(memo) == (k > 0)
+
+
+def spine(n: int) -> tuple[list[Document], list[str]]:
+    """One sentence of n distinct words, and those words as the query."""
+    words = [f"w{i}x" for i in range(n)]
+    return [Document("d", (flat(words),))], words
+
+
+def spine_and_singles(n: int) -> tuple[list[Document], list[str]]:
+    """The spine of n words, then each word as a sentence of its own."""
+    words = [f"w{i}x" for i in range(n)]
+    return [Document("d", (flat(words), *(flat([w]) for w in words)))], words
+
+
+def retrieve_lines(docs, query, k: int) -> int:
+    """The lines of ``retrieval`` that one ``retrieve`` without a memo runs,
+    counted by a trace hook: the module's own steps, each loop turn one."""
+    index = build_index(docs)
+    code_file = retrieval.__file__
+    lines = [0]
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines[0] += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == code_file else None
+
+    sys.settrace(calls)
+    try:
+        got = retrieve(index, query, k)
+    finally:
+        sys.settrace(None)
+    assert [(r.doc_id, r.position, r.score) for r in got] == bm25_oracle(docs, query, k)
+    return lines[0]
+
+
+@pytest.mark.parametrize("shape, k", [(spine, 20), (spine_and_singles, 1)])
+def test_retrieval_work_grows_linearly_with_the_query(shape, k):
+    """Doubling the words of the query and the collection about doubles
+    what ``retrieve`` runs (a quadratic step would about quadruple it). On a
+    long spine every term after the first meets only the sentence already
+    scored, and on the spine with its one-word sentences each term meets
+    one new sentence while all the later terms are still to visit: scoring
+    nothing over every term, or looking for later terms term by term, made
+    both quadratic."""
+    small, large = (retrieve_lines(*shape(n), k) for n in (150, 300))
+    assert large <= 2.1 * small
 
 
 class Unscorable(dict):
